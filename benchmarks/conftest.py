@@ -30,16 +30,13 @@ from repro.experiments.figures import prepare_census_experiment
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def bench_smoke(*aliases: str) -> bool:
+def bench_smoke() -> bool:
     """True when a CI-sized (no timing gates) benchmark run is requested.
 
-    One switch rules them all: ``BENCH_SMOKE=1``.  Benchmarks that
-    historically had their own variable pass it as an alias
-    (``RELEASE_BENCH_SMOKE``, ``SERVING_BENCH_SMOKE``,
-    ``SHARDING_BENCH_SMOKE``), so existing invocations keep working.
+    One switch for every benchmark: ``BENCH_SMOKE`` set to anything but
+    empty or ``0``.
     """
-    names = ("BENCH_SMOKE",) + aliases
-    return any(os.environ.get(name, "") not in {"", "0"} for name in names)
+    return os.environ.get("BENCH_SMOKE", "") not in {"", "0"}
 
 
 def bench_accuracy_config() -> AccuracyConfig:

@@ -14,8 +14,7 @@ coefficients — no inverse transform at publish time, no ``O(m)`` prefix
   batch in coefficient space;
 * the serving-state memory of both backends.
 
-Set ``BENCH_SMOKE=1`` (or the legacy alias ``RELEASE_BENCH_SMOKE=1``)
-for a CI-sized run (smaller domains, no
+Set ``BENCH_SMOKE=1`` for a CI-sized run (smaller domains, no
 timing assertions — timers on shared runners are too noisy to gate on).
 In full mode the timing gates are re-measured up to three times before
 failing, so a single scheduler hiccup cannot redden tier-1.  Either way
@@ -32,7 +31,7 @@ import time
 import numpy as np
 
 from benchmarks.provenance import provenance
-from repro.core.privelet import publish_ordinal_release
+from repro.core.publish import publish
 from repro.queries.oracle import RangeSumOracle
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -47,7 +46,7 @@ ATTEMPTS = 3
 def _smoke() -> bool:
     from benchmarks.conftest import bench_smoke
 
-    return bench_smoke("RELEASE_BENCH_SMOKE")
+    return bench_smoke()
 
 
 def _exponents() -> list[int]:
@@ -79,7 +78,7 @@ def _measure(rng) -> dict:
         counts[hot] += rng.integers(1, 50, size=hot.size)
 
         start = time.perf_counter()
-        result = publish_ordinal_release(counts, 1.0, seed=exponent)
+        result = publish(counts, 1.0, mechanism="privelet", seed=exponent)
         publish_seconds = time.perf_counter() - start
         release = result.release
 
@@ -149,7 +148,9 @@ def test_release_backend_crossover(record_result):
     # Correctness spot check at the smallest size: coefficient answers
     # match the dense oracle over the materialized matrix.
     m0 = 1 << _exponents()[0]
-    check = publish_ordinal_release(np.arange(m0, dtype=np.float64), 1.0, seed=0)
+    check = publish(
+        np.arange(m0, dtype=np.float64), 1.0, mechanism="privelet", seed=0
+    )
     lows0, highs0 = _random_boxes(m0, 128, rng)
     dense0 = RangeSumOracle(check.matrix)
     np.testing.assert_allclose(

@@ -25,8 +25,7 @@ archives*:
   ceiling.  Full mode asserts columnar >= 5x the dict path at batch
   256 and within 5x of the raw engine.
 
-Set ``BENCH_SMOKE=1`` (or the legacy alias ``SERVING_BENCH_SMOKE=1``)
-for a CI-sized run (tiny tables, no
+Set ``BENCH_SMOKE=1`` for a CI-sized run (tiny tables, no
 timing assertions — shared-runner clocks are too noisy to gate on).  In
 full mode the speedup gate is re-measured up to three times before
 failing.  Either way the numbers land in ``results/BENCH_serving.json``
@@ -70,7 +69,7 @@ ATTEMPTS = 3
 def _smoke() -> bool:
     from benchmarks.conftest import bench_smoke
 
-    return bench_smoke("SERVING_BENCH_SMOKE")
+    return bench_smoke()
 
 
 def _scale_rows_queries() -> tuple[float, int, int]:

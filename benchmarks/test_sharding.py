@@ -3,8 +3,8 @@
 Sharding's two promises, measured:
 
 * **parallel publish** — disjoint shards share nothing, so
-  :func:`repro.core.sharding.publish_sharded` runs per-shard transforms
-  and noise draws on a thread pool.  This benchmark times a sequential
+  ``repro.publish(..., shard_by=...)`` runs per-shard transforms and
+  noise draws on a thread pool.  This benchmark times a sequential
   publish against the pooled one over the same shards (same seeds, so
   the outputs are identical) and records the wall-clock speedup.  The
   speedup gate runs in full mode on multi-core hosts only — on one core
@@ -16,9 +16,8 @@ Sharding's two promises, measured:
   sustained queries/sec for both, plus how a *routed* workload (every
   box inside one shard) compares.
 
-Set ``BENCH_SMOKE=1`` (or the legacy alias ``SHARDING_BENCH_SMOKE=1``)
-for a CI-sized run (small table, no
-timing assertions).  Either way the numbers land in
+Set ``BENCH_SMOKE=1`` for a CI-sized run (small table, no timing
+assertions).  Either way the numbers land in
 ``results/BENCH_sharding.json`` with a provenance block.
 """
 
@@ -33,7 +32,8 @@ import numpy as np
 
 from benchmarks.provenance import provenance
 from repro.core.privelet_plus import PriveletPlusMechanism
-from repro.core.sharding import publish_sharded, shard_bounds
+from repro.core.publish import publish
+from repro.core.sharding import shard_bounds
 from repro.data.census import BRAZIL, generate_census_table
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
@@ -48,7 +48,7 @@ ATTEMPTS = 3
 def _smoke() -> bool:
     from benchmarks.conftest import bench_smoke
 
-    return bench_smoke("SHARDING_BENCH_SMOKE")
+    return bench_smoke()
 
 
 def _scale_rows_queries() -> tuple[float, int, int]:
@@ -57,14 +57,14 @@ def _scale_rows_queries() -> tuple[float, int, int]:
 
 
 def _publish(table, *, parallel: bool):
-    return publish_sharded(
+    return publish(
         table,
-        PriveletPlusMechanism(sa_names="auto"),
         1.0,
+        mechanism=PriveletPlusMechanism(sa_names="auto"),
         shard_by="Age",
         shards=NUM_SHARDS,
         seed=SEED,
-        materialize=False,
+        representation="coefficients",
         parallel=parallel,
     )
 

@@ -2,7 +2,7 @@
 
 Privelet adds noise *in coefficient space*; Equation 3 says any range
 answer needs only the O(log m) coefficients on the range's boundary
-paths.  ``publish_ordinal_release`` therefore keeps the release in
+paths.  ``publish`` therefore keeps a count vector's release in
 coefficient form (a ``CoefficientRelease``): no inverse transform at
 publish time, no dense prefix oracle at serving time — the noisy
 coefficient vector is the entire serving state.
@@ -14,8 +14,7 @@ import time
 
 import numpy as np
 
-from repro import QueryEngine, generate_workload
-from repro.core.privelet import publish_ordinal_release
+from repro import QueryEngine, generate_workload, publish
 
 M = 1 << 20  # a domain a dense pipeline would materialize twice over
 
@@ -26,7 +25,7 @@ active = rng.integers(0, M, size=4_096)
 counts[active] += rng.integers(1, 40, size=active.size)
 
 start = time.perf_counter()
-result = publish_ordinal_release(counts, epsilon=1.0, seed=1)
+result = publish(counts, 1.0, mechanism="privelet", seed=1)
 publish_seconds = time.perf_counter() - start
 release = result.release
 

@@ -7,10 +7,10 @@ parallel composition.  This walkthrough:
 * partitions a census table along ``Age`` into four shards and
   publishes each one independently (thread pool, coefficient space);
 * answers a mixed workload through the ordinary ``QueryEngine`` — the
-  ``ShardedRelease`` routes every box to only the shards its Age range
+  ``Partition`` routes every box to only the shards its Age range
   intersects, and exact variances sum across routed shards;
-* writes a v3 sharded archive and reloads it shard-lazily: a narrow
-  query decompresses one shard, the rest stay on disk.
+* writes the partition to one archive and reloads it shard-lazily: a
+  narrow query reads one shard, the rest stay on disk.
 
 Run:  PYTHONPATH=src python examples/sharded_census.py
 """
@@ -20,14 +20,13 @@ from pathlib import Path
 
 from repro import (
     BRAZIL,
-    PriveletPlusMechanism,
     QueryEngine,
     RangeCountQuery,
     generate_census_table,
     generate_workload,
     interval_predicate,
     load_result,
-    publish_sharded,
+    publish,
     save_result,
 )
 
@@ -36,14 +35,13 @@ def main() -> None:
     table = generate_census_table(BRAZIL.scaled(0.1), 40_000, seed=0)
     print(f"table: {table.num_rows} rows over {table.schema.shape}")
 
-    result = publish_sharded(
+    result = publish(
         table,
-        PriveletPlusMechanism(sa_names="auto"),
-        epsilon=1.0,
+        1.0,
         shard_by="Age",
         shards=4,
         seed=7,
-        materialize=False,  # every shard stays in coefficient space
+        representation="coefficients",  # every shard stays in coefficient space
     )
     release = result.release
     print(
@@ -66,7 +64,7 @@ def main() -> None:
         save_result(path, result)
         loaded = load_result(path)
         print(
-            f"\nv3 archive reloaded: {loaded.release.shards_loaded}/"
+            f"\narchive reloaded: {loaded.release.shards_loaded}/"
             f"{loaded.release.num_shards} shards in memory"
         )
         lo, hi = release.bounds[0], release.bounds[1]

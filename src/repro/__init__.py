@@ -52,16 +52,12 @@ from repro.core import (
     PublishingMechanism,
     PublishResult,
     Release,
-    ShardedRelease,
     clamp_nonnegative,
     convert_result,
     partition_table,
     publish,
-    publish_nominal_release,
     publish_nominal_vector,
-    publish_ordinal_release,
     publish_ordinal_vector,
-    publish_sharded,
     rescale_total,
     round_to_integers,
     sanitize,
@@ -142,7 +138,7 @@ from repro.serving import (
     publish_result_to_shm,
     sweep_stale_segments,
 )
-from repro.streaming import StreamingPublisher, StreamRelease, dyadic_cover
+from repro.streaming import StreamingPublisher, dyadic_cover
 from repro.transforms import HaarTransform, HNTransform, NominalTransform
 
 __version__ = "1.0.0"
@@ -192,8 +188,6 @@ __all__ = [
     "publish",
     "publish_ordinal_vector",
     "publish_nominal_vector",
-    "publish_ordinal_release",
-    "publish_nominal_release",
     "Release",
     "DenseRelease",
     "CoefficientRelease",
@@ -202,9 +196,7 @@ __all__ = [
     "CompositeProfileCaches",
     "Partition",
     "TimeTree",
-    "ShardedRelease",
     "convert_result",
-    "publish_sharded",
     "partition_table",
     "shard_bounds",
     "shard_seeds",
@@ -251,7 +243,6 @@ __all__ = [
     "optimize_sa",
     # streaming
     "StreamingPublisher",
-    "StreamRelease",
     "dyadic_cover",
     # serving
     "ReleaseServer",

@@ -14,11 +14,11 @@ Commands
     querying with :func:`repro.io.load_result`.  ``--shard-by ATTR``
     partitions the table along an ordinal attribute, publishes every
     shard independently at full ε (DP parallel composition) on a thread
-    pool, and writes a v3 sharded archive — ``query`` and ``serve``
-    consume it unchanged.
+    pool, and writes the partition as one archive — ``query`` and
+    ``serve`` consume it unchanged.
 ``ingest``
     Stage synthetic census rows for a **stream** archive's open epoch
-    (creating the v4 archive, with its publishing configuration, on
+    (creating the archive, with its publishing configuration, on
     first use).  Staged rows live in a ``<archive>.staging.npz`` sidecar
     — they are the curator's raw private input and are only published
     when the epoch closes.
@@ -26,7 +26,7 @@ Commands
     Close one or more epochs of a stream archive: the staged rows
     publish at the full ε (DP parallel composition over disjoint
     epochs), completed dyadic tree nodes merge, and the archive gains
-    the new node members plus a fresh manifest — a running ``serve``
+    the new node members plus the next release tree — a running ``serve``
     over the same file picks the new epochs up automatically.
 ``query``
     Answer random range-count queries on a published archive through the
@@ -77,7 +77,7 @@ from repro.experiments.figures import (
 from repro.data.table import Table
 from repro.errors import ReproError
 from repro.experiments.reporting import format_accuracy_run, format_timing_run
-from repro.io import load_result, read_stream_header, save_result
+from repro.io import load_result, open_result, save_result
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
 from repro.serving.network import NetworkServer
@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--representation",
         choices=["dense", "coefficients"],
         default="dense",
-        help="dense writes M* (v1 archive); coefficients never inverts "
-        "the transform and writes the noisy coefficients (v2 archive)",
+        help="dense writes M*; coefficients never inverts the transform "
+        "and writes the noisy coefficients",
     )
     publish.add_argument(
         "--shard-by",
@@ -141,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ATTR",
         help="partition the table along this ordinal attribute and "
         "publish each shard independently at full epsilon (DP parallel "
-        "composition); writes a v3 sharded archive, shards publish on a "
-        "thread pool",
+        "composition); shards publish on a thread pool",
     )
     publish.add_argument(
         "--shards",
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest",
         help="stage synthetic rows for a stream archive's open epoch",
     )
-    ingest.add_argument("archive", help="v4 stream .npz path (created if missing)")
+    ingest.add_argument("archive", help="stream .npz path (created if missing)")
     ingest.add_argument("--dataset", choices=sorted(_SPECS), default="brazil")
     ingest.add_argument("--scale", type=float, default=0.1)
     ingest.add_argument("--rows", type=int, default=10_000)
@@ -186,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "advance-epoch",
         help="close epoch(s) of a stream archive, publishing staged rows",
     )
-    advance.add_argument("archive", help="v4 stream .npz written by `ingest`")
+    advance.add_argument("archive", help="stream .npz written by `ingest`")
     advance.add_argument(
         "--epochs",
         type=int,
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         help="override the SA set for archives lacking mechanism details "
-        "(conflicts with a v2 archive's own SA set are reported as "
-        "structured bad-request responses)",
+        "(conflicts with a coefficient archive's own SA set are reported "
+        "as structured bad-request responses)",
     )
     serve.add_argument(
         "--no-planner",
@@ -426,18 +425,18 @@ def _check_ingest_flags_against_header(args, header: dict, schema) -> None:
         )
     if (
         args.mechanism is not None
-        and _mechanism_for(args.mechanism).name != header.get("mechanism_name")
+        and _mechanism_for(args.mechanism).name != header["mechanism_name"]
     ):
         raise ReproError(
             f"--mechanism {args.mechanism} conflicts with the archive's "
-            f"mechanism {header.get('mechanism_name')!r} (fixed at creation)"
+            f"mechanism {header['mechanism_name']!r} (fixed at creation)"
         )
     if args.epoch_length is not None and int(args.epoch_length) != int(
-        header.get("epoch_length", 1)
+        header["epoch_length"]
     ):
         raise ReproError(
             f"--epoch-length {args.epoch_length} conflicts with the "
-            f"archive's epoch length {header.get('epoch_length', 1)} "
+            f"archive's epoch length {header['epoch_length']} "
             "(fixed at creation)"
         )
     from repro.io import schema_from_dict
@@ -471,7 +470,9 @@ def _cmd_ingest(args) -> int:
     else:
         # Fail fast on non-stream archives and on flags conflicting with
         # the configuration fixed at creation.
-        header = read_stream_header(args.archive)
+        header = open_result(args.archive).header
+        if header["representation"] != "stream":
+            raise ReproError(f"{args.archive} is not a stream archive")
         _check_ingest_flags_against_header(args, header, schema)
     table = generate_census_table(spec, args.rows, seed=args.seed + 1)
     staging = _staging_path(args.archive)

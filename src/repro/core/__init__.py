@@ -12,9 +12,7 @@ from repro.core.laplace import (
 )
 from repro.core.privelet import (
     PriveletMechanism,
-    publish_nominal_release,
     publish_nominal_vector,
-    publish_ordinal_release,
     publish_ordinal_vector,
 )
 from repro.core.release import (
@@ -41,10 +39,7 @@ from repro.core.compose import (
 from repro.core.privelet_plus import PriveletPlusMechanism, select_sa
 from repro.core.publish import publish
 from repro.core.sharding import (
-    ShardedRelease,
-    ShardSlot,
     partition_table,
-    publish_sharded,
     shard_bounds,
     shard_schema,
     shard_seeds,
@@ -67,8 +62,6 @@ __all__ = [
     "publish",
     "publish_ordinal_vector",
     "publish_nominal_vector",
-    "publish_ordinal_release",
-    "publish_nominal_release",
     "Release",
     "DenseRelease",
     "CoefficientRelease",
@@ -77,12 +70,9 @@ __all__ = [
     "CompositeProfileCaches",
     "Partition",
     "TimeTree",
-    "ShardedRelease",
-    "ShardSlot",
     "REPRESENTATIONS",
     "convert_result",
     "infer_sa_names",
-    "publish_sharded",
     "partition_table",
     "shard_bounds",
     "shard_schema",

@@ -11,15 +11,11 @@ other.  This module makes composition a first-class **algebra** over the
 * :class:`Partition` — parallel composition along one ordinal axis.
   A box query is clipped against each part's interval; only intersecting
   parts answer, and independent noise means exact variances **add**.
-  :class:`~repro.core.sharding.ShardedRelease` is a thin constructor
-  over this node.
 * :class:`TimeTree` — coefficient-addition over a dyadic time
   hierarchy.  A window query is answered by its canonical dyadic cover
   (at most ``2 ceil(log2 T)`` nodes), every node answering the *same*
   box; all nodes share one transform, so the variance pass computes a
   single profile product per query.
-  :class:`~repro.streaming.release.StreamRelease` is a thin constructor
-  over this node.
 
 The algebra is **closed under nesting**: a part of a
 :class:`Partition` may itself be any composed release, so a sharded
@@ -29,16 +25,15 @@ Every node uniformly exposes ``answer_boxes`` / ``noise_variances_boxes``
 / ``convert`` / ``build_profile_caches``, which is the one composed-
 backend code path :class:`~repro.queries.engine.QueryEngine` speaks.
 
-Bit-for-bit parity with the pre-algebra ``ShardedRelease`` and
-``StreamRelease`` code paths is the refactor contract: routing masks,
-clip arithmetic, and the order of every floating-point accumulation are
-preserved exactly.
+Routing masks, clip arithmetic, and the order of every floating-point
+accumulation are fixed, so a composed release answers bit-for-bit like
+the equivalent flat per-part computation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +52,6 @@ __all__ = [
     "ComposedRelease",
     "Partition",
     "TimeTree",
-    "ShardSlot",
     "shard_schema",
 ]
 
@@ -117,30 +111,6 @@ def shard_schema(schema: Schema, attribute: str, lo: int, hi: int) -> Schema:
         attribute, hi - lo, labels[lo:hi] if labels is not None else None
     )
     return Schema(attributes)
-
-
-@dataclass(frozen=True)
-class ShardSlot:
-    """One deferred part: mechanism configuration now, payload on touch.
-
-    The configuration (``sa_names`` and ``noise_magnitude``) is all a
-    :class:`Partition` needs for query routing and exact variances,
-    so a v3 archive can register and profile queries without mapping any
-    part payload; ``load`` is invoked (once, thread-safely) by the
-    first query that actually routes to the part.
-    """
-
-    #: The part's Privelet+ ``SA`` set (over its restricted schema).
-    sa_names: tuple
-    #: The part's Laplace parameter λ.
-    noise_magnitude: float
-    #: Zero-argument callable returning the part's
-    #: :class:`~repro.core.framework.PublishResult`.
-    load: object
-    #: The payload's representation when known without loading
-    #: (``"dense"``/``"coefficients"``); lets representation-converting
-    #: callers skip no-op conversions without touching the payload.
-    representation: str | None = None
 
 
 class ComposedPart:
@@ -606,8 +576,8 @@ class Partition(ComposedRelease):
     shards:
         One entry per part, aligned with ``bounds`` intervals: a
         :class:`~repro.core.framework.PublishResult` (in-memory part —
-        possibly itself composed), a :class:`ShardSlot` (lazy
-        archive-backed leaf), or a pre-built :class:`ComposedPart`.
+        possibly itself composed) or a pre-built :class:`ComposedPart`
+        (e.g. a lazy archive-backed leaf).
     """
 
     representation = "sharded"
@@ -633,21 +603,11 @@ class Partition(ComposedRelease):
                         f"expected {sub_schema.shape} for interval [{lo}, {hi})"
                     )
                 parts.append(ComposedPart.from_result(entry))
-            elif isinstance(entry, ShardSlot):
-                parts.append(
-                    ComposedPart(
-                        sub_schema,
-                        entry.sa_names,
-                        entry.noise_magnitude,
-                        entry.load,
-                        entry.representation,
-                    )
-                )
             elif isinstance(entry, ComposedPart):
                 parts.append(entry)
             else:
                 raise SchemaError(
-                    f"shard {index} must be a PublishResult, ShardSlot, or "
+                    f"shard {index} must be a PublishResult or a "
                     f"ComposedPart, got {type(entry).__name__}"
                 )
         super().__init__(schema, parts)
@@ -735,8 +695,6 @@ class Partition(ComposedRelease):
         Partition
             The windowed view.
         """
-        import dataclasses
-
         windowed = []
         for index, part in enumerate(self._parts):
             result = part.result()
@@ -968,7 +926,7 @@ class TimeTree(ComposedRelease):
         One profile product per query (all nodes share the transform)
         times ``2 · Σ_cover λ_eff²`` — needing no node payload, because
         the profiles depend only on the shared transform configuration
-        and each node's effective λ is recorded in the manifest.
+        and each node's effective λ is recorded in the release tree.
 
         Parameters
         ----------

@@ -16,17 +16,11 @@ one-dimensional instantiations, which are what §IV-B and §V-B describe:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.core.framework import PublishResult
 from repro.core.laplace import laplace_noise, magnitude_for_epsilon
 from repro.core.privelet_plus import PriveletPlusMechanism
-from repro.data.attributes import NominalAttribute, OrdinalAttribute
-from repro.data.frequency import FrequencyMatrix
 from repro.data.hierarchy import Hierarchy
-from repro.data.schema import Schema
 from repro.errors import PrivacyError
 from repro.transforms.haar import HaarTransform
 from repro.transforms.nominal import NominalTransform
@@ -36,8 +30,6 @@ __all__ = [
     "PriveletMechanism",
     "publish_ordinal_vector",
     "publish_nominal_vector",
-    "publish_ordinal_release",
-    "publish_nominal_release",
 ]
 
 
@@ -94,93 +86,3 @@ def publish_nominal_vector(
     coefficients = transform.forward(counts)
     noisy = coefficients + laplace_noise(magnitude / transform.weight_vector(), seed=seed)
     return transform.inverse(noisy, refine=True)
-
-
-def _ordinal_release(
-    counts, epsilon: float, *, seed=None, materialize: bool = False, name: str = "value"
-) -> PublishResult:
-    """1-D Privelet over an ordinal domain as a full :class:`PublishResult`.
-
-    The release-typed sibling of :func:`publish_ordinal_vector`: by
-    default (``materialize=False``) the result carries a
-    :class:`~repro.core.release.CoefficientRelease`, so a domain of
-    ``m = 2**20`` (or far larger) is published and served without ever
-    allocating ``M*`` or a prefix oracle — every range answer gathers
-    ``O(log m)`` coefficients (Equation 3).
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 1:
-        raise PrivacyError("publish_ordinal_release expects a 1-D frequency vector")
-    schema = Schema([OrdinalAttribute(name, len(counts))])
-    return PriveletMechanism().publish_matrix(
-        FrequencyMatrix(schema, counts), epsilon, seed=seed, materialize=materialize
-    )
-
-
-def _nominal_release(
-    counts,
-    hierarchy: Hierarchy,
-    epsilon: float,
-    *,
-    seed=None,
-    materialize: bool = False,
-    name: str = "value",
-) -> PublishResult:
-    """1-D Privelet over a nominal domain as a full :class:`PublishResult`.
-
-    Like :func:`_ordinal_release` but with the §V nominal transform;
-    ``counts`` is indexed by the hierarchy's DFS leaf order.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 1:
-        raise PrivacyError("publish_nominal_release expects a 1-D frequency vector")
-    schema = Schema([NominalAttribute(name, hierarchy)])
-    return PriveletMechanism().publish_matrix(
-        FrequencyMatrix(schema, counts), epsilon, seed=seed, materialize=materialize
-    )
-
-
-def publish_ordinal_release(
-    counts, epsilon: float, *, seed=None, materialize: bool = False, name: str = "value"
-) -> PublishResult:
-    """Deprecated alias of :func:`repro.publish` on an ordinal count vector.
-
-    Kept for released callers; draws identical noise under the same
-    seed.  Prefer ``repro.publish(counts, epsilon,
-    mechanism="privelet")``.
-    """
-    warnings.warn(
-        'publish_ordinal_release is deprecated; use repro.publish(counts, '
-        'epsilon, mechanism="privelet") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _ordinal_release(
-        counts, epsilon, seed=seed, materialize=materialize, name=name
-    )
-
-
-def publish_nominal_release(
-    counts,
-    hierarchy: Hierarchy,
-    epsilon: float,
-    *,
-    seed=None,
-    materialize: bool = False,
-    name: str = "value",
-) -> PublishResult:
-    """Deprecated alias of :func:`repro.publish` on a nominal count vector.
-
-    Kept for released callers; draws identical noise under the same
-    seed.  Prefer ``repro.publish(counts, epsilon,
-    mechanism="privelet", hierarchy=hierarchy)``.
-    """
-    warnings.warn(
-        'publish_nominal_release is deprecated; use repro.publish(counts, '
-        'epsilon, mechanism="privelet", hierarchy=hierarchy) instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _nominal_release(
-        counts, hierarchy, epsilon, seed=seed, materialize=materialize, name=name
-    )

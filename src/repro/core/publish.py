@@ -11,11 +11,8 @@ shape plus ``shard_by``/``stream`` picks the composition, and every
 path returns the standard
 :class:`~repro.core.framework.PublishResult`.
 
-The legacy entry points (:func:`~repro.core.privelet.
-publish_ordinal_release`, :func:`~repro.core.privelet.
-publish_nominal_release`, :func:`~repro.core.sharding.publish_sharded`,
-:func:`~repro.streaming.release.stream_result`) remain as thin
-deprecated aliases and draw identical noise under the same seed.
+Every path derives per-shard and per-epoch noise from one base seed, so
+the same seed always reproduces the same release.
 """
 
 from __future__ import annotations
@@ -183,7 +180,7 @@ def publish(
     ``stream`` buckets rows into dyadic-tree epochs, and giving both
     publishes one stream per shard and joins them with
     :class:`~repro.core.compose.Partition` — a nested composition that
-    archives as a v5 manifest and serves like any other release.
+    archives and serves like any other release.
 
     Parameters
     ----------
@@ -203,9 +200,7 @@ def publish(
         vectors and streams (the shapes whose domains are expected to
         be large).
     shard_by:
-        Ordinal attribute to partition a table along (see
-        :func:`~repro.core.sharding.publish_sharded` for the caveat on
-        choosing cut points independently of the data).
+        Ordinal attribute to partition a table along.
     stream:
         Per-row timestamps (aligned with the table's rows), or a dict
         ``{"timestamps": ..., "epoch_length": ..., "epochs": ...}``;
@@ -213,12 +208,16 @@ def publish(
         the newest timestamp is closed.
     seed:
         Base seed.  Shard ``i`` and epoch ``e`` draw noise as pure
-        functions of ``(seed, i)`` / ``(seed, e)``, matching the legacy
-        entry points bit for bit under the same seed.
+        functions of ``(seed, i)`` / ``(seed, e)``, so the same seed
+        reproduces the same release bit for bit.
     shards:
         Number of balanced shards (ignored when ``bounds`` is given).
     bounds:
-        Explicit ascending cut points for ``shard_by``.
+        Explicit ascending cut points for ``shard_by``.  **Must be
+        chosen independently of the table's contents**: parallel
+        composition covers any *fixed* disjoint partition, but cut
+        points tuned to the private data make the partition itself
+        leak, voiding the ε guarantee.
     hierarchy:
         Nominal hierarchy for a 1-D count vector.
     name:
@@ -229,8 +228,8 @@ def publish(
     epoch_length:
         Timestamp units per epoch (``stream`` dicts may override).
     parallel:
-        Publish static shards on a thread pool (matches
-        :func:`~repro.core.sharding.publish_sharded`).
+        Publish static shards on a thread pool; ``False`` publishes
+        them one after another on the calling thread.
 
     Returns
     -------

@@ -20,9 +20,9 @@ prefix-sum oracle.  This module makes the representation pluggable:
 Both implement the **answer-backend protocol** the query engine serves
 through: ``schema``, :meth:`Release.answer_boxes`,
 :meth:`Release.marginal`, and :meth:`Release.to_matrix`.  A third
-backend, :class:`~repro.core.sharding.ShardedRelease`, lives in its own
-module: disjoint horizontal shards published independently under DP
-parallel composition, composed behind the same protocol.
+family, the composition algebra of :mod:`repro.core.compose`, lives in
+its own module: partitions and time trees of independently published
+releases, composed behind the same protocol.
 
 How a coefficient release answers (Equation 3, batched)
 -------------------------------------------------------

@@ -13,37 +13,31 @@ variance profile.
 That observation buys two scaling axes at once:
 
 * **publish time** — shards share nothing (separate matrices, separate
-  transforms, separate noise draws), so :func:`publish_sharded` runs
-  them on a thread or process pool and the wall clock drops with cores;
-* **serve time** — a :class:`ShardedRelease` keeps every shard in its
-  own (coefficient-space, if asked) release, so even a partitioned
-  domain far too large for one dense matrix stays matrix-free, and a
-  box query touches only the shards its partition-axis range
-  intersects.
+  transforms, separate noise draws), so ``repro.publish(...,
+  shard_by=...)`` runs them on a thread pool and the wall clock drops
+  with cores;
+* **serve time** — the resulting :class:`~repro.core.compose.Partition`
+  keeps every shard in its own (coefficient-space, if asked) release,
+  so even a partitioned domain far too large for one dense matrix stays
+  matrix-free, and a box query touches only the shards its
+  partition-axis range intersects.
 
-Since the composition-algebra refactor, all routing and accounting live
-in :class:`~repro.core.compose.Partition` — the parallel-composition
-combinator of :mod:`repro.core.compose` — and :class:`ShardedRelease`
-is a thin constructor over it.  This module keeps the partitioning
-utilities (:func:`shard_bounds`, :func:`partition_table`,
-:func:`shard_seeds`) and the parallel publisher
-(:func:`publish_sharded`), plus back-compat re-exports of the names
-that moved into the algebra (:class:`ShardSlot`, :func:`shard_schema`,
-:class:`ShardProfileCaches`).
+All routing and accounting live in :class:`~repro.core.compose.
+Partition`, the parallel-composition combinator of
+:mod:`repro.core.compose`.  This module keeps the partitioning utilities
+(:func:`shard_bounds`, :func:`partition_table`, :func:`shard_seeds`) and
+the parallel shard publisher behind :func:`repro.publish`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.core.compose import (
-    CompositeProfileCaches,
     Partition,
-    ShardSlot,
     _check_bounds,
     _partition_axis,
     shard_schema,
@@ -58,10 +52,6 @@ __all__ = [
     "shard_schema",
     "shard_seeds",
     "partition_table",
-    "ShardSlot",
-    "ShardProfileCaches",
-    "ShardedRelease",
-    "publish_sharded",
 ]
 
 
@@ -157,50 +147,8 @@ def partition_table(table: Table, attribute: str, bounds) -> list[Table]:
     return shards
 
 
-class ShardProfileCaches(CompositeProfileCaches):
-    """Back-compat name for :class:`~repro.core.compose.CompositeProfileCaches`.
-
-    Pre-algebra code built per-shard profile-cache aggregates under this
-    name; the algebra generalized it to arbitrary composed parts
-    (including nested composites).  The class is unchanged — only the
-    canonical name moved: construct it from the per-shard ``caches``
-    list exactly as before.
-    """
-
-
-class ShardedRelease(Partition):
-    """Disjoint per-shard releases behind one answer backend.
-
-    A thin constructor over the algebra's
-    :class:`~repro.core.compose.Partition` combinator, kept for its
-    established name and accessors (``num_shards``, ``shards_loaded``,
-    ``shard_result``).  All routing, answer accumulation, and exact
-    variance math are inherited: a box query is clipped against each
-    shard's partition-axis interval; only intersecting shards are
-    touched (and therefore loaded, for archive-backed shards), their
-    clipped answers summed, and independent per-shard noise means the
-    exact variances sum the same way.
-
-    Parameters
-    ----------
-    schema:
-        The global (unsharded) schema queries are posed against.
-    attribute:
-        The ordinal attribute the table was partitioned along.
-    bounds:
-        The ascending cut points the shards cover (``len(shards) + 1``
-        values from 0 to the attribute's domain size).
-    shards:
-        One entry per shard, aligned with ``bounds`` intervals: either a
-        :class:`~repro.core.framework.PublishResult` (in-memory shard —
-        possibly itself composed, e.g. a per-shard stream) or a
-        :class:`~repro.core.compose.ShardSlot` (lazy archive-backed
-        shard).
-    """
-
-
 def _publish_shard(mechanism, table, epsilon, seed, materialize):
-    """Publish one shard (module-level so process pools can pickle it)."""
+    """Publish one shard (the pool's work item)."""
     return mechanism.publish(table, epsilon, seed=seed, materialize=materialize)
 
 
@@ -215,8 +163,6 @@ def _publish_sharded(
     seed=None,
     materialize: bool = True,
     parallel: bool = True,
-    max_workers: int | None = None,
-    use_processes: bool = False,
 ) -> PublishResult:
     """Partition, publish every shard at full ε, and wrap the results.
 
@@ -225,7 +171,7 @@ def _publish_sharded(
     release is ε-differentially private even though every shard spends
     the whole budget.  Shards share nothing — per-shard transforms,
     noise draws, and (optionally skipped) inversions run concurrently on
-    a pool.
+    a thread pool of ``min(shards, cpu_count)`` workers.
 
     Parameters
     ----------
@@ -259,17 +205,13 @@ def _publish_sharded(
     parallel:
         ``False`` publishes shards sequentially on the calling thread
         (the benchmark's baseline).
-    max_workers:
-        Pool size; defaults to ``min(num_shards, cpu_count)``.
-    use_processes:
-        Use a process pool instead of threads (worth it only when
-        per-shard work dwarfs the pickling of its table).
 
     Returns
     -------
     PublishResult
-        Carries a :class:`ShardedRelease`; ``noise_magnitude`` and
-        ``generalized_sensitivity`` are the per-shard maxima,
+        Carries a :class:`~repro.core.compose.Partition`;
+        ``noise_magnitude`` and ``generalized_sensitivity`` are the
+        per-shard maxima,
         ``variance_bound`` the per-shard sum (a query may span every
         shard), and ``details`` records the partition.
     """
@@ -286,13 +228,12 @@ def _publish_sharded(
         for shard_table, shard_seed in zip(tables, seeds)
     ]
     if parallel and len(jobs) > 1:
-        workers = max_workers or min(len(jobs), os.cpu_count() or 1)
-        pool_type = ProcessPoolExecutor if use_processes else ThreadPoolExecutor
-        with pool_type(max_workers=workers) as pool:
+        workers = min(len(jobs), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_publish_shard, *zip(*jobs)))
     else:
         results = [_publish_shard(*job) for job in jobs]
-    release = ShardedRelease(schema, shard_by, bounds, results)
+    release = Partition(schema, shard_by, bounds, results)
     return PublishResult(
         release=release,
         epsilon=float(results[0].epsilon),
@@ -308,49 +249,4 @@ def _publish_sharded(
             "bounds": list(bounds),
             "shards": len(results),
         },
-    )
-
-
-def publish_sharded(
-    table: Table,
-    mechanism,
-    epsilon: float,
-    *,
-    shard_by: str,
-    shards: int = 4,
-    bounds=None,
-    seed=None,
-    materialize: bool = True,
-    parallel: bool = True,
-    max_workers: int | None = None,
-    use_processes: bool = False,
-) -> PublishResult:
-    """Deprecated alias of :func:`repro.publish` with ``shard_by``.
-
-    Kept for released callers; draws identical noise under the same
-    seed.  Prefer ``repro.publish(table, epsilon, shard_by=...)``.
-
-    Every parameter — ``table``, ``mechanism``, ``epsilon``,
-    ``shard_by``, ``shards``, ``bounds``, ``seed``, ``materialize``,
-    ``parallel``, ``max_workers``, ``use_processes`` — forwards
-    unchanged to the internal implementation the facade shares.
-    """
-    warnings.warn(
-        "publish_sharded is deprecated; use repro.publish(table, epsilon, "
-        "shard_by=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _publish_sharded(
-        table,
-        mechanism,
-        epsilon,
-        shard_by=shard_by,
-        shards=shards,
-        bounds=bounds,
-        seed=seed,
-        materialize=materialize,
-        parallel=parallel,
-        max_workers=max_workers,
-        use_processes=use_processes,
     )

@@ -44,7 +44,7 @@ class StreamingError(ReproError):
     Raised by :mod:`repro.streaming` for malformed epoch windows, rows
     whose timestamps land in an epoch that has already been published
     (late arrivals cannot be added to a released epoch), and stream
-    archives whose manifest is inconsistent with their node members.
+    archives whose release tree is inconsistent with their node members.
     """
 
 

@@ -1,93 +1,71 @@
-"""Persistence for published results.
+"""Persistence for published results: one archive layout for every release.
 
 A data publisher runs the mechanism once and distributes the release;
 consumers need to reload it with its schema and privacy accounting
-intact.  This module stores a
-:class:`~repro.core.framework.PublishResult` as a single ``.npz`` archive
-in one of two **formats**:
+intact.  Every :class:`~repro.core.framework.PublishResult` — a leaf
+(dense or coefficient release), a :class:`~repro.core.compose.Partition`,
+a :class:`~repro.core.compose.TimeTree`, or any nesting of them — is a
+schema, its accounting and a tree of noisy tensors, so all of them share
+one ``.npz`` (zip) layout, **format 5**:
 
-* **v1** (``format: 1``, the original layout): the dense noisy matrix
-  under ``values`` plus a JSON header (schema description, accounting
-  scalars, details).  Archives written before the format field existed
-  carry no ``format`` key and are treated as v1.
-* **v2** (``format: 2``): a coefficient-space release — the raw noisy
-  coefficient tensor under ``coefficients`` plus the same header
-  extended with ``representation`` and the ordered ``sa`` set.  A v2
-  archive of a 1-D domain with ``m = 2**24`` is served directly from its
-  coefficients; the dense ``M*`` is never stored nor rebuilt.
-* **v3** (``format: 3``): a sharded release — a JSON **manifest**
-  (partition attribute, cut points, one accounting entry per shard)
-  plus one array member per shard (``shard<i>_coefficients`` or
-  ``shard<i>_values``).  Loading a v3 archive from a filesystem path is
-  **shard-lazy**: the manifest alone rebuilds the routing and exact
-  variance machinery, and each shard's payload is decompressed only
-  when the first query routes to it.
-* **v4** (``format: 4``): a **stream** — an *append-able* archive.  The
-  static header records the publishing configuration (schema, ε, epoch
-  length, mechanism spec); each epoch close appends one array member
-  per newly completed tree node (``node_<level>_<index>``) plus a fresh
-  **versioned manifest** (``stream_manifest_<T>``, the full node list
-  at ``T`` closed epochs).  Appends never rewrite existing members, so
-  earlier windows keep answering identically, readers always parse the
-  newest manifest, and a serving process re-resolves a live stream by
-  re-opening the file (:attr:`ResultHandle.stale` flags the change).
-  Loading is node-lazy exactly like v3 is shard-lazy.
-* **v5** (``format: 5``): a **composition tree** — any nested
-  :class:`~repro.core.compose.ComposedRelease` (e.g. a
-  :class:`~repro.core.compose.Partition` of per-shard
-  :class:`~repro.core.compose.TimeTree` streams).  The header embeds
-  the whole tree as a recursive manifest: ``partition`` nodes carry
-  their cut points plus one accounting entry per child, ``stream``
-  nodes their epoch count, window and per-node accounting, and every
-  leaf names the archive member holding its payload.  Loading from a
-  filesystem path is leaf-lazy — the manifest alone rebuilds routing
-  and exact variances for the whole tree, and each leaf payload is
-  decompressed when the first query routes to it.
+* ``header`` — the static header: format, root representation, schema
+  and root ε, plus (when the root is a stream) the epoch length,
+  mechanism spec, base seed and per-node representation a resuming
+  :class:`~repro.streaming.publisher.StreamingPublisher` needs;
+* ``tree_<v>`` — versioned copies of the release tree.  Every entry
+  carries its subtree's full accounting; ``partition`` entries add
+  their attribute, cut points and children, ``stream`` entries their
+  SA set, epoch count, window and tree nodes, and ``leaf`` entries (a
+  stream node is a leaf entry with ``level``/``index``) name the array
+  member holding their payload.  Readers use the newest version;
+* one stored (``ZIP_STORED``: noise does not deflate) array member per
+  leaf or node — ``leaf`` at the root, ``node_<level>_<index>`` for a
+  stream's nodes, and ``p<i>_`` prefixed inside partition part ``i``.
 
-The format is chosen by the result's release shape: dense releases save
-as v1 (so older readers keep working), coefficient releases as v2, flat
-sharded releases as v3, streams as v4, and nested compositions as v5.
-v3 and v4 archives load back as algebra instances (a
-:class:`~repro.core.sharding.ShardedRelease` partition, a
-:class:`~repro.streaming.release.StreamRelease` time tree) and all
-formats load to a :class:`PublishResult` that answers any workload
-identically to the saved one.
+:func:`save_result` writes version 0.  A live stream's archive is
+created empty by :func:`create_stream_archive`, and every epoch close
+(:func:`append_stream_nodes`) appends its new node members plus the
+next tree version to a copy that then atomically replaces the archive,
+so existing members are never rewritten and readers always see a whole
+zip.  :func:`result_to_parts` is the same layout without the archive —
+the tree rides inline under ``header["tree"]`` — which is how the
+shared-memory serving fleet ships a release.
+
+Loading from a filesystem path is **lazy**: the header and tree alone
+rebuild routing and exact variances for the whole release, and each
+part or node payload is read when the first query routes to it.
+:func:`open_result` returns a :class:`ResultHandle` that reads only the
+header (and tree) until :meth:`ResultHandle.load`.  Archives of the
+earlier formats 1–4 are rejected with a :class:`~repro.errors.
+ReproError` naming their format.
 
 Hierarchies are serialized by their parent arrays + labels, which is
 enough to rebuild an identical :class:`~repro.data.hierarchy.Hierarchy`
 (level-order ids and DFS leaf order are deterministic functions of the
 tree shape).
-
-For serving fleets, :func:`open_result` returns a :class:`ResultHandle`
-that reads only the JSON header up front (schema, representation,
-accounting) and maps the array payload on first :meth:`ResultHandle.
-load` — a server registered over dozens of archives pays for each
-payload only when its first request arrives.
 """
 
 from __future__ import annotations
 
-import io as _io
+import functools
 import json
 import os
 import shutil
 import tempfile
 import threading
 import zipfile
-from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.compose import Partition, TimeTree
+from repro.core.compose import ComposedPart, Partition, TimeTree, shard_schema
 from repro.core.framework import PublishResult
 from repro.core.release import CoefficientRelease, DenseRelease, infer_sa_names
-from repro.core.sharding import ShardedRelease, ShardSlot, shard_schema
 from repro.data.attributes import NominalAttribute, OrdinalAttribute
 from repro.data.frequency import FrequencyMatrix
 from repro.data.hierarchy import Hierarchy, Node
 from repro.data.schema import Schema
-from repro.errors import ReproError
-from repro.streaming.release import StreamNode, StreamRelease, _wrap_stream_result
+from repro.errors import QueryError, ReproError
+from repro.streaming.release import StreamNode, _wrap_stream_result
 
 __all__ = [
     "save_result",
@@ -100,23 +78,15 @@ __all__ = [
     "schema_from_dict",
     "create_stream_archive",
     "append_stream_nodes",
-    "read_stream_header",
-    "read_stream_manifest",
     "stream_node_key",
-    "stream_nodes_from_manifest",
 ]
 
-_FORMAT_VERSION = 1
-#: Archive format for coefficient-space releases.
-_COEFFICIENT_FORMAT_VERSION = 2
-#: Archive format for sharded releases (manifest + per-shard entries).
-_SHARDED_FORMAT_VERSION = 3
-#: Archive format for append-able streams (tree nodes + versioned manifests).
-_STREAM_FORMAT_VERSION = 4
-#: Archive format for nested compositions (recursive tree manifest).
-_COMPOSED_FORMAT_VERSION = 5
-#: Member-name prefix of the versioned stream manifests.
-_MANIFEST_PREFIX = "stream_manifest_"
+#: The archive layout version every writer emits and every reader accepts.
+_FORMAT = 5
+#: Version of the :func:`schema_to_dict` payload.
+_SCHEMA_VERSION = 1
+#: Member-name prefix of the versioned release trees.
+_TREE_PREFIX = "tree_"
 
 
 def _hierarchy_to_dict(hierarchy: Hierarchy) -> dict:
@@ -157,12 +127,12 @@ def schema_to_dict(schema: Schema) -> dict:
             )
         else:  # pragma: no cover - no other kinds exist
             raise ReproError(f"unsupported attribute type {type(attr).__name__}")
-    return {"version": _FORMAT_VERSION, "attributes": attributes}
+    return {"version": _SCHEMA_VERSION, "attributes": attributes}
 
 
 def schema_from_dict(payload: dict) -> Schema:
     """Rebuild a schema from :func:`schema_to_dict` output."""
-    if payload.get("version") != _FORMAT_VERSION:
+    if payload.get("version") != _SCHEMA_VERSION:
         raise ReproError(f"unsupported schema format version {payload.get('version')!r}")
     attributes = []
     for entry in payload["attributes"]:
@@ -177,213 +147,11 @@ def schema_from_dict(payload: dict) -> Schema:
     return Schema(attributes)
 
 
-def _shard_array_key(index: int, representation: str) -> str:
-    """The archive member name holding shard ``index``'s payload."""
-    payload = "coefficients" if representation == "coefficients" else "values"
-    return f"shard{index}_{payload}"
-
-
-def result_to_parts(result: PublishResult) -> tuple[dict, dict]:
-    """Split a result into a JSON header plus its raw array payloads.
-
-    This is the archive layout without the archive: the same
-    ``(header, arrays)`` pair :func:`save_result` persists, usable
-    anywhere the two halves travel separately — e.g. the shared-memory
-    publisher, which ships the header as a JSON manifest and each array
-    as a named segment.  :func:`result_from_parts` inverts it exactly.
-
-    Parameters
-    ----------
-    result:
-        Any :class:`PublishResult` (dense, coefficient, sharded, or
-        stream release).
-
-    Returns
-    -------
-    tuple
-        ``(header, arrays)`` — ``header`` is JSON-serializable (for a
-        stream the versioned manifest is embedded under
-        ``header["manifest"]``), ``arrays`` maps archive member names to
-        ``np.ndarray`` payloads.
-    """
-    if isinstance(result.release, TimeTree):
-        return _stream_parts(result)
-    if isinstance(result.release, Partition) and any(
-        part.composed for part in result.release.parts
-    ):
-        return _composed_parts(result)
-    header = {
-        "schema": schema_to_dict(result.release.schema),
-        "epsilon": result.epsilon,
-        "noise_magnitude": result.noise_magnitude,
-        "generalized_sensitivity": result.generalized_sensitivity,
-        "variance_bound": result.variance_bound,
-        "details": {k: _jsonable(v) for k, v in result.details.items()},
-    }
-    release = result.release
-    if isinstance(release, Partition):
-        header["format"] = _SHARDED_FORMAT_VERSION
-        header["representation"] = "sharded"
-        header["shard_by"] = release.attribute
-        header["shard_bounds"] = list(release.bounds)
-        entries = []
-        arrays = {}
-        for index in range(release.num_shards):
-            shard = release.shard_result(index)
-            shard_release = shard.release
-            entry = {
-                "epsilon": shard.epsilon,
-                "noise_magnitude": shard.noise_magnitude,
-                "generalized_sensitivity": shard.generalized_sensitivity,
-                "variance_bound": shard.variance_bound,
-                "sa": list(infer_sa_names(shard)),
-                "details": {k: _jsonable(v) for k, v in shard.details.items()},
-            }
-            if isinstance(shard_release, CoefficientRelease):
-                entry["representation"] = "coefficients"
-                payload = shard_release.coefficients
-            elif isinstance(shard_release, DenseRelease):
-                entry["representation"] = "dense"
-                payload = shard_release.to_matrix().values
-            else:  # pragma: no cover - composed shards route to v5 above
-                raise ReproError(
-                    f"cannot archive a shard of type "
-                    f"{type(shard_release).__name__}"
-                )
-            arrays[_shard_array_key(index, entry["representation"])] = payload
-            entries.append(entry)
-        header["shards"] = entries
-    elif isinstance(release, CoefficientRelease):
-        header["format"] = _COEFFICIENT_FORMAT_VERSION
-        header["representation"] = "coefficients"
-        header["sa"] = list(release.sa_names)
-        arrays = {"coefficients": release.coefficients}
-    else:
-        header["format"] = _FORMAT_VERSION
-        header["representation"] = "dense"
-        arrays = {"values": release.to_matrix().values}
-    return header, arrays
-
-
-def save_result(path, result: PublishResult) -> None:
-    """Write a published result to ``path`` (``.npz`` archive).
-
-    Dense releases write the v1 layout; coefficient releases the v2
-    layout (coefficients + SA set, no dense matrix); flat sharded
-    releases the v3 layout (a manifest plus one array member per shard,
-    each in that shard's own representation); stream releases the v4
-    layout as a one-shot snapshot of the whole tree (every node loads;
-    prefer the publisher's own append path for live streams — and note
-    a snapshot records no base seed, so resuming it draws fresh
-    entropy); nested compositions the v5 layout (the whole composition
-    tree as a recursive manifest plus one array member per leaf).
-    """
-    header, arrays = result_to_parts(result)
-    if header.get("representation") == "stream":
-        _write_stream_snapshot(path, header, arrays)
-        return
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        **arrays,
-    )
-
-
-def _decode_header(archive) -> dict:
-    """Parse the JSON header array of an open ``.npz`` archive."""
-    try:
-        return json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
-    except KeyError as exc:
-        raise ReproError(f"not a repro result archive: missing {exc}") from exc
-
-
-def _shard_release_from_entry(schema, entry: dict, payload) -> PublishResult:
-    """Rebuild one shard's :class:`PublishResult` from its manifest entry."""
-    if entry["representation"] == "coefficients":
-        release = CoefficientRelease(schema, tuple(entry["sa"]), payload)
-    else:
-        release = DenseRelease(FrequencyMatrix(schema, payload))
-    return PublishResult(
-        release=release,
-        epsilon=float(entry["epsilon"]),
-        noise_magnitude=float(entry["noise_magnitude"]),
-        generalized_sensitivity=float(entry["generalized_sensitivity"]),
-        variance_bound=float(entry["variance_bound"]),
-        details=entry.get("details", {}),
-    )
-
-
-def _shard_loader(path: str, key: str, schema, attribute, lo: int, hi: int, entry: dict):
-    """A zero-argument loader decompressing one shard member on demand.
-
-    The shard's restricted schema is derived on first load too, so the
-    eager manifest pass builds nothing per shard.
-    """
-
-    def load() -> PublishResult:
-        with np.load(path) as archive:
-            payload = archive[key]
-        return _shard_release_from_entry(
-            shard_schema(schema, attribute, lo, hi), entry, payload
-        )
-
-    return load
-
-
-def _sharded_release(path, archive, header: dict) -> ShardedRelease:
-    """Build the (shard-lazy when possible) release of a v3 archive."""
-    try:
-        schema = schema_from_dict(header["schema"])
-        attribute = header["shard_by"]
-        bounds = [int(b) for b in header["shard_bounds"]]
-        entries = header["shards"]
-        keys = [
-            _shard_array_key(index, entry["representation"])
-            for index, entry in enumerate(entries)
-        ]
-        missing = sorted(set(keys) - set(archive.files))
-        if missing:
-            raise ReproError(f"corrupt sharded archive: missing members {missing}")
-        if len(bounds) != len(entries) + 1:
-            raise ReproError(
-                f"corrupt sharded archive: {len(entries)} shards but "
-                f"{len(bounds)} cut points"
-            )
-        # Laziness needs a reopenable location; file-like inputs load
-        # eagerly.
-        lazy = isinstance(path, (str, os.PathLike))
-        shards = []
-        for index, (entry, key) in enumerate(zip(entries, keys)):
-            lo, hi = bounds[index], bounds[index + 1]
-            if lazy:
-                shards.append(
-                    ShardSlot(
-                        sa_names=tuple(entry["sa"]),
-                        noise_magnitude=float(entry["noise_magnitude"]),
-                        load=_shard_loader(
-                            str(path), key, schema, attribute, lo, hi, entry
-                        ),
-                        representation=entry["representation"],
-                    )
-                )
-            else:
-                shards.append(
-                    _shard_release_from_entry(
-                        shard_schema(schema, attribute, lo, hi),
-                        entry,
-                        archive[key],
-                    )
-                )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReproError(f"corrupt sharded archive: {exc!r}") from exc
-    return ShardedRelease(schema, attribute, bounds, shards)
-
-
-# ----------------------------------------------------------------------
-# v4 stream archives
-# ----------------------------------------------------------------------
 def stream_node_key(level: int, index: int) -> str:
-    """The archive member name holding tree node ``(level, index)``.
+    """The archive member name holding a root stream's tree node.
+
+    Inside partition part ``i`` the member carries the part's ``p<i>_``
+    prefix.
 
     Parameters
     ----------
@@ -393,25 +161,187 @@ def stream_node_key(level: int, index: int) -> str:
     return f"node_{int(level)}_{int(index)}"
 
 
-def _npy_bytes(array) -> bytes:
-    """An array serialized in ``.npy`` form (what ``np.load`` expects
-    of every ``.npz`` member)."""
-    buffer = _io.BytesIO()
-    np.lib.format.write_array(
-        buffer, np.ascontiguousarray(array), allow_pickle=False
-    )
-    return buffer.getvalue()
+# ----------------------------------------------------------------------
+# Encoder: result -> (header, tree, arrays)
+# ----------------------------------------------------------------------
+def _accounting(result: PublishResult) -> dict:
+    return {
+        "epsilon": result.epsilon,
+        "noise_magnitude": result.noise_magnitude,
+        "generalized_sensitivity": result.generalized_sensitivity,
+        "variance_bound": result.variance_bound,
+        "details": {k: _jsonable(v) for k, v in result.details.items()},
+    }
 
 
-def _json_member(payload: dict) -> bytes:
-    """A JSON payload as an ``.npy``-serialized uint8 array."""
-    return _npy_bytes(
-        np.frombuffer(json.dumps(payload).encode("utf-8"), dtype=np.uint8)
-    )
+def _leaf_entry(result: PublishResult, arrays: dict, prefix: str, node=None) -> dict:
+    """A leaf's tree entry; its payload goes to ``arrays``.
+
+    ``node`` is the ``(level, index)`` of a stream node, which is a leaf
+    entry plus its tree coordinates.
+    """
+    release = result.release
+    if isinstance(release, CoefficientRelease):
+        payload = release.coefficients
+    elif isinstance(release, DenseRelease):
+        payload = release.to_matrix().values
+    else:
+        raise ReproError(f"cannot archive a leaf of type {type(release).__name__}")
+    member = prefix + ("leaf" if node is None else stream_node_key(*node))
+    arrays[member] = payload
+    entry = {
+        **_accounting(result),
+        "kind": "leaf",
+        "member": member,
+        "representation": release.representation,
+    }
+    try:
+        entry["sa"] = list(infer_sa_names(result))
+    except QueryError:
+        # A dense leaf whose details record no SA set still answers;
+        # like the in-memory result, it just has no variance model.
+        pass
+    if node is not None:
+        entry["level"], entry["index"] = node
+    return entry
 
 
-def _decode_json_array(array) -> dict:
-    return json.loads(bytes(np.asarray(array).tobytes()).decode("utf-8"))
+def _stream_entry(result: PublishResult, nodes: list) -> dict:
+    """A stream's tree entry over already-encoded ``nodes``."""
+    release = result.release
+    return {
+        **_accounting(result),
+        "kind": "stream",
+        "sa": list(release.sa_names),
+        "epochs": release.epochs,
+        "window": list(release.window_bounds),
+        "nodes": nodes,
+    }
+
+
+def _entry(result: PublishResult, arrays: dict, prefix: str = "") -> dict:
+    """The tree entry of ``result`` (recursive); payloads go to ``arrays``."""
+    release = result.release
+    if isinstance(release, TimeTree):
+        return _stream_entry(
+            result,
+            [
+                _leaf_entry(node.result(), arrays, prefix, key)
+                for key, node in sorted(release.nodes.items())
+            ],
+        )
+    if isinstance(release, Partition):
+        return {
+            **_accounting(result),
+            "kind": "partition",
+            "attribute": release.attribute,
+            "bounds": list(release.bounds),
+            "children": [
+                _entry(release.part_result(i), arrays, f"{prefix}p{i}_")
+                for i in range(release.num_parts)
+            ],
+        }
+    return _leaf_entry(result, arrays, prefix)
+
+
+def _header(result: PublishResult, **stream) -> dict:
+    """The static header; a stream root also records how to resume it.
+
+    ``stream`` overrides the resume fields a snapshot derives from the
+    result (a publisher knows its mechanism spec and seed exactly).
+    """
+    release = result.release
+    header = {
+        "format": _FORMAT,
+        "representation": release.representation,
+        "schema": schema_to_dict(release.schema),
+        "epsilon": result.epsilon,
+    }
+    if isinstance(release, TimeTree):
+        nodes = list(release.nodes.values())
+        header.update(
+            epoch_length=int(result.details.get("epoch_length", 1)),
+            # Privelet+ with an explicit SA set reproduces every standard
+            # mechanism's noise structure, so a snapshot stays resumable.
+            mechanism={"kind": "privelet+", "sa": list(release.sa_names)},
+            mechanism_name=str(result.details.get("mechanism", "stream")),
+            seed=None,
+            node_representation=(
+                nodes[0].representation if nodes else "coefficients"
+            ),
+        )
+        header.update(stream)
+    return header
+
+
+def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
+    """Write one stored ``.npy`` member (what ``np.load`` reads back)."""
+    with archive.open(name + ".npy", "w", force_zip64=True) as member:
+        np.lib.format.write_array(
+            member, np.ascontiguousarray(array), allow_pickle=False
+        )
+
+
+def _json_array(payload: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(payload).encode("utf-8"), dtype=np.uint8)
+
+
+def _write(archive: zipfile.ZipFile, arrays: dict, tree: dict, version: int) -> None:
+    """Write payload members, then tree version ``version``."""
+    for member, payload in arrays.items():
+        _write_member(archive, member, payload)
+    _write_member(archive, f"{_TREE_PREFIX}{version}", _json_array(tree))
+
+
+def result_to_parts(result: PublishResult) -> tuple[dict, dict]:
+    """Split a result into a JSON header plus its raw array payloads.
+
+    This is the archive layout without the archive: the same header an
+    archive stores, with the release tree inline under
+    ``header["tree"]``, plus one array per leaf or stream node — usable
+    anywhere the two halves travel separately, e.g. the shared-memory
+    publisher, which ships the header as JSON and each array as a named
+    segment.  :func:`result_from_parts` inverts it exactly.
+
+    Parameters
+    ----------
+    result:
+        Any :class:`PublishResult` (a leaf or any composition).  Lazy
+        archive-backed parts are loaded.
+
+    Returns
+    -------
+    tuple
+        ``(header, arrays)`` — ``header`` is JSON-serializable,
+        ``arrays`` maps member names to ``np.ndarray`` payloads.
+    """
+    arrays: dict = {}
+    tree = _entry(result, arrays)
+    return {**_header(result), "tree": tree}, arrays
+
+
+def save_result(path, result: PublishResult) -> None:
+    """Write a published result to ``path`` as a format-5 archive.
+
+    One stored member per leaf or stream node plus tree version 0;
+    every part is loaded to be written.  A saved stream records no base
+    seed, so resuming it with :meth:`~repro.streaming.publisher.
+    StreamingPublisher.open` draws fresh entropy — prefer the
+    publisher's own ``archive_path`` for live streams.
+
+    Parameters
+    ----------
+    path:
+        Destination path or writable binary file object; an existing
+        file is overwritten.
+    result:
+        Any :class:`PublishResult`.
+    """
+    header, arrays = result_to_parts(result)
+    tree = header.pop("tree")
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
+        _write_member(archive, "header", _json_array(header))
+        _write(archive, arrays, tree, 0)
 
 
 def create_stream_archive(
@@ -425,12 +355,12 @@ def create_stream_archive(
     seed=None,
     representation: str = "coefficients",
 ) -> None:
-    """Create an empty (zero-epoch) v4 stream archive at ``path``.
+    """Create an empty (zero-epoch) stream archive at ``path``.
 
     The header written here is static for the archive's whole life;
-    everything that evolves (the node list, the epoch count) lives in
-    the versioned manifests :func:`append_stream_nodes` adds.  Refuses
-    to overwrite an existing file — a stream archive is append-only.
+    the tree (nodes, epoch count, accounting) evolves through the
+    versions :func:`append_stream_nodes` adds.  Refuses to overwrite an
+    existing file — a stream archive is append-only.
 
     Parameters
     ----------
@@ -455,24 +385,25 @@ def create_stream_archive(
         The per-node representation the stream publishes
         (``"coefficients"`` or ``"dense"``).
     """
-    header = {
-        "format": _STREAM_FORMAT_VERSION,
-        "representation": "stream",
-        "schema": schema_to_dict(schema),
-        "epsilon": float(epsilon),
-        "epoch_length": int(epoch_length),
-        "mechanism": mechanism or {},
-        "mechanism_name": str(mechanism_name),
-        "seed": _jsonable(seed),
-        "node_representation": representation,
-    }
-    manifest = {"epochs": 0, "nodes": []}
+    mechanism = mechanism or {}
+    result = _wrap_stream_result(
+        TimeTree(schema, tuple(mechanism.get("sa", ())), 0, {}),
+        [],
+        epsilon=epsilon,
+        mechanism=mechanism_name,
+        epoch_length=int(epoch_length),
+    )
+    header = _header(
+        result,
+        mechanism=mechanism,
+        mechanism_name=str(mechanism_name),
+        seed=_jsonable(seed),
+        node_representation=representation,
+    )
     try:
-        # ZIP_STORED: the payloads are high-entropy noise, so deflate
-        # buys a few percent at a large per-epoch latency cost.
         with zipfile.ZipFile(path, "x", compression=zipfile.ZIP_STORED) as archive:
-            archive.writestr("header.npy", _json_member(header))
-            archive.writestr(f"{_MANIFEST_PREFIX}0.npy", _json_member(manifest))
+            _write_member(archive, "header", _json_array(header))
+            _write(archive, {}, _entry(result, {}), 0)
     except FileExistsError as exc:
         raise ReproError(
             f"stream archive {path} already exists; resume it with "
@@ -480,43 +411,33 @@ def create_stream_archive(
         ) from exc
 
 
-def _node_payload(release) -> np.ndarray:
-    """The array a stream node's release stores in its archive member."""
-    if isinstance(release, CoefficientRelease):
-        return release.coefficients
-    if isinstance(release, DenseRelease):
-        return release.to_matrix().values
-    raise ReproError(
-        f"cannot archive a stream node of type {type(release).__name__}"
-    )
-
-
-def append_stream_nodes(path, releases: dict, manifest: dict) -> None:
-    """Append newly completed tree nodes plus a fresh manifest.
+def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
+    """Append an epoch close: its new node members plus the next tree.
 
     Append-only at the *member* level (existing members are never
-    rewritten, every earlier manifest stays parseable) and **atomic**
-    at the *file* level: the new members are appended to a temporary
-    copy in the same directory which then replaces the archive via
-    ``os.replace``, so a concurrent reader — e.g. a serving process
-    whose ``watch_streams`` probe fires mid-append — always opens
-    either the old or the new archive, never a zip whose central
+    rewritten, every earlier tree version stays parseable) and
+    **atomic** at the *file* level: the new members are appended to a
+    temporary copy in the same directory which then replaces the
+    archive via ``os.replace``, so a concurrent reader — e.g. a serving
+    process whose ``watch_streams`` probe fires mid-append — always
+    opens either the old or the new archive, never a zip whose central
     directory is being rewritten.  The caller is the single writer (the
-    stream's publisher).
+    stream's publisher).  Only the new nodes are encoded: the earlier
+    nodes' entries come from the archive's newest tree, so resumed
+    streams never load old payloads.
 
     Parameters
     ----------
     path:
-        A v4 archive created by :func:`create_stream_archive`.
-    releases:
-        ``(level, index) -> Release`` for each node completed by this
-        epoch close; coefficient releases store their coefficient
-        tensor, dense ones their ``M*``.
-    manifest:
-        The full manifest at the new epoch count: ``{"epochs": T,
-        "nodes": [...]}`` with one accounting entry per tree node.
+        A stream archive created by :func:`create_stream_archive`.
+    result:
+        The stream's whole result after the close (a
+        :class:`~repro.core.compose.TimeTree` root), whose accounting,
+        SA set and epoch count the new tree version records.
+    nodes:
+        ``(level, index) -> PublishResult`` for each node completed by
+        this close.
     """
-    epochs = int(manifest["epochs"])
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     descriptor, scratch = tempfile.mkstemp(
@@ -525,21 +446,22 @@ def append_stream_nodes(path, releases: dict, manifest: dict) -> None:
     os.close(descriptor)
     try:
         shutil.copyfile(path, scratch)
-        with zipfile.ZipFile(
-            scratch, "a", compression=zipfile.ZIP_STORED
-        ) as archive:
-            existing = set(archive.namelist())
-            for (level, index), release in releases.items():
-                member = stream_node_key(level, index) + ".npy"
-                if member in existing:
-                    raise ReproError(
-                        f"stream archive {path} already holds {member}; "
-                        "nodes are append-only"
-                    )
-                archive.writestr(member, _npy_bytes(_node_payload(release)))
-            archive.writestr(
-                f"{_MANIFEST_PREFIX}{epochs}.npy", _json_member(manifest)
-            )
+        with zipfile.ZipFile(scratch, "a", compression=zipfile.ZIP_STORED) as archive:
+            existing = {name.removesuffix(".npy") for name in archive.namelist()}
+            version = _newest_version(existing)
+            with archive.open(f"{_TREE_PREFIX}{version}.npy") as member:
+                previous = _decode_json(np.lib.format.read_array(member))
+            arrays: dict = {}
+            entries = previous["nodes"] + [
+                _leaf_entry(node, arrays, "", key) for key, node in nodes.items()
+            ]
+            duplicates = sorted(existing.intersection(arrays))
+            if duplicates:
+                raise ReproError(
+                    f"stream archive {path} already holds {duplicates}; nodes "
+                    "are append-only"
+                )
+            _write(archive, arrays, _stream_entry(result, entries), version + 1)
         os.replace(scratch, path)
     except BaseException:
         try:
@@ -549,451 +471,152 @@ def append_stream_nodes(path, releases: dict, manifest: dict) -> None:
         raise
 
 
-def read_stream_header(path) -> dict:
-    """The static header of a v4 stream archive.
-
-    Parameters
-    ----------
-    path:
-        A v4 archive.
-
-    Returns
-    -------
-    dict
-        The decoded header; non-stream archives raise
-        :class:`~repro.errors.ReproError`.
-    """
-    with np.load(path) as archive:
-        header = _decode_header(archive)
-    if header.get("format") != _STREAM_FORMAT_VERSION:
+# ----------------------------------------------------------------------
+# Decoder: (header, tree, member reader) -> result
+# ----------------------------------------------------------------------
+def _check_format(header: dict) -> None:
+    version = header.get("format", 1)
+    if version != _FORMAT:
         raise ReproError(
-            f"{path} is not a stream archive "
-            f"(format {header.get('format', _FORMAT_VERSION)!r})"
+            f"unsupported result archive format {version!r}: only format "
+            f"{_FORMAT} loads; re-publish the release with this version"
         )
+
+
+def _tree_members(entry: dict):
+    """Every payload member a tree entry references (recursive)."""
+    if "member" in entry:
+        yield entry["member"]
+    for child in entry.get("children", []) + entry.get("nodes", []):
+        yield from _tree_members(child)
+
+
+def _check_members(tree: dict, available) -> None:
+    missing = sorted(set(_tree_members(tree)) - set(available))
+    if missing:
+        raise ReproError(f"corrupt result archive: missing members {missing}")
+
+
+def _newest_version(names) -> int:
+    versions = [
+        int(name[len(_TREE_PREFIX):])
+        for name in names
+        if name.startswith(_TREE_PREFIX) and name[len(_TREE_PREFIX):].isdigit()
+    ]
+    if not versions:
+        raise ReproError("corrupt result archive: no tree member")
+    return max(versions)
+
+
+def _decode_json(array) -> dict:
+    return json.loads(bytes(np.asarray(array).tobytes()).decode("utf-8"))
+
+
+def _read_header(archive) -> dict:
+    """An open archive's header with its newest tree under ``"tree"``."""
+    try:
+        header = _decode_json(archive["header"])
+    except KeyError as exc:
+        raise ReproError(f"not a repro result archive: missing {exc}") from exc
+    _check_format(header)
+    tree = _decode_json(archive[f"{_TREE_PREFIX}{_newest_version(archive.files)}"])
+    _check_members(tree, archive.files)
+    header["tree"] = tree
     return header
 
 
-def _decode_manifest(archive) -> dict:
-    """The newest versioned manifest of an open v4 archive."""
-    best_epochs, best_name = -1, None
-    for name in archive.files:
-        if not name.startswith(_MANIFEST_PREFIX):
-            continue
-        try:
-            epochs = int(name[len(_MANIFEST_PREFIX) :])
-        except ValueError:
-            continue
-        if epochs > best_epochs:
-            best_epochs, best_name = epochs, name
-    if best_name is None:
-        raise ReproError("corrupt stream archive: no manifest member")
-    manifest = _decode_json_array(archive[best_name])
-    if int(manifest.get("epochs", -1)) != best_epochs:
-        raise ReproError(
-            f"corrupt stream archive: manifest {best_name} disagrees with "
-            f"its epoch count {manifest.get('epochs')!r}"
-        )
-    return manifest
+def _path_reader(path):
+    """Read one member by re-opening ``path`` (appends never hold it open)."""
+    path = os.fspath(path)
 
-
-def read_stream_manifest(path) -> dict:
-    """The newest manifest of a v4 stream archive (nodes + epoch count).
-
-    Parameters
-    ----------
-    path:
-        A v4 archive.
-    """
-    with np.load(path) as archive:
-        return _decode_manifest(archive)
-
-
-def _stream_node_loader(path: str, member: str, schema, entry: dict):
-    """A zero-argument loader decompressing one node member on demand."""
-
-    def load() -> PublishResult:
+    def read(member: str) -> np.ndarray:
         with np.load(path) as archive:
-            payload = archive[member]
-        return _shard_release_from_entry(schema, entry, payload)
+            return archive[member]
 
-    return load
-
-
-def stream_nodes_from_manifest(path, schema: Schema, manifest: dict, *, archive=None):
-    """Build the node table a :class:`StreamRelease` serves from.
-
-    Parameters
-    ----------
-    path:
-        The archive's filesystem path (each lazy node re-opens it on
-        first touch, so appends never hold the file open).
-    schema:
-        The stream's schema (shared by every node).
-    manifest:
-        A manifest from :func:`read_stream_manifest`.
-    archive:
-        An open ``np.load`` handle to read **eagerly** from instead
-        (used for file-like inputs that cannot be re-opened later).
-
-    Returns
-    -------
-    dict
-        ``(level, index) -> StreamNode``, lazy unless ``archive`` was
-        given.
-    """
-    nodes = {}
-    try:
-        for entry in manifest["nodes"]:
-            level, index = int(entry["level"]), int(entry["index"])
-            member = stream_node_key(level, index)
-            entry = dict(entry)
-            if archive is None:
-                nodes[(level, index)] = StreamNode(
-                    level,
-                    index,
-                    float(entry["noise_magnitude"]),
-                    _stream_node_loader(str(path), member, schema, entry),
-                    entry.get("representation"),
-                )
-            else:
-                result = _shard_release_from_entry(schema, entry, archive[member])
-                nodes[(level, index)] = StreamNode.from_result(level, index, result)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReproError(f"corrupt stream archive: {exc!r}") from exc
-    return nodes
+    return read
 
 
-def _stream_release(path, archive, header: dict) -> tuple[StreamRelease, dict]:
-    """Build the (node-lazy when possible) release of a v4 archive."""
-    try:
-        schema = schema_from_dict(header["schema"])
-        manifest = _decode_manifest(archive)
-        entries = manifest["nodes"]
-        keys = [
-            stream_node_key(entry["level"], entry["index"]) for entry in entries
-        ]
-        missing = sorted(set(keys) - set(archive.files))
-        if missing:
-            raise ReproError(f"corrupt stream archive: missing members {missing}")
-        if entries:
-            sa = tuple(entries[0]["sa"])
-        else:
-            sa = tuple(header.get("mechanism", {}).get("sa", ()))
-        lazy = isinstance(path, (str, os.PathLike))
-        nodes = stream_nodes_from_manifest(
-            path, schema, manifest, archive=None if lazy else archive
-        )
-        release = StreamRelease(schema, sa, int(manifest["epochs"]), nodes)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReproError(f"corrupt stream archive: {exc!r}") from exc
-    return release, manifest
+def _result(entry: dict, schema: Schema, read, lazy: bool) -> PublishResult:
+    """Rebuild the result one tree entry describes (recursive).
 
-
-def _stream_accounting(release, manifest: dict, header: dict) -> PublishResult:
-    """A stream release's :class:`PublishResult` (manifest accounting).
-
-    Delegates the leaf aggregation to the same wrapping convention
-    :meth:`StreamingPublisher.result` uses, so archive-loaded and
-    in-process stream results can never disagree on accounting.
-    """
-    leaves = [
-        SimpleNamespace(
-            epsilon=float(entry["epsilon"]),
-            noise_magnitude=float(entry["noise_magnitude"]),
-            generalized_sensitivity=float(entry["generalized_sensitivity"]),
-            variance_bound=float(entry["variance_bound"]),
-        )
-        for entry in manifest["nodes"]
-        if entry["level"] == 0
-    ]
-    return _wrap_stream_result(
-        release,
-        leaves,
-        epsilon=float(header["epsilon"]),
-        mechanism=header.get("mechanism_name", "stream"),
-        epoch_length=int(header.get("epoch_length", 1)),
-    )
-
-
-def _stream_result(path, archive, header: dict) -> PublishResult:
-    """Rebuild a v4 archive's :class:`PublishResult`."""
-    release, manifest = _stream_release(path, archive, header)
-    return _stream_accounting(release, manifest, header)
-
-
-def _stream_parts(result: PublishResult) -> tuple[dict, dict]:
-    """The ``(header, arrays)`` form of a stream result's whole tree.
-
-    The manifest rides inside ``header["manifest"]`` (an archive stores
-    it as a separate versioned member instead).
-    """
-    release = result.release
-    entries = []
-    arrays = {}
-    for (level, index), node in sorted(release.nodes.items()):
-        node_result = node.result()
-        node_release = node_result.release
-        entry = {
-            "level": level,
-            "index": index,
-            "representation": node_result.representation,
-            "epsilon": node_result.epsilon,
-            "noise_magnitude": node_result.noise_magnitude,
-            "generalized_sensitivity": node_result.generalized_sensitivity,
-            "variance_bound": node_result.variance_bound,
-            "sa": list(release.sa_names),
-        }
-        arrays[stream_node_key(level, index)] = _node_payload(node_release)
-        entries.append(entry)
-    header = {
-        "format": _STREAM_FORMAT_VERSION,
-        "representation": "stream",
-        "schema": schema_to_dict(release.schema),
-        "epsilon": result.epsilon,
-        "epoch_length": int(result.details.get("epoch_length", 1)),
-        # Privelet+ with an explicit SA set reproduces every standard
-        # mechanism's noise structure, so a snapshot stays resumable.
-        "mechanism": {"kind": "privelet+", "sa": list(release.sa_names)},
-        "mechanism_name": str(result.details.get("mechanism", "stream")),
-        "seed": None,
-        "node_representation": entries[0]["representation"] if entries else "coefficients",
-        "manifest": {"epochs": release.epochs, "nodes": entries},
-    }
-    return header, arrays
-
-
-def _write_stream_snapshot(path, header: dict, arrays: dict) -> None:
-    """One-shot v4 archive from :func:`_stream_parts` output."""
-    header = dict(header)
-    manifest = header.pop("manifest")
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
-        archive.writestr("header.npy", _json_member(header))
-        for member, payload in arrays.items():
-            archive.writestr(member + ".npy", _npy_bytes(payload))
-        archive.writestr(
-            f"{_MANIFEST_PREFIX}{manifest['epochs']}.npy", _json_member(manifest)
-        )
-
-
-# ----------------------------------------------------------------------
-# v5 composition-tree archives
-# ----------------------------------------------------------------------
-def _composed_entry(result: PublishResult, arrays: dict, prefix: str) -> dict:
-    """One v5 manifest node: accounting plus the release's recursive shape.
-
-    Every node carries the part's full privacy accounting (so nested
-    parts reload as first-class :class:`PublishResult` values); leaf
-    payloads are appended to ``arrays`` under ``prefix``-qualified
-    member names, which keeps members unique at any nesting depth.
-    """
-    entry = {
-        "epsilon": result.epsilon,
-        "noise_magnitude": result.noise_magnitude,
-        "generalized_sensitivity": result.generalized_sensitivity,
-        "variance_bound": result.variance_bound,
-        "details": {k: _jsonable(v) for k, v in result.details.items()},
-    }
-    release = result.release
-    if isinstance(release, Partition):
-        entry["kind"] = "partition"
-        entry["attribute"] = release.attribute
-        entry["bounds"] = list(release.bounds)
-        entry["children"] = [
-            _composed_entry(release.part_result(i), arrays, f"{prefix}p{i}_")
-            for i in range(release.num_parts)
-        ]
-    elif isinstance(release, TimeTree):
-        nodes = []
-        for (level, index), node in sorted(release.nodes.items()):
-            node_result = node.result()
-            member = prefix + stream_node_key(level, index)
-            arrays[member] = _node_payload(node_result.release)
-            nodes.append(
-                {
-                    "level": level,
-                    "index": index,
-                    "member": member,
-                    "representation": node_result.representation,
-                    "epsilon": node_result.epsilon,
-                    "noise_magnitude": node_result.noise_magnitude,
-                    "generalized_sensitivity": node_result.generalized_sensitivity,
-                    "variance_bound": node_result.variance_bound,
-                    "sa": list(release.sa_names),
-                }
-            )
-        entry["kind"] = "stream"
-        entry["sa"] = list(release.sa_names)
-        entry["epochs"] = release.epochs
-        entry["window"] = list(release.window_bounds)
-        entry["nodes"] = nodes
-    else:
-        entry["kind"] = "leaf"
-        entry["sa"] = list(infer_sa_names(result))
-        if isinstance(release, CoefficientRelease):
-            entry["representation"] = "coefficients"
-            payload = release.coefficients
-        elif isinstance(release, DenseRelease):
-            entry["representation"] = "dense"
-            payload = release.to_matrix().values
-        else:
-            raise ReproError(
-                f"cannot archive a composition leaf of type "
-                f"{type(release).__name__}"
-            )
-        member = prefix + entry["representation"]
-        arrays[member] = payload
-        entry["member"] = member
-    return entry
-
-
-def _composed_parts(result: PublishResult) -> tuple[dict, dict]:
-    """The ``(header, arrays)`` v5 form of a nested composition."""
-    arrays: dict = {}
-    tree = _composed_entry(result, arrays, "c_")
-    return {
-        "format": _COMPOSED_FORMAT_VERSION,
-        "representation": result.release.representation,
-        "schema": schema_to_dict(result.release.schema),
-        "epsilon": result.epsilon,
-        "noise_magnitude": result.noise_magnitude,
-        "generalized_sensitivity": result.generalized_sensitivity,
-        "variance_bound": result.variance_bound,
-        "details": {k: _jsonable(v) for k, v in result.details.items()},
-        "tree": tree,
-    }, arrays
-
-
-def _composed_release_from_entry(path, archive, schema, entry: dict, lazy: bool):
-    """Rebuild the release one v5 manifest node describes (recursive).
-
-    Combinator structure is rebuilt eagerly from the manifest alone;
-    when ``lazy`` each leaf payload gets a reopening loader instead of
-    an array, so the whole tree registers without decompressing any
-    member (the same contract v3 gives shards and v4 gives nodes).
+    Combinator structure is rebuilt at once; when ``lazy`` each
+    partition leaf and stream node gets a loader instead of its payload,
+    so nothing is read until a query routes to it.
     """
     kind = entry.get("kind")
-    if kind == "partition":
+    if kind == "leaf":
+        payload = read(entry["member"])
+        if entry["representation"] == "coefficients":
+            release = CoefficientRelease(schema, tuple(entry["sa"]), payload)
+        else:
+            release = DenseRelease(FrequencyMatrix(schema, payload))
+    elif kind == "partition":
         attribute = entry["attribute"]
         bounds = [int(b) for b in entry["bounds"]]
         children = entry["children"]
         if len(bounds) != len(children) + 1:
             raise ReproError(
-                f"corrupt composed archive: {len(children)} children but "
+                f"corrupt result archive: {len(children)} parts but "
                 f"{len(bounds)} cut points"
             )
         parts = []
-        for index, child in enumerate(children):
-            lo, hi = bounds[index], bounds[index + 1]
-            if child.get("kind") == "leaf":
-                if lazy:
-                    parts.append(
-                        ShardSlot(
-                            sa_names=tuple(child["sa"]),
-                            noise_magnitude=float(child["noise_magnitude"]),
-                            load=_shard_loader(
-                                str(path), child["member"], schema,
-                                attribute, lo, hi, child,
-                            ),
-                            representation=child["representation"],
-                        )
-                    )
-                else:
-                    parts.append(
-                        _shard_release_from_entry(
-                            shard_schema(schema, attribute, lo, hi),
-                            child,
-                            archive[child["member"]],
-                        )
-                    )
-            else:
-                sub_schema = shard_schema(schema, attribute, lo, hi)
-                release = _composed_release_from_entry(
-                    path, archive, sub_schema, child, lazy
-                )
+        for lo, hi, child in zip(bounds, bounds[1:], children):
+            sub_schema = shard_schema(schema, attribute, lo, hi)
+            if lazy and child.get("kind") == "leaf":
                 parts.append(
-                    PublishResult(
-                        release=release,
-                        epsilon=float(child["epsilon"]),
-                        noise_magnitude=float(child["noise_magnitude"]),
-                        generalized_sensitivity=float(
-                            child["generalized_sensitivity"]
-                        ),
-                        variance_bound=float(child["variance_bound"]),
-                        details=child.get("details", {}),
+                    ComposedPart(
+                        sub_schema,
+                        child["sa"],
+                        child["noise_magnitude"],
+                        functools.partial(_result, child, sub_schema, read, lazy),
+                        child["representation"],
                     )
                 )
-        return Partition(schema, attribute, bounds, parts)
-    if kind == "stream":
-        nodes = {}
-        for node_entry in entry["nodes"]:
-            level, index = int(node_entry["level"]), int(node_entry["index"])
-            if lazy:
-                nodes[(level, index)] = StreamNode(
-                    level,
-                    index,
-                    float(node_entry["noise_magnitude"]),
-                    _stream_node_loader(
-                        str(path), node_entry["member"], schema, node_entry
-                    ),
-                    node_entry.get("representation"),
-                )
             else:
-                nodes[(level, index)] = StreamNode.from_result(
-                    level,
-                    index,
-                    _shard_release_from_entry(
-                        schema, node_entry, archive[node_entry["member"]]
-                    ),
-                )
-        window = entry.get("window")
-        return TimeTree(
-            schema,
-            tuple(entry["sa"]),
-            int(entry["epochs"]),
-            nodes,
-            window=None if window is None else (int(window[0]), int(window[1])),
+                parts.append(_result(child, sub_schema, read, lazy))
+        release = Partition(schema, attribute, bounds, parts)
+    elif kind == "stream":
+        nodes = {}
+        for node in entry["nodes"]:
+            key = (int(node["level"]), int(node["index"]))
+            load = functools.partial(_result, node, schema, read, lazy)
+            nodes[key] = (
+                StreamNode(*key, node["noise_magnitude"], load, node["representation"])
+                if lazy
+                else StreamNode.from_result(*key, load())
+            )
+        lo, hi = entry["window"]
+        release = TimeTree(
+            schema, tuple(entry["sa"]), int(entry["epochs"]), nodes, window=(lo, hi)
         )
-    if kind == "leaf":
-        return _shard_release_from_entry(
-            schema, entry, archive[entry["member"]]
-        ).release
-    raise ReproError(f"unknown composition node kind {kind!r}")
+    else:
+        raise ReproError(f"corrupt result archive: unknown tree entry kind {kind!r}")
+    return PublishResult(
+        release=release,
+        epsilon=float(entry["epsilon"]),
+        noise_magnitude=float(entry["noise_magnitude"]),
+        generalized_sensitivity=float(entry["generalized_sensitivity"]),
+        variance_bound=float(entry["variance_bound"]),
+        details=entry.get("details", {}),
+    )
 
 
-def _composed_release(path, archive, header: dict):
-    """Build the (leaf-lazy when possible) release of a v5 archive."""
+def _decode(header: dict, read, lazy: bool) -> PublishResult:
+    """The result a header (with its tree) describes."""
     try:
-        schema = schema_from_dict(header["schema"])
-        lazy = isinstance(path, (str, os.PathLike))
-        return _composed_release_from_entry(
-            path, archive, schema, header["tree"], lazy
-        )
+        return _result(header["tree"], schema_from_dict(header["schema"]), read, lazy)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ReproError(f"corrupt composed archive: {exc!r}") from exc
-
-
-class _ArrayMapping:
-    """Adapt a plain ``{member: array}`` dict to the ``np.load`` shape
-    (``.files`` + ``__getitem__``) the eager reconstruction paths read."""
-
-    def __init__(self, arrays: dict):
-        self._arrays = arrays
-
-    @property
-    def files(self):
-        return list(self._arrays)
-
-    def __getitem__(self, key):
-        return self._arrays[key]
+        raise ReproError(f"corrupt result archive: {exc!r}") from exc
 
 
 def result_from_parts(header: dict, arrays: dict) -> PublishResult:
     """Rebuild a :class:`PublishResult` from :func:`result_to_parts`.
 
     Reconstruction is **eager** (every array is already in hand) and
-    reuses the archive-loading code paths, so a result round-tripped
-    through parts answers every query bit-for-bit like the original —
-    the guarantee the shared-memory serving workers rely on.
+    runs the same decoder as :func:`load_result`, so a result
+    round-tripped through parts answers every query bit-for-bit like
+    the original — the guarantee the shared-memory serving workers rely
+    on.
 
     Parameters
     ----------
@@ -1003,124 +626,48 @@ def result_from_parts(header: dict, arrays: dict) -> PublishResult:
         The array payloads half; shared-memory consumers pass read-only
         views mapped straight from the published segments.
     """
-    format_version = header.get("format", _FORMAT_VERSION)
-    try:
-        if format_version == _STREAM_FORMAT_VERSION:
-            schema = schema_from_dict(header["schema"])
-            manifest = header["manifest"]
-            entries = manifest["nodes"]
-            if entries:
-                sa = tuple(entries[0]["sa"])
-            else:
-                sa = tuple(header.get("mechanism", {}).get("sa", ()))
-            nodes = stream_nodes_from_manifest(
-                None, schema, manifest, archive=_ArrayMapping(arrays)
-            )
-            release = StreamRelease(schema, sa, int(manifest["epochs"]), nodes)
-            return _stream_accounting(release, manifest, header)
-        if format_version == _COMPOSED_FORMAT_VERSION:
-            release = _composed_release(None, _ArrayMapping(arrays), header)
-        elif format_version == _SHARDED_FORMAT_VERSION:
-            release = _sharded_release(None, _ArrayMapping(arrays), header)
-        elif format_version == _COEFFICIENT_FORMAT_VERSION:
-            release = CoefficientRelease(
-                schema_from_dict(header["schema"]),
-                tuple(header["sa"]),
-                arrays["coefficients"],
-            )
-        elif format_version == _FORMAT_VERSION:
-            release = DenseRelease(
-                FrequencyMatrix(schema_from_dict(header["schema"]), arrays["values"])
-            )
-        else:
-            raise ReproError(f"unsupported result format {format_version!r}")
-    except KeyError as exc:
-        raise ReproError(f"incomplete result parts: missing {exc}") from exc
-    return PublishResult(
-        release=release,
-        epsilon=float(header["epsilon"]),
-        noise_magnitude=float(header["noise_magnitude"]),
-        generalized_sensitivity=float(header["generalized_sensitivity"]),
-        variance_bound=float(header["variance_bound"]),
-        details=header.get("details", {}),
-    )
+    _check_format(header)
+    if "tree" not in header:
+        raise ReproError("incomplete result parts: missing 'tree'")
+    _check_members(header["tree"], arrays)
+    return _decode(header, arrays.__getitem__, lazy=False)
 
 
 def load_result(path) -> PublishResult:
-    """Reload a result written by :func:`save_result` (any format).
+    """Reload a result written by :func:`save_result` or a stream publisher.
 
-    A v3 (sharded) archive loaded from a filesystem path keeps its
-    shards lazy, a v4 (stream) archive its tree nodes, and a v5
-    (composition) archive every leaf of its tree: only the manifest is
-    parsed now, and each payload is decompressed when the first query
-    routes to it.
+    From a filesystem path every partition part and stream node stays
+    lazy: only the header and newest tree are parsed now, and each
+    payload is read when the first query routes to it.  File objects
+    load eagerly.
+
+    Parameters
+    ----------
+    path:
+        A format-5 archive path or readable binary file object.
     """
     with np.load(path) as archive:
-        header = _decode_header(archive)
-        format_version = header.get("format", _FORMAT_VERSION)
-        try:
-            if format_version == _FORMAT_VERSION:
-                payload = archive["values"]
-            elif format_version == _COEFFICIENT_FORMAT_VERSION:
-                payload = archive["coefficients"]
-            elif format_version in (
-                _SHARDED_FORMAT_VERSION,
-                _STREAM_FORMAT_VERSION,
-                _COMPOSED_FORMAT_VERSION,
-            ):
-                payload = None
-            else:
-                raise ReproError(
-                    f"unsupported result archive format {format_version!r}"
-                )
-        except KeyError as exc:
-            raise ReproError(f"not a repro result archive: missing {exc}") from exc
-        if format_version == _STREAM_FORMAT_VERSION:
-            return _stream_result(path, archive, header)
-        if format_version == _SHARDED_FORMAT_VERSION:
-            release = _sharded_release(path, archive, header)
-        elif format_version == _COMPOSED_FORMAT_VERSION:
-            release = _composed_release(path, archive, header)
-    if format_version == _COEFFICIENT_FORMAT_VERSION:
-        try:
-            sa_names = tuple(header["sa"])
-        except KeyError as exc:
-            raise ReproError("coefficient archive lacks its SA set") from exc
-        release = CoefficientRelease(
-            schema_from_dict(header["schema"]), sa_names, payload
-        )
-    elif format_version == _FORMAT_VERSION:
-        release = DenseRelease(
-            FrequencyMatrix(schema_from_dict(header["schema"]), payload)
-        )
-    return PublishResult(
-        release=release,
-        epsilon=float(header["epsilon"]),
-        noise_magnitude=float(header["noise_magnitude"]),
-        generalized_sensitivity=float(header["generalized_sensitivity"]),
-        variance_bound=float(header["variance_bound"]),
-        details=header.get("details", {}),
-    )
+        header = _read_header(archive)
+        if not isinstance(path, (str, os.PathLike)):
+            return _decode(header, archive.__getitem__, lazy=False)
+    return _decode(header, _path_reader(path), lazy=True)
 
 
 class ResultHandle:
     """A lazy handle on a result archive: header now, payload on touch.
 
-    ``.npz`` archives are zip files, so the JSON header can be read and
-    decompressed without touching the (much larger) matrix or
-    coefficient payload.  A server registered over dozens of archives
-    therefore learns every release's schema, representation, and privacy
-    accounting at registration time, and maps each payload only when the
-    first request for that release arrives (:meth:`load` is cached and
-    thread-safe).  For a v3 sharded archive the laziness goes one level
-    deeper: :meth:`load` parses only the shard manifest, and each
-    shard's array member is decompressed when the first query routes to
-    that shard.
+    ``.npz`` archives are zip files, so the JSON header and release tree
+    can be read without touching the (much larger) array members.  A
+    server registered over dozens of archives therefore learns every
+    release's schema, representation, and privacy accounting at
+    registration time; :meth:`load` (cached and thread-safe) rebuilds the
+    release from that header alone, and each leaf or node payload is
+    read when the first query routes to it.
 
     Parameters
     ----------
     path:
-        An archive written by :func:`save_result` (either format).
+        An archive written by :func:`save_result` or a stream publisher.
     """
 
     def __init__(self, path):
@@ -1142,13 +689,14 @@ class ResultHandle:
 
     @property
     def header(self) -> dict:
-        """The archive's JSON header (read without the array payload)."""
+        """The archive's header, with its newest release tree under
+        ``"tree"`` (read without any array payload)."""
         if self._header is None:
             with self._lock:
                 if self._header is None:
                     stat = os.stat(self._path)
                     with np.load(self._path) as archive:
-                        self._header = _decode_header(archive)
+                        self._header = _read_header(archive)
                     self._stat = (stat.st_mtime_ns, stat.st_size)
         return self._header
 
@@ -1157,9 +705,9 @@ class ResultHandle:
         """Whether the file changed on disk since the header was read.
 
         Pure ``stat`` comparison — no I/O on the archive itself.  Only
-        append-able (v4 stream) archives legitimately change in place;
-        a serving layer uses this to decide when to re-resolve a live
-        stream's manifest.
+        stream archives legitimately change in place (each epoch close
+        appends); a serving layer uses this to decide when to re-resolve
+        a live stream.
         """
         if self._stat is None:
             return False
@@ -1171,8 +719,9 @@ class ResultHandle:
 
     @property
     def representation(self) -> str:
-        """The stored release representation (``dense``/``coefficients``)."""
-        return self.header.get("representation", "dense")
+        """The root release's representation (``dense``, ``coefficients``,
+        ``sharded`` or ``stream``)."""
+        return self.header["representation"]
 
     @property
     def epsilon(self) -> float:
@@ -1189,13 +738,14 @@ class ResultHandle:
         Returns
         -------
         PublishResult
-            Identical to :func:`load_result` on the same path; repeated
-            calls return the same object.
+            Built from the header's tree like :func:`load_result`;
+            repeated calls return the same object.
         """
         if self._result is None:
+            header = self.header
             with self._lock:
                 if self._result is None:
-                    self._result = load_result(self._path)
+                    self._result = _decode(header, _path_reader(self._path), lazy=True)
         return self._result
 
     def __repr__(self) -> str:
@@ -1209,14 +759,14 @@ def open_result(path) -> ResultHandle:
     Parameters
     ----------
     path:
-        An archive written by :func:`save_result`.
+        An archive written by :func:`save_result` or a stream publisher.
 
     Returns
     -------
     ResultHandle
         Raises :class:`~repro.errors.ReproError` immediately if the file
-        is missing or is not a result archive (the header is validated
-        eagerly so registration fails fast).
+        is missing, is not a result archive, or is not format 5 (the
+        header is validated eagerly so registration fails fast).
     """
     handle = ResultHandle(path)
     try:

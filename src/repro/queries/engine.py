@@ -35,8 +35,8 @@ marginal stds) already depended only on the mechanism configuration, so
 it is representation-independent by construction.  **Composed**
 backends — any node of the composition algebra
 (:mod:`repro.core.compose`), including
-:class:`~repro.core.sharding.ShardedRelease`,
-:class:`~repro.streaming.release.StreamRelease`, and their nestings —
+:class:`~repro.core.compose.Partition`,
+:class:`~repro.core.compose.TimeTree`, and their nestings —
 have no single mechanism configuration (each part carries its own
 transform and λ), so the engine detects their ``noise_variances_boxes``
 hook and delegates point answers *and* exact variances to the release,
@@ -63,9 +63,6 @@ from repro.utils.stats import gaussian_quantile
 from repro.utils.validation import ensure_boxes
 
 __all__ = ["QueryAnswer", "BatchQueryAnswers", "QueryEngine"]
-
-#: Back-compat alias — the quantile now lives in :mod:`repro.utils.stats`.
-_gaussian_quantile = gaussian_quantile
 
 
 def _interval_answers(

@@ -142,8 +142,8 @@ class ReleaseRegistry:
 
         The swap is atomic under the entry's lock: in-flight requests
         finish against the release they already resolved, and the next
-        resolution sees the re-opened archive (for an append-able v4
-        stream, its newest manifest).  In-memory entries have nothing to
+        resolution sees the re-opened archive (for a stream archive,
+        its newest release tree).  In-memory entries have nothing to
         re-resolve and return ``False``.
 
         Parameters

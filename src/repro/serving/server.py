@@ -239,7 +239,7 @@ class ReleaseServer:
         time_range:
             Optional ``(lo, hi)`` epoch window for a stream-backed
             release; the returned engine serves a
-            :meth:`~repro.streaming.release.StreamRelease.window` view
+            :meth:`~repro.core.compose.TimeTree.window` view
             (engines are cached per window, LRU-bounded).  Non-stream
             releases reject a time range with a ``bad-request``.
 

@@ -24,8 +24,8 @@ Reproducibility follows the sharding convention: epoch ``e``'s noise is
 a pure function of ``(seed, e)``, so re-running — or resuming a stream
 archive with :meth:`StreamingPublisher.open` — reproduces the exact
 releases.  When an ``archive_path`` is configured, every epoch close
-appends the new node payloads and a fresh manifest to the v4 archive
-(:mod:`repro.io`), which is what a live
+appends the new node payloads and the next release tree to the stream
+archive (:mod:`repro.io`), which is what a live
 :class:`~repro.serving.server.ReleaseServer` re-resolves on.  The
 archive stores the base seed when one was given (the library's usual
 explicit-reproducibility trade-off; omit the seed for production use).
@@ -33,23 +33,17 @@ explicit-reproducibility trade-off; omit the seed for production use).
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from repro.core.basic import BasicMechanism
+from repro.core.compose import TimeTree
 from repro.core.framework import PublishResult
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.core.release import infer_sa_names
 from repro.data.schema import Schema
 from repro.data.table import Table
 from repro.errors import StreamingError
-from repro.streaming.release import (
-    StreamNode,
-    StreamRelease,
-    _wrap_stream_result,
-    merge_results,
-)
+from repro.streaming.release import StreamNode, _wrap_stream_result, merge_results
 from repro.streaming.tree import merge_path
 from repro.utils.validation import ensure_epsilon, ensure_positive_int
 
@@ -129,7 +123,7 @@ class StreamingPublisher:
         node in coefficient space, which is also what makes merges an
         ``O(m)`` tensor add with no inverse transform.
     archive_path:
-        Optional path of a v4 stream archive to create now and append
+        Optional path of a stream archive to create now and append
         each epoch close to.  Must not already exist — resume an
         existing archive with :meth:`open` instead.
     """
@@ -156,7 +150,8 @@ class StreamingPublisher:
         self._epoch = 0
         self._buffers: dict[int, list[np.ndarray]] = {}
         self._nodes: dict[tuple[int, int], StreamNode] = {}
-        self._entries: list[dict] = []
+        # Accounting of the closed epochs' leaves (see result()).
+        self._leaves: list = []
         self._sa: tuple[str, ...] | None = None
         self._archive_path = None
         if archive_path is not None:
@@ -178,11 +173,11 @@ class StreamingPublisher:
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, path, *, mechanism=None) -> "StreamingPublisher":
-        """Resume publishing onto an existing v4 stream archive.
+        """Resume publishing onto an existing stream archive.
 
         The publishing configuration (schema, ε, epoch length, mechanism,
         base seed) is read back from the archive header, the tree from
-        its newest manifest (nodes stay lazy — resuming loads no
+        its newest version (nodes stay lazy — resuming loads no
         payload), and the next :meth:`advance_epoch` continues the
         stream exactly where it stopped, with the same per-epoch noise
         stream when a base seed was recorded.
@@ -190,7 +185,7 @@ class StreamingPublisher:
         Parameters
         ----------
         path:
-            A v4 archive created by a publisher with ``archive_path``
+            A stream archive created by a publisher with ``archive_path``
             (or by :func:`repro.io.save_result` on a stream result).
         mechanism:
             Override for the mechanism; required when the archive was
@@ -202,32 +197,36 @@ class StreamingPublisher:
         StreamingPublisher
             Positioned at the first unclosed epoch.
         """
-        from repro.io import (
-            read_stream_header,
-            read_stream_manifest,
-            schema_from_dict,
-            stream_nodes_from_manifest,
-        )
+        from repro.io import open_result
 
-        header = read_stream_header(path)
-        manifest = read_stream_manifest(path)
-        schema = schema_from_dict(header["schema"])
+        handle = open_result(path)
+        header = handle.header
+        if header["representation"] != "stream":
+            raise StreamingError(
+                f"{path} is not a stream archive (its root is a "
+                f"{header['representation']!r} release)"
+            )
+        stream = handle.load()
+        tree = stream.release
         if mechanism is None:
-            mechanism = _mechanism_from_spec(header.get("mechanism", {}))
+            mechanism = _mechanism_from_spec(header["mechanism"])
         publisher = cls(
-            schema,
+            tree.schema,
             mechanism,
             float(header["epsilon"]),
-            epoch_length=int(header.get("epoch_length", 1)),
-            seed=header.get("seed"),
-            materialize=header.get("node_representation") == "dense",
+            epoch_length=int(header["epoch_length"]),
+            seed=header["seed"],
+            materialize=header["node_representation"] == "dense",
         )
         publisher._archive_path = str(path)
-        publisher._epoch = int(manifest["epochs"])
-        publisher._entries = [dict(entry) for entry in manifest["nodes"]]
-        publisher._nodes = stream_nodes_from_manifest(path, schema, manifest)
-        if publisher._entries:
-            publisher._sa = tuple(publisher._entries[0]["sa"])
+        publisher._epoch = tree.epochs
+        publisher._nodes = dict(tree.nodes)
+        if tree.epochs:
+            publisher._sa = tree.sa_names
+            # The closed epochs enter the accounting as one aggregated
+            # leaf: result() takes maxima and a left-to-right sum, so
+            # this is exact and loads no node.
+            publisher._leaves = [stream]
         return publisher
 
     # ------------------------------------------------------------------
@@ -265,7 +264,7 @@ class StreamingPublisher:
 
     @property
     def archive_path(self) -> str | None:
-        """The v4 archive this publisher appends to, if any."""
+        """The stream archive this publisher appends to, if any."""
         return self._archive_path
 
     # ------------------------------------------------------------------
@@ -334,7 +333,7 @@ class StreamingPublisher:
         epoch's derived seed.  Every tree node completed by this close
         (:func:`repro.streaming.tree.merge_path`) is then materialized
         by summing its children's payloads, and — when an archive is
-        attached — the new nodes plus a fresh manifest are appended.
+        attached — the new nodes plus the next release tree are appended.
 
         Returns
         -------
@@ -354,7 +353,9 @@ class StreamingPublisher:
             seed=epoch_seed(self._seed, epoch),
             materialize=self._materialize,
         )
-        sa = tuple(infer_sa_names(leaf))
+        sa = tuple(
+            name for name in self._schema.names if name in infer_sa_names(leaf)
+        )
         if self._sa is None:
             self._sa = sa
         elif sa != self._sa:
@@ -369,16 +370,12 @@ class StreamingPublisher:
             fresh[(level, index)] = merge_results(left, right)
         for (level, index), result in fresh.items():
             self._nodes[(level, index)] = StreamNode.from_result(level, index, result)
-            self._entries.append(self._node_entry(level, index, result))
+        self._leaves.append(leaf)
         self._epoch = epoch + 1
         if self._archive_path is not None:
             from repro.io import append_stream_nodes
 
-            append_stream_nodes(
-                self._archive_path,
-                {key: result.release for key, result in fresh.items()},
-                {"epochs": self._epoch, "nodes": self._entries},
-            )
+            append_stream_nodes(self._archive_path, self.result(), fresh)
         return leaf
 
     def advance_to(self, epoch: int) -> int:
@@ -408,7 +405,7 @@ class StreamingPublisher:
         return closed
 
     # ------------------------------------------------------------------
-    def release(self, lo: int = 0, hi: int | None = None) -> StreamRelease:
+    def release(self, lo: int = 0, hi: int | None = None) -> TimeTree:
         """The stream's answer backend over epochs ``[lo, hi)``.
 
         Parameters
@@ -420,37 +417,27 @@ class StreamingPublisher:
 
         Returns
         -------
-        StreamRelease
+        TimeTree
             A snapshot view: it shares node payloads with the publisher
             but its epoch count is fixed at call time (live serving
             re-resolves through the archive instead).
         """
         if hi is None:
             hi = self._epoch
-        return StreamRelease(
+        return TimeTree(
             self._schema, self._sa_hint(), self._epoch, self._nodes, window=(lo, hi)
         )
 
     def result(self) -> PublishResult:
         """The stream wrapped as a :class:`PublishResult` over ``[0, T)``.
 
-        Accounting aggregates the leaves without loading any payload
-        (manifest entries carry the numbers): ε is shared, λ and ρ are
-        per-leaf maxima, and the variance bound is the per-leaf sum.
+        Accounting aggregates the leaves without loading any payload:
+        ε is shared, λ and ρ are per-leaf maxima, and the variance bound
+        is the per-leaf sum.
         """
-        leaves = [
-            SimpleNamespace(
-                epsilon=entry["epsilon"],
-                noise_magnitude=entry["noise_magnitude"],
-                generalized_sensitivity=entry["generalized_sensitivity"],
-                variance_bound=entry["variance_bound"],
-            )
-            for entry in self._entries
-            if entry["level"] == 0
-        ]
         return _wrap_stream_result(
             self.release(),
-            leaves,
+            self._leaves,
             epsilon=self._epsilon,
             mechanism=self._mechanism.name,
             epoch_length=self._epoch_length,
@@ -465,18 +452,6 @@ class StreamingPublisher:
             return self._nodes[key].result()
         except KeyError:
             raise StreamingError(f"stream is missing tree node {key}") from None
-
-    def _node_entry(self, level: int, index: int, result: PublishResult) -> dict:
-        return {
-            "level": level,
-            "index": index,
-            "representation": result.representation,
-            "epsilon": result.epsilon,
-            "noise_magnitude": result.noise_magnitude,
-            "generalized_sensitivity": result.generalized_sensitivity,
-            "variance_bound": result.variance_bound,
-            "sa": list(self._sa or ()),
-        }
 
     def _sa_hint(self) -> tuple[str, ...]:
         if self._sa is not None:

@@ -1,40 +1,26 @@
-"""Temporal releases: one answer backend over a dyadic tree of epochs.
+"""Stream nodes: the parts a :class:`~repro.core.compose.TimeTree` sums.
 
-A :class:`StreamRelease` is the streaming analogue of
-:class:`~repro.core.sharding.ShardedRelease`: many independently
-published releases composed behind the one
-:class:`~repro.core.release.Release` protocol.  Where a sharded release
-routes a box to the shards its partition-axis range intersects, a stream
-release routes a **time window** to the canonical dyadic cover of its
-epoch range (:func:`repro.streaming.tree.dyadic_cover`) — at most
-``2 * ceil(log2 T)`` pre-merged node releases, each answering the *same*
-box over the *same* schema, their answers summed.
+A stream publishes one release per epoch and merges completed sibling
+epochs up a dyadic tree (:mod:`repro.streaming.tree`), so any window is
+answered by the at most ``2 * ceil(log2 T)`` node releases of its
+canonical cover, each answering the *same* box, their answers summed —
+the :class:`~repro.core.compose.TimeTree` combinator of the composition
+algebra.  This module holds that combinator's parts:
 
-Exact uncertainty composes the same way, and more cheaply than for
-shards: every node shares one schema and one SA set, so the per-axis
-variance profiles are identical across nodes and the window variance is
-just ``2 * (sum over cover nodes of lambda_eff**2) * prod_i profile_i``
-— one profile computation regardless of how many nodes the cover
-touches.  A level-``k`` node's ``lambda_eff`` is ``lambda * 2**(k/2)``:
-its coefficients are the *sum* of ``2**k`` independently noised epoch
-tensors (post-processing, no fresh noise), so its per-coefficient noise
-variance is ``2**k`` times one epoch's and the usual
-``2 lambda_eff**2 * prod profile`` formula stays exact.
-
-Since the composition-algebra refactor, all of that lives in
-:class:`~repro.core.compose.TimeTree` — the time combinator of
-:mod:`repro.core.compose` — and :class:`StreamRelease` is a thin
-constructor over it.  Nodes load lazily (archive-backed streams
-decompress a node member on its first routed query), and
-:meth:`~repro.core.compose.TimeTree.window` produces constant-size
-views sharing the node table — the object a server builds per
-``time_range`` request group.
+* :class:`StreamNode` — one tree node: its accounting now, its payload
+  on first touch (archive-backed streams read a node member on its
+  first routed query);
+* :func:`merge_results` — the parent of two sibling nodes, the
+  element-wise sum of their payloads.  A level-``k`` node's effective λ
+  is ``lambda * 2**(k/2)``: its coefficients are the *sum* of ``2**k``
+  independently noised epoch tensors (post-processing, no fresh noise),
+  so its per-coefficient noise variance is ``2**k`` times one epoch's
+  and the usual ``2 lambda_eff**2 * prod profile`` formula stays exact.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 
@@ -45,14 +31,15 @@ from repro.data.frequency import FrequencyMatrix
 from repro.errors import StreamingError
 from repro.streaming.tree import node_span
 
-__all__ = ["StreamNode", "StreamRelease", "merge_results", "stream_result"]
+__all__ = ["StreamNode", "merge_results"]
 
 
 class StreamNode:
     """One tree node's release: accounting now, payload on first touch.
 
     The accounting (``noise_magnitude`` as the node's effective λ plus
-    the shared SA set) is all a :class:`StreamRelease` needs for exact
+    the shared SA set) is all a :class:`~repro.core.compose.TimeTree`
+    needs for exact
     variances, so an archive-backed stream registers and profiles
     queries without decompressing any node; ``load`` runs once,
     thread-safely, on the first query whose cover touches the node.
@@ -196,42 +183,12 @@ def merge_results(left: PublishResult, right: PublishResult) -> PublishResult:
     )
 
 
-class StreamRelease(TimeTree):
-    """A window over a stream's dyadic node tree, behind one backend.
-
-    A thin constructor over the algebra's
-    :class:`~repro.core.compose.TimeTree` combinator, kept for its
-    established name and accessors (``epochs``, ``cover``, ``nodes``,
-    ``window``).  All routing, answer accumulation, and the
-    single-profile exact variance pass are inherited: a box query is
-    answered by every node in the window's canonical dyadic cover (the
-    same box each, summed); independent per-epoch noise means the exact
-    variances sum too.
-
-    Parameters
-    ----------
-    schema:
-        The released schema (time is *not* an axis; it is addressed by
-        epoch windows).
-    sa_names:
-        The SA set every node was published under.
-    epochs:
-        How many epochs of the stream are closed (``T``); the node
-        table must contain every dyadic node inside ``[0, T)``.
-    nodes:
-        Mapping ``(level, index) -> StreamNode``, shared (not copied)
-        between a stream and its ``window`` views.
-    window:
-        Optional ``(lo, hi)`` epoch window; ``None`` means ``[0, T)``.
-    """
-
-
 def _wrap_stream_result(
-    release: StreamRelease, leaf_results=None, *, epsilon: float = 0.0, **details
+    release: TimeTree, leaves: list, *, epsilon: float, **details
 ) -> PublishResult:
-    """Wrap a :class:`StreamRelease` in a :class:`PublishResult`.
+    """Wrap a stream's :class:`~repro.core.compose.TimeTree` in a result.
 
-    The accounting mirrors :func:`repro.core.sharding.publish_sharded`:
+    The accounting mirrors a sharded publish:
     ε is shared (parallel composition over disjoint epochs),
     ``noise_magnitude`` / ``generalized_sensitivity`` are the per-leaf
     maxima, and ``variance_bound`` is the per-leaf sum — a window query
@@ -241,23 +198,15 @@ def _wrap_stream_result(
     ----------
     release:
         The stream release to wrap.
-    leaf_results:
-        The leaf (level-0) results to aggregate accounting from; when
-        ``None`` they are read off the release's node table (loading
-        nothing — only accounting fields are touched for in-memory
-        nodes; archive-backed callers pass manifest-derived values
-        instead via :mod:`repro.io`).
+    leaves:
+        Objects carrying the leaf (level-0) accounting fields to
+        aggregate.
     epsilon:
         The stream's ε when no leaf exists yet to read it from (a
         zero-epoch stream).
     details:
         Extra ``details`` entries recorded on the result.
     """
-    if leaf_results is None:
-        leaf_results = [
-            release.node_result(0, epoch) for epoch in range(release.epochs)
-        ]
-    leaves = list(leaf_results)
     payload = {"stream": True, "epochs": release.epochs}
     payload.update(details)
     if not leaves:
@@ -278,26 +227,4 @@ def _wrap_stream_result(
         ),
         variance_bound=sum(leaf.variance_bound for leaf in leaves),
         details=payload,
-    )
-
-
-def stream_result(
-    release: StreamRelease, leaf_results=None, *, epsilon: float = 0.0, **details
-) -> PublishResult:
-    """Deprecated alias wrapping a stream release in a result.
-
-    Kept for released callers; ``release``, ``leaf_results``,
-    ``epsilon``, and extra details forward unchanged.  Prefer
-    ``repro.publish(table, epsilon, stream=timestamps)`` (which
-    publishes and wraps in one step) or
-    :meth:`~repro.streaming.publisher.StreamingPublisher.result`.
-    """
-    warnings.warn(
-        "stream_result is deprecated; use repro.publish(..., stream=...) or "
-        "StreamingPublisher.result() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _wrap_stream_result(
-        release, leaf_results, epsilon=epsilon, **details
     )

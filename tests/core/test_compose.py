@@ -8,12 +8,8 @@ import pytest
 from repro.analysis.exact import query_boxes
 from repro.core.compose import Partition, TimeTree
 from repro.core.privelet_plus import PriveletPlusMechanism
-from repro.core.sharding import (
-    ShardedRelease,
-    publish_sharded,
-    shard_bounds,
-    shard_schema,
-)
+from repro.core.publish import publish
+from repro.core.sharding import shard_bounds, shard_schema
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.data.table import Table
 from repro.errors import ServingError, StreamingError
@@ -35,14 +31,14 @@ def schema():
 @pytest.fixture(scope="module", params=[True, False], ids=["dense", "coefficients"])
 def sharded_result(request, schema):
     table = generate_census_table(SPEC, 2_000, seed=3)
-    return publish_sharded(
+    return publish(
         table,
-        PriveletPlusMechanism(sa_names="auto"),
         1.0,
+        mechanism=PriveletPlusMechanism(sa_names="auto"),
         shard_by=SHARD_BY,
         shards=4,
         seed=7,
-        materialize=request.param,
+        representation="dense" if request.param else "coefficients",
         parallel=False,
     )
 
@@ -80,7 +76,6 @@ class TestAlgebraParity:
     def test_sharded_release_is_disjoint_union(self, sharded_result):
         release = sharded_result.release
         assert isinstance(release, Partition)
-        assert isinstance(release, ShardedRelease)
 
     def test_plain_union_matches_thin_subclass_bitwise(self, sharded_result, boxes):
         release = sharded_result.release

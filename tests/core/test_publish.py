@@ -1,4 +1,4 @@
-"""The unified publish() facade: parity with the legacy entry points."""
+"""The unified publish() facade: every shape, seeded and validated."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,19 @@ import pytest
 import repro
 from repro.analysis.exact import query_boxes
 from repro.core.compose import Partition, TimeTree
-from repro.core.privelet import (
-    publish_nominal_release,
-    publish_ordinal_release,
-)
+from repro.core.privelet import PriveletMechanism
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.core.publish import publish
-from repro.core.sharding import publish_sharded, shard_bounds, shard_schema
+from repro.core.sharding import shard_bounds, shard_schema
+from repro.data.attributes import NominalAttribute
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.data.frequency import FrequencyMatrix
 from repro.data.hierarchy import balanced_hierarchy
+from repro.data.schema import Schema
 from repro.data.table import Table
 from repro.errors import PrivacyError, StreamingError
 from repro.queries.workload import generate_workload
 from repro.streaming import StreamingPublisher
-from repro.streaming.release import stream_result
 
 SPEC = BRAZIL.scaled(0.05)
 
@@ -35,21 +33,64 @@ def _assert_same_result(got, want):
     assert got.variance_bound == want.variance_bound
 
 
-class TestLeafParity:
-    def test_ordinal_alias_matches_facade_bitwise(self):
-        counts = np.arange(32, dtype=np.float64)
-        with pytest.deprecated_call():
-            want = publish_ordinal_release(counts, 0.5, seed=9)
-        got = publish(counts, 0.5, mechanism="privelet", seed=9)
-        _assert_same_result(got, want)
+def _shape_publish(shape: str, seed: int):
+    """One publish of each shape the facade composes, under ``seed``."""
+    table = generate_census_table(SPEC, 600, seed=5)
+    timestamps = np.arange(table.rows.shape[0]) % 3
+    if shape == "ordinal vector":
+        return publish(np.arange(32, dtype=np.float64), 0.5, seed=seed)
+    if shape == "nominal vector":
+        return publish(
+            np.arange(27, dtype=np.float64),
+            0.5,
+            hierarchy=balanced_hierarchy(27, fanout=3),
+            seed=seed,
+        )
+    if shape == "table":
+        return publish(table, 1.0, seed=seed)
+    if shape == "matrix":
+        return publish(table.frequency_matrix(), 1.0, seed=seed)
+    if shape == "sharded":
+        return publish(table, 1.0, shard_by="Age", shards=3, seed=seed)
+    if shape == "stream":
+        return publish(table, 1.0, stream=timestamps, seed=seed)
+    return publish(
+        table, 1.0, shard_by="Age", shards=2, stream=timestamps, seed=seed
+    )
 
-    def test_nominal_alias_matches_facade_bitwise(self):
+
+SHAPES = (
+    "ordinal vector", "nominal vector", "table", "matrix", "sharded", "stream",
+    "sharded stream",
+)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_same_seed_same_noise(shape):
+    first, again = _shape_publish(shape, 9), _shape_publish(shape, 9)
+    other = _shape_publish(shape, 10)
+    schema = first.release.schema
+    lows, highs = query_boxes(generate_workload(schema, 30, seed=6), schema.shape)
+    answers = first.release.answer_boxes(lows, highs)
+    np.testing.assert_array_equal(answers, again.release.answer_boxes(lows, highs))
+    assert not np.array_equal(answers, other.release.answer_boxes(lows, highs))
+
+
+class TestLeafPublish:
+    def test_nominal_vector_matches_mechanism_bitwise(self):
         hierarchy = balanced_hierarchy(27, fanout=3)
         counts = np.arange(27, dtype=np.float64)
-        with pytest.deprecated_call():
-            want = publish_nominal_release(counts, hierarchy, 0.5, seed=4)
+        matrix = FrequencyMatrix(
+            Schema([NominalAttribute("value", hierarchy)]), counts
+        )
+        want = PriveletMechanism().publish_matrix(
+            matrix, 0.5, seed=4, materialize=False
+        )
         got = publish(
             counts, 0.5, mechanism="privelet", hierarchy=hierarchy, seed=4
+        )
+        np.testing.assert_array_equal(
+            got.release.coefficients, want.release.coefficients
         )
         _assert_same_result(got, want)
 
@@ -79,29 +120,20 @@ class TestLeafParity:
         _assert_same_result(got, want)
 
 
-class TestShardedParity:
-    def test_sharded_alias_matches_facade_bitwise(self):
+class TestShardedPublish:
+    def test_pool_matches_serial_bitwise(self):
         table = generate_census_table(SPEC, 1_000, seed=5)
-        with pytest.deprecated_call():
-            want = publish_sharded(
-                table,
-                PriveletPlusMechanism(sa_names="auto"),
-                1.0,
-                shard_by="Age",
-                shards=3,
-                seed=11,
-                parallel=False,
-            )
-        got = publish(
+        serial = publish(
             table, 1.0, shard_by="Age", shards=3, seed=11, parallel=False
         )
+        pooled = publish(table, 1.0, shard_by="Age", shards=3, seed=11)
         queries = generate_workload(table.schema, 40, seed=6)
         lows, highs = query_boxes(queries, table.schema.shape)
         np.testing.assert_array_equal(
-            got.release.answer_boxes(lows, highs),
-            want.release.answer_boxes(lows, highs),
+            pooled.release.answer_boxes(lows, highs),
+            serial.release.answer_boxes(lows, highs),
         )
-        assert got.details == want.details
+        assert pooled.details == serial.details
 
     def test_shard_by_requires_table(self):
         with pytest.raises(PrivacyError, match="requires a Table"):
@@ -213,30 +245,3 @@ class TestValidation:
     def test_facade_is_exported(self):
         assert repro.publish is publish
         assert "publish" in repro.__all__
-
-
-class TestDeprecationWarnings:
-    def test_stream_result_alias_warns_and_matches(self):
-        table = generate_census_table(SPEC, 200, seed=3)
-        publisher = StreamingPublisher(
-            table.schema, PriveletPlusMechanism(sa_names="auto"), 1.0, seed=2
-        )
-        publisher.ingest(table)
-        publisher.advance_epoch()
-        release = publisher.release()
-        with pytest.deprecated_call():
-            wrapped = stream_result(release, epsilon=1.0)
-        assert wrapped.release is release
-        assert wrapped.epsilon == publisher.result().epsilon
-
-    def test_publisher_result_does_not_warn(self, recwarn):
-        table = generate_census_table(SPEC, 100, seed=3)
-        publisher = StreamingPublisher(
-            table.schema, PriveletPlusMechanism(sa_names="auto"), 1.0, seed=2
-        )
-        publisher.ingest(table)
-        publisher.advance_epoch()
-        publisher.result()
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]

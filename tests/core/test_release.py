@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.basic import BasicMechanism
-from repro.core.privelet import publish_nominal_release, publish_ordinal_release
 from repro.core.privelet_plus import PriveletPlusMechanism
+from repro.core.publish import publish
 from repro.core.release import (
     REPRESENTATIONS,
     CoefficientRelease,
@@ -248,7 +248,7 @@ class TestConvertResult:
 class TestOneDimensionalReleases:
     def test_ordinal_release_never_materializes(self, rng):
         counts = rng.integers(0, 5, size=1 << 12).astype(np.float64)
-        result = publish_ordinal_release(counts, 1.0, seed=2)
+        result = publish(counts, 1.0, mechanism="privelet", seed=2)
         assert result.representation == "coefficients"
         schema = result.release.schema
         queries = generate_workload(schema, 40, seed=3)
@@ -266,11 +266,13 @@ class TestOneDimensionalReleases:
     def test_nominal_release(self, rng):
         hierarchy = two_level_hierarchy([3, 4, 2])
         counts = rng.integers(0, 9, size=hierarchy.num_leaves).astype(np.float64)
-        result = publish_nominal_release(counts, hierarchy, 1.0, seed=5)
+        result = publish(
+            counts, 1.0, mechanism="privelet", hierarchy=hierarchy, seed=5
+        )
         assert result.representation == "coefficients"
         total = result.release.answer_box([(0, hierarchy.num_leaves)])
         assert total == pytest.approx(float(result.matrix.values.sum()), abs=1e-8)
 
     def test_vector_shape_validated(self):
         with pytest.raises(PrivacyError):
-            publish_ordinal_release(np.zeros((2, 2)), 1.0)
+            publish(np.zeros((2, 2)), 1.0, mechanism="privelet")

@@ -5,13 +5,12 @@ import pytest
 
 from repro.analysis.exact import query_boxes
 from repro.core.basic import BasicMechanism
+from repro.core.compose import ComposedPart, Partition
 from repro.core.privelet_plus import PriveletPlusMechanism
+from repro.core.publish import publish
 from repro.core.release import convert_result
 from repro.core.sharding import (
-    ShardedRelease,
-    ShardSlot,
     partition_table,
-    publish_sharded,
     shard_bounds,
     shard_schema,
     shard_seeds,
@@ -33,14 +32,14 @@ def table():
 
 @pytest.fixture(scope="module")
 def sharded(table):
-    return publish_sharded(
+    return publish(
         table,
-        PriveletPlusMechanism(sa_names="auto"),
         1.0,
+        mechanism=PriveletPlusMechanism(sa_names="auto"),
         shard_by="Age",
         shards=SHARDS,
         seed=7,
-        materialize=False,
+        representation="coefficients",
     )
 
 
@@ -161,10 +160,9 @@ class TestSameSeedParity:
         np.testing.assert_allclose(actual, expected, rtol=1e-12)
 
     def test_parallel_and_sequential_publish_agree(self, table):
-        mechanism = PriveletPlusMechanism(sa_names="auto")
-        kwargs = dict(shard_by="Age", shards=3, seed=11, materialize=False)
-        parallel = publish_sharded(table, mechanism, 1.0, parallel=True, **kwargs)
-        serial = publish_sharded(table, mechanism, 1.0, parallel=False, **kwargs)
+        kwargs = dict(shard_by="Age", shards=3, seed=11, representation="coefficients")
+        parallel = publish(table, 1.0, parallel=True, **kwargs)
+        serial = publish(table, 1.0, parallel=False, **kwargs)
         queries = generate_workload(table.schema, 40, seed=5)
         np.testing.assert_array_equal(
             QueryEngine(parallel).answer_all(queries),
@@ -186,14 +184,15 @@ class TestShardedRelease:
     def test_routing_touches_only_intersecting_shards(self, table, per_shard):
         bounds, results = per_shard
         slots = [
-            ShardSlot(
-                sa_names=result.release.sa_names,
-                noise_magnitude=result.noise_magnitude,
-                load=lambda result=result: result,
+            ComposedPart(
+                result.release.schema,
+                result.release.sa_names,
+                result.noise_magnitude,
+                lambda result=result: result,
             )
             for result in results
         ]
-        release = ShardedRelease(table.schema, "Age", bounds, slots)
+        release = Partition(table.schema, "Age", bounds, slots)
         assert release.shards_loaded == 0
         narrow = RangeCountQuery(
             table.schema, (Predicate("Age", bounds[1], bounds[2]),)
@@ -256,12 +255,12 @@ class TestShardedRelease:
     def test_wrong_shard_count_rejected(self, table, per_shard):
         bounds, results = per_shard
         with pytest.raises(SchemaError, match="expected"):
-            ShardedRelease(table.schema, "Age", bounds, results[:-1])
+            Partition(table.schema, "Age", bounds, results[:-1])
 
     def test_non_result_shard_rejected(self, table, per_shard):
         bounds, results = per_shard
-        with pytest.raises(SchemaError, match="ShardSlot"):
-            ShardedRelease(
+        with pytest.raises(SchemaError, match="ComposedPart"):
+            Partition(
                 table.schema, "Age", bounds, [object()] + list(results[1:])
             )
 
@@ -286,8 +285,8 @@ class TestShardedRelease:
 class TestOtherMechanisms:
     @pytest.mark.parametrize("mechanism", [BasicMechanism(), PriveletPlusMechanism(sa_names=())])
     def test_sharding_works_per_mechanism(self, table, mechanism):
-        result = publish_sharded(
-            table, mechanism, 1.0, shard_by="Age", shards=2, seed=3
+        result = publish(
+            table, 1.0, mechanism=mechanism, shard_by="Age", shards=2, seed=3
         )
         queries = generate_workload(table.schema, 15, seed=2)
         batch = QueryEngine(result).answer_all_with_intervals(queries)

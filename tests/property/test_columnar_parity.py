@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.privelet_plus import PriveletPlusMechanism
-from repro.core.sharding import publish_sharded
+from repro.core.publish import publish
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.serving.requests import QueryBatchRequest, QueryRequest
 from repro.serving.server import ReleaseServer
@@ -93,8 +93,8 @@ def server(table, stream_archive):
         )
         srv.register(
             "sharded",
-            publish_sharded(
-                table, mechanism, 1.0, shard_by="Age", shards=3, seed=3
+            publish(
+                table, 1.0, mechanism=mechanism, shard_by="Age", shards=3, seed=3
             ),
         )
         srv.register_archive(stream_archive, name="stream")

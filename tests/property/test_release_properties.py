@@ -1,20 +1,13 @@
-"""Property tests for release representations and archive round trips.
+"""Property tests for release representations.
 
-Two invariants the coefficient-space refactor must hold everywhere:
-
-* **Representation parity** — a mechanism published with the *same seed*
-  draws the same Laplace noise whether or not it materializes, so the
-  dense and coefficient releases answer every query identically (up to
-  floating-point reassociation in the reconstruction).
-* **Archive fidelity** — a result saved and reloaded in *either* archive
-  format answers a randomized workload exactly as the in-memory result
-  does, and pre-v2 (hand-built v1) archives still load.
+**Representation parity** — a mechanism published with the *same seed*
+draws the same Laplace noise whether or not it materializes, so the
+dense and coefficient releases answer every query identically (up to
+floating-point reassociation in the reconstruction).  Archive fidelity
+for every release shape lives in ``tests/test_io.py``.
 """
 
-import json
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +18,6 @@ from repro.data.attributes import NominalAttribute, OrdinalAttribute
 from repro.data.frequency import FrequencyMatrix
 from repro.data.hierarchy import balanced_hierarchy, flat_hierarchy, two_level_hierarchy
 from repro.data.schema import Schema
-from repro.io import load_result, save_result, schema_to_dict
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
 
@@ -156,92 +148,3 @@ class TestRepresentationParity:
             QueryEngine(dense).noise_variances(queries),
             rtol=1e-12,
         )
-
-
-class TestArchiveRoundTrips:
-    """ISSUE satellite: either archive format preserves every answer."""
-
-    @settings(max_examples=15, deadline=None)
-    @given(case=schema_matrix_sa(), materialize=st.booleans())
-    def test_round_trip_answers_identical(self, tmp_path_factory, case, materialize):
-        schema, matrix, sa, seed = case
-        mechanism = PriveletPlusMechanism(sa_names=sa)
-        result = mechanism.publish_matrix(
-            matrix, 1.0, seed=seed, materialize=materialize
-        )
-        path = tmp_path_factory.mktemp("archives") / "result.npz"
-        save_result(path, result)
-        loaded = load_result(path)
-        assert loaded.representation == result.representation
-        queries = generate_workload(schema, 30, seed=seed + 3)
-        # Arrays are stored exactly, so reloaded answers are *equal*.
-        np.testing.assert_array_equal(
-            QueryEngine(loaded).answer_all(queries),
-            QueryEngine(result).answer_all(queries),
-        )
-        if not materialize:
-            assert tuple(loaded.details["sa"]) == tuple(
-                result.release.sa_names
-            )
-
-    def test_hand_built_v1_archive_still_loads(self, tmp_path, rng):
-        # A v1 archive as written before the v2 bump: "values" + header
-        # with no "format"/"representation" keys at all.
-        schema = Schema(
-            [OrdinalAttribute("X", 5), NominalAttribute("G", flat_hierarchy(4))]
-        )
-        values = rng.normal(size=schema.shape)
-        header = {
-            "schema": schema_to_dict(schema),
-            "epsilon": 1.0,
-            "noise_magnitude": 2.0,
-            "generalized_sensitivity": 1.0,
-            "variance_bound": 160.0,
-            "details": {"mechanism": "Basic"},
-        }
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            values=values,
-            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        )
-        loaded = load_result(path)
-        assert loaded.representation == "dense"
-        np.testing.assert_array_equal(loaded.matrix.values, values)
-        queries = generate_workload(schema, 10, seed=0)
-        engine = QueryEngine(loaded)
-        assert np.isfinite(engine.answer_all(queries)).all()
-
-    def test_coefficient_archive_is_v2_and_smaller_state(self, mixed_table, tmp_path):
-        result = PriveletPlusMechanism(sa_names=("X",)).publish(
-            mixed_table, 1.0, seed=9, materialize=False
-        )
-        path = tmp_path / "v2.npz"
-        save_result(path, result)
-        with np.load(path) as archive:
-            header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
-            assert header["format"] == 2
-            assert header["representation"] == "coefficients"
-            assert "values" not in archive
-            assert "coefficients" in archive
-
-    def test_v2_archive_missing_sa_rejected(self, mixed_table, tmp_path):
-        from repro.errors import ReproError
-
-        result = PriveletPlusMechanism(sa_names=()).publish(
-            mixed_table, 1.0, seed=9, materialize=False
-        )
-        path = tmp_path / "v2.npz"
-        save_result(path, result)
-        with np.load(path) as archive:
-            header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
-            coefficients = archive["coefficients"]
-        del header["sa"]
-        broken = tmp_path / "broken.npz"
-        np.savez_compressed(
-            broken,
-            coefficients=coefficients,
-            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        )
-        with pytest.raises(ReproError):
-            load_result(broken)

@@ -6,10 +6,11 @@ import pytest
 from repro.core.basic import BasicMechanism
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.errors import QueryError
-from repro.queries.engine import QueryAnswer, QueryEngine, _gaussian_quantile
+from repro.queries.engine import QueryAnswer, QueryEngine
 from repro.queries.predicate import interval_predicate
 from repro.queries.query import RangeCountQuery
 from repro.queries.workload import generate_workload
+from repro.utils.stats import gaussian_quantile
 
 
 @pytest.fixture
@@ -28,14 +29,14 @@ def published_coefficients(mixed_table):
 class TestGaussianQuantile:
     @pytest.mark.parametrize("p,expected", [(0.5, 0.0), (0.975, 1.959964), (0.025, -1.959964)])
     def test_known_values(self, p, expected):
-        assert _gaussian_quantile(p) == pytest.approx(expected, abs=1e-5)
+        assert gaussian_quantile(p) == pytest.approx(expected, abs=1e-5)
 
     def test_symmetry(self):
-        assert _gaussian_quantile(0.9) == pytest.approx(-_gaussian_quantile(0.1), abs=1e-9)
+        assert gaussian_quantile(0.9) == pytest.approx(-gaussian_quantile(0.1), abs=1e-9)
 
     def test_bounds(self):
         with pytest.raises(QueryError):
-            _gaussian_quantile(0.0)
+            gaussian_quantile(0.0)
 
 
 class TestEngine:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.privelet_plus import PriveletPlusMechanism
-from repro.core.sharding import publish_sharded
+from repro.core.publish import publish
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.serving.network import NetworkServer
 from repro.serving.requests import QueryBatchRequest, QueryRequest
@@ -52,8 +52,8 @@ def _publish_backends(table, stream_archive):
     return {
         "dense": mechanism.publish(table, 1.0, seed=1, materialize=True),
         "coefficient": mechanism.publish(table, 1.0, seed=2, materialize=False),
-        "sharded": publish_sharded(
-            table, mechanism, 1.0, shard_by="Age", shards=3, seed=3
+        "sharded": publish(
+            table, 1.0, mechanism=mechanism, shard_by="Age", shards=3, seed=3
         ),
         "stream": stream_archive,
     }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.privelet import publish_ordinal_release
+from repro.core.publish import publish
 from repro.errors import ReproError, ServingError
 from repro.io import save_result
 from repro.serving.registry import ReleaseRegistry
@@ -11,7 +11,7 @@ from repro.serving.registry import ReleaseRegistry
 
 @pytest.fixture
 def result():
-    return publish_ordinal_release(np.arange(32, dtype=np.float64), 1.0, seed=0)
+    return publish(np.arange(32, dtype=np.float64), 1.0, mechanism="privelet", seed=0)
 
 
 @pytest.fixture

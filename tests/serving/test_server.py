@@ -5,8 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.privelet import publish_ordinal_release
 from repro.core.privelet_plus import PriveletPlusMechanism
+from repro.core.publish import publish
 from repro.data.census import BRAZIL, generate_census_table
 from repro.errors import QueryError, ServingError
 from repro.io import save_result
@@ -26,7 +26,7 @@ def census_result():
 
 @pytest.fixture(scope="module")
 def ordinal_result():
-    return publish_ordinal_release(np.arange(64, dtype=np.float64), 1.0, seed=2)
+    return publish(np.arange(64, dtype=np.float64), 1.0, mechanism="privelet", seed=2)
 
 
 @pytest.fixture
@@ -201,17 +201,15 @@ class TestArchivesAndStats:
 
 class TestShardedArchives:
     def test_sharded_archive_serves_as_one_release(self, tmp_path):
-        from repro.core.sharding import publish_sharded
-
         table = generate_census_table(BRAZIL.scaled(0.05), 2_000, seed=4)
-        result = publish_sharded(
+        result = publish(
             table,
-            PriveletPlusMechanism(sa_names="auto"),
             1.0,
+            mechanism=PriveletPlusMechanism(sa_names="auto"),
             shard_by="Age",
             shards=3,
             seed=6,
-            materialize=False,
+            representation="coefficients",
         )
         path = tmp_path / "sharded.npz"
         save_result(path, result)

@@ -637,7 +637,7 @@ class TestServeInteractiveClient:
         import threading
 
         import repro.cli as cli
-        from repro.core.privelet import publish_ordinal_release
+        from repro.core.publish import publish
         from repro.serving.server import ReleaseServer
 
         responses = threading.Semaphore(0)
@@ -663,7 +663,8 @@ class TestServeInteractiveClient:
         stream = GatedStream()
         with ReleaseServer() as server:
             server.register(
-                "r", publish_ordinal_release(np.arange(32, dtype=float), 1.0, seed=0)
+                "r",
+                publish(np.arange(32, dtype=float), 1.0, mechanism="privelet", seed=0),
             )
             served = cli._serve_loop(server, request_lines(), stream)
         assert served == 3

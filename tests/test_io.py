@@ -1,20 +1,37 @@
-"""Tests for result persistence (save/load round trips)."""
+"""Tests for result persistence: one archive layout for every release."""
+
+import dataclasses
+import json
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.core.basic import BasicMechanism
+from repro.analysis.exact import query_boxes
+from repro.core.compose import Partition, TimeTree
 from repro.core.privelet_plus import PriveletPlusMechanism
-from repro.data.census import BRAZIL, census_schema
+from repro.core.publish import publish
+from repro.core.release import convert_result
+from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.errors import ReproError
 from repro.io import (
     ResultHandle,
+    append_stream_nodes,
+    create_stream_archive,
     load_result,
     open_result,
+    result_from_parts,
+    result_to_parts,
     save_result,
     schema_from_dict,
     schema_to_dict,
 )
+from repro.queries.engine import QueryEngine
+from repro.queries.workload import generate_workload
+from repro.streaming import StreamingPublisher
+
+SPEC = BRAZIL.scaled(0.05)
+MECHANISM = PriveletPlusMechanism(sa_names="auto")
 
 
 class TestSchemaRoundTrip:
@@ -48,80 +65,225 @@ class TestSchemaRoundTrip:
             schema_from_dict(payload)
 
 
-class TestResultRoundTrip:
-    def test_basic_result(self, mixed_table, tmp_path):
-        result = BasicMechanism().publish(mixed_table, 1.0, seed=1)
-        path = tmp_path / "basic.npz"
-        save_result(path, result)
-        loaded = load_result(path)
-        np.testing.assert_array_equal(loaded.matrix.values, result.matrix.values)
-        assert loaded.epsilon == result.epsilon
-        assert loaded.noise_magnitude == result.noise_magnitude
-        assert loaded.variance_bound == result.variance_bound
+def _stream_publisher(path=None, seed=13):
+    return StreamingPublisher(
+        census_schema(SPEC), MECHANISM, 1.0, seed=seed, archive_path=path
+    )
 
-    def test_privelet_plus_result_with_hierarchies(self, mixed_table, tmp_path):
-        result = PriveletPlusMechanism(sa_names=("X",)).publish(mixed_table, 0.5, seed=2)
-        path = tmp_path / "plus.npz"
-        save_result(path, result)
-        loaded = load_result(path)
-        np.testing.assert_allclose(loaded.matrix.values, result.matrix.values)
-        assert loaded.matrix.schema.shape == mixed_table.schema.shape
-        assert tuple(loaded.details["sa"]) == ("X",)
 
-    def test_queries_work_on_loaded_result(self, mixed_table, tmp_path):
-        from repro.queries.oracle import RangeSumOracle
-        from repro.queries.workload import generate_workload
+def _close_epochs(publisher, epochs, first_seed):
+    for epoch in range(epochs):
+        publisher.ingest(generate_census_table(SPEC, 150, seed=first_seed + epoch))
+        publisher.advance_epoch()
 
-        result = PriveletPlusMechanism(sa_names=()).publish(mixed_table, 1.0, seed=3)
-        path = tmp_path / "q.npz"
-        save_result(path, result)
-        loaded = load_result(path)
-        queries = generate_workload(loaded.matrix.schema, 30, seed=4)
-        original = RangeSumOracle(result.matrix).answer_all(
-            generate_workload(mixed_table.schema, 30, seed=4)
+
+def _release_shapes(directory) -> dict:
+    """``name -> (result, QueryEngine kwargs)`` for every release shape."""
+    table = generate_census_table(SPEC, 800, seed=3)
+    dense = publish(table, 1.0, seed=4)
+    partition = publish(
+        table, 1.0, shard_by="Age", shards=3, seed=5, representation="coefficients"
+    )
+    release = partition.release
+    mixed = Partition(
+        release.schema,
+        release.attribute,
+        release.bounds,
+        [convert_result(release.part_result(0), "dense")]
+        + [release.part_result(i) for i in range(1, release.num_parts)],
+    )
+    stream = _stream_publisher()
+    _close_epochs(stream, 5, 40)
+    resumed = _stream_publisher(directory / "resumed.npz")
+    _close_epochs(resumed, 3, 60)
+    resumed = StreamingPublisher.open(directory / "resumed.npz")
+    _close_epochs(resumed, 2, 63)
+    return {
+        "dense leaf": (dense, {}),
+        "coefficient leaf": (
+            publish(table, 1.0, seed=6, representation="coefficients"),
+            {},
+        ),
+        # Records no SA set, so exact variances need the engine override.
+        "dense leaf without SA": (
+            dataclasses.replace(dense, details={}),
+            {"sa_names": dense.details["sa"]},
+        ),
+        "mixed partition": (dataclasses.replace(partition, release=mixed), {}),
+        "stream": (stream.result(), {}),
+        "zero-epoch stream": (_stream_publisher().result(), {}),
+        "resumed stream": (resumed.result(), {}),
+        "window": (
+            dataclasses.replace(
+                stream.result(), release=stream.result().release.window(1, 4)
+            ),
+            {},
+        ),
+        "partition of streams": (
+            publish(
+                table,
+                1.0,
+                shard_by="Age",
+                shards=2,
+                stream=np.arange(table.num_rows) % 4,
+                seed=7,
+            ),
+            {},
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def release_shapes(tmp_path_factory):
+    return _release_shapes(tmp_path_factory.mktemp("shapes"))
+
+
+def _loaded_payloads(release) -> int:
+    """Leaf or node payloads a composed release has read so far."""
+    if isinstance(release, TimeTree):
+        return sum(node.loaded for node in release.nodes.values())
+    if isinstance(release, Partition):
+        return sum(
+            _loaded_payloads(part.result().release) if part.composed else part.loaded
+            for part in release.parts
         )
-        reloaded = RangeSumOracle(loaded.matrix).answer_all(queries)
-        np.testing.assert_allclose(reloaded, original)
+    return 0
 
+
+def _routed_payloads(release) -> int:
+    """Payloads a full-domain box must read: every part, each tree's cover."""
+    if isinstance(release, TimeTree):
+        return len(release.cover)
+    if isinstance(release, Partition):
+        return sum(
+            _routed_payloads(part.result().release) if part.composed else 1
+            for part in release.parts
+        )
+    return 0
+
+
+def _transport(transport, result, path):
+    """Send ``result`` through one transport; returns (header, loaded)."""
+    if transport == "parts":
+        header, arrays = result_to_parts(result)
+        # The shared-memory handoff ships the header as JSON.
+        header = json.loads(json.dumps(header))
+        return header, result_from_parts(header, arrays)
+    save_result(path, result)
+    if transport == "save/load":
+        return open_result(path).header, load_result(path)
+    handle = open_result(path)
+    assert not handle.loaded
+    return handle.header, handle.load()
+
+
+@pytest.mark.parametrize("transport", ["save/load", "open_result", "parts"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "dense leaf",
+        "coefficient leaf",
+        "dense leaf without SA",
+        "mixed partition",
+        "stream",
+        "zero-epoch stream",
+        "resumed stream",
+        "window",
+        "partition of streams",
+    ],
+)
+def test_archive_round_trip(release_shapes, shape, transport, tmp_path):
+    result, engine_kwargs = release_shapes[shape]
+    header, loaded = _transport(transport, result, tmp_path / "release.npz")
+    assert header["format"] == 5
+    assert header["representation"] == result.representation
+    assert loaded.representation == result.representation
+
+    schema = result.release.schema
+    queries = generate_workload(schema, 30, seed=1)
+    lows, highs = query_boxes(queries, schema.shape)
+    original = QueryEngine(result, **engine_kwargs)
+    reloaded = QueryEngine(loaded, **engine_kwargs)
+    np.testing.assert_array_equal(
+        reloaded.noise_variances(queries), original.noise_variances(queries)
+    )
+    if transport != "parts":
+        # A path load reads no leaf or node before a query routes to it;
+        # exact variances need none at all.
+        assert _loaded_payloads(loaded.release) == 0
+    np.testing.assert_array_equal(
+        reloaded.answer_all(queries), original.answer_all(queries)
+    )
+    np.testing.assert_array_equal(
+        loaded.release.answer_boxes(lows, highs),
+        result.release.answer_boxes(lows, highs),
+    )
+    if transport != "parts":
+        # Answering reads exactly the parts and cover nodes it routes
+        # to, never a whole stream's node table.
+        full = np.asarray([schema.shape], dtype=np.int64)
+        loaded.release.answer_boxes(np.zeros_like(full), full)
+        assert _loaded_payloads(loaded.release) == _routed_payloads(loaded.release)
+
+    assert loaded.epsilon == result.epsilon
+    assert loaded.noise_magnitude == result.noise_magnitude
+    assert loaded.generalized_sensitivity == result.generalized_sensitivity
+    assert loaded.variance_bound == result.variance_bound
+    # JSON stores tuples as lists.
+    assert loaded.details == json.loads(json.dumps(result.details))
+    if isinstance(result.release, TimeTree):
+        assert loaded.release.epochs == result.release.epochs
+        assert loaded.release.window_bounds == result.release.window_bounds
+
+
+class TestRejectedArchives:
     def test_corrupt_archive_rejected(self, tmp_path):
         path = tmp_path / "corrupt.npz"
         np.savez(path, something=np.zeros(3))
         with pytest.raises(ReproError):
             load_result(path)
 
-    def test_coefficient_result_round_trip(self, mixed_table, tmp_path):
-        result = PriveletPlusMechanism(sa_names=("X",)).publish(
-            mixed_table, 1.0, seed=7, materialize=False
-        )
-        path = tmp_path / "coeff.npz"
-        save_result(path, result)
-        loaded = load_result(path)
-        assert loaded.representation == "coefficients"
-        assert loaded.release.sa_names == ("X",)
-        np.testing.assert_array_equal(
-            loaded.release.coefficients, result.release.coefficients
-        )
-        # Materialization after reload equals the in-memory one.
-        np.testing.assert_allclose(loaded.matrix.values, result.matrix.values)
-
-    def test_unknown_format_version_rejected(self, mixed_table, tmp_path):
-        import json
-
-        result = BasicMechanism().publish(mixed_table, 1.0, seed=1)
-        path = tmp_path / "future.npz"
-        save_result(path, result)
-        with np.load(path) as archive:
-            header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
-            values = archive["values"]
-        header["format"] = 99
-        bumped = tmp_path / "bumped.npz"
+    @pytest.mark.parametrize(
+        "version, members",
+        [
+            (None, {"values": np.zeros((2, 3))}),
+            (4, {"stream_manifest_0": np.zeros(3, dtype=np.uint8)}),
+            (99, {"leaf": np.zeros((2, 3))}),
+        ],
+        ids=["v1", "v4", "future"],
+    )
+    def test_earlier_formats_rejected_by_name(self, tmp_path, version, members):
+        header = {
+            "schema": schema_to_dict(census_schema(SPEC)),
+            "epsilon": 1.0,
+            "noise_magnitude": 2.0,
+            "generalized_sensitivity": 1.0,
+            "variance_bound": 160.0,
+        }
+        if version is not None:
+            header["format"] = version
+        path = tmp_path / "legacy.npz"
         np.savez_compressed(
-            bumped,
-            values=values,
+            path,
             header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+            **members,
         )
-        with pytest.raises(ReproError):
-            load_result(bumped)
+        name = f"format {version or 1}"
+        for load in (load_result, open_result):
+            with pytest.raises(ReproError, match=name):
+                load(path)
+        with pytest.raises(ReproError, match=name):
+            result_from_parts(header, members)
+
+
+def test_corrupt_tree_entry_rejected(mixed_table):
+    result = PriveletPlusMechanism(sa_names=("X",)).publish(
+        mixed_table, 1.0, seed=7, materialize=False
+    )
+    header, arrays = result_to_parts(result)
+    del header["tree"]["sa"]  # a coefficient leaf cannot rebuild its transform
+    with pytest.raises(ReproError, match="corrupt result archive"):
+        result_from_parts(header, arrays)
 
 
 class TestResultHandle:
@@ -154,14 +316,6 @@ class TestResultHandle:
             loaded.release.coefficients, result.release.coefficients
         )
 
-    def test_v1_archive_defaults_to_dense(self, mixed_table, tmp_path):
-        result = BasicMechanism().publish(mixed_table, 1.0, seed=3)
-        path = tmp_path / "dense.npz"
-        save_result(path, result)
-        handle = open_result(path)
-        assert handle.representation == "dense"
-        assert handle.load().representation == "dense"
-
     def test_missing_file_fails_fast(self, tmp_path):
         with pytest.raises(ReproError, match="no such archive"):
             open_result(tmp_path / "absent.npz")
@@ -188,257 +342,83 @@ class TestResultHandle:
         assert "loaded" in repr(handle)
 
 
-class TestShardedArchives:
-    """v3 archives: manifest + per-shard entries, shard-lazy loading."""
-
-    @pytest.fixture
-    def sharded_result(self, mixed_table):
-        from repro.core.sharding import publish_sharded
-
-        return publish_sharded(
-            mixed_table,
-            PriveletPlusMechanism(sa_names="auto"),
-            1.0,
-            shard_by="X",
-            shards=3,
-            seed=5,
-            materialize=False,
-        )
-
-    def test_round_trip_preserves_answers(self, sharded_result, tmp_path):
-        from repro.queries.engine import QueryEngine
-        from repro.queries.workload import generate_workload
-
-        path = tmp_path / "sharded.npz"
-        save_result(path, sharded_result)
-        loaded = load_result(path)
-        assert loaded.representation == "sharded"
-        assert loaded.release.bounds == sharded_result.release.bounds
-        assert loaded.details == sharded_result.details
-        queries = generate_workload(sharded_result.release.schema, 30, seed=1)
-        np.testing.assert_allclose(
-            QueryEngine(loaded).answer_all(queries),
-            QueryEngine(sharded_result).answer_all(queries),
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            QueryEngine(loaded).noise_variances(queries),
-            QueryEngine(sharded_result).noise_variances(queries),
-            rtol=1e-12,
-        )
-
-    def test_loading_is_shard_lazy(self, sharded_result, tmp_path):
-        path = tmp_path / "sharded.npz"
-        save_result(path, sharded_result)
-        loaded = load_result(path)
-        release = loaded.release
-        assert release.shards_loaded == 0
-        # Exact variances never need a payload.
-        lows = np.zeros((1, 3), dtype=np.int64)
-        highs = np.asarray([list(release.schema.shape)], dtype=np.int64)
-        assert release.noise_variances_boxes(lows, highs)[0] > 0
-        assert release.shards_loaded == 0
-        # A query clipped to the first shard loads only that shard.
-        narrow_highs = highs.copy()
-        narrow_highs[0, 0] = release.bounds[1]
-        release.answer_boxes(lows, narrow_highs)
-        assert release.shards_loaded == 1
-        release.answer_boxes(lows, highs)
-        assert release.shards_loaded == release.num_shards
-
-    def test_open_result_reads_manifest_only(self, sharded_result, tmp_path):
-        path = tmp_path / "sharded.npz"
-        save_result(path, sharded_result)
-        handle = open_result(path)
-        assert handle.representation == "sharded"
-        assert handle.epsilon == 1.0
-        assert handle.schema().shape == sharded_result.release.schema.shape
-        assert not handle.loaded
-        assert handle.load().release.shards_loaded == 0
-
-    def test_mixed_representation_shards_round_trip(self, mixed_table, tmp_path):
-        from repro.core.release import convert_result
-        from repro.core.sharding import ShardedRelease, publish_sharded
-        from repro.queries.engine import QueryEngine
-        from repro.queries.workload import generate_workload
-
-        result = publish_sharded(
-            mixed_table,
-            PriveletPlusMechanism(sa_names="auto"),
-            1.0,
-            shard_by="X",
-            shards=2,
-            seed=9,
-            materialize=False,
-        )
-        release = result.release
-        mixed = ShardedRelease(
-            release.schema,
-            release.attribute,
-            release.bounds,
-            [
-                convert_result(release.shard_result(0), "dense"),
-                release.shard_result(1),
-            ],
-        )
-        import dataclasses
-
-        mixed_result = dataclasses.replace(result, release=mixed)
-        path = tmp_path / "mixed.npz"
-        save_result(path, mixed_result)
-        loaded = load_result(path)
-        assert loaded.release.shard_result(0).representation == "dense"
-        assert loaded.release.shard_result(1).representation == "coefficients"
-        queries = generate_workload(release.schema, 20, seed=2)
-        np.testing.assert_allclose(
-            QueryEngine(loaded).answer_all(queries),
-            QueryEngine(result).answer_all(queries),
-            rtol=1e-9,
-            atol=1e-9,
-        )
-
-    def test_missing_shard_member_rejected(self, sharded_result, tmp_path):
-        import zipfile
-
-        path = tmp_path / "sharded.npz"
-        save_result(path, sharded_result)
-        clipped = tmp_path / "clipped.npz"
-        with zipfile.ZipFile(path) as src, zipfile.ZipFile(clipped, "w") as dst:
-            for name in src.namelist():
-                if name != "shard1_coefficients.npy":
-                    dst.writestr(name, src.read(name))
-        with pytest.raises(ReproError, match="missing members"):
-            load_result(clipped)
+def _without(source, target, keep) -> None:
+    """Copy the zip ``source`` to ``target`` keeping members ``keep`` accepts."""
+    with zipfile.ZipFile(source) as src, zipfile.ZipFile(target, "w") as dst:
+        for name in src.namelist():
+            if keep(name):
+                dst.writestr(name, src.read(name))
 
 
 class TestStreamArchives:
-    """v4 archives: append-able tree nodes + versioned manifests."""
+    """Append-able stream archives: node members plus tree versions."""
 
     @pytest.fixture
     def stream_publisher(self, tmp_path):
-        from repro.data.census import generate_census_table
-        from repro.streaming import StreamingPublisher
-
-        spec = BRAZIL.scaled(0.05)
-        publisher = StreamingPublisher(
-            census_schema(spec),
-            PriveletPlusMechanism(sa_names="auto"),
-            1.0,
-            seed=13,
-            archive_path=tmp_path / "stream.npz",
-        )
-        for epoch in range(5):
-            publisher.ingest(generate_census_table(spec, 150, seed=40 + epoch))
-            publisher.advance_epoch()
+        publisher = _stream_publisher(tmp_path / "stream.npz")
+        _close_epochs(publisher, 5, 40)
         return publisher
 
-    def test_round_trip_preserves_answers_and_variances(self, stream_publisher):
-        from repro.queries.engine import QueryEngine
-        from repro.queries.workload import generate_workload
-
-        loaded = load_result(stream_publisher.archive_path)
-        assert loaded.representation == "stream"
-        assert loaded.release.epochs == 5
-        assert loaded.details["stream"] is True
-        queries = generate_workload(loaded.release.schema, 25, seed=1)
-        np.testing.assert_allclose(
-            QueryEngine(loaded).answer_all(queries),
-            QueryEngine(stream_publisher.result()).answer_all(queries),
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            QueryEngine(loaded).noise_variances(queries),
-            QueryEngine(stream_publisher.result()).noise_variances(queries),
-            rtol=1e-12,
-        )
-
-    def test_loading_is_node_lazy(self, stream_publisher):
-        loaded = load_result(stream_publisher.archive_path)
-        release = loaded.release
-        assert release.nodes_loaded == 0
-        # Exact variances never need a payload.
-        lows = np.zeros((1, release.schema.dimensions), dtype=np.int64)
-        highs = np.asarray([list(release.schema.shape)], dtype=np.int64)
-        assert release.noise_variances_boxes(lows, highs)[0] > 0
-        assert release.nodes_loaded == 0
-        # A full-window query loads only the canonical cover, not all
-        # 2T-1 nodes.
-        release.answer_boxes(lows, highs)
-        assert release.nodes_loaded == len(release.cover) < release.num_nodes
-
-    def test_snapshot_save_result_round_trips(self, stream_publisher, tmp_path):
-        from repro.queries.engine import QueryEngine
-        from repro.queries.workload import generate_workload
-
-        snapshot = tmp_path / "snapshot.npz"
-        save_result(snapshot, stream_publisher.result())
-        loaded = load_result(snapshot)
-        assert loaded.release.epochs == 5
-        queries = generate_workload(loaded.release.schema, 20, seed=2)
-        np.testing.assert_allclose(
-            QueryEngine(loaded).answer_all(queries),
-            QueryEngine(stream_publisher.result()).answer_all(queries),
-            rtol=1e-12,
-        )
-
-    def test_open_result_reads_header_only(self, stream_publisher):
-        handle = open_result(stream_publisher.archive_path)
-        assert handle.representation == "stream"
-        assert handle.epsilon == 1.0
-        assert not handle.loaded
-        assert handle.load().release.nodes_loaded == 0
-
     def test_append_only_members(self, stream_publisher):
-        import zipfile
+        path = stream_publisher.archive_path
+        with zipfile.ZipFile(path) as archive:
+            before = {info.filename: info for info in archive.infolist()}
+        # No duplicate members, one tree version per epoch count 0..5.
+        assert len(before) == len(set(before))
+        versions = sorted(name for name in before if name.startswith("tree_"))
+        assert versions == [f"tree_{t}.npy" for t in range(6)]
 
-        with zipfile.ZipFile(stream_publisher.archive_path) as archive:
-            names = archive.namelist()
-        # No duplicate members, one manifest per epoch count 0..5.
-        assert len(names) == len(set(names))
-        manifests = sorted(n for n in names if n.startswith("stream_manifest_"))
-        assert manifests == [f"stream_manifest_{t}.npy" for t in range(6)]
+        stream_publisher.ingest(generate_census_table(SPEC, 150, seed=45))
+        stream_publisher.advance_epoch()  # epoch 5 completes node (1, 2)
+        with zipfile.ZipFile(path) as archive:
+            after = {info.filename: info for info in archive.infolist()}
+        assert set(after) - set(before) == {
+            "node_0_5.npy", "node_1_2.npy", "tree_6.npy",
+        }
+        # Existing members are neither rewritten nor moved, and every
+        # member is stored: noise does not deflate.
+        for name, info in before.items():
+            kept = after[name]
+            assert (kept.CRC, kept.header_offset, kept.file_size) == (
+                info.CRC, info.header_offset, info.file_size,
+            )
+        assert {info.compress_type for info in after.values()} == {
+            zipfile.ZIP_STORED
+        }
 
     def test_duplicate_node_append_rejected(self, stream_publisher):
-        from repro.io import append_stream_nodes
-
-        release = stream_publisher.release()
+        node = stream_publisher.release().node_result(0, 0)
         with pytest.raises(ReproError, match="append-only"):
             append_stream_nodes(
                 stream_publisher.archive_path,
-                {(0, 0): release.node_result(0, 0).release},
-                {"epochs": 6, "nodes": []},
+                stream_publisher.result(),
+                {(0, 0): node},
             )
 
     def test_missing_node_member_rejected(self, stream_publisher, tmp_path):
-        import zipfile
-
         clipped = tmp_path / "clipped.npz"
-        with zipfile.ZipFile(stream_publisher.archive_path) as src, zipfile.ZipFile(
-            clipped, "w"
-        ) as dst:
-            for name in src.namelist():
-                if name != "node_2_0.npy":
-                    dst.writestr(name, src.read(name))
+        _without(stream_publisher.archive_path, clipped, lambda n: n != "node_2_0.npy")
         with pytest.raises(ReproError, match="missing members"):
             load_result(clipped)
 
-    def test_corrupt_manifest_rejected(self, stream_publisher, tmp_path):
-        import zipfile
+    def test_missing_part_member_rejected(self, tmp_path):
+        table = generate_census_table(SPEC, 400, seed=8)
+        path = tmp_path / "sharded.npz"
+        save_result(path, publish(table, 1.0, shard_by="Age", shards=3, seed=5))
+        clipped = tmp_path / "clipped.npz"
+        _without(path, clipped, lambda n: n != "p1_leaf.npy")
+        with pytest.raises(ReproError, match="missing members"):
+            open_result(clipped)
 
+    def test_corrupt_tree_rejected(self, stream_publisher, tmp_path):
         broken = tmp_path / "broken.npz"
-        with zipfile.ZipFile(stream_publisher.archive_path) as src, zipfile.ZipFile(
-            broken, "w"
-        ) as dst:
-            for name in src.namelist():
-                if not name.startswith("stream_manifest_"):
-                    dst.writestr(name, src.read(name))
-        with pytest.raises(ReproError, match="no manifest"):
+        _without(
+            stream_publisher.archive_path, broken, lambda n: not n.startswith("tree_")
+        )
+        with pytest.raises(ReproError, match="no tree member"):
             load_result(broken)
 
     def test_stale_tracks_appends(self, stream_publisher):
-        from repro.data.census import generate_census_table
-        from repro.streaming import StreamingPublisher
-
         handle = open_result(stream_publisher.archive_path)
         assert handle.stale is False
         resumed = StreamingPublisher.open(stream_publisher.archive_path)
@@ -449,12 +429,10 @@ class TestStreamArchives:
         assert fresh.load().release.epochs == 6
 
     def test_zero_epoch_archive_loads(self, tmp_path):
-        from repro.io import create_stream_archive
-
         path = tmp_path / "empty.npz"
         create_stream_archive(
             path,
-            census_schema(BRAZIL.scaled(0.05)),
+            census_schema(SPEC),
             epsilon=1.0,
             mechanism={"kind": "privelet+", "sa": ["Age", "Gender"]},
         )
@@ -462,6 +440,4 @@ class TestStreamArchives:
         assert loaded.release.epochs == 0
         assert loaded.noise_magnitude == 0.0
         with pytest.raises(ReproError, match="already exists"):
-            create_stream_archive(
-                path, census_schema(BRAZIL.scaled(0.05)), epsilon=1.0
-            )
+            create_stream_archive(path, census_schema(SPEC), epsilon=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.privelet_plus import PriveletPlusMechanism
-from repro.core.sharding import publish_sharded
+from repro.core.publish import publish
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.io import load_result, save_result
 from repro.queries.engine import QueryEngine
@@ -24,14 +24,14 @@ def schema():
 @pytest.fixture(scope="module")
 def sharded_result(schema):
     table = generate_census_table(SPEC, 2_000, seed=3)
-    return publish_sharded(
+    return publish(
         table,
-        PriveletPlusMechanism(sa_names="auto"),
         1.0,
+        mechanism=PriveletPlusMechanism(sa_names="auto"),
         shard_by="Age",
         shards=4,
         seed=7,
-        materialize=False,
+        representation="coefficients",
         parallel=False,
     )
 

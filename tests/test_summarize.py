@@ -196,19 +196,9 @@ class TestBenchSmokeSwitch:
     def test_consolidated_switch(self, monkeypatch):
         from benchmarks.conftest import bench_smoke
 
-        for name in ("BENCH_SMOKE", "SERVING_BENCH_SMOKE"):
-            monkeypatch.delenv(name, raising=False)
-        assert bench_smoke("SERVING_BENCH_SMOKE") is False
+        monkeypatch.delenv("BENCH_SMOKE", raising=False)
+        assert bench_smoke() is False
         monkeypatch.setenv("BENCH_SMOKE", "1")
         assert bench_smoke() is True
-        assert bench_smoke("SERVING_BENCH_SMOKE") is True
-
-    def test_legacy_aliases_still_work(self, monkeypatch):
-        from benchmarks.conftest import bench_smoke
-
-        monkeypatch.delenv("BENCH_SMOKE", raising=False)
-        monkeypatch.setenv("SHARDING_BENCH_SMOKE", "1")
-        assert bench_smoke("SHARDING_BENCH_SMOKE") is True
+        monkeypatch.setenv("BENCH_SMOKE", "0")
         assert bench_smoke() is False
-        monkeypatch.setenv("SHARDING_BENCH_SMOKE", "0")
-        assert bench_smoke("SHARDING_BENCH_SMOKE") is False
