@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import os
 import pathlib
+import statistics
+import time
 
+import numpy as np
 import pytest
 
 from benchmarks.provenance import provenance_header
@@ -37,6 +40,61 @@ def bench_smoke() -> bool:
     empty or ``0``.
     """
     return os.environ.get("BENCH_SMOKE", "") not in {"", "0"}
+
+
+#: Alternating pairs :func:`paired_ratio` times.
+PAIRS = 15
+_REFERENCE_DATA = np.random.default_rng(0).random(1 << 16)
+
+
+def _reference_seconds() -> float:
+    """Time one fixed interpreter-plus-numpy computation (~0.4 ms)."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(2_000):
+        total += i & 63
+    data = _REFERENCE_DATA
+    float(np.cumsum(data[::2] * data[1::2]).sum())
+    return time.perf_counter() - start
+
+
+def paired_ratio(slow, fast) -> dict:
+    """How many times longer ``slow()`` takes than ``fast()``, steadied.
+
+    Each vCPU of a shared host can switch between speed modes every
+    50-200 ms, so two operations timed in separate sweeps may each run
+    in a different mode and their ratio drifts.  Here the two calls
+    alternate in :data:`PAIRS` pairs, every call is bracketed by a fixed
+    reference computation, and each call's time is divided by the mean
+    of the two reference times around it: its cost in reference units,
+    which the host's mode moves far less than it moves wall time.
+
+    Returns
+    -------
+    dict
+        ``ratio`` (the median of the per-pair cost ratios), the
+        per-pair ``ratios``, and the median raw wall times
+        ``slow_seconds`` / ``fast_seconds``.
+    """
+    ratios, slow_times, fast_times = [], [], []
+    before = _reference_seconds()
+    for _ in range(PAIRS):
+        costs = []
+        for call, times in ((slow, slow_times), (fast, fast_times)):
+            start = time.perf_counter()
+            call()
+            elapsed = time.perf_counter() - start
+            after = _reference_seconds()
+            times.append(elapsed)
+            costs.append(elapsed / (0.5 * (before + after)))
+            before = after
+        ratios.append(costs[0] / costs[1])
+    return {
+        "ratio": statistics.median(ratios),
+        "ratios": ratios,
+        "slow_seconds": statistics.median(slow_times),
+        "fast_seconds": statistics.median(fast_times),
+    }
 
 
 def bench_accuracy_config() -> AccuracyConfig:

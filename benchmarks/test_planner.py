@@ -1,4 +1,4 @@
-"""Benchmark: cost-based batch planning on a nested shard x time release.
+"""Benchmark: batch deduplication on a nested shard x time release.
 
 The planner's promise, measured on the hardest composed backend the
 algebra can build — a :class:`~repro.core.compose.Partition` of
@@ -10,16 +10,14 @@ cells) is answered twice over the same engine:
 * **unplanned** — every row straight through
   :meth:`~repro.queries.engine.QueryEngine.answer_columnar`;
 * **planned** — through :class:`~repro.planner.QueryPlanner`:
-  duplicates collapse to one engine pass, the marginal cells promote
-  into a materialized cube view, and answers scatter back bit-for-bit
-  identical (asserted on every run).
+  duplicates collapse to one engine pass and answers scatter back
+  bit-for-bit identical (asserted on every run).
 
 Recorded: sustained rows/sec for both paths and the speedup, the
-deduplication and view-hit rates, the mean part-cover fraction of the
-batches, and the engine profile-cache hit rate.  Set ``BENCH_SMOKE=1``
-for the CI-sized run (no timing assertion — shared-runner clocks are
-too noisy to gate on); either way the numbers land in
-``results/BENCH_planner.json`` with a provenance block.
+planner's dedup counters, and the engine profile-cache hit rate.  Set
+``BENCH_SMOKE=1`` for the CI-sized run (no timing assertion —
+shared-runner clocks are too noisy to gate on); either way the numbers
+land in ``results/BENCH_planner.json`` with a provenance block.
 """
 
 from __future__ import annotations
@@ -40,21 +38,11 @@ from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.data.table import Table
 from repro.queries.engine import QueryEngine
 from repro.planner import QueryPlanner
-from repro.serving.cache import LRUProfileCache
 from repro.streaming import StreamingPublisher
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 SEED = 20100301
 SHARD_BY = "Age"
-
-# Cache-locality measurement: a hot set small enough to stay resident
-# in a bounded LRU, plus a full Income marginal sweep whose distinct
-# per-axis ranges overflow the bound and thrash the naive path.
-LRU_BOUND = 48
-HOT_BOXES = 24
-HOT_ROWS = 800
-WARM_RENDERS = 3
-STEADY_RENDERS = 3
 
 
 def _smoke() -> bool:
@@ -127,81 +115,6 @@ def _timed(answer, lows, highs) -> tuple[float, object]:
     return time.perf_counter() - start, batch
 
 
-def _locality_batch(schema, seed: int):
-    """Hot distinct boxes plus an Income marginal sweep (the polluter)."""
-    rng = np.random.default_rng(seed)
-    shape = np.asarray(schema.shape, dtype=np.int64)
-    lows = np.empty((HOT_BOXES, len(shape)), dtype=np.int64)
-    highs = np.empty_like(lows)
-    for axis, size in enumerate(shape):
-        lo = rng.integers(0, size, HOT_BOXES)
-        width = rng.integers(1, size + 1, HOT_BOXES)
-        lows[:, axis] = lo
-        highs[:, axis] = np.minimum(lo + width, size)
-    picks = rng.choice(HOT_BOXES, size=HOT_ROWS)
-    lows, highs = lows[picks], highs[picks]
-    axis = next(i for i in range(len(shape)) if schema[i].name == "Income")
-    cells = np.arange(schema[axis].size, dtype=np.int64)
-    sweep_lows = np.zeros((len(cells), len(shape)), dtype=np.int64)
-    sweep_highs = np.tile(shape, (len(cells), 1))
-    sweep_lows[:, axis] = cells
-    sweep_highs[:, axis] = cells + 1
-    lows = np.vstack([lows, sweep_lows])
-    highs = np.vstack([highs, sweep_highs])
-    order = rng.permutation(len(lows))
-    return lows[order], highs[order]
-
-
-def _steady_hit_rate(caches, answer, lows, highs) -> tuple[float, int]:
-    """Hit rate and miss count over the post-warm-up renders only."""
-    hits_before, misses_before = caches.hits, caches.misses
-    for _ in range(STEADY_RENDERS):
-        answer(lows, highs)
-    hits = caches.hits - hits_before
-    misses = caches.misses - misses_before
-    return hits / max(hits + misses, 1), misses
-
-
-def _cache_locality(result, schema) -> dict:
-    """Planner-grouped vs request-order hit rates under a bounded LRU.
-
-    Two fresh engines over the same release, each with a
-    ``LRU_BOUND``-entry per-axis profile cache, re-answer the same
-    dashboard batch.  The naive path re-asks the Income sweep every
-    render, overflowing the bound and evicting the hot set; the planner
-    dedups the hot rows and serves the sweep from a materialized
-    marginal view, so its engine's working set stays resident.
-    """
-
-    def factory(transforms):
-        return LRUProfileCache(transforms, max_entries_per_axis=LRU_BOUND)
-
-    lows, highs = _locality_batch(schema, SEED + 77)
-    naive_engine = QueryEngine(result, profile_cache_factory=factory)
-    planned_engine = QueryEngine(result, profile_cache_factory=factory)
-    planner = QueryPlanner(planned_engine)
-    for _ in range(WARM_RENDERS):
-        naive_engine.answer_columnar(lows, highs)
-        planner.answer_columnar(lows, highs)
-    naive_rate, naive_misses = _steady_hit_rate(
-        naive_engine.profile_cache, naive_engine.answer_columnar, lows, highs
-    )
-    planned_rate, planned_misses = _steady_hit_rate(
-        planned_engine.profile_cache, planner.answer_columnar, lows, highs
-    )
-    return {
-        "lru_bound_per_axis": LRU_BOUND,
-        "steady_renders": STEADY_RENDERS,
-        "batch_rows": int(len(lows)),
-        "naive_hit_rate": naive_rate,
-        "planned_hit_rate": planned_rate,
-        "hit_rate_delta": planned_rate - naive_rate,
-        "naive_steady_misses": int(naive_misses),
-        "planned_steady_misses": int(planned_misses),
-        "views_built": planner.views_built,
-    }
-
-
 def test_planner_speedup(record_result):
     shards, epochs, rows, batch_rows = _dimensions()
     schema = census_schema(BRAZIL.scaled(0.05))
@@ -218,8 +131,7 @@ def test_planner_speedup(record_result):
     planner = QueryPlanner(engine)
     lows, highs = _skewed_batch(schema, batch_rows, seed=SEED + 9)
 
-    # Warm payloads and profile caches so both paths measure steady state,
-    # and let the planner see the marginal traffic once (views build here).
+    # Warm payloads and profile caches so both paths measure steady state.
     engine.answer_columnar(lows, highs)
     planner.answer_columnar(lows, highs)
 
@@ -229,7 +141,6 @@ def test_planner_speedup(record_result):
     np.testing.assert_array_equal(base.estimates, planned.estimates)
     np.testing.assert_array_equal(base.noise_stds, planned.noise_stds)
 
-    plan = planner.plan(lows, highs)
     total_rows = len(lows)
     speedup = unplanned_seconds / planned_seconds
     caches = engine.profile_cache
@@ -253,21 +164,13 @@ def test_planner_speedup(record_result):
             "planned_speedup": speedup,
         },
         "plan": {
-            "unique_rows": plan.num_unique,
-            "duplicate_rows": plan.duplicate_rows,
-            "dedup_fraction": plan.duplicate_rows / total_rows,
-            "cover_parts": len(plan.cover),
-            "cover_fraction": len(plan.cover) / release.num_parts,
-            "estimated_cost": plan.cost,
-            "estimated_naive_cost": plan.naive_cost,
+            "rows_planned": planner.rows_planned,
+            "rows_deduped": planner.rows_deduped,
+            "dedup_fraction": planner.rows_deduped / planner.rows_planned,
         },
         "caches": {
-            "views_built": planner.views_built,
-            "view_rows": planner.view_rows,
-            "view_hit_rate": planner.view_rows / max(planner.rows_planned, 1),
             "profile_cache_hit_rate": caches.hit_rate,
         },
-        "cache_locality": _cache_locality(result, schema),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_planner.json").write_text(
@@ -275,7 +178,6 @@ def test_planner_speedup(record_result):
     )
 
     timing = payload["planned_vs_unplanned"]
-    locality = payload["cache_locality"]
     record_result(
         "planner",
         "\n".join(
@@ -285,13 +187,7 @@ def test_planner_speedup(record_result):
                 f"unplanned: {timing['unplanned_qps']:>10.0f} rows/s",
                 f"planned  : {timing['planned_qps']:>10.0f} rows/s "
                 f"(speedup {speedup:.2f}x)",
-                f"dedup    : {payload['plan']['dedup_fraction']:.0%} of rows, "
-                f"cover {payload['plan']['cover_parts']}/{release.num_parts} parts",
-                f"views    : {planner.views_built} built, "
-                f"{payload['caches']['view_hit_rate']:.0%} of rows view-served",
-                f"locality : hit rate {locality['planned_hit_rate']:.3f} planned "
-                f"vs {locality['naive_hit_rate']:.3f} naive "
-                f"(LRU bound {LRU_BOUND}/axis)",
+                f"dedup    : {payload['plan']['dedup_fraction']:.0%} of rows",
             ]
         ),
         meta={"seed": SEED, "shards": shards, "epochs": epochs},
@@ -303,9 +199,4 @@ def test_planner_speedup(record_result):
     assert speedup > 1.0, (
         f"planned path {timing['planned_qps']:.0f} rows/s did not beat "
         f"unplanned {timing['unplanned_qps']:.0f} rows/s"
-    )
-    assert locality["hit_rate_delta"] > 0, (
-        f"planner-grouped batches ({locality['planned_hit_rate']:.4f}) did not "
-        f"beat request order ({locality['naive_hit_rate']:.4f}) on profile-cache "
-        f"hit rate under a {LRU_BOUND}-entry LRU"
     )

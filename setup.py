@@ -1,11 +1,16 @@
-"""Legacy setup shim.
+"""Package metadata for ``python setup.py develop`` (an editable install).
 
-The offline environment lacks the ``wheel`` package, so PEP 660 editable
-installs (``pip install -e .``) cannot build an editable wheel.  This
-shim lets ``python setup.py develop`` provide the equivalent editable
-install; all metadata lives in pyproject.toml.
+The package lives under ``src/``; running with ``PYTHONPATH=src`` needs
+no install at all.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

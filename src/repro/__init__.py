@@ -104,7 +104,7 @@ from repro.errors import (
     StreamingError,
     TransformError,
 )
-from repro.planner import PlannedBatch, QueryPlanner, plan_batch
+from repro.planner import QueryPlanner
 from repro.queries import (
     BatchQueryAnswers,
     QueryAnswer,
@@ -222,8 +222,6 @@ __all__ = [
     "QueryAnswer",
     "BatchQueryAnswers",
     "QueryPlanner",
-    "PlannedBatch",
-    "plan_batch",
     "Workload",
     "generate_workload",
     "square_error",

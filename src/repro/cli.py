@@ -33,9 +33,7 @@ Commands
     batch query engine, printing each estimate with its exact noise std
     and confidence interval.  ``--time-range LO HI`` restricts a stream
     archive to an epoch window (answered from its ``O(log T)`` dyadic
-    cover).  ``--columnar`` drives the same workload through
-    :meth:`~repro.queries.engine.QueryEngine.answer_columnar` — raw box
-    arrays in, no per-query Python — and prints identical answers.
+    cover).
 ``serve``
     Stand up a :class:`~repro.serving.server.ReleaseServer` over one or
     more archives and drive it through a port-less JSONL loop: one JSON
@@ -222,20 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="epoch window [LO, HI) for stream archives (answered from "
         "the window's O(log T) dyadic node cover)",
     )
-    query.add_argument(
-        "--columnar",
-        action="store_true",
-        help="answer through the columnar fast path (raw box arrays "
-        "into answer_columnar); answers are bit-for-bit identical",
-    )
-    query.add_argument(
-        "--planned",
-        action="store_true",
-        help="answer through the cost-based batch planner (implies the "
-        "columnar path): duplicate boxes collapse to one engine pass "
-        "and hot marginal shapes may be served from materialized "
-        "views; answers stay bit-for-bit identical",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -302,12 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the SA set for archives lacking mechanism details "
         "(conflicts with a coefficient archive's own SA set are reported "
         "as structured bad-request responses)",
-    )
-    serve.add_argument(
-        "--no-planner",
-        action="store_true",
-        help="disable the per-plan batch planner (columnar batches go "
-        "straight to the engine; answers are identical either way)",
     )
 
     return parser
@@ -546,30 +524,11 @@ def _cmd_query(args) -> int:
     queries = generate_workload(
         result.release.schema, args.queries, seed=args.seed
     )
-    planner = None
-    if args.columnar or args.planned:
-        from repro.analysis.exact import query_boxes
-
-        lows, highs = query_boxes(queries, result.release.schema.shape)
-        if args.planned:
-            from repro.planner import QueryPlanner
-
-            planner = QueryPlanner(engine)
-            batch = planner.answer_columnar(lows, highs, confidence=args.confidence)
-        else:
-            batch = engine.answer_columnar(lows, highs, confidence=args.confidence)
-    else:
-        batch = engine.answer_all_with_intervals(queries, confidence=args.confidence)
-    if planner is not None:
-        path_note = f", planned path ({planner.rows_deduped} row(s) deduplicated)"
-    elif args.columnar:
-        path_note = ", columnar path"
-    else:
-        path_note = ""
+    batch = engine.answer_all_with_intervals(queries, confidence=args.confidence)
     print(
         f"{len(queries)} random range-count queries on {args.archive} "
         f"(epsilon={result.epsilon}, {100 * args.confidence:.0f}% intervals, "
-        f"{result.representation} backend{path_note})"
+        f"{result.representation} backend)"
     )
     print(f"{'estimate':>12}{'noise std':>12}{'lower':>12}{'upper':>12}  query")
     for query, answer in zip(queries, batch):
@@ -733,7 +692,6 @@ def _serve_tcp(args) -> int:
         profile_cache_entries=args.profile_cache,
         representation=None if args.representation == "archive" else args.representation,
         sa_names=tuple(args.sa) if args.sa is not None else None,
-        planner=not args.no_planner,
     )
     for spec in args.archives:
         name, path = _parse_archive_spec(spec)
@@ -788,7 +746,6 @@ def _cmd_serve(args) -> int:
         profile_cache_entries=args.profile_cache,
         representation=None if args.representation == "archive" else args.representation,
         sa_names=tuple(args.sa) if args.sa is not None else None,
-        planner=not args.no_planner,
     )
     with server:
         for spec in args.archives:

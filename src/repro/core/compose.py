@@ -355,27 +355,6 @@ class ComposedRelease(Release):
             "supported for composed releases"
         )
 
-    def part_cover(self, lows, highs) -> tuple[int, ...]:
-        """Indexes of the parts at least one box routes to.
-
-        The planner's pruning primitive: parts whose extent misses every
-        box never appear (and are therefore never loaded by the
-        subsequent answer pass).  Costs one vectorized routing pass and
-        touches no payload.
-
-        Parameters
-        ----------
-        lows, highs:
-            ``(n, d)`` arrays of half-open box bounds, one row per query.
-
-        Returns
-        -------
-        tuple[int, ...]
-            Touched part indexes, in routing order.
-        """
-        lows, highs = self._check_boxes(lows, highs)
-        return tuple(index for index, _, _, _ in self._route(lows, highs))
-
     def answer_boxes(self, lows, highs) -> np.ndarray:
         """Batch box answers: routed per-part answers, summed.
 

@@ -1,297 +1,68 @@
-"""Cost-based batch planning on top of the query engine.
+"""Batch deduplication on top of the query engine.
 
 The engine answers whatever rows it is handed, in the order it is
-handed them.  A serving workload is rarely that tidy: dashboards re-ask
-identical boxes inside one batch, marginal widgets sweep the same small
-cube cell by cell, and a composed release only needs the parts the
-batch actually routes to.  :class:`QueryPlanner` sits between a batch
-and a :class:`~repro.queries.engine.QueryEngine` and exploits exactly
-that structure — without changing a single output bit:
+handed them.  A serving workload re-asks identical boxes inside one
+batch (dashboards, repeated widgets), and because a release's noise is
+*frozen at publish time* the same box always returns the same float.
+:class:`QueryPlanner` exploits exactly that, without changing a single
+output bit: the batch's ``(lo, hi)`` rows are collapsed to their
+distinct boxes (``numpy.unique`` over the stacked bounds), each distinct
+box is answered once, and the answers are scattered back through the
+inverse map, so the response order is the request order.
 
-* **Deduplication + regrouping** — the batch's ``(lo, hi)`` rows are
-  collapsed to their distinct boxes (``numpy.unique`` over the stacked
-  bounds), each distinct box is answered once, and the answers are
-  scattered back through the inverse map, so the response order is the
-  request order.  The unique pass is lexicographically sorted, which
-  also groups near-identical ranges for per-axis profile-cache reuse.
-  Dedup is lossless here because a release's noise is *frozen at
-  publish time*: the same box always returns the same float.
-* **Minimal part cover** — for a composed backend
-  (:class:`~repro.core.compose.ComposedRelease`) the planner reports
-  the minimal set of parts the deduplicated batch routes to
-  (:meth:`~repro.core.compose.ComposedRelease.part_cover`), one
-  payload-free routing pass; parts outside the cover are never loaded.
-* **Cost model** — plans are costed with the same closed-form the
-  exact-variance machinery rests on: a range on an axis of size ``m``
-  decomposes into at most ``2 * ceil(log2 m) + 2`` HN tree nodes, so a
-  box costs about the product of its per-axis node counts.  The planned
-  cost (distinct rows only) versus the naive cost (every row) is the
-  planner's savings estimate.
-* **Materialized marginal views** — rows that are marginal-cube cells
-  (point on some axes, full domain on the rest) are tallied per cube
-  signature; once a cube's cumulative row traffic would have paid for
-  computing the whole cube, the planner materializes it through the
-  engine (one columnar call over the cube's cells) and serves later
-  cells by indexed lookup.  Views are pure post-processing of the
-  frozen release, so view-served answers are bit-for-bit the engine's.
-  A stream ``refresh`` drops the planner with its plan (see
-  :class:`~repro.serving.plans.PlanCache`), so views never outlive the
-  release snapshot they were computed from; :meth:`QueryPlanner.
-  invalidate` does the same for direct users.
-
-Planned and unplanned paths share one interval constructor, one
+Deduplicated and direct batches share one interval constructor, one
 variance pass, and one backend gather, so
 :meth:`QueryPlanner.answer_columnar` is bit-for-bit equal to
 :meth:`~repro.queries.engine.QueryEngine.answer_columnar` on the same
-rows — the planner is an optimization layer, never an approximation.
+rows.  A composed release routes the distinct boxes inside its own
+``answer_boxes``, so lazy parts still load only when a box routes to
+them.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.queries.engine import BatchQueryAnswers, _interval_answers
-from repro.utils.validation import ensure_boxes, ensure_positive_int
+from repro.utils.validation import ensure_boxes
 
-__all__ = ["PlannedBatch", "QueryPlanner", "plan_batch"]
-
-
-def _box_costs(lows: np.ndarray, highs: np.ndarray, sizes) -> np.ndarray:
-    """Estimated engine cost per box row (HN tree nodes gathered).
-
-    A range of width ``w`` on an axis of size ``m`` decomposes into at
-    most ``min(w, 2 * ceil(log2 m) + 2)`` HN tree nodes; a box's gather
-    cost is the product over axes.  Degenerate rows cost 0.
-    """
-    widths = (highs - lows).astype(np.float64)
-    costs = np.ones(lows.shape[0], dtype=np.float64)
-    for axis, size in enumerate(sizes):
-        bound = 2.0 * math.ceil(math.log2(size)) + 2.0 if size > 1 else 1.0
-        costs *= np.minimum(widths[:, axis], bound)
-    costs[np.any(widths <= 0, axis=1)] = 0.0
-    return costs
-
-
-@dataclass(frozen=True)
-class PlannedBatch:
-    """One batch, planned: distinct boxes, inverse map, cover, and costs.
-
-    Built by :meth:`QueryPlanner.plan`; purely descriptive (answering
-    happens in :meth:`QueryPlanner.answer_columnar`, which re-derives
-    the same plan so it never acts on stale view state).
-    """
-
-    #: Distinct ``(u, d)`` box bounds, lexicographically sorted.
-    unique_lows: np.ndarray
-    unique_highs: np.ndarray
-    #: ``(n,)`` map from request rows to distinct rows (scatter key).
-    inverse: np.ndarray
-    #: Touched part indexes for a composed backend, ``None`` otherwise.
-    cover: tuple | None
-    #: Estimated engine cost of the planned batch (distinct rows only).
-    cost: float
-    #: Estimated engine cost of answering every row naively.
-    naive_cost: float
-
-    @property
-    def num_rows(self) -> int:
-        """How many rows the request batch has."""
-        return int(self.inverse.shape[0])
-
-    @property
-    def num_unique(self) -> int:
-        """How many distinct boxes the batch collapses to."""
-        return int(self.unique_lows.shape[0])
-
-    @property
-    def duplicate_rows(self) -> int:
-        """Rows answered by scatter instead of a fresh engine pass."""
-        return self.num_rows - self.num_unique
-
-    def __repr__(self) -> str:
-        return (
-            f"PlannedBatch(rows={self.num_rows}, unique={self.num_unique}, "
-            f"cover={self.cover}, cost={self.cost:.0f}/{self.naive_cost:.0f})"
-        )
-
-
-class _MarginalView:
-    """One materialized marginal cube: flat estimate/std tables.
-
-    Indexed by ``ravel_multi_index`` of the kept-axis cell coordinates;
-    built from one engine columnar pass over the cube's cells, so every
-    stored float is exactly what the engine would return for that cell.
-    """
-
-    __slots__ = ("kept_axes", "kept_sizes", "estimates", "noise_stds")
-
-    def __init__(self, kept_axes, kept_sizes, estimates, noise_stds):
-        self.kept_axes = kept_axes
-        self.kept_sizes = kept_sizes
-        self.estimates = estimates
-        self.noise_stds = noise_stds
-
-    def lookup(self, lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(estimates, stds)`` for cells with the view's shape."""
-        if self.kept_axes:
-            coords = tuple(lows[:, axis] for axis in self.kept_axes)
-            flat = np.ravel_multi_index(coords, self.kept_sizes)
-        else:
-            flat = np.zeros(lows.shape[0], dtype=np.intp)
-        return self.estimates[flat], self.noise_stds[flat]
+__all__ = ["QueryPlanner"]
 
 
 class QueryPlanner:
-    """Plan columnar batches for one engine: dedup, cover, cached views.
+    """Answer columnar batches for one engine, each distinct box once.
 
-    Wraps a :class:`~repro.queries.engine.QueryEngine` (one release
-    snapshot, possibly a time window) and answers batches through
-    :meth:`answer_columnar` with outputs bit-for-bit identical to the
-    engine's own — the plan only removes redundant work.  The serving
-    layer builds one planner per compiled plan (see
+    The serving layer attaches one planner to every compiled plan (see
     :class:`~repro.serving.plans.PlanCache`), so a stream refresh drops
-    the planner and its views with the plan.
+    the planner with its plan and the counters fold into the cache's
+    retired totals.
 
     Parameters
     ----------
     engine:
-        The engine to plan for; the planner owns no release state
-        beyond views derived from this engine's frozen answers.
-    view_cell_budget:
-        Largest marginal cube (in cells) the planner may materialize;
-        cubes beyond the budget are always answered directly.
-    max_views:
-        Most cubes kept materialized at once; further qualifying cubes
-        are answered directly until :meth:`invalidate` frees slots.
+        The :class:`~repro.queries.engine.QueryEngine` to answer
+        through (one release snapshot, possibly a time window).
     """
 
-    def __init__(self, engine, *, view_cell_budget: int = 1 << 18, max_views: int = 16):
+    def __init__(self, engine):
         self._engine = engine
-        self._view_cell_budget = ensure_positive_int(
-            view_cell_budget, "view_cell_budget"
-        )
-        self._max_views = ensure_positive_int(max_views, "max_views")
         self._lock = threading.Lock()
-        self._views: dict[tuple, _MarginalView] = {}
-        #: Cumulative matched rows per qualifying-but-unbuilt signature.
-        self._pending: dict[tuple, int] = {}
-        #: Rows planned through :meth:`answer_columnar` (monotone).
+        #: Rows answered through :meth:`answer_columnar` (monotone).
         self.rows_planned = 0
         #: Rows answered by scatter from an identical row's answer.
         self.rows_deduped = 0
-        #: Rows served from materialized marginal views.
-        self.view_rows = 0
-        #: Marginal cubes materialized so far.
-        self.views_built = 0
 
     @property
     def engine(self):
-        """The engine this planner plans for."""
+        """The engine this planner answers through."""
         return self._engine
-
-    @property
-    def num_views(self) -> int:
-        """How many marginal cubes are currently materialized."""
-        return len(self._views)
-
-    @property
-    def view_signatures(self) -> tuple:
-        """Kept-axis signatures of the materialized cubes."""
-        return tuple(sorted(self._views))
-
-    # ------------------------------------------------------------------
-    def _dedup(self, lows, highs):
-        """Validated bounds plus their distinct rows and inverse map."""
-        lows, highs = ensure_boxes(lows, highs, self._engine.schema.shape)
-        dims = lows.shape[1]
-        stacked = np.concatenate([lows, highs], axis=1)
-        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        return lows, highs, unique[:, :dims], unique[:, dims:], inverse
-
-    def plan(self, lows, highs) -> PlannedBatch:
-        """Describe how :meth:`answer_columnar` would run this batch.
-
-        One vectorized dedup pass plus (for composed backends) one
-        payload-free routing pass — nothing is loaded or answered.
-
-        Parameters
-        ----------
-        lows, highs:
-            ``(n, d)`` arrays of half-open box bounds, one row per
-            query (axis order = schema order).
-
-        Returns
-        -------
-        PlannedBatch
-            The distinct rows, the scatter map, the minimal part cover
-            (``None`` for a monolithic backend), and the cost estimates.
-        """
-        lows, highs, unique_lows, unique_highs, inverse = self._dedup(lows, highs)
-        release = self._engine.release
-        cover = None
-        if hasattr(release, "part_cover"):
-            cover = release.part_cover(unique_lows, unique_highs)
-        sizes = self._engine.schema.shape
-        unique_costs = _box_costs(unique_lows, unique_highs, sizes)
-        return PlannedBatch(
-            unique_lows=unique_lows,
-            unique_highs=unique_highs,
-            inverse=inverse,
-            cover=cover,
-            cost=float(unique_costs.sum()),
-            naive_cost=float(unique_costs[inverse].sum()),
-        )
-
-    # ------------------------------------------------------------------
-    def _marginal_signatures(self, unique_lows, unique_highs):
-        """Group marginal-cell rows by their kept-axis signature.
-
-        A row is a marginal-cube cell when every axis is either a point
-        (``hi == lo + 1``) or the full domain; its signature is the
-        tuple of point axes (full-domain axes win ties so a size-1 axis
-        never inflates the cube).
-        """
-        sizes = np.asarray(self._engine.schema.shape, dtype=np.int64)
-        full = (unique_lows == 0) & (unique_highs == sizes)
-        point = (unique_highs == unique_lows + 1) & ~full
-        marginal = np.all(full | point, axis=1)
-        groups: dict[tuple, list[int]] = {}
-        for row in np.flatnonzero(marginal):
-            signature = tuple(int(axis) for axis in np.flatnonzero(point[row]))
-            groups.setdefault(signature, []).append(int(row))
-        return groups
-
-    def _build_view(self, signature, confidence) -> _MarginalView:
-        """Materialize one cube through the engine (exact, frozen floats)."""
-        sizes = self._engine.schema.shape
-        kept_sizes = tuple(sizes[axis] for axis in signature)
-        cells = int(np.prod(kept_sizes, dtype=np.int64)) if kept_sizes else 1
-        cube_lows = np.zeros((cells, len(sizes)), dtype=np.int64)
-        cube_highs = np.tile(np.asarray(sizes, dtype=np.int64), (cells, 1))
-        if kept_sizes:
-            grids = np.indices(kept_sizes).reshape(len(kept_sizes), cells)
-            for position, axis in enumerate(signature):
-                cube_lows[:, axis] = grids[position]
-                cube_highs[:, axis] = grids[position] + 1
-        answers = self._engine.answer_columnar(cube_lows, cube_highs, confidence)
-        return _MarginalView(
-            signature, kept_sizes, answers.estimates, answers.noise_stds
-        )
 
     def answer_columnar(
         self, lows, highs, confidence: float = 0.95
     ) -> BatchQueryAnswers:
-        """Answer a batch through the plan — bit-for-bit the engine's.
-
-        Distinct rows are answered once (views first, engine for the
-        rest) and scattered back through the inverse map; duplicates
-        and view hits cost an indexed copy instead of a gather plus a
-        variance pass.
+        """Answer a batch once per distinct box — bit-for-bit the engine's.
 
         Parameters
         ----------
@@ -312,111 +83,24 @@ class QueryPlanner:
             # Same precedence as the engine: a bad confidence fails
             # before the bounds are even looked at.
             _interval_answers(np.empty(0), np.empty(0), confidence)
-        lows, highs, unique_lows, unique_highs, inverse = self._dedup(lows, highs)
-        row_counts = np.bincount(inverse, minlength=unique_lows.shape[0])
-        estimates = np.empty(unique_lows.shape[0], dtype=np.float64)
-        noise_stds = np.empty(unique_lows.shape[0], dtype=np.float64)
-        served = np.zeros(unique_lows.shape[0], dtype=bool)
-        view_hits = 0
-        groups = self._marginal_signatures(unique_lows, unique_highs)
-        for signature, rows in groups.items():
-            view = self._resolve_view(signature, rows, row_counts, confidence)
-            if view is None:
-                continue
-            row_index = np.asarray(rows, dtype=np.intp)
-            est, std = view.lookup(unique_lows[row_index])
-            estimates[row_index] = est
-            noise_stds[row_index] = std
-            served[row_index] = True
-            view_hits += int(row_counts[row_index].sum())
-        rest = np.flatnonzero(~served)
-        if rest.size:
-            answered = self._engine.answer_columnar(
-                unique_lows[rest], unique_highs[rest], confidence
-            )
-            estimates[rest] = answered.estimates
-            noise_stds[rest] = answered.noise_stds
+        lows, highs = ensure_boxes(lows, highs, self._engine.schema.shape)
+        dims = lows.shape[1]
+        unique, inverse = np.unique(
+            np.concatenate([lows, highs], axis=1), axis=0, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        answered = self._engine.answer_columnar(
+            unique[:, :dims], unique[:, dims:], confidence
+        )
         with self._lock:
             self.rows_planned += int(inverse.shape[0])
-            self.rows_deduped += int(inverse.shape[0]) - int(unique_lows.shape[0])
-            self.view_rows += view_hits
-        return _interval_answers(estimates[inverse], noise_stds[inverse], confidence)
-
-    def _resolve_view(self, signature, rows, row_counts, confidence):
-        """The view serving ``signature``'s rows, building it when its
-        cumulative traffic has paid for the cube; ``None`` to answer
-        directly."""
-        sizes = self._engine.schema.shape
-        kept_sizes = tuple(sizes[axis] for axis in signature)
-        cells = int(np.prod(kept_sizes, dtype=np.int64)) if kept_sizes else 1
-        if cells > self._view_cell_budget:
-            return None
-        matched = int(row_counts[np.asarray(rows, dtype=np.intp)].sum())
-        with self._lock:
-            view = self._views.get(signature)
-            if view is not None:
-                return view
-            pending = self._pending.get(signature, 0) + matched
-            if pending < cells or len(self._views) >= self._max_views:
-                self._pending[signature] = pending
-                return None
-            # Reserve the slot before dropping the lock to build.
-            self._pending.pop(signature, None)
-        view = self._build_view(signature, confidence)
-        with self._lock:
-            self._views[signature] = view
-            self.views_built += 1
-        return view
-
-    def invalidate(self) -> int:
-        """Drop every materialized view (counters are preserved).
-
-        Call after the underlying release changes (e.g. a stream
-        appended an epoch and the engine was rebuilt); the serving
-        layer does this implicitly by dropping the whole planner with
-        its compiled plan.
-
-        Returns
-        -------
-        int
-            How many views were dropped.
-        """
-        with self._lock:
-            dropped = len(self._views)
-            self._views.clear()
-            self._pending.clear()
-        return dropped
+            self.rows_deduped += int(inverse.shape[0]) - int(unique.shape[0])
+        return _interval_answers(
+            answered.estimates[inverse], answered.noise_stds[inverse], confidence
+        )
 
     def __repr__(self) -> str:
         return (
-            f"QueryPlanner(views={len(self._views)}, "
-            f"rows_planned={self.rows_planned}, "
-            f"rows_deduped={self.rows_deduped}, view_rows={self.view_rows})"
+            f"QueryPlanner(rows_planned={self.rows_planned}, "
+            f"rows_deduped={self.rows_deduped})"
         )
-
-
-def plan_batch(engine, lows, highs) -> PlannedBatch:
-    """Describe how a planner would run one batch, without answering it.
-
-    One-shot convenience over :meth:`QueryPlanner.plan` for ad-hoc
-    inspection: how many rows collapse away, which parts of a composed
-    release the batch routes to, and the closed-form cost estimates.
-    Long-lived consumers (servers) should hold a :class:`QueryPlanner`
-    instead, so materialized views persist across batches.
-
-    Parameters
-    ----------
-    engine:
-        The :class:`~repro.queries.engine.QueryEngine` the batch would
-        run against.
-    lows, highs:
-        ``(n, d)`` arrays of half-open box bounds, one row per query
-        (axis order = schema order).
-
-    Returns
-    -------
-    PlannedBatch
-        The distinct rows, the scatter map, the minimal part cover
-        (``None`` for a monolithic backend), and the cost estimates.
-    """
-    return QueryPlanner(engine).plan(lows, highs)

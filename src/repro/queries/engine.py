@@ -71,11 +71,10 @@ def _interval_answers(
     """Two-sided confidence intervals around ``estimates``, vectorized.
 
     The single interval construction every batch path uses — the engine
-    directly, and the planner after scattering deduplicated or
-    view-served rows — so planned answers stay bit-for-bit identical to
-    unplanned ones.  Gaussian approximation to the sum of independent
-    Laplace noises, widened to the exact Laplace quantile when it is
-    larger.
+    directly, and the planner after scattering deduplicated rows — so
+    planned answers stay bit-for-bit identical to unplanned ones.
+    Gaussian approximation to the sum of independent Laplace noises,
+    widened to the exact Laplace quantile when it is larger.
     """
     if not 0.0 < confidence < 1.0:
         raise QueryError(f"confidence must be in (0, 1), got {confidence}")

@@ -236,10 +236,9 @@ class NetworkServer:
         resolved address).
     workers:
         Worker processes to run.
-    max_batch, max_linger_seconds, profile_cache_entries, representation, sa_names, planner:
+    max_batch, max_linger_seconds, profile_cache_entries, representation, sa_names:
         Forwarded to each worker's per-process
-        :class:`~repro.serving.server.ReleaseServer` (``planner=False``
-        disables per-plan batch planning in every worker).
+        :class:`~repro.serving.server.ReleaseServer`.
     max_pending_per_worker:
         Outstanding requests allowed per worker before the acceptor
         stops reading frames (back-pressure bound).
@@ -273,7 +272,6 @@ class NetworkServer:
         profile_cache_entries: int = 4096,
         representation: str | None = None,
         sa_names=None,
-        planner: bool = True,
         max_pending_per_worker: int = 64,
         max_frame_bytes: int = 1 << 20,
         start_method: str | None = None,
@@ -293,7 +291,6 @@ class NetworkServer:
             "profile_cache_entries": int(profile_cache_entries),
             "representation": representation,
             "sa_names": tuple(sa_names) if sa_names is not None else None,
-            "planner": bool(planner),
         }
         self._max_pending = int(max_pending_per_worker)
         self._max_frame_bytes = int(max_frame_bytes)

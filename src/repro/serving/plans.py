@@ -21,16 +21,11 @@ bounded LRU subclass), the same memoized adjoint profiles the
 deduplicates per axis — recompilation is skipped entirely, not merely
 made cheaper.
 
-A plan may also carry a per-shape
-:class:`~repro.planner.QueryPlanner` (the server installs one
-unless planning is disabled).  The planner is plan-scoped on purpose:
-its materialized marginal views are post-processing of one release
-snapshot, so dropping the plan — eviction, invalidation, or a stream
-refresh — drops the views with it and the next batch re-plans against
-the fresh engine.  Nothing stale can ever be served.  The planner's
-monotone counters survive that churn: :class:`PlanCache` folds a
-retiring plan's counters into a retired tally so
-:meth:`PlanCache.planner_stats` never goes backwards.
+Every plan also carries a :class:`~repro.planner.QueryPlanner` over
+its engine, and batches are answered through it, so duplicate boxes
+in a batch cost one engine pass.  The planner lives and dies with its
+plan; :class:`PlanCache` folds a retiring plan's counters into a
+retired tally so :meth:`PlanCache.planner_stats` never goes backwards.
 
 Plans are **invalidated, never refreshed in place**: when a stream
 archive grows and the server swaps the release, every plan touching
@@ -48,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.planner import QueryPlanner
 from repro.utils.validation import ensure_positive_int
 
 __all__ = ["CompiledPlan", "PlanCache"]
@@ -55,10 +51,11 @@ __all__ = ["CompiledPlan", "PlanCache"]
 
 @dataclass(frozen=True, eq=False)
 class CompiledPlan:
-    """One batch shape, compiled: engine + axis map + domain template.
+    """One batch shape, compiled: engine + axis map + planner.
 
     Built by :class:`PlanCache`; holds everything shape-dependent so a
-    batch binds with two vectorized scatters and one bounds check.
+    batch binds with two vectorized scatters and one bounds check, and
+    answers through the plan's own :class:`~repro.planner.QueryPlanner`.
 
     Parameters
     ----------
@@ -71,16 +68,16 @@ class CompiledPlan:
     axes:
         Schema axis index per named attribute, aligned with the key's
         name tuple.
-    planner:
-        Optional per-shape :class:`~repro.planner.QueryPlanner`
-        batches are answered through; ``None`` sends batches straight
-        to the engine.
     """
 
     key: tuple
     engine: object
     axes: tuple = field(default_factory=tuple)
-    planner: object | None = None
+    #: The plan's :class:`~repro.planner.QueryPlanner` over ``engine``.
+    planner: QueryPlanner = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "planner", QueryPlanner(self.engine))
 
     @property
     def schema(self):
@@ -95,23 +92,8 @@ class CompiledPlan:
         """
         return request.bind(self.engine.schema, axes=self.axes)
 
-    def answer(self, request):
-        """Answer one columnar ``request`` end to end (bind + engine).
-
-        Returns
-        -------
-        repro.queries.engine.BatchQueryAnswers
-            Arrays aligned with the request's rows.
-        """
-        lows, highs = self.bind(request)
-        return self.answer_columnar(lows, highs, request.confidence)
-
     def answer_columnar(self, lows, highs, confidence: float):
-        """Answer bound arrays through the planner when one is attached.
-
-        The planner's answers are bit-for-bit the engine's (see
-        :mod:`repro.planner`), so which path a plan takes is
-        invisible in the responses — only in the work done.
+        """Answer bound arrays through the plan's planner.
 
         Parameters
         ----------
@@ -123,10 +105,9 @@ class CompiledPlan:
         Returns
         -------
         repro.queries.engine.BatchQueryAnswers
-            Arrays aligned with the rows.
+            Arrays aligned with the rows, bit-for-bit the engine's.
         """
-        target = self.planner if self.planner is not None else self.engine
-        return target.answer_columnar(lows, highs, confidence)
+        return self.planner.answer_columnar(lows, highs, confidence)
 
 
 class PlanCache:
@@ -142,23 +123,17 @@ class PlanCache:
         that is evicted (eviction loses no answers — an evicted shape
         recompiles identically on its next batch, and the underlying
         engine profile caches are owned by the engines, not the plan).
-    planner_factory:
-        Optional callable ``engine -> QueryPlanner`` run on every plan
-        compile; the planner is attached to the plan and dropped with
-        it (so its materialized views never outlive the plan's engine).
-        ``None`` compiles plain engine-only plans.
 
     Thread-safety: lookups and inserts are lock-guarded so direct
     callers may share the cache with the batcher's drain thread.
     """
 
     #: Monotone planner counters folded when a plan retires.
-    _PLANNER_COUNTERS = ("rows_planned", "rows_deduped", "view_rows", "views_built")
+    _PLANNER_COUNTERS = ("rows_planned", "rows_deduped")
 
-    def __init__(self, resolve_engine, *, max_plans: int = 256, planner_factory=None):
+    def __init__(self, resolve_engine, *, max_plans: int = 256):
         self._resolve = resolve_engine
         self._max_plans = ensure_positive_int(max_plans, "max_plans")
-        self._planner_factory = planner_factory
         self._plans: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._retired = dict.fromkeys(self._PLANNER_COUNTERS, 0)
@@ -209,10 +184,7 @@ class PlanCache:
         release_name, names, time_range = key
         engine = self._resolve(release_name, time_range)
         axes = engine.schema.axes_of(names)
-        planner = (
-            self._planner_factory(engine) if self._planner_factory is not None else None
-        )
-        plan = CompiledPlan(key=key, engine=engine, axes=axes, planner=planner)
+        plan = CompiledPlan(key=key, engine=engine, axes=axes)
         with self._lock:
             self.misses += 1
             self._plans[key] = plan
@@ -225,10 +197,8 @@ class PlanCache:
 
     def _fold_retired(self, plan: CompiledPlan) -> None:
         """Fold a retiring plan's planner counters (call under the lock)."""
-        if plan.planner is None:
-            return
         for name in self._PLANNER_COUNTERS:
-            self._retired[name] += int(getattr(plan.planner, name, 0))
+            self._retired[name] += getattr(plan.planner, name)
 
     def planner_stats(self) -> dict:
         """Aggregate planner counters across live and retired plans.
@@ -236,22 +206,15 @@ class PlanCache:
         Returns
         -------
         dict
-            ``rows_planned`` / ``rows_deduped`` / ``view_rows`` /
-            ``views_built`` summed over every planner this cache ever
-            compiled (monotone — retiring a plan folds its tally in)
-            plus ``views`` (currently materialized cubes, live plans
-            only).
+            ``rows_planned`` / ``rows_deduped`` summed over every
+            planner this cache ever compiled (monotone — retiring a
+            plan folds its tally in).
         """
         with self._lock:
             totals = dict(self._retired)
-            views = 0
             for plan in self._plans.values():
-                if plan.planner is None:
-                    continue
                 for name in self._PLANNER_COUNTERS:
-                    totals[name] += int(getattr(plan.planner, name, 0))
-                views += plan.planner.num_views
-            totals["views"] = views
+                    totals[name] += getattr(plan.planner, name)
         return totals
 
     def invalidate(self, release_name: str) -> int:

@@ -40,7 +40,6 @@ import numpy as np
 from repro.core.release import convert_result
 from repro.errors import ServingError, StreamingError
 from repro.queries.engine import BatchQueryAnswers, QueryEngine
-from repro.planner import QueryPlanner
 from repro.serving.batching import MicroBatcher
 from repro.serving.cache import LRUProfileCache
 from repro.serving.plans import PlanCache
@@ -95,13 +94,8 @@ class ServerStats:
     #: counts 1 toward ``requests``; a columnar batch counts its rows).
     columnar_rows: int
     #: Rows the planner answered by scatter from an identical row
-    #: (0 when planning is disabled).
+    #: (monotone, survives plan eviction/invalidation).
     planner_deduped_rows: int
-    #: Rows the planner served from materialized marginal views.
-    planner_view_rows: int
-    #: Marginal cubes the planner materialized (monotone, survives
-    #: plan eviction/invalidation).
-    planner_views_built: int
     #: Median request latency (submit → answered) over the window.
     p50_latency_seconds: float
     #: 99th-percentile request latency over the window.
@@ -149,13 +143,9 @@ class ReleaseServer:
     max_plans:
         LRU bound of the columnar :class:`~repro.serving.plans.PlanCache`
         (compiled ``(release, attribute set, time_range)`` shapes).
-    planner:
-        When True (the default), every compiled plan carries a
-        :class:`~repro.planner.QueryPlanner` and columnar
-        batches are answered through it — deduplicated, cover-pruned,
-        and (for hot marginal shapes) served from materialized views,
-        all bit-for-bit identical to the unplanned path.  ``False``
-        sends batches straight to the engine.
+        Every compiled plan answers its columnar batches through a
+        :class:`~repro.planner.QueryPlanner`, so duplicate boxes in a
+        batch cost one engine pass.
     """
 
     def __init__(
@@ -171,7 +161,6 @@ class ReleaseServer:
         watch_streams: bool = True,
         window_engine_cache: int = 64,
         max_plans: int = 256,
-        planner: bool = True,
     ):
         self._registry = registry if registry is not None else ReleaseRegistry()
         self._representation = representation
@@ -187,11 +176,7 @@ class ReleaseServer:
         self._errors = 0
         self._columnar_rows = 0
         self._closed = False
-        self._plan_cache = PlanCache(
-            self.engine,
-            max_plans=max_plans,
-            planner_factory=QueryPlanner if planner else None,
-        )
+        self._plan_cache = PlanCache(self.engine, max_plans=max_plans)
         self._batcher = MicroBatcher(
             self._handle_batch,
             max_batch=max_batch,
@@ -509,7 +494,6 @@ class ReleaseServer:
             getattr(engine.profile_cache, "evictions", 0) for engine in engines
         )
         p50, p99 = self._latency.percentiles()
-        planner_stats = self._plan_cache.planner_stats()
         return ServerStats(
             releases=self.names,
             engines_built=len(engines),
@@ -527,9 +511,7 @@ class ReleaseServer:
             plan_cache_hit_rate=self._plan_cache.hit_rate,
             plan_cache_evictions=self._plan_cache.evictions,
             columnar_rows=self._columnar_rows,
-            planner_deduped_rows=planner_stats["rows_deduped"],
-            planner_view_rows=planner_stats["view_rows"],
-            planner_views_built=planner_stats["views_built"],
+            planner_deduped_rows=self._plan_cache.planner_stats()["rows_deduped"],
             p50_latency_seconds=p50,
             p99_latency_seconds=p99,
             linger_seconds=self._batcher.linger_seconds,

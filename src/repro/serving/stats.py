@@ -40,8 +40,6 @@ _SUMMED_FIELDS = (
     "plan_cache_misses",
     "plan_cache_evictions",
     "planner_deduped_rows",
-    "planner_view_rows",
-    "planner_views_built",
 )
 
 

@@ -317,23 +317,3 @@ class TestSaOverride:
         _, _, parts = sharded_streams
         with pytest.raises(ServingError, match="own SA configuration"):
             QueryEngine(parts[0], sa_names=("Gender",))
-
-
-class TestPartCover:
-    def test_cover_prunes_untouched_shards(self, sharded_result, schema):
-        release = sharded_result.release
-        lows = np.zeros((1, schema.dimensions), dtype=np.int64)
-        highs = np.asarray([list(schema.shape)], dtype=np.int64)
-        assert release.part_cover(lows, highs) == tuple(range(release.num_shards))
-        highs = highs.copy()
-        highs[0, 0] = release.bounds[1]
-        assert release.part_cover(lows, highs) == (0,)
-
-    def test_stream_cover_is_dyadic(self, sharded_streams, schema):
-        _, bounds, parts = sharded_streams
-        stream = parts[0].release
-        sub_shape = stream.schema.shape
-        lows = np.zeros((1, len(sub_shape)), dtype=np.int64)
-        highs = np.asarray([list(sub_shape)], dtype=np.int64)
-        cover = stream.part_cover(lows, highs)
-        assert len(cover) == len(stream.cover)

@@ -151,10 +151,17 @@ class TestInvalidation:
             assert srv.plan_cache.hits == 1
 
     def test_counters_survive_clear(self, server):
-        server.query_columnar(_request(("Age",)))
+        server.query_columnar(
+            QueryBatchRequest("census", {"Age": {"lo": [0, 0], "hi": [2, 2]}})
+        )
         server.plan_cache.clear()
         assert len(server.plan_cache) == 0
         assert server.plan_cache.misses == 1
+        # The retired plan's planner counters fold into the totals.
+        assert server.plan_cache.planner_stats() == {
+            "rows_planned": 2, "rows_deduped": 1
+        }
+        assert server.stats().planner_deduped_rows == 1
 
     def test_rejects_nonpositive_bound(self, server):
         with pytest.raises(Exception):

@@ -800,8 +800,8 @@ class TestStreamingCommandGuards:
 
 
 class TestColumnarCli:
-    """The columnar fast path over the CLI: query --columnar and
-    op=query_batch on the JSONL serving loop."""
+    """The columnar fast path over the CLI: op=query_batch on the JSONL
+    serving loop."""
 
     @pytest.fixture
     def archive(self, tmp_path, capsys):
@@ -836,22 +836,6 @@ class TestColumnarCli:
             if line.strip()
         ]
         return code, responses, captured.err
-
-    def test_query_columnar_prints_identical_answers(self, archive, capsys):
-        assert main(["query", str(archive), "--queries", "6", "--seed", "4"]) == 0
-        scalar_out = capsys.readouterr().out
-        assert (
-            main(
-                ["query", str(archive), "--queries", "6", "--seed", "4",
-                 "--columnar"]
-            )
-            == 0
-        )
-        columnar_out = capsys.readouterr().out
-        assert "columnar path" in columnar_out
-        # Everything but the header line — every estimate, std, and
-        # interval digit — is identical between the two paths.
-        assert scalar_out.splitlines()[1:] == columnar_out.splitlines()[1:]
 
     def test_serve_query_batch_round_trip(self, archive, monkeypatch, capsys):
         batch = {

@@ -1,225 +1,179 @@
-"""Tests for the cost-based batch planner: parity, pruning, views."""
+"""The planner's contract: planned answers ≡ the engine's, bit for bit.
+
+One grid crosses every release shape the planner fronts with every
+batch shape that stresses deduplication; each cell compares the planned
+batch with :meth:`~repro.queries.engine.QueryEngine.answer_columnar`
+on the same rows, in request order.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.core.publish import publish
-from repro.data.census import BRAZIL, census_schema, generate_census_table
+from repro.data.census import BRAZIL, generate_census_table
+from repro.errors import QueryError
 from repro.io import load_result, save_result
-from repro.queries.engine import QueryEngine
 from repro.planner import QueryPlanner
+from repro.queries.engine import QueryEngine
 from repro.serving.requests import QueryBatchRequest
 from repro.serving.server import ReleaseServer
-from repro.streaming import StreamingPublisher
 
 SPEC = BRAZIL.scaled(0.05)
+ROWS = 240
 
 
 @pytest.fixture(scope="module")
-def schema():
-    return census_schema(SPEC)
+def table():
+    return generate_census_table(SPEC, 1_500, seed=3)
 
 
 @pytest.fixture(scope="module")
-def sharded_result(schema):
-    table = generate_census_table(SPEC, 2_000, seed=3)
+def sharded(table):
     return publish(
-        table,
-        1.0,
-        mechanism=PriveletPlusMechanism(sa_names="auto"),
-        shard_by="Age",
-        shards=4,
-        seed=7,
-        representation="coefficients",
-        parallel=False,
+        table, 1.0, shard_by="Age", shards=4, seed=7,
+        representation="coefficients", parallel=False,
     )
 
 
-@pytest.fixture
-def engine(sharded_result):
-    return QueryEngine(sharded_result)
+@pytest.fixture(scope="module")
+def releases(table, sharded, tmp_path_factory):
+    """``name -> zero-argument result factory`` for every release shape."""
+    path = tmp_path_factory.mktemp("planner") / "sharded.npz"
+    save_result(path, sharded)
+    stream = publish(table, 1.0, stream=np.arange(table.num_rows) % 6, seed=11)
+    nested = publish(
+        table, 1.0, shard_by="Age", shards=2,
+        stream=np.arange(table.num_rows) % 4, seed=13, parallel=False,
+    )
+    dense = publish(table, 1.0, seed=4, representation="dense")
+    coefficients = publish(table, 1.0, seed=5, representation="coefficients")
+    window = dataclasses.replace(stream, release=stream.release.window(1, 5))
+    return {
+        "dense leaf": lambda: dense,
+        "coefficient leaf": lambda: coefficients,
+        # A fresh lazy load per cell, so no cell sees another's payloads.
+        "lazy partition": lambda: load_result(path),
+        "time-tree window": lambda: window,
+        "partition of time trees": lambda: nested,
+    }
 
 
-def skewed_boxes(schema, count, seed, duplicate_every=3):
-    """A duplicate-heavy batch mixing range boxes and marginal cells."""
-    rng = np.random.default_rng(seed)
-    shape = np.asarray(schema.shape, dtype=np.int64)
+def _random_boxes(shape, count, rng):
     lows = np.empty((count, len(shape)), dtype=np.int64)
     highs = np.empty_like(lows)
     for axis, size in enumerate(shape):
         lo = rng.integers(0, size, count)
-        width = rng.integers(1, size + 1, count)
         lows[:, axis] = lo
-        highs[:, axis] = np.minimum(lo + width, size)
-    lows[::duplicate_every] = lows[0]
-    highs[::duplicate_every] = highs[0]
-    # Marginal cells on axis 0: point on Age, full domain elsewhere.
-    cells = rng.integers(0, shape[0], count // 4)
-    marg_lows = np.zeros((len(cells), len(shape)), dtype=np.int64)
-    marg_highs = np.tile(shape, (len(cells), 1))
-    marg_lows[:, 0] = cells
-    marg_highs[:, 0] = cells + 1
-    return np.vstack([lows, marg_lows]), np.vstack([highs, marg_highs])
+        highs[:, axis] = np.minimum(lo + rng.integers(1, size + 1, count), size)
+    return lows, highs
 
 
-class TestPlannedParity:
-    def test_planned_answers_bitwise_equal(self, engine, schema):
-        planner = QueryPlanner(engine)
-        lows, highs = skewed_boxes(schema, 200, seed=5)
-        base = engine.answer_columnar(lows, highs)
-        planned = planner.answer_columnar(lows, highs)
-        np.testing.assert_array_equal(planned.estimates, base.estimates)
-        np.testing.assert_array_equal(planned.noise_stds, base.noise_stds)
-        np.testing.assert_array_equal(planned.lowers, base.lowers)
-        np.testing.assert_array_equal(planned.uppers, base.uppers)
-        assert planner.rows_deduped > 0
-
-    def test_view_served_answers_bitwise_equal(self, engine, schema):
-        planner = QueryPlanner(engine, view_cell_budget=schema.shape[0])
-        lows, highs = skewed_boxes(schema, 300, seed=6)
-        base = engine.answer_columnar(lows, highs)
-        first = planner.answer_columnar(lows, highs)
-        second = planner.answer_columnar(lows, highs)
-        for planned in (first, second):
-            np.testing.assert_array_equal(planned.estimates, base.estimates)
-            np.testing.assert_array_equal(planned.noise_stds, base.noise_stds)
-        assert planner.views_built >= 1
-        assert planner.view_rows > 0
-        assert planner.view_signatures == ((0,),)
-
-    def test_response_order_is_request_order(self, engine, schema):
-        rng = np.random.default_rng(8)
-        lows, highs = skewed_boxes(schema, 120, seed=8)
-        order = rng.permutation(len(lows))
-        planner = QueryPlanner(engine)
-        planned = planner.answer_columnar(lows[order], highs[order])
-        base = engine.answer_columnar(lows, highs)
-        np.testing.assert_array_equal(planned.estimates, base.estimates[order])
-        np.testing.assert_array_equal(planned.noise_stds, base.noise_stds[order])
-
-    def test_bad_confidence_rejected_before_bounds(self, engine):
-        from repro.errors import QueryError
-
-        planner = QueryPlanner(engine)
-        with pytest.raises(QueryError, match="confidence"):
-            planner.answer_columnar(
-                np.zeros((1, 2), dtype=np.int64),  # wrong width too
-                np.ones((1, 2), dtype=np.int64),
-                confidence=1.5,
-            )
+def _all_distinct(shape, rng):
+    lows, highs = _random_boxes(shape, ROWS, rng)
+    _, first = np.unique(np.hstack([lows, highs]), axis=0, return_index=True)
+    return lows[np.sort(first)], highs[np.sort(first)]
 
 
-class TestPlanIntrospection:
-    def test_dedup_counts(self, engine, schema):
-        planner = QueryPlanner(engine)
-        lows = np.zeros((6, schema.dimensions), dtype=np.int64)
-        highs = np.tile(np.asarray(schema.shape, dtype=np.int64), (6, 1))
-        highs[3:, 0] = 1  # two distinct boxes, three copies each
-        plan = planner.plan(lows, highs)
-        assert plan.num_rows == 6
-        assert plan.num_unique == 2
-        assert plan.duplicate_rows == 4
-        assert plan.naive_cost > plan.cost > 0
+def _zipf(shape, rng):
+    lows, highs = _random_boxes(shape, 16, rng)
+    weights = 1.0 / np.arange(1, 17) ** 1.2
+    picks = rng.choice(16, size=ROWS, p=weights / weights.sum())
+    return lows[picks], highs[picks]
 
-    def test_minimal_cover_prunes_lazy_shards(self, sharded_result, tmp_path):
-        path = tmp_path / "sharded.npz"
-        save_result(path, sharded_result)
-        loaded = load_result(path)
-        release = loaded.release
-        engine = QueryEngine(loaded)
-        planner = QueryPlanner(engine)
-        lows = np.zeros((2, release.schema.dimensions), dtype=np.int64)
-        highs = np.tile(
-            np.asarray(release.schema.shape, dtype=np.int64), (2, 1)
+
+def _marginal_sweep(shape, rng):
+    """Point on one axis, full domain elsewhere: every cell, three times."""
+    cells = np.tile(np.arange(shape[0], dtype=np.int64), 3)
+    lows = np.zeros((len(cells), len(shape)), dtype=np.int64)
+    highs = np.tile(np.asarray(shape, dtype=np.int64), (len(cells), 1))
+    lows[:, 0], highs[:, 0] = cells, cells + 1
+    order = rng.permutation(len(cells))
+    return lows[order], highs[order]
+
+
+def _degenerate(shape, rng):
+    lows, highs = _random_boxes(shape, ROWS, rng)
+    axes = rng.integers(0, len(shape), ROWS)
+    rows = np.arange(0, ROWS, 2)
+    highs[rows, axes[rows]] = lows[rows, axes[rows]]
+    return lows, highs
+
+
+def _single(shape, rng):
+    return _random_boxes(shape, 1, rng)
+
+
+BATCHES = {
+    "all distinct": _all_distinct,
+    "zipf duplicates": _zipf,
+    "marginal sweep": _marginal_sweep,
+    "degenerate": _degenerate,
+    "single row": _single,
+}
+
+
+def _assert_same_answers(planned, base):
+    for field in ("estimates", "noise_stds", "lowers", "uppers"):
+        np.testing.assert_array_equal(getattr(planned, field), getattr(base, field))
+    assert planned.confidence == base.confidence
+
+
+@pytest.mark.parametrize("batch", list(BATCHES))
+@pytest.mark.parametrize("release", [
+    "dense leaf",
+    "coefficient leaf",
+    "lazy partition",
+    "time-tree window",
+    "partition of time trees",
+])
+def test_planned_equals_engine(releases, release, batch):
+    result = releases[release]()
+    shape = result.release.schema.shape
+    rng = np.random.default_rng(list(BATCHES).index(batch))
+    lows, highs = BATCHES[batch](shape, rng)
+    engine = QueryEngine(result)
+    planner = QueryPlanner(engine)
+    planned = planner.answer_columnar(lows, highs, 0.9)
+    base = engine.answer_columnar(lows, highs, 0.9)
+    _assert_same_answers(planned, base)
+    unique = len(np.unique(np.hstack([lows, highs]), axis=0))
+    assert planner.rows_planned == len(lows)
+    assert planner.rows_deduped == len(lows) - unique
+
+
+def test_lazy_parts_load_only_when_routed(releases):
+    result = releases["lazy partition"]()
+    release = result.release
+    planner = QueryPlanner(QueryEngine(result))
+    lows = np.zeros((3, release.schema.dimensions), dtype=np.int64)
+    highs = np.tile(np.asarray(release.schema.shape, dtype=np.int64), (3, 1))
+    highs[:, 0] = release.bounds[1]  # every row inside shard 0
+    planner.answer_columnar(lows, highs)
+    assert release.shards_loaded == 1
+
+
+def test_server_equals_engine(sharded):
+    ages = [0, 0, 3, 5, 5, 5, 9]
+    request = QueryBatchRequest(
+        "census", {"Age": {"lo": ages, "hi": [age + 4 for age in ages]}}
+    )
+    with ReleaseServer() as server:
+        server.register("census", sharded)
+        served = server.query_columnar(request)
+        lows, highs = request.bind(sharded.release.schema)
+        base = server.engine("census").answer_columnar(lows, highs)
+        assert server.stats().planner_deduped_rows == 3
+    np.testing.assert_array_equal(served.estimates, base.estimates)
+    np.testing.assert_array_equal(served.noise_stds, base.noise_stds)
+
+
+def test_bad_confidence_rejected_before_bounds(sharded):
+    planner = QueryPlanner(QueryEngine(sharded))
+    with pytest.raises(QueryError, match="confidence"):
+        planner.answer_columnar(
+            np.zeros((1, 2), dtype=np.int64),  # wrong width too
+            np.ones((1, 2), dtype=np.int64),
+            confidence=1.5,
         )
-        highs[:, 0] = release.bounds[1]  # both rows inside shard 0
-        plan = planner.plan(lows, highs)
-        assert plan.cover == (0,)
-        assert release.shards_loaded == 0  # planning touches no payload
-        planner.answer_columnar(lows, highs)
-        assert release.shards_loaded == 1  # answering loads only the cover
-
-    def test_monolithic_backend_has_no_cover(self, schema):
-        result = PriveletPlusMechanism(sa_names="auto").publish(
-            generate_census_table(SPEC, 500, seed=4), 1.0, seed=5
-        )
-        planner = QueryPlanner(QueryEngine(result))
-        lows = np.zeros((1, schema.dimensions), dtype=np.int64)
-        highs = np.asarray([list(schema.shape)], dtype=np.int64)
-        assert planner.plan(lows, highs).cover is None
-
-
-class TestViews:
-    def test_budget_blocks_materialization(self, engine, schema):
-        planner = QueryPlanner(engine, view_cell_budget=1)
-        lows, highs = skewed_boxes(schema, 300, seed=9)
-        planner.answer_columnar(lows, highs)
-        planner.answer_columnar(lows, highs)
-        assert planner.views_built == 0
-
-    def test_invalidate_drops_views_keeps_counters(self, engine, schema):
-        planner = QueryPlanner(engine, view_cell_budget=schema.shape[0])
-        lows, highs = skewed_boxes(schema, 300, seed=10)
-        planner.answer_columnar(lows, highs)
-        planner.answer_columnar(lows, highs)
-        built = planner.views_built
-        views_before = planner.num_views
-        assert built >= 1
-        assert planner.invalidate() == views_before
-        assert planner.num_views == 0
-        assert planner.views_built == built  # monotone
-
-    def test_server_refresh_invalidates_views(self, tmp_path):
-        path = tmp_path / "events.npz"
-        publisher = StreamingPublisher(
-            census_schema(SPEC),
-            PriveletPlusMechanism(sa_names="auto"),
-            1.0,
-            seed=20100301,
-            archive_path=path,
-        )
-        for epoch in range(2):
-            publisher.ingest(generate_census_table(SPEC, 200, seed=100 + epoch))
-            publisher.advance_epoch()
-        age_size = publisher.schema[0].size
-        request = QueryBatchRequest(
-            "events",
-            {
-                "Age": {
-                    "lo": list(range(age_size)) * 3,
-                    "hi": [cell + 1 for cell in range(age_size)] * 3,
-                }
-            },
-        )
-        with ReleaseServer(watch_streams=False) as server:
-            server.register_archive(path)
-            first = server.query_columnar(request)
-            stats = server.stats()
-            assert stats.planner_views_built >= 1
-            assert stats.planner_deduped_rows > 0
-            publisher.ingest(generate_census_table(SPEC, 200, seed=300))
-            publisher.advance_epoch()
-            assert server.refresh("events") is True
-            assert len(server.plan_cache) == 0  # plan (and views) dropped
-            second = server.query_columnar(request)
-            # The new epoch changed the marginal; stale views would have
-            # returned the old estimates.
-            assert not np.array_equal(second.estimates, first.estimates)
-            after = server.stats()
-            assert after.planner_views_built >= stats.planner_views_built
-            assert after.planner_deduped_rows >= stats.planner_deduped_rows
-
-    def test_planner_disabled_server_matches(self, sharded_result):
-        request = QueryBatchRequest(
-            "census", {"Age": {"lo": [0, 0, 0], "hi": [5, 5, 5]}}
-        )
-        with ReleaseServer(planner=False) as plain, ReleaseServer() as planned:
-            plain.register("census", sharded_result)
-            planned.register("census", sharded_result)
-            base = plain.query_columnar(request)
-            fast = planned.query_columnar(request)
-            np.testing.assert_array_equal(base.estimates, fast.estimates)
-            np.testing.assert_array_equal(base.noise_stds, fast.noise_stds)
-            assert plain.stats().planner_deduped_rows == 0
-            assert planned.stats().planner_deduped_rows == 2
