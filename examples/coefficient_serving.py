@@ -1,11 +1,11 @@
-"""Serve a m = 2**20 ordinal domain without ever allocating M*.
+"""Publish and serve a m = 2**20 ordinal domain from its noisy coefficients.
 
-Privelet adds noise *in coefficient space*; Equation 3 says any range
-answer needs only the O(log m) coefficients on the range's boundary
-paths.  ``publish`` therefore keeps a count vector's release in
-coefficient form (a ``CoefficientRelease``): no inverse transform at
-publish time, no dense prefix oracle at serving time — the noisy
-coefficient vector is the entire serving state.
+Privelet adds noise *in coefficient space*.  ``publish`` therefore keeps
+a count vector's release in coefficient form (a ``CoefficientRelease``):
+no inverse transform at publish time, and the noisy coefficient vector
+is what an archive stores.  On its first answer the release inverts the
+coefficients once, straight into its prefix-sum serving tensor; after
+that every range answer is two prefix reads, whatever its width.
 
 Run: PYTHONPATH=src python examples/coefficient_serving.py
 """
@@ -32,7 +32,7 @@ release = result.release
 print(f"published m = 2^20 = {M:,} cells with epsilon = {result.epsilon}")
 print(f"  representation : {result.representation}")
 print(f"  publish time   : {publish_seconds * 1e3:.1f} ms (no inverse transform)")
-print(f"  serving state  : {release.nbytes() / 1e6:.1f} MB of coefficients")
+print(f"  stored state   : {release.nbytes() / 1e6:.1f} MB of coefficients")
 print(f"  lambda         : {result.noise_magnitude:.1f}")
 
 # The engine serves point answers, exact noise stds, and confidence
@@ -47,17 +47,20 @@ print(
     f"({serve_seconds / len(queries) * 1e6:.1f} us/query)"
 )
 print(f"  mean noise std : {float(batch.noise_stds.mean()):.1f}")
+print(
+    f"  serving state  : {release.nbytes() / 1e6:.1f} MB "
+    "(coefficients + prefix-sum tensor)"
+)
 
-# Every answer gathers O(log m) coefficients, so one wide range costs
-# the same as one narrow range.
+# Every answer reads two prefix entries, so one wide range costs the
+# same as one narrow range.
 wide = release.answer_box([(0, M)])
 narrow = release.answer_box([(M // 2, M // 2 + 16)])
 print(f"  total estimate : {wide:.1f} (true total {counts.sum():.0f})")
 print(f"  narrow range   : {narrow:.1f}")
 
-# Cross-check a few answers against the dense reconstruction (this is
-# the one step that *does* allocate M* — only to prove we did not need
-# it).
+# Cross-check against the dense reconstruction (``result.matrix``
+# allocates M* with the same inverse the serving tensor was built by).
 dense = result.matrix.values
 lo, hi = 12_345, 700_001
 assert abs(release.answer_box([(lo, hi)]) - dense[lo:hi].sum()) < 1e-6

@@ -18,7 +18,8 @@ and Privelet+ share one code path:
 Step 3's inversion is now optional end to end: ``materialize=False``
 asks the mechanism to keep the release in coefficient space (a
 :class:`~repro.core.release.CoefficientRelease`), skipping the inverse
-transform at publish time and the dense prefix oracle at serving time.
+transform at publish time; the release builds its serving tensor from
+the coefficients on first use.
 ``result.matrix`` still works on either representation — it materializes
 ``M*`` on demand.
 """

@@ -1,42 +1,42 @@
 """Release representations: how a published result stores and serves data.
 
-The paper's mechanisms add Laplace noise *in coefficient space*, and
-Equation 3 shows any range-count answer needs only ``O(log m)``
-coefficients per axis — yet the original pipeline always inverted the
-transform into a dense ``M*`` and served queries from an ``O(m)``
-prefix-sum oracle.  This module makes the representation pluggable:
+Every release serves from one layout: the zero-bordered prefix-sum
+tensor of its data-space matrix, ``prod_i (n_i + 1)`` floats built on
+the first answer (:func:`prefix_tensor`), after which any box is ``2^d``
+corner reads (:func:`repro.queries.oracle.box_sums`).  The two leaf
+representations differ only in what they store:
 
-* :class:`DenseRelease` — the materialized ``M*`` plus a lazily built
-  prefix-sum oracle; today's semantics, best when the domain is small or
-  the query volume is huge.
+* :class:`DenseRelease` — the materialized ``M*``; its serving tensor is
+  that matrix prefix-summed.
 * :class:`CoefficientRelease` — the noisy HN coefficients plus the SA
-  configuration, answering any box query by per-axis *sparse adjoint*
-  gathers in ``O(prod_i log m_i)`` with no dense reconstruction ever.
-  Publishing becomes O(coefficient count) with no inverse transform, and
-  serving needs no ``O(m)`` oracle build — which is what makes 1-D
-  domains of ``m = 2**24`` (or multi-dimensional domains whose volume
-  makes a prefix array infeasible) practical.
+  configuration, exactly what the mechanism drew noise onto.  Publishing
+  is ``O(coefficient count)`` with no inverse transform, and archives and
+  shared memory carry the coefficients; each process builds its own
+  serving tensor from them.
 
 Both implement the **answer-backend protocol** the query engine serves
 through: ``schema``, :meth:`Release.answer_boxes`,
 :meth:`Release.marginal`, and :meth:`Release.to_matrix`.  A third
 family, the composition algebra of :mod:`repro.core.compose`, lives in
 its own module: partitions and time trees of independently published
-releases, composed behind the same protocol.
+releases, composed behind the same protocol; their parts serve through
+their own leaves' tensors.
 
-How a coefficient release answers (Equation 3, batched)
--------------------------------------------------------
-A range answer is ``r . R c`` with ``R`` the reconstruction map, so it
-equals ``g . c`` for the range adjoint ``g = R^T r`` — and under the HN
-transform ``g`` is an outer product of per-axis adjoints.  Each axis
-exposes its adjoint *sparsely* (:meth:`~repro.transforms.base.
-OneDimensionalTransform.sparse_adjoint_ranges`): ``O(log m)`` boundary
-nodes for Haar, one tree pass for nominal.  Identity (``SA``) axes get a
-better trick: the serving tensor is prefix-summed along them once, which
-collapses an identity range's support from its width to the two entries
-``P[hi] - P[lo]``.  A query then gathers the coefficient tensor at the
-cross product of its per-axis supports and contracts with the outer
-product of support values — ``prod_i k_i`` multiply-adds per query.
+How a coefficient release builds its serving tensor
+---------------------------------------------------
+The refined reconstruction ``R c`` (nominal axes with mean subtraction)
+is written into the interior of the preallocated tensor by
+:meth:`~repro.transforms.multidim.HNTransform.inverse_into`: identity
+(``SA``) axes are copies, and the last wavelet axis inverts straight
+into the tensor, so a release with one wavelet axis (census under
+Privelet+, or any 1-D domain) allocates nothing else the size of the
+output.  The interior is then prefix-summed in place along every axis.
+Serving memory is the coefficients plus the tensor.  The build uses
+elementwise numpy only (no BLAS contraction, no reduction whose order
+could follow memory layout), so a fleet worker building from
+shared-memory coefficients gets the in-process bits, and
+:meth:`CoefficientRelease.to_matrix` reconstructs with the same code, so
+a :class:`DenseRelease` over it answers identically.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 from repro.data.frequency import FrequencyMatrix
 from repro.data.schema import Schema
 from repro.errors import QueryError, TransformError
-from repro.transforms.base import IdentityTransform
 from repro.transforms.multidim import HNTransform
 from repro.utils.validation import ensure_boxes
 
@@ -58,6 +57,7 @@ __all__ = [
     "CoefficientRelease",
     "REPRESENTATIONS",
     "marginal_boxes",
+    "prefix_tensor",
     "infer_sa_names",
     "convert_result",
 ]
@@ -65,9 +65,23 @@ __all__ = [
 #: The representations mechanisms, archives, and CLIs can name.
 REPRESENTATIONS = ("dense", "coefficients")
 
-#: Cap on (queries per chunk) x (gathered entries per query) so batch
-#: answering never allocates more than a few MB of scratch indices.
-_CHUNK_BUDGET = 1 << 21
+
+def prefix_tensor(shape, fill) -> np.ndarray:
+    """The zero-bordered prefix-sum tensor of the values ``fill`` writes.
+
+    Allocates the ``prod_i (shape[i] + 1)`` output once and calls
+    ``fill(interior)`` to write the values into its interior (a strided
+    view), then prefix-sums the interior in place along every axis, so
+    ``P[i_1, ..., i_d]`` is the sum of ``values[:i_1, ..., :i_d]``.  The
+    in-place ``cumsum`` chain allocates nothing and equals
+    cumsum-then-pad bit for bit.
+    """
+    prefix = np.zeros(tuple(size + 1 for size in shape), dtype=np.float64)
+    interior = prefix[(slice(1, None),) * len(shape)]
+    fill(interior)
+    for axis in range(len(shape)):
+        np.cumsum(interior, axis=axis, out=interior)
+    return prefix
 
 
 def marginal_boxes(schema, attribute_names):
@@ -144,8 +158,8 @@ class Release:
             :meth:`answer_boxes`).
         """
         box = tuple(box)
-        lows = np.asarray([[lo for lo, _ in box]], dtype=np.int64)
-        highs = np.asarray([[hi for _, hi in box]], dtype=np.int64)
+        lows = np.asarray([[lo for lo, _ in box]])
+        highs = np.asarray([[hi for _, hi in box]])
         return float(self.answer_boxes(lows, highs)[0])
 
     def marginal(self, attribute_names) -> np.ndarray:
@@ -180,9 +194,34 @@ class Release:
     def _check_boxes(self, lows, highs) -> tuple[np.ndarray, np.ndarray]:
         return ensure_boxes(lows, highs, self.schema.shape)
 
+    #: The zero-bordered prefix-sum serving tensor, built on first answer.
+    _prefix = None
+
+    def _fill_prefix(self, interior: np.ndarray) -> None:
+        """Write the data-space matrix into the serving tensor's interior."""
+        raise NotImplementedError
+
+    def _prefix_nbytes(self) -> int:
+        return 0 if self._prefix is None else self._prefix.nbytes
+
+    def _serve_boxes(self, lows, highs) -> np.ndarray:
+        """Validated box answers from the serving tensor (built on first use)."""
+        # Imported here: repro.queries imports repro.core at package
+        # import time, so the reverse import must happen at call time.
+        from repro.queries.oracle import box_sums
+
+        lows, highs = self._check_boxes(lows, highs)
+        if self._prefix is None:
+            self._prefix = prefix_tensor(self.schema.shape, self._fill_prefix)
+        answers = box_sums(self._prefix, lows, highs)
+        # An empty box has exactly zero cells; force the float-exact 0.0
+        # the inclusion-exclusion sum is not guaranteed to produce.
+        answers[np.any(lows == highs, axis=1)] = 0.0
+        return answers
+
 
 class DenseRelease(Release):
-    """Today's representation: ``M*`` plus a lazily built prefix oracle.
+    """The materialized ``M*``, served from its prefix-sum tensor.
 
     Parameters
     ----------
@@ -196,34 +235,17 @@ class DenseRelease(Release):
         if not isinstance(matrix, FrequencyMatrix):
             raise QueryError("DenseRelease requires a FrequencyMatrix")
         self._matrix = matrix
-        self._oracle = None
 
     @property
     def schema(self) -> Schema:
         return self._matrix.schema
 
-    def oracle(self):
-        """The prefix-sum oracle, built on first use (an ``O(m)`` step)."""
-        if self._oracle is None:
-            # Imported here: repro.queries imports repro.core at package
-            # import time, so the reverse import must happen at call time.
-            from repro.queries.oracle import RangeSumOracle
-
-            self._oracle = RangeSumOracle(self._matrix)
-        return self._oracle
-
     def answer_boxes(self, lows, highs) -> np.ndarray:
-        # The oracle performs the same shape/bounds validation as
-        # _check_boxes, so the batch is checked exactly once.
-        answers = self.oracle().answer_boxes(lows, highs)
-        # An empty box has exactly zero cells; force the float-exact 0.0
-        # the inclusion-exclusion sum is not guaranteed to produce.
-        lows = np.asarray(lows, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
-        empty = np.any(lows == highs, axis=1)
-        if empty.any():
-            answers[empty] = 0.0
-        return answers
+        # Documented on Release: 2^d corner reads of the prefix tensor.
+        return self._serve_boxes(lows, highs)
+
+    def _fill_prefix(self, interior: np.ndarray) -> None:
+        np.copyto(interior, self._matrix.values)
 
     def marginal(self, attribute_names) -> np.ndarray:
         return self._matrix.marginal(attribute_names)
@@ -232,17 +254,14 @@ class DenseRelease(Release):
         return self._matrix
 
     def nbytes(self) -> int:
-        total = self._matrix.values.nbytes
-        if self._oracle is not None:
-            total += self._oracle.nbytes
-        return total
+        return self._matrix.values.nbytes + self._prefix_nbytes()
 
     def __repr__(self) -> str:
         return f"DenseRelease(shape={self._matrix.shape})"
 
 
 class CoefficientRelease(Release):
-    """Noisy HN coefficients + SA configuration; never builds ``M*``.
+    """Noisy HN coefficients + SA configuration, served from a prefix tensor.
 
     Parameters
     ----------
@@ -254,8 +273,8 @@ class CoefficientRelease(Release):
     coefficients:
         The *raw* noisy coefficient tensor, shaped like the HN
         transform's output.  Refinement (nominal mean subtraction) is
-        applied implicitly through the adjoints at answer time, so the
-        stored tensor is exactly what the mechanism drew noise onto.
+        applied when the serving tensor is built, so the stored tensor is
+        exactly what the mechanism drew noise onto.
     """
 
     representation = "coefficients"
@@ -273,7 +292,6 @@ class CoefficientRelease(Release):
                 f"got {coefficients.shape}"
             )
         self._coefficients = coefficients
-        self._served = None  # prefix-summed along identity axes, lazily
 
     # ------------------------------------------------------------------
     @classmethod
@@ -283,7 +301,7 @@ class CoefficientRelease(Release):
         Sound because ``inverse(forward(x)) = x`` and the refinement is a
         no-op on exact forward coefficients (sibling groups of true
         nominal coefficients sum to zero), so the converted release
-        answers every query identically to the dense one.
+        answers every query like the dense one, up to float rounding.
         """
         transform = HNTransform(matrix.schema, tuple(sa_names))
         return cls(matrix.schema, sa_names, transform.forward(matrix.values))
@@ -309,49 +327,11 @@ class CoefficientRelease(Release):
         return self._coefficients
 
     # ------------------------------------------------------------------
-    def _serving_tensor(self) -> np.ndarray:
-        """Coefficients prefix-summed along identity (SA) axes.
-
-        The prefix pass turns an identity-axis range's adjoint support
-        from its width into two entries, keeping the per-query gather at
-        ``prod_i k_i`` with every ``k_i`` logarithmic or hierarchy-sized.
-        When there are no SA axes this is the coefficient tensor itself
-        (no copy).
-        """
-        if self._served is None:
-            served = self._coefficients
-            for axis, transform in enumerate(self._transform.transforms):
-                if isinstance(transform, IdentityTransform):
-                    served = np.cumsum(served, axis=axis)
-                    pad = [(0, 0)] * served.ndim
-                    pad[axis] = (1, 0)
-                    served = np.pad(served, pad)
-            self._served = served
-        return self._served
-
-    def _axis_supports(self, axis: int, lows, highs):
-        """Sparse adjoint ``(indices, values)`` of one axis's ranges.
-
-        Identity axes index the prefix-summed serving tensor, so their
-        support is ``P[hi] - P[lo]``; wavelet axes use their transform's
-        own sparse adjoint.
-        """
-        transform = self._transform.transforms[axis]
-        if isinstance(transform, IdentityTransform):
-            indices = np.stack([highs, lows], axis=1)
-            values = np.broadcast_to(
-                np.asarray([1.0, -1.0]), indices.shape
-            )
-            return indices, values
-        return transform.sparse_adjoint_ranges(lows, highs)
-
     def answer_boxes(self, lows, highs) -> np.ndarray:
-        """Batch box answers by cross-product coefficient gathers.
+        """Batch box answers: ``2^d`` corner reads per row.
 
-        Per query the work is ``prod_i k_i`` gathered entries (``k_i``
-        the axis-``i`` support width, ``O(log m_i)`` for Haar axes);
-        the batch is chunked so scratch index arrays stay a few MB
-        regardless of batch size.
+        The first call builds the serving tensor from the coefficients
+        (see the module docstring); every call after that reads it.
 
         Parameters
         ----------
@@ -363,71 +343,25 @@ class CoefficientRelease(Release):
         numpy.ndarray
             ``(n,)`` private counts aligned with the rows.
         """
-        lows, highs = self._check_boxes(lows, highs)
-        count = lows.shape[0]
-        answers = np.empty(count, dtype=np.float64)
-        if count == 0:
-            return answers
-        # An empty box's adjoint is the zero vector, but the gather can
-        # leave ~1e-16 residue; pin it to the exact 0.0 the dense
-        # backend returns so the representations agree bit-for-bit.
-        empty = np.any(lows == highs, axis=1)
-        served = self._serving_tensor()
-        flat = served.reshape(-1)
-        strides = np.asarray(
-            [int(np.prod(served.shape[axis + 1 :])) for axis in range(served.ndim)],
-            dtype=np.int64,
-        )
-        # Support widths are data-independent, so chunk size can be set
-        # from one probe row.
-        probe = [
-            self._axis_supports(axis, lows[:1, axis], highs[:1, axis])[0].shape[1]
-            for axis in range(served.ndim)
-        ]
-        per_query = int(np.prod(probe))
-        chunk = max(1, _CHUNK_BUDGET // max(1, per_query))
-        for start in range(0, count, chunk):
-            stop = min(count, start + chunk)
-            combined_idx = None
-            combined_val = None
-            for axis in range(served.ndim):
-                indices, values = self._axis_supports(
-                    axis, lows[start:stop, axis], highs[start:stop, axis]
-                )
-                scaled = indices * strides[axis]
-                if combined_idx is None:
-                    combined_idx, combined_val = scaled, values
-                else:
-                    rows = stop - start
-                    combined_idx = (
-                        combined_idx[:, :, None] + scaled[:, None, :]
-                    ).reshape(rows, -1)
-                    combined_val = (
-                        combined_val[:, :, None] * values[:, None, :]
-                    ).reshape(rows, -1)
-            answers[start:stop] = np.einsum(
-                "ij,ij->i", flat[combined_idx], combined_val
-            )
-        if empty.any():
-            answers[empty] = 0.0
-        return answers
+        return self._serve_boxes(lows, highs)
+
+    def _fill_prefix(self, interior: np.ndarray) -> None:
+        self._transform.inverse_into(self._coefficients, interior, refine=True)
 
     def to_matrix(self) -> FrequencyMatrix:
         """Materialize ``M*`` by inverting the transform (with refinement).
 
-        This allocates the full dense matrix — the thing this
-        representation exists to avoid — so the result is *not* cached;
-        wrap it in a :class:`DenseRelease` if you intend to serve from it.
+        Allocates a full dense matrix and is not cached.  Serving never
+        needs it: the serving tensor is reconstructed by the same code,
+        so a :class:`DenseRelease` over this matrix answers bit for bit
+        like this release.
         """
         return FrequencyMatrix(
             self.schema, self._transform.inverse(self._coefficients, refine=True)
         )
 
     def nbytes(self) -> int:
-        total = self._coefficients.nbytes
-        if self._served is not None and self._served is not self._coefficients:
-            total += self._served.nbytes
-        return total
+        return self._coefficients.nbytes + self._prefix_nbytes()
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,7 @@ deviation of every range-count answer is computable from the release
 metadata alone (no additional privacy cost — it depends only on the
 mechanism configuration, not the data).  :class:`QueryEngine` packages:
 
-* point answers via the prefix-sum oracle,
+* point answers via the release's prefix-sum tensor,
 * exact noise variance per query (:mod:`repro.analysis.exact`),
 * Gaussian-approximation confidence intervals (a range answer sums many
   independent Laplace terms, so the CLT applies; for one-coefficient
@@ -26,11 +26,12 @@ Answer backends
 ---------------
 Point answers come from the result's :class:`~repro.core.release.
 Release`, which is the engine's **answer-backend protocol** (``schema``,
-``answer_boxes``, ``marginal``): a :class:`~repro.core.release.
-DenseRelease` serves from the prefix-sum oracle exactly as before, while
-a :class:`~repro.core.release.CoefficientRelease` serves by sparse
-adjoint gathers over the noisy coefficients — same answers, no dense
-``M*``.  Everything else in the engine (exact variances, intervals,
+``answer_boxes``, ``marginal``): both leaf representations, a
+:class:`~repro.core.release.DenseRelease` and a
+:class:`~repro.core.release.CoefficientRelease`, serve from the
+prefix-sum tensor of their data, which a coefficient release builds from
+its noisy coefficients on first use — same answers, ``2^d`` corner reads
+per box.  Everything else in the engine (exact variances, intervals,
 marginal stds) already depended only on the mechanism configuration, so
 it is representation-independent by construction.  **Composed**
 backends — any node of the composition algebra
@@ -239,9 +240,8 @@ class QueryEngine:
     def answer(self, query: RangeCountQuery) -> float:
         """Point answer for one ``query`` from the published release.
 
-        ``O(m)``-free on a coefficient backend: the answer gathers
-        ``O(prod_i log m_i)`` coefficients (dense backends pay two
-        prefix-oracle lookups per axis instead).
+        ``2^d`` prefix-tensor reads on either leaf backend, whatever the
+        box's width.
 
         Parameters
         ----------
@@ -341,13 +341,13 @@ class QueryEngine:
     ) -> BatchQueryAnswers:
         """Batch answers with exact stds and confidence intervals.
 
-        One vectorized oracle gather for the estimates plus one compiled
-        variance pass for the stds.  The interval uses the Gaussian
+        One vectorized prefix-tensor gather for the estimates plus one
+        compiled variance pass for the stds.  The interval uses the Gaussian
         approximation to the sum of independent Laplace noises, widened
         to the exact Laplace quantile when it is larger (so intervals
         stay valid even for answers dominated by a single coefficient).
-        Per query this is ``O(prod_i log m_i)`` gather work plus
-        ``O(log m_i)`` per distinct uncached range for the variances.
+        Per query this is ``2^d`` corner reads plus ``O(log m_i)`` per
+        distinct uncached range for the variances.
 
         Parameters
         ----------

@@ -3,7 +3,10 @@
 The paper's workloads have 40 000 queries per dataset (§VII-A); summing a
 box per query would cost ``O(m)`` each.  A summed-area table (prefix-sum
 array) answers any axis-aligned box in ``O(2^d)`` lookups by
-inclusion-exclusion, after one ``O(m)`` build.
+inclusion-exclusion, after one ``O(m)`` build.  :func:`box_sums` is that
+lookup, shared by this oracle and by every release
+(:mod:`repro.core.release`), which all serve from the same zero-bordered
+layout (:func:`repro.core.release.prefix_tensor`).
 """
 
 from __future__ import annotations
@@ -12,12 +15,35 @@ import itertools
 
 import numpy as np
 
+from repro.core.release import prefix_tensor
 from repro.data.frequency import FrequencyMatrix
 from repro.errors import QueryError
 from repro.queries.query import RangeCountQuery
 from repro.utils.validation import ensure_boxes
 
-__all__ = ["RangeSumOracle"]
+__all__ = ["RangeSumOracle", "box_sums"]
+
+
+def box_sums(prefix: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Box sums over a zero-bordered prefix tensor, by inclusion-exclusion.
+
+    ``lows``/``highs`` are already-validated ``(n, d)`` int64 half-open
+    bounds (see :func:`repro.utils.validation.ensure_boxes`); this does
+    no checking of its own, so each public call validates once.  One
+    gather of ``n`` prefix entries per corner pattern, ``2^d`` in all.
+    """
+    d = prefix.ndim
+    flat = prefix.reshape(-1)
+    strides = np.asarray(
+        [int(np.prod(prefix.shape[axis + 1 :])) for axis in range(d)], dtype=np.int64
+    )
+    totals = np.zeros(lows.shape[0], dtype=np.float64)
+    # The sign of a corner is (-1)^(number of "lo" picks).
+    for corner in itertools.product((0, 1), repeat=d):
+        picks = np.where(np.asarray(corner, dtype=bool), highs, lows)
+        sign = -1.0 if (d - sum(corner)) % 2 else 1.0
+        totals += sign * flat[picks @ strides]
+    return totals
 
 
 class RangeSumOracle:
@@ -26,17 +52,10 @@ class RangeSumOracle:
     def __init__(self, matrix: FrequencyMatrix):
         self._schema = matrix.schema
         self._shape = matrix.shape
-        # Prefix array with a zero border on every axis: P[i1..id] = sum of
-        # values[:i1, ..., :id].  Built axis by axis.
-        prefix = matrix.values
-        for axis in range(prefix.ndim):
-            prefix = np.cumsum(prefix, axis=axis)
-        pad = [(1, 0)] * prefix.ndim
-        self._prefix = np.pad(prefix, pad)
-        # Inclusion-exclusion corner pattern: for each of the 2^d corners,
-        # the sign is (-1)^(number of "lo" picks).
-        d = prefix.ndim
-        self._corners = list(itertools.product((0, 1), repeat=d))
+        # P[i1..id] = sum of values[:i1, ..., :id], zero on every border.
+        self._prefix = prefix_tensor(
+            matrix.shape, lambda inner: np.copyto(inner, matrix.values)
+        )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,19 +68,12 @@ class RangeSumOracle:
 
     def box_sum(self, box) -> float:
         """Sum of the half-open box ``[(lo, hi), ...]`` via the prefix array."""
+        box = list(box)
         if len(box) != len(self._shape):
             raise QueryError(f"box must have {len(self._shape)} ranges, got {len(box)}")
-        for (lo, hi), size in zip(box, self._shape):
-            if not (0 <= lo <= hi <= size):
-                raise QueryError(f"range [{lo}, {hi}) out of bounds for axis size {size}")
-        total = 0.0
-        for corner in self._corners:
-            index = tuple(
-                (hi if pick else lo) for pick, (lo, hi) in zip(corner, box)
-            )
-            sign = -1.0 if (len(corner) - sum(corner)) % 2 else 1.0
-            total += sign * float(self._prefix[index])
-        return total
+        lows = [[lo for lo, _ in box]]
+        highs = [[hi for _, hi in box]]
+        return float(self.answer_boxes(lows, highs)[0])
 
     def answer(self, query: RangeCountQuery) -> float:
         """Answer one range-count query."""
@@ -93,20 +105,8 @@ class RangeSumOracle:
     def answer_boxes(self, lows, highs) -> np.ndarray:
         """Bulk box sums from ``(n, d)`` low/high bound arrays.
 
-        The array-level core of :meth:`answer_all`, and the dense
-        answer-backend primitive (:class:`repro.core.release.
-        DenseRelease` serves through it).
+        The array-level core of :meth:`answer_all`: validates the bounds
+        once, then :func:`box_sums`.
         """
         lows, highs = ensure_boxes(lows, highs, self._shape)
-        d = len(self._shape)
-        flat = self._prefix.reshape(-1)
-        strides = np.asarray(
-            [int(np.prod(self._prefix.shape[axis + 1 :])) for axis in range(d)],
-            dtype=np.int64,
-        )
-        totals = np.zeros(lows.shape[0], dtype=np.float64)
-        for corner in self._corners:
-            picks = np.where(np.asarray(corner, dtype=bool), highs, lows)
-            sign = -1.0 if (d - sum(corner)) % 2 else 1.0
-            totals += sign * flat[picks @ strides]
-        return totals
+        return box_sums(self._prefix, lows, highs)

@@ -57,6 +57,7 @@ import numpy as np
 from repro.errors import ReproError, ServingError
 from repro.queries.predicate import Predicate
 from repro.queries.query import RangeCountQuery
+from repro.utils.validation import integral_array
 
 __all__ = [
     "QueryRequest",
@@ -280,10 +281,10 @@ def _column_pair(name, spec):
 def _bound_column(name, side: str, values) -> np.ndarray:
     """One bound array as exact int64, or a ``bad-request`` error.
 
-    The whole column is checked in one vectorized pass: numeric dtype
-    only (no strings/objects/bools), and float columns must be whole-
-    valued — the array analogue of :func:`_exact_int`, for the same
-    reason (truncation would answer a *different* query).
+    The whole column is checked in one vectorized pass by the rule every
+    box validator shares (:func:`repro.utils.validation.integral_array`):
+    numeric dtype only (no strings/objects/bools), and float columns must
+    be whole-valued — the array analogue of :func:`_exact_int`.
     """
     column = np.asarray(values)
     if column.ndim != 1:
@@ -291,21 +292,13 @@ def _bound_column(name, side: str, values) -> np.ndarray:
             f"columnar {side} bounds for {name!r} must be a flat array, "
             f"got shape {column.shape}"
         )
-    if column.dtype.kind == "f":
-        if not np.all(np.isfinite(column)) or not np.array_equal(
-            column, np.trunc(column)
-        ):
-            raise ServingError(
-                f"columnar {side} bounds for {name!r} must be integers "
-                f"(found a non-integral value)"
-            )
-        return column.astype(np.int64)
-    if column.dtype.kind in "iu":
-        return column.astype(np.int64)
-    raise ServingError(
-        f"columnar {side} bounds for {name!r} must be integers, "
-        f"got dtype {column.dtype}"
-    )
+    integral = integral_array(column)
+    if integral is None:
+        raise ServingError(
+            f"columnar {side} bounds for {name!r} must be integers, "
+            f"got {column.dtype} values"
+        )
+    return integral
 
 
 class QueryBatchRequest:

@@ -2,7 +2,8 @@
 
 The multi-dimensional Haar-Nominal (HN) transform of paper §VI applies a
 one-dimensional transform along each axis of the frequency matrix in
-turn.  Each 1-D transform must provide, beyond forward/inverse:
+turn.  Each 1-D transform must provide, beyond ``forward`` and
+``inverse_into`` (the inverse written into a caller's array):
 
 * a **weight vector** aligned with its coefficient layout — the weight
   function ``W`` of §III-B, which scales per-coefficient Laplace noise
@@ -59,6 +60,22 @@ class OneDimensionalTransform:
         subtraction).  Refinement must depend only on the coefficients,
         never on the original data, to preserve the privacy argument.
         """
+        coefficients = self._check_inverse_input(coefficients)
+        values = np.empty((self.input_length,) + coefficients.shape[1:])
+        self.inverse_into(coefficients, values, refine=refine)
+        return values
+
+    def inverse_into(
+        self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = False
+    ) -> None:
+        """:meth:`inverse`, written into ``out`` instead of a new array.
+
+        ``coefficients`` has shape ``(output_length, ...)`` and ``out``
+        ``(input_length, ...)`` with the same trailing shape; either may
+        be a strided view.  Shapes are not re-checked.  Implementations
+        allocate nothing the size of ``out``, which is what lets a
+        release reconstruct straight into its serving tensor.
+        """
         raise NotImplementedError
 
     def weight_vector(self) -> np.ndarray:
@@ -110,25 +127,6 @@ class OneDimensionalTransform:
         adjoints = self.adjoint_ranges(lows, highs)
         weights = self._cached_weight_vector()
         return np.sum((adjoints / weights) ** 2, axis=-1)
-
-    def sparse_adjoint_ranges(self, lows, highs) -> tuple[np.ndarray, np.ndarray]:
-        """Range adjoints as aligned ``(indices, values)`` arrays.
-
-        Both arrays have shape ``(len(lows), k)`` where ``k`` is a
-        transform-specific support width; ``sum_a values[q, a] * c[indices
-        [q, a]]`` is the range-count answer of query ``q`` on coefficients
-        ``c``.  Padding entries carry ``values == 0`` (their index may be
-        any in-bounds position).  This is the gather primitive coefficient
-        -space releases serve answers through.  The base implementation is
-        dense (``k = output_length``) — exact but no sparser than
-        :meth:`adjoint_ranges`; transforms with structured adjoints
-        (Haar: ``k = O(log m)``) override it.
-        """
-        adjoints = self.adjoint_ranges(lows, highs)
-        indices = np.broadcast_to(
-            np.arange(self.output_length, dtype=np.int64), adjoints.shape
-        )
-        return indices, adjoints
 
     # -- shared caches and validation ----------------------------------
     def _cached_weight_vector(self) -> np.ndarray:
@@ -226,8 +224,10 @@ class IdentityTransform(OneDimensionalTransform):
     def forward(self, values: np.ndarray) -> np.ndarray:
         return self._check_forward_input(values).copy()
 
-    def inverse(self, coefficients: np.ndarray, *, refine: bool = False) -> np.ndarray:
-        return self._check_inverse_input(coefficients).copy()
+    def inverse_into(
+        self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = False
+    ) -> None:
+        np.copyto(out, coefficients)
 
     def weight_vector(self) -> np.ndarray:
         return np.ones(self.output_length, dtype=np.float64)

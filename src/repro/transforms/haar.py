@@ -70,18 +70,31 @@ def haar_inverse(coefficients: np.ndarray) -> np.ndarray:
     length = coefficients.shape[0]
     if length & (length - 1):
         raise TransformError(f"haar_inverse needs a power-of-two length, got {length}")
-    current = coefficients[0:1]
-    offset = 1
-    while offset < length:
-        detail = coefficients[offset : offset + current.shape[0]]
-        even = current + detail
-        odd = current - detail
-        rebuilt = np.empty((2 * current.shape[0],) + current.shape[1:], dtype=np.float64)
-        rebuilt[0::2] = even
-        rebuilt[1::2] = odd
-        offset += current.shape[0]
-        current = rebuilt
-    return current
+    values = np.empty_like(coefficients)
+    _haar_inverse_into(coefficients, values)
+    return values
+
+
+def _haar_inverse_into(coefficients: np.ndarray, out: np.ndarray) -> None:
+    """Write the first ``len(out)`` values of :func:`haar_inverse` into ``out``.
+
+    In-place lifting: a level's ``k`` subtree averages sit at stride
+    ``m / k`` in ``out``.  Splitting one writes its right child half a
+    stride along and its left child over itself, so no level allocates,
+    and positions past ``len(out)`` (the padding) are never computed —
+    every node's leaves start at its own position.  Each value is the
+    same ``average +/- detail`` as a level-by-level rebuild, so the bits
+    are the same too.
+    """
+    out[0] = coefficients[0]
+    nodes, stride = 1, coefficients.shape[0]
+    while stride > 1:
+        half = stride // 2
+        details = coefficients[nodes : 2 * nodes]
+        left, right = out[0::stride], out[half::stride]
+        np.subtract(left[: len(right)], details[: len(right)], out=right)
+        np.add(left, details[: len(left)], out=left)
+        nodes, stride = 2 * nodes, half
 
 
 def haar_weight_vector(padded_length: int) -> np.ndarray:
@@ -139,12 +152,12 @@ class HaarTransform(OneDimensionalTransform):
             values = np.pad(values, pad)
         return haar_forward(values)
 
-    def inverse(self, coefficients: np.ndarray, *, refine: bool = False) -> np.ndarray:
+    def inverse_into(
+        self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = False
+    ) -> None:
         # The Haar instantiation has no refinement step; ``refine`` is
         # accepted for interface uniformity and ignored.
-        coefficients = self._check_inverse_input(coefficients)
-        values = haar_inverse(coefficients)
-        return values[: self.input_length]
+        _haar_inverse_into(coefficients, out)
 
     def weight_vector(self) -> np.ndarray:
         return haar_weight_vector(self.padded_length)
@@ -196,44 +209,6 @@ class HaarTransform(OneDimensionalTransform):
                 level_lows, level_highs, node_hi, shift
             )
         return adjoints
-
-    def sparse_adjoint_ranges(self, lows, highs) -> tuple[np.ndarray, np.ndarray]:
-        """Compact adjoints: ``k = 1 + 2 log2 m`` entries per range.
-
-        Column 0 is the base coefficient; each level contributes its two
-        boundary nodes (coinciding or zero-valued columns when the range
-        straddles fewer nodes).  This is what lets a coefficient-space
-        release answer a range with ``O(log m)`` gathered coefficients
-        instead of reconstructing ``M*``.
-        """
-        lows, highs = self._check_ranges(lows, highs)
-        count = lows.shape[0]
-        support = 1 + 2 * self._levels
-        indices = np.zeros((count, support), dtype=np.int64)
-        values = np.zeros((count, support), dtype=np.float64)
-        values[:, 0] = (highs - lows).astype(np.float64)
-        nonempty = highs > lows
-        # Clamped positions keep node ids in-bounds for empty ranges
-        # (whose values are masked to zero anyway).
-        safe_lows = np.minimum(lows, self.padded_length - 1)
-        last = np.clip(highs - 1, 0, self.padded_length - 1)
-        for level in range(1, self._levels + 1):
-            shift = self._levels - level + 1
-            offset = 1 << (level - 1)
-            node_lo = safe_lows >> shift
-            node_hi = last >> shift
-            g_lo = _straddle_contribution(lows, highs, node_lo, shift)
-            g_hi = np.where(
-                node_hi != node_lo,
-                _straddle_contribution(lows, highs, node_hi, shift),
-                0.0,
-            )
-            column = 2 * level - 1
-            indices[:, column] = offset + node_lo
-            indices[:, column + 1] = offset + node_hi
-            values[:, column] = np.where(nonempty, g_lo, 0.0)
-            values[:, column + 1] = np.where(nonempty, g_hi, 0.0)
-        return indices, values
 
     def range_profiles(self, lows, highs) -> np.ndarray:
         """``sum_j (g[j]/W[j])^2`` per range in ``O(log m)`` each.

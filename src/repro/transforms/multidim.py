@@ -141,16 +141,41 @@ class HNTransform:
         before that axis is inverted (footnote 2 of the paper).  Pass
         ``refine=False`` for the ablation without refinement.
         """
+        values = np.empty(self.input_shape)
+        self.inverse_into(coefficients, values, refine=refine)
+        return values
+
+    def inverse_into(
+        self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = True
+    ) -> None:
+        """:meth:`inverse`, written into ``out`` (shape :attr:`input_shape`).
+
+        Identity axes are skipped.  Wavelet axes are inverted ``d-1 .. 0``,
+        each but the last through a temporary; the last writes straight
+        into ``out`` (which may be a strided view), so with one wavelet
+        axis nothing else the size of ``out`` is allocated.
+        """
         coefficients = np.asarray(coefficients, dtype=np.float64)
         if coefficients.shape != self.output_shape:
             raise TransformError(
                 f"expected coefficient shape {self.output_shape}, got {coefficients.shape}"
             )
-        for axis in reversed(range(self.dimensions)):
+        wavelet_axes = [
+            axis
+            for axis in reversed(range(self.dimensions))
+            if not isinstance(self.transforms[axis], IdentityTransform)
+        ]
+        if not wavelet_axes:
+            np.copyto(out, coefficients)
+            return
+        *first, last = wavelet_axes
+        for axis in first:
             coefficients = apply_along_axis(
                 self.transforms[axis], coefficients, axis, inverse=True, refine=refine
             )
-        return coefficients
+        self.transforms[last].inverse_into(
+            np.moveaxis(coefficients, last, 0), np.moveaxis(out, last, 0), refine=refine
+        )
 
     # ------------------------------------------------------------------
     def weight_vectors(self) -> list[np.ndarray]:

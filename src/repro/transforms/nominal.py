@@ -82,6 +82,25 @@ class NominalTransform(OneDimensionalTransform):
             [hierarchy.node_id_of_leaf(i) for i in range(hierarchy.num_leaves)],
             dtype=np.int64,
         )
+        # Equation 5 as a walk over sibling groups, parents in level
+        # order.  Each group's children split into runs of leaves (which
+        # land in consecutive leaf positions) and of internal nodes
+        # (consecutive scratch slots): ``[first, last, to_leaves, target]``.
+        internal = [
+            node for node in range(self.output_length) if not hierarchy.is_leaf(node)
+        ]
+        slots = {node: slot for slot, node in enumerate(internal)}
+        self._group_runs = []
+        for parent in internal:
+            runs = []
+            for child in hierarchy.children(parent):
+                to_leaves = bool(hierarchy.is_leaf(child))
+                if runs and runs[-1][2] == to_leaves:
+                    runs[-1][1] += 1
+                else:
+                    target = int(self._leaf_start[child]) if to_leaves else slots[child]
+                    runs.append([child, child + 1, to_leaves, target])
+            self._group_runs.append(runs)
 
     # ------------------------------------------------------------------
     def leaf_sums(self, values: np.ndarray) -> np.ndarray:
@@ -106,20 +125,38 @@ class NominalTransform(OneDimensionalTransform):
             )
         return coefficients
 
-    def inverse(self, coefficients: np.ndarray, *, refine: bool = False) -> np.ndarray:
-        """Equation 5 reconstruction; ``refine=True`` mean-subtracts first."""
-        coefficients = self._check_inverse_input(coefficients)
-        if refine:
-            coefficients = mean_subtract(coefficients, self._groups)
-        leafsum = np.empty_like(coefficients)
-        leafsum[0] = coefficients[0]
-        for level_slice in self._levels[1:]:
-            ids = np.arange(level_slice.start, level_slice.stop)
-            parents = self._parent[ids]
-            leafsum[ids] = coefficients[ids] + leafsum[parents] / self._fanout[
-                parents
-            ].reshape((-1,) + (1,) * (coefficients.ndim - 1))
-        return leafsum[self._leaf_node_ids]
+    def inverse_into(
+        self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = False
+    ) -> None:
+        """Equation 5 written into ``out``; ``refine=True`` mean-subtracts.
+
+        Leaf values land straight in ``out``; internal nodes' leaf-sums
+        live in a scratch array of one slab per internal node.  The
+        refinement subtracts each sibling group's mean as the group is
+        read, so the coefficients are never copied, and the mean is a sum
+        in node order (elementwise adds only), so its bits do not depend
+        on memory layout.
+        """
+        if not self._group_runs:  # the root is the only node
+            out[0] = coefficients[0]
+            return
+        sums = np.empty((len(self._group_runs),) + coefficients.shape[1:])
+        sums[0] = coefficients[0]
+        for slot, runs in enumerate(self._group_runs):
+            start, stop = runs[0][0], runs[-1][1]
+            share = sums[slot] / (stop - start)
+            if refine:
+                mean = coefficients[start].copy()
+                for node in range(start + 1, stop):
+                    mean += coefficients[node]
+                mean /= stop - start
+            for first, last, to_leaves, target in runs:
+                into = (out if to_leaves else sums)[target : target + last - first]
+                if refine:
+                    np.subtract(coefficients[first:last], mean, out=into)
+                    into += share
+                else:
+                    np.add(coefficients[first:last], share, out=into)
 
     def refine(self, coefficients: np.ndarray) -> np.ndarray:
         """The §V-B mean-subtraction step, exposed for tests and ablations."""

@@ -10,20 +10,44 @@ from __future__ import annotations
 import numbers
 
 
+def integral_array(values):
+    """``values`` as an int64 array, or ``None`` unless every entry is whole.
+
+    Integer dtypes pass, and so do float dtypes whose entries are all
+    finite and whole-valued (clients may well send ``18.0``).  Booleans,
+    strings, objects and fractional values never do: truncating
+    ``3.7`` to ``3`` would answer a *different* query without an error.
+    """
+    import numpy as np
+
+    array = np.asarray(values)
+    if array.dtype.kind == "f":
+        if not (np.all(np.isfinite(array)) and np.array_equal(array, np.trunc(array))):
+            return None
+    elif array.dtype.kind not in "iu":
+        return None
+    return array.astype(np.int64, copy=False)
+
+
 def ensure_boxes(lows, highs, shape):
     """Validate ``(n, d)`` half-open box-bound arrays against ``shape``.
 
     Returns the bounds as int64 arrays.  The one validator every bulk
     box-answering path shares (the prefix-sum oracle and the release
     backends), so shape/bounds errors read identically everywhere.
-    Raises :class:`repro.errors.QueryError`.
+    Bounds must be whole numbers (:func:`integral_array`).  Raises
+    :class:`repro.errors.QueryError`.
     """
     import numpy as np
 
     from repro.errors import QueryError
 
-    lows = np.asarray(lows, dtype=np.int64)
-    highs = np.asarray(highs, dtype=np.int64)
+    lows, highs = integral_array(lows), integral_array(highs)
+    if lows is None or highs is None:
+        raise QueryError(
+            "box bounds must be whole numbers (integers or whole-valued "
+            "floats; never booleans or fractions)"
+        )
     if lows.ndim != 2 or lows.shape != highs.shape or lows.shape[1] != len(shape):
         raise QueryError(
             f"expected (n, {len(shape)}) box-bound arrays, got shapes "

@@ -163,6 +163,23 @@ class TestBatchAnswers:
         assert [len(cache) for cache in engine._profiles._caches] == sizes
         np.testing.assert_allclose(again.noise_stds, first.noise_stds)
 
+    @pytest.mark.parametrize("fixture", ["published", "published_coefficients"])
+    def test_fractional_bounds_rejected(self, fixture, request):
+        # A fractional or boolean bound used to be truncated, answering a
+        # different box without an error.
+        engine = QueryEngine(request.getfixturevalue(fixture))
+        for lows, highs in (
+            ([[0.7, 0, 0]], [[1.9, 2, 4]]),
+            ([[False, False, False]], [[True, True, True]]),
+        ):
+            with pytest.raises(QueryError, match="whole numbers"):
+                engine.answer_columnar(lows, highs)
+            with pytest.raises(QueryError, match="whole numbers"):
+                engine.noise_variances_columnar(lows, highs)
+        whole = engine.answer_columnar([[0.0, 0.0, 0.0]], [[1.0, 2.0, 4.0]])
+        exact = engine.answer_columnar([[0, 0, 0]], [[1, 2, 4]])
+        assert whole.estimates.tolist() == exact.estimates.tolist()
+
     def test_empty_batch(self, published):
         batch = QueryEngine(published).answer_all_with_intervals([])
         assert len(batch) == 0

@@ -132,73 +132,6 @@ class TestIdentityAdjoint:
         )
 
 
-def densify_sparse(transform, indices, values):
-    """Scatter-add a sparse adjoint batch back to dense rows."""
-    dense = np.zeros((indices.shape[0], transform.output_length))
-    for row in range(indices.shape[0]):
-        np.add.at(dense[row], indices[row], values[row])
-    return dense
-
-
-class TestSparseAdjoints:
-    """``sparse_adjoint_ranges`` — the coefficient-release gather primitive."""
-
-    @pytest.mark.parametrize("domain", [1, 2, 3, 5, 8, 12, 16, 33, 100, 257])
-    def test_haar_matches_dense_adjoint(self, domain, rng):
-        transform = HaarTransform(domain)
-        lows, highs = random_ranges(transform, 40, rng)
-        indices, values = transform.sparse_adjoint_ranges(lows, highs)
-        assert indices.shape == values.shape
-        assert indices.shape[1] == 1 + 2 * (transform.padded_length.bit_length() - 1)
-        assert indices.min() >= 0 and indices.max() < transform.output_length
-        np.testing.assert_allclose(
-            densify_sparse(transform, indices, values),
-            transform.adjoint_ranges(lows, highs),
-            atol=1e-12,
-        )
-
-    def test_haar_empty_and_full_ranges(self):
-        transform = HaarTransform(12)
-        lows = np.asarray([0, 12, 0, 5])
-        highs = np.asarray([0, 12, 12, 5])
-        indices, values = transform.sparse_adjoint_ranges(lows, highs)
-        dense = densify_sparse(transform, indices, values)
-        np.testing.assert_allclose(dense[0], 0.0)
-        np.testing.assert_allclose(dense[3], 0.0)
-        np.testing.assert_allclose(
-            dense, transform.adjoint_ranges(lows, highs), atol=1e-12
-        )
-
-    def test_base_fallback_is_dense(self, rng):
-        for transform in [
-            NominalTransform(two_level_hierarchy([2, 3])),
-            IdentityTransform(9),
-        ]:
-            lows, highs = random_ranges(transform, 12, rng)
-            indices, values = transform.sparse_adjoint_ranges(lows, highs)
-            np.testing.assert_allclose(
-                densify_sparse(transform, indices, values),
-                transform.adjoint_ranges(lows, highs),
-                atol=1e-12,
-            )
-
-    def test_sparse_dot_answers_ranges(self, rng):
-        # g . c must equal the range sum of the reconstruction of c.
-        for transform in [
-            HaarTransform(37),
-            NominalTransform(balanced_hierarchy(8, 2)),
-        ]:
-            coefficients = rng.normal(size=transform.output_length)
-            reconstructed = transform.inverse(coefficients, refine=True)
-            lows, highs = random_ranges(transform, 25, rng)
-            indices, values = transform.sparse_adjoint_ranges(lows, highs)
-            answers = np.einsum("ij,ij->i", coefficients[indices], values)
-            expected = np.asarray(
-                [reconstructed[lo:hi].sum() for lo, hi in zip(lows, highs)]
-            )
-            np.testing.assert_allclose(answers, expected, atol=1e-9)
-
-
 class TestDenseFallback:
     """The base-class implementation all custom transforms inherit."""
 
