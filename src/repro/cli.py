@@ -36,12 +36,17 @@ Commands
     cover).
 ``serve``
     Stand up a :class:`~repro.serving.server.ReleaseServer` over one or
-    more archives and drive it through a port-less JSONL loop: one JSON
+    more archives and drive it through a JSONL loop on stdio: one JSON
     request per stdin line, one JSON response per stdout line (answers
     and errors both — a malformed request gets a structured error
     response, never a traceback).  Archives load lazily on first touch.
     ``op=query_batch`` lines carry a whole columnar batch (parallel
     lo/hi arrays per attribute) and get one array-valued response line.
+    ``--tcp HOST:PORT`` serves the same protocol from a multi-process
+    fleet instead.
+
+``query`` and ``serve`` answer every archive exactly as it was
+published: its stored representation and its recorded SA set.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from repro.core.accountant import PrivacyAccount
 from repro.core.basic import BasicMechanism
 from repro.core.privelet import PriveletMechanism
 from repro.core.privelet_plus import PriveletPlusMechanism, select_sa
-from repro.core.release import convert_result
 from repro.core.sharding import _publish_sharded
 from repro.data.census import BRAZIL, US, census_schema, generate_census_table
 from repro.experiments.config import AccuracyConfig, TimingConfig
@@ -199,19 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--confidence", type=float, default=0.95)
     query.add_argument("--seed", type=int, default=0)
     query.add_argument(
-        "--sa",
-        nargs="*",
-        default=None,
-        help="override the SA set when the archive lacks mechanism details",
-    )
-    query.add_argument(
-        "--representation",
-        choices=["archive", "dense", "coefficients"],
-        default="archive",
-        help="serving backend: 'archive' keeps the stored representation, "
-        "the others convert before answering",
-    )
-    query.add_argument(
         "--time-range",
         type=int,
         nargs=2,
@@ -230,18 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help=".npz archives to register; the release name is the file "
         "stem, or use NAME=PATH to override",
-    )
-    serve.add_argument(
-        "--stdin-jsonl",
-        action="store_true",
-        help="read JSONL requests from stdin and write JSONL responses "
-        "to stdout (the default transport)",
-    )
-    serve.add_argument(
-        "--port-less",
-        action="store_true",
-        help="serve without opening a socket (stdio transport; the "
-        "default unless --tcp is given)",
     )
     serve.add_argument(
         "--tcp",
@@ -271,21 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4096,
         help="per-axis LRU bound of each release's adjoint-profile cache",
-    )
-    serve.add_argument(
-        "--representation",
-        choices=["archive", "dense", "coefficients"],
-        default="archive",
-        help="serving backend: 'archive' keeps each archive's stored "
-        "representation, the others convert on first touch",
-    )
-    serve.add_argument(
-        "--sa",
-        nargs="*",
-        default=None,
-        help="override the SA set for archives lacking mechanism details "
-        "(conflicts with a coefficient archive's own SA set are reported "
-        "as structured bad-request responses)",
     )
 
     return parser
@@ -508,7 +472,6 @@ def _cmd_advance_epoch(args) -> int:
 
 def _cmd_query(args) -> int:
     result = load_result(args.archive)
-    sa_names = tuple(args.sa) if args.sa is not None else None
     if args.time_range is not None:
         window = getattr(result.release, "window", None)
         if window is None:
@@ -518,9 +481,7 @@ def _cmd_query(args) -> int:
             )
         lo, hi = args.time_range
         result = dataclasses.replace(result, release=window(lo, hi))
-    if args.representation != "archive":
-        result = convert_result(result, args.representation, sa_names=sa_names)
-    engine = QueryEngine(result, sa_names=sa_names)
+    engine = QueryEngine(result)
     queries = generate_workload(
         result.release.schema, args.queries, seed=args.seed
     )
@@ -690,8 +651,6 @@ def _serve_tcp(args) -> int:
         max_batch=args.max_batch,
         max_linger_seconds=args.linger_ms / 1000.0,
         profile_cache_entries=args.profile_cache,
-        representation=None if args.representation == "archive" else args.representation,
-        sa_names=tuple(args.sa) if args.sa is not None else None,
     )
     for spec in args.archives:
         name, path = _parse_archive_spec(spec)
@@ -744,8 +703,6 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         max_linger_seconds=args.linger_ms / 1000.0,
         profile_cache_entries=args.profile_cache,
-        representation=None if args.representation == "archive" else args.representation,
-        sa_names=tuple(args.sa) if args.sa is not None else None,
     )
     with server:
         for spec in args.archives:

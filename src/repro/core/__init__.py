@@ -49,7 +49,6 @@ from repro.core.sensitivity import (
     sensitivity_of_schema,
     variance_factor_of_schema,
 )
-from repro.core.weights import w_haar, w_hn, w_nominal
 
 __all__ = [
     "PublishingMechanism",
@@ -86,9 +85,6 @@ __all__ = [
     "empirical_generalized_sensitivity",
     "sensitivity_of_schema",
     "variance_factor_of_schema",
-    "w_haar",
-    "w_nominal",
-    "w_hn",
     "clamp_nonnegative",
     "round_to_integers",
     "rescale_total",

@@ -22,8 +22,10 @@ The algebra is **closed under nesting**: a part of a
 stream is just ``Partition(TimeTree(...), ...)`` — window queries
 route to each shard's windowed view and the exact variances still sum.
 Every node uniformly exposes ``answer_boxes`` / ``noise_variances_boxes``
-/ ``convert`` / ``build_profile_caches``, which is the one composed-
-backend code path :class:`~repro.queries.engine.QueryEngine` speaks.
+/ ``build_profile_caches``, which is the one composed-backend code path
+:class:`~repro.queries.engine.QueryEngine` speaks.  A composed release
+serves exactly as it was published: every leaf keeps its own
+representation and SA set.
 
 Routing masks, clip arithmetic, and the order of every floating-point
 accumulation are fixed, so a composed release answers bit-for-bit like
@@ -43,7 +45,7 @@ from repro.core.release import Release, infer_sa_names
 from repro.data.attributes import OrdinalAttribute
 from repro.data.frequency import FrequencyMatrix
 from repro.data.schema import Schema
-from repro.errors import SchemaError, ServingError, StreamingError
+from repro.errors import SchemaError, StreamingError
 from repro.transforms.multidim import HNTransform
 
 __all__ = [
@@ -138,20 +140,13 @@ class ComposedPart:
         Zero-argument callable returning the part's
         :class:`~repro.core.framework.PublishResult`; invoked once,
         thread-safely, on first touch.
-    representation:
-        The payload's representation when known without loading, else
-        ``None``.
     """
 
-    def __init__(
-        self, schema: Schema, sa_names, noise_magnitude: float, load,
-        representation: str | None = None,
-    ):
+    def __init__(self, schema: Schema, sa_names, noise_magnitude: float, load):
         self.schema = schema
         self.composed = sa_names is None
         self.sa_names = None if self.composed else tuple(sa_names)
         self.noise_magnitude = float(noise_magnitude)
-        self.representation = representation
         self.transform = (
             None if self.composed else HNTransform(schema, self.sa_names)
         )
@@ -173,22 +168,13 @@ class ComposedPart:
             The part's published result.
         """
         release = result.release
-        if hasattr(release, "noise_variances_boxes"):
-            part = cls(
-                release.schema,
-                None,
-                result.noise_magnitude,
-                lambda: result,
-                release.representation,
-            )
-        else:
-            part = cls(
-                release.schema,
-                infer_sa_names(result),
-                result.noise_magnitude,
-                lambda: result,
-                result.representation,
-            )
+        composed = hasattr(release, "noise_variances_boxes")
+        part = cls(
+            release.schema,
+            None if composed else infer_sa_names(result),
+            result.noise_magnitude,
+            lambda: result,
+        )
         part._result = result
         return part
 
@@ -267,9 +253,9 @@ class ComposedRelease(Release):
     clips boxes against part intervals, :meth:`TimeTree._route` fans
     the same box to every cover node.  Everything else — answer
     accumulation, per-part variance dispatch (leaf formula vs. recursive
-    delegation for nested parts), profile-cache construction, lazy-load
-    accounting, and representation conversion — is shared here, so the
-    combinators carry no duplicated answer or variance logic.
+    delegation for nested parts), profile-cache construction, and
+    lazy-load accounting — is shared here, so the combinators carry no
+    duplicated answer or variance logic.
 
     Parameters
     ----------
@@ -278,8 +264,7 @@ class ComposedRelease(Release):
     parts:
         The routable parts, in routing order — :class:`ComposedPart`
         instances or any objects satisfying the same protocol
-        (``result()``, ``loaded``, ``noise_magnitude``,
-        ``representation``).
+        (``result()``, ``loaded``, ``noise_magnitude``).
     """
 
     def __init__(self, schema: Schema, parts):
@@ -324,7 +309,7 @@ class ComposedRelease(Release):
         return self._parts[index].result()
 
     def _iter_members(self):
-        """All member parts (for load counts, bytes, and conversion).
+        """All member parts (for load counts and bytes).
 
         Defaults to the routable parts; :class:`TimeTree` overrides
         to iterate its full node table (the cover is a subset).
@@ -340,20 +325,6 @@ class ComposedRelease(Release):
         re-coded onto its local domain where applicable.
         """
         raise NotImplementedError
-
-    def reject_sa_override(self) -> None:
-        """Raise the uniform error for an ``sa_names`` override.
-
-        A composed release carries one SA configuration *per part*, so
-        a global override cannot describe it; the query engine calls
-        this hook to reject the override with a clear, typed error
-        instead of an ``AttributeError`` deep in transform construction.
-        """
-        raise ServingError(
-            f"a {self.representation!r} release carries its own SA "
-            "configuration per part; the sa_names override is not "
-            "supported for composed releases"
-        )
 
     def answer_boxes(self, lows, highs) -> np.ndarray:
         """Batch box answers: routed per-part answers, summed.
@@ -477,55 +448,6 @@ class ComposedRelease(Release):
             for member in self._iter_members()
             if member.loaded
         )
-
-    def convert(self, representation: str) -> "ComposedRelease":
-        """Re-represent every member (``dense``/``coefficients``).
-
-        When every member is already known (without loading) to carry
-        ``representation``, this returns ``self`` — so a server's
-        representation override on an archive stored that way keeps its
-        member-laziness.  Otherwise all members load and convert (nested
-        composed members convert recursively); the composition structure
-        is preserved either way.  Used by
-        :func:`repro.core.release.convert_result` so servers configured
-        with a representation override serve composed archives too.
-
-        Parameters
-        ----------
-        representation:
-            The target per-member representation.
-
-        Returns
-        -------
-        ComposedRelease
-            ``self`` when already uniform, else a same-type node whose
-            members all carry ``representation``.
-        """
-        if self._uniformly_represented(representation):
-            return self
-        return self._converted(representation)
-
-    def _uniformly_represented(self, representation: str) -> bool:
-        """True when every *leaf* member already carries ``representation``.
-
-        Recurses through nested composed members (their structure is
-        always in memory; only leaf payloads are lazy), so a sharded
-        stream whose nodes are all coefficient releases converts to
-        ``"coefficients"`` as a no-op instead of loading and rebuilding
-        every payload.
-        """
-        for member in self._iter_members():
-            if getattr(member, "composed", False):
-                child = member.result().release
-                if not child._uniformly_represented(representation):
-                    return False
-            elif member.representation != representation:
-                return False
-        return True
-
-    def _converted(self, representation: str) -> "ComposedRelease":
-        """Rebuild this node with every member converted (subclass hook)."""
-        raise NotImplementedError
 
 
 class Partition(ComposedRelease):
@@ -701,16 +623,6 @@ class Partition(ComposedRelease):
             selector[self._axis] = slice(self._bounds[index], self._bounds[index + 1])
             values[tuple(selector)] = part.result().release.to_matrix().values
         return FrequencyMatrix(self._schema, values)
-
-    def _converted(self, representation: str) -> "Partition":
-        """Rebuild the union with every part converted."""
-        from repro.core.release import convert_result
-
-        converted = [
-            convert_result(self.part_result(index), representation)
-            for index in range(self.num_parts)
-        ]
-        return type(self)(self._schema, self._attribute, self._bounds, converted)
 
     def __repr__(self) -> str:
         return (
@@ -943,25 +855,6 @@ class TimeTree(ComposedRelease):
         for key in self._cover:
             values += self._nodes[key].result().release.to_matrix().values
         return FrequencyMatrix(self._schema, values)
-
-    def _converted(self, representation: str) -> "TimeTree":
-        """Rebuild the merge with every node converted."""
-        from repro.core.release import convert_result
-        from repro.streaming.release import StreamNode
-
-        converted = {
-            key: StreamNode.from_result(
-                key[0], key[1], convert_result(node.result(), representation)
-            )
-            for key, node in self._nodes.items()
-        }
-        return type(self)(
-            self._schema,
-            self._sa_names,
-            self._epochs,
-            converted,
-            window=self._window,
-        )
 
     def __repr__(self) -> str:
         lo, hi = self._window

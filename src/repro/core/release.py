@@ -14,6 +14,11 @@ representations differ only in what they store:
   shared memory carry the coefficients; each process builds its own
   serving tensor from them.
 
+The representation is chosen at publish time and a release serves in it
+everywhere: a dense and a coefficient publish of one seed answer bit for
+bit alike, so nothing re-represents a release to serve it.
+:func:`convert_result` re-represents a leaf only to build a reference.
+
 Both implement the **answer-backend protocol** the query engine serves
 through: ``schema``, :meth:`Release.answer_boxes`,
 :meth:`Release.marginal`, and :meth:`Release.to_matrix`.  A third
@@ -385,25 +390,24 @@ def infer_sa_names(result) -> tuple[str, ...]:
     if "sa" in details:
         return tuple(details["sa"])
     raise QueryError(
-        "cannot infer the mechanism configuration from the result; "
-        "pass sa_names explicitly"
+        "cannot infer the mechanism configuration from the result: its "
+        "release records no SA set and its details name neither the "
+        "Basic mechanism nor an 'sa' entry"
     )
 
 
-def convert_result(result, representation: str, *, sa_names=None):
-    """Re-represent a :class:`~repro.core.framework.PublishResult`.
+def convert_result(result, representation: str):
+    """Re-represent a leaf :class:`~repro.core.framework.PublishResult`.
 
     ``dense -> coefficients`` forward-transforms ``M*`` (exact: the
     refinement is a no-op on true coefficients); ``coefficients ->
     dense`` materializes via the inverse transform.  Either direction
     preserves every answer, and the accounting fields are untouched.
     Returns ``result`` itself when it already has the requested
-    representation.  ``sa_names`` overrides the inferred SA set for
-    results whose metadata does not record one (mirroring
-    :class:`~repro.queries.engine.QueryEngine`'s escape hatch).  A
-    composed release (sharded or stream) converts part by part through
-    its own ``convert`` hook (each part carries its own SA set, so
-    ``sa_names`` is ignored) and keeps its routing structure.
+    representation.  Serving never converts (a release serves as it was
+    published); this exists for building references, such as a dense
+    copy to compare a coefficient release against.  A composed release
+    (sharded or stream) is rejected with a :class:`QueryError`.
     """
     if representation not in REPRESENTATIONS:
         raise QueryError(
@@ -411,18 +415,17 @@ def convert_result(result, representation: str, *, sa_names=None):
             f"expected one of {REPRESENTATIONS}"
         )
     release = result.release
+    if not isinstance(release, (DenseRelease, CoefficientRelease)):
+        raise QueryError(
+            f"only leaf releases convert; got a {release.representation!r} "
+            "release"
+        )
     if release.representation == representation:
         return result
-    converter = getattr(release, "convert", None)
-    if converter is not None:
-        converted = converter(representation)
-        if converted is release:
-            return result
-        return dataclasses.replace(result, release=converted)
     if representation == "dense":
         converted = DenseRelease(release.to_matrix())
     else:
-        if sa_names is None:
-            sa_names = infer_sa_names(result)
-        converted = CoefficientRelease.from_matrix(release.to_matrix(), sa_names)
+        converted = CoefficientRelease.from_matrix(
+            release.to_matrix(), infer_sa_names(result)
+        )
     return dataclasses.replace(result, release=converted)

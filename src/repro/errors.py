@@ -21,8 +21,9 @@ class HierarchyError(SchemaError):
     """A nominal-attribute hierarchy violates a structural requirement.
 
     The nominal wavelet transform requires every internal node to have a
-    fanout of at least two (otherwise the weight ``f / (2f - 2)`` used by
-    :func:`repro.core.weights.nominal_weight_vector` is undefined).
+    fanout of at least two (otherwise the weight ``f / (2f - 2)`` of
+    :meth:`repro.transforms.nominal.NominalTransform.weight_vector` is
+    undefined).
     """
 
 

@@ -569,7 +569,6 @@ def _result(entry: dict, schema: Schema, read, lazy: bool) -> PublishResult:
                         child["sa"],
                         child["noise_magnitude"],
                         functools.partial(_result, child, sub_schema, read, lazy),
-                        child["representation"],
                     )
                 )
             else:

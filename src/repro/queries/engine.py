@@ -42,9 +42,11 @@ have no single mechanism configuration (each part carries its own
 transform and λ), so the engine detects their ``noise_variances_boxes``
 hook and delegates point answers *and* exact variances to the release,
 which routes per part and sums (independent noise means the variances
-add).  An ``sa_names`` override is rejected uniformly by the algebra
-base (:meth:`~repro.core.compose.ComposedRelease.reject_sa_override`)
-with a typed :class:`~repro.errors.ServingError`.
+add).  The engine serves a result exactly as it was published: its SA
+set comes from the release (a coefficient release or a composed
+release's parts) or from the mechanism details a dense release records,
+and a result without one is rejected with a
+:class:`~repro.errors.QueryError`.
 """
 
 from __future__ import annotations
@@ -146,10 +148,9 @@ class QueryEngine:
     Parameters
     ----------
     result:
-        A published result from any mechanism in this library.
-    sa_names:
-        Override for the SA set used to rebuild the transform.  Usually
-        inferred from ``result.details`` (Basic implies all attributes).
+        A published result from any mechanism in this library.  A dense
+        leaf's SA set is read from ``result.details`` (Basic implies all
+        attributes); see :func:`~repro.core.release.infer_sa_names`.
     profile_cache_factory:
         Optional callable mapping the engine's per-axis transform
         sequence to the :class:`~repro.analysis.exact.AxisProfileCache`
@@ -157,9 +158,7 @@ class QueryEngine:
         subclass here; the default is the unbounded cache.
     """
 
-    def __init__(
-        self, result: PublishResult, *, sa_names=None, profile_cache_factory=None
-    ):
+    def __init__(self, result: PublishResult, *, profile_cache_factory=None):
         self._result = result
         self._release = result.release
         schema = self._release.schema
@@ -172,37 +171,15 @@ class QueryEngine:
             # owned by this engine, so a server's bounded policy (and
             # its hit/miss accounting) covers exactly this engine's
             # traffic.
-            if sa_names is not None:
-                reject = getattr(self._release, "reject_sa_override", None)
-                if reject is not None:
-                    reject()
-                raise QueryError(
-                    "composed releases (sharded, stream) carry their own "
-                    "SA configuration; the sa_names override is not "
-                    "supported"
-                )
             self._transform = None
             self._profiles = self._release.build_profile_caches(
                 profile_cache_factory
             )
             return
         if isinstance(self._release, CoefficientRelease):
-            # A coefficient release carries its own configuration; an
-            # explicit override must agree with it, otherwise the
-            # uncertainty math would describe a different release than
-            # the one answering the queries.
-            if sa_names is not None and frozenset(sa_names) != frozenset(
-                self._release.sa_names
-            ):
-                raise QueryError(
-                    f"sa_names {tuple(sa_names)} conflicts with the "
-                    f"release's own SA set {self._release.sa_names}"
-                )
             self._transform = self._release.transform
         else:
-            if sa_names is None:
-                sa_names = infer_sa_names(result)
-            self._transform = HNTransform(schema, sa_names)
+            self._transform = HNTransform(schema, infer_sa_names(result))
         # Per-axis range -> profile memo, shared by every uncertainty
         # call on this engine (batch misses fill it vectorized).
         if profile_cache_factory is None:

@@ -106,8 +106,7 @@ def _worker_main(conn, manifests: dict, options: dict) -> None:
         ``name -> shm manifest`` for every published release.
     options:
         :class:`~repro.serving.server.ReleaseServer` keyword arguments
-        (``max_batch``, ``max_linger_seconds``, ``profile_cache_entries``,
-        ``representation``, ``sa_names``, ``latency_window``).
+        (``max_batch``, ``max_linger_seconds``, ``profile_cache_entries``).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
@@ -236,7 +235,7 @@ class NetworkServer:
         resolved address).
     workers:
         Worker processes to run.
-    max_batch, max_linger_seconds, profile_cache_entries, representation, sa_names:
+    max_batch, max_linger_seconds, profile_cache_entries:
         Forwarded to each worker's per-process
         :class:`~repro.serving.server.ReleaseServer`.
     max_pending_per_worker:
@@ -270,8 +269,6 @@ class NetworkServer:
         max_batch: int = 256,
         max_linger_seconds: float = 0.002,
         profile_cache_entries: int = 4096,
-        representation: str | None = None,
-        sa_names=None,
         max_pending_per_worker: int = 64,
         max_frame_bytes: int = 1 << 20,
         start_method: str | None = None,
@@ -289,8 +286,6 @@ class NetworkServer:
             "max_batch": int(max_batch),
             "max_linger_seconds": float(max_linger_seconds),
             "profile_cache_entries": int(profile_cache_entries),
-            "representation": representation,
-            "sa_names": tuple(sa_names) if sa_names is not None else None,
         }
         self._max_pending = int(max_pending_per_worker)
         self._max_frame_bytes = int(max_frame_bytes)

@@ -87,6 +87,39 @@ def _exact_int(value, what: str) -> int:
     raise ServingError(f"{what} must be an integer, got {value!r}")
 
 
+def _confidence(value) -> float:
+    """``value`` as a confidence level in ``(0, 1)``, or a ``bad-request``.
+
+    Only real numbers pass: a string such as ``"0.9"`` or a boolean is a
+    malformed request, not a level to coerce — the same rule the range
+    bounds follow.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ServingError(f"confidence must be a number, got {value!r}")
+    confidence = float(value)
+    if not 0.0 < confidence < 1.0:
+        raise ServingError(f"confidence must be in (0, 1), got {confidence}")
+    return confidence
+
+
+def _time_range(value) -> tuple | None:
+    """``value`` as a validated ``(lo, hi)`` epoch window (or ``None``).
+
+    ``hi`` may be ``None`` ("through the newest closed epoch"); the
+    bounds are exact integers with ``0 <= lo <= hi``.
+    """
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ServingError(f"time_range must be [lo, hi], got {value!r}")
+    lo, hi = value
+    lo = _exact_int(lo, "time_range bound")
+    hi = None if hi is None else _exact_int(hi, "time_range bound")
+    if lo < 0 or (hi is not None and hi < lo):
+        raise ServingError(f"invalid time_range [{lo}, {hi})")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """One range-count query addressed to a named release.
@@ -126,17 +159,7 @@ class QueryRequest:
             raise ServingError(
                 f"request needs a non-empty release name, got {self.release!r}"
             )
-        try:
-            confidence = float(self.confidence)
-        except (TypeError, ValueError):
-            raise ServingError(
-                f"confidence must be a number, got {self.confidence!r}"
-            ) from None
-        if not 0.0 < confidence < 1.0:
-            raise ServingError(
-                f"confidence must be in (0, 1), got {confidence}"
-            )
-        object.__setattr__(self, "confidence", confidence)
+        object.__setattr__(self, "confidence", _confidence(self.confidence))
         items = (
             self.ranges.items()
             if isinstance(self.ranges, dict)
@@ -158,18 +181,7 @@ class QueryRequest:
                 (str(name), _exact_int(lo, bounds), _exact_int(hi, bounds))
             )
         object.__setattr__(self, "ranges", tuple(sorted(normalized)))
-        if self.time_range is not None:
-            window = tuple(self.time_range)
-            if len(window) != 2:
-                raise ServingError(
-                    f"time_range must be [lo, hi], got {self.time_range!r}"
-                )
-            lo, hi = window
-            lo = _exact_int(lo, "time_range bound")
-            hi = None if hi is None else _exact_int(hi, "time_range bound")
-            if lo < 0 or (hi is not None and hi < lo):
-                raise ServingError(f"invalid time_range [{lo}, {hi})")
-            object.__setattr__(self, "time_range", (lo, hi))
+        object.__setattr__(self, "time_range", _time_range(self.time_range))
 
     @classmethod
     def from_dict(cls, payload) -> "QueryRequest":
@@ -205,16 +217,11 @@ class QueryRequest:
                 f"'ranges' must be an object of {{attribute: [lo, hi]}}, "
                 f"got {ranges!r}"
             )
-        time_range = payload.get("time_range")
-        if time_range is not None and not isinstance(time_range, (list, tuple)):
-            raise ServingError(
-                f"'time_range' must be [lo, hi], got {time_range!r}"
-            )
         return cls(
             release=payload["release"],
             ranges=ranges,
             confidence=payload.get("confidence", 0.95),
-            time_range=time_range,
+            time_range=payload.get("time_range"),
             request_id=payload.get("id"),
         )
 
@@ -351,14 +358,8 @@ class QueryBatchRequest:
             raise ServingError(
                 f"request needs a non-empty release name, got {release!r}"
             )
-        try:
-            confidence = float(confidence)
-        except (TypeError, ValueError):
-            raise ServingError(
-                f"confidence must be a number, got {confidence!r}"
-            ) from None
-        if not 0.0 < confidence < 1.0:
-            raise ServingError(f"confidence must be in (0, 1), got {confidence}")
+        confidence = _confidence(confidence)
+        time_range = _time_range(time_range)
         if not isinstance(ranges, dict) or not ranges:
             raise ServingError(
                 "a columnar batch needs a non-empty 'ranges' object of "
@@ -406,12 +407,8 @@ class QueryBatchRequest:
         self.lows = lows
         self.highs = highs
         self.confidence = confidence
-        self.time_range = None
+        self.time_range = time_range
         self.request_id = request_id
-        if time_range is not None:
-            # Reuse the scalar request's time-range validation verbatim.
-            probe = QueryRequest(release, time_range=time_range)
-            self.time_range = probe.time_range
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

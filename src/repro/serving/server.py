@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.release import convert_result
 from repro.errors import ServingError, StreamingError
 from repro.queries.engine import BatchQueryAnswers, QueryEngine
 from repro.serving.batching import MicroBatcher
@@ -107,6 +106,10 @@ class ServerStats:
 class ReleaseServer:
     """Serve query traffic against many named releases concurrently.
 
+    Every release serves exactly as it was published: the engine is
+    built straight from the registry's result, in its stored
+    representation and with its recorded SA set.
+
     Parameters
     ----------
     registry:
@@ -118,17 +121,6 @@ class ReleaseServer:
         Upper bound of the adaptive micro-batching window.
     profile_cache_entries:
         Per-axis bound of each engine's LRU profile cache.
-    representation:
-        ``None`` serves each release as stored; ``"dense"`` or
-        ``"coefficients"`` converts on first touch (the conversion is
-        answer-preserving, see :func:`repro.core.release.convert_result`).
-    sa_names:
-        Optional SA-set override forwarded to every engine — the escape
-        hatch for archives whose metadata does not record one.  A value
-        conflicting with a coefficient release's own SA set surfaces as
-        a ``bad-request`` error on that release's first request.
-    latency_window:
-        Sliding-window size (requests) for the latency percentiles.
     watch_streams:
         When True (the default), a request touching a release backed by
         an append-able **stream** archive first ``stat``-checks the file
@@ -155,23 +147,18 @@ class ReleaseServer:
         max_batch: int = 256,
         max_linger_seconds: float = 0.002,
         profile_cache_entries: int = 4096,
-        representation: str | None = None,
-        sa_names=None,
-        latency_window: int = 8192,
         watch_streams: bool = True,
         window_engine_cache: int = 64,
         max_plans: int = 256,
     ):
         self._registry = registry if registry is not None else ReleaseRegistry()
-        self._representation = representation
-        self._sa_names = sa_names
         self._profile_cache_entries = int(profile_cache_entries)
         self._watch_streams = bool(watch_streams)
         self._engines: dict[str, QueryEngine] = {}
         self._window_engines: OrderedDict = OrderedDict()
         self._max_window_engines = int(window_engine_cache)
         self._engines_lock = threading.RLock()
-        self._latency = LatencyRecorder(window=latency_window)
+        self._latency = LatencyRecorder()
         self._requests = 0
         self._errors = 0
         self._columnar_rows = 0
@@ -243,7 +230,7 @@ class ReleaseServer:
                 engine = self._engines.get(name)
                 if engine is not None:
                     return engine
-                engine = self._build_engine(self._resolve(name))
+                engine = self._build_engine(self._registry.get(name))
                 with self._engines_lock:
                     self._engines[name] = engine
                 return engine
@@ -259,7 +246,7 @@ class ReleaseServer:
                 if engine is not None:
                     self._window_engines.move_to_end(key)
                     return engine
-            result = self._resolve(name)
+            result = self._registry.get(name)
             window = getattr(result.release, "window", None)
             if window is None:
                 raise ServingError(
@@ -339,20 +326,10 @@ class ReleaseServer:
                 self._plan_cache.invalidate(name)
         return changed
 
-    def _resolve(self, name: str):
-        """Load (and optionally re-represent) ``name``'s result."""
-        result = self._registry.get(name)
-        if self._representation is not None:
-            result = convert_result(
-                result, self._representation, sa_names=self._sa_names
-            )
-        return result
-
     def _build_engine(self, result) -> QueryEngine:
         entries = self._profile_cache_entries
         return QueryEngine(
             result,
-            sa_names=self._sa_names,
             profile_cache_factory=lambda transforms: LRUProfileCache(
                 transforms, max_entries_per_axis=entries
             ),

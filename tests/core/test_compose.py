@@ -12,7 +12,7 @@ from repro.core.publish import publish
 from repro.core.sharding import shard_bounds, shard_schema
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.data.table import Table
-from repro.errors import ServingError, StreamingError
+from repro.errors import StreamingError
 from repro.io import load_result, save_result
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
@@ -115,21 +115,6 @@ class TestAlgebraParity:
         assert answers[1] == 0.0 and answers[2] == 0.0
         assert variances[1] == 0.0 and variances[2] == 0.0
         assert answers[0] != 0.0 and variances[0] > 0.0
-
-    def test_convert_round_trip_preserves_answers(self, sharded_result, boxes):
-        release = sharded_result.release
-        lows, highs = boxes
-        for representation in ("dense", "coefficients"):
-            converted = release.convert(representation)
-            assert {
-                part.representation for part in converted.parts
-            } == {representation}
-            np.testing.assert_allclose(
-                converted.answer_boxes(lows, highs),
-                release.answer_boxes(lows, highs),
-                rtol=1e-9,
-                atol=1e-9,
-            )
 
     def test_archive_round_trip_of_plain_union(self, sharded_result, boxes, tmp_path):
         release = sharded_result.release
@@ -264,56 +249,3 @@ def publish_result_stub(release):
         variance_bound=1.0,
         details={"sharded": True},
     )
-
-
-class TestComposedConversion:
-    """convert_result must delegate through the algebra's convert hook."""
-
-    def test_uniform_target_returns_same_result(self, sharded_streams):
-        from repro.core.release import convert_result
-
-        nested, _, _ = sharded_streams
-        wrapped = publish_result_stub(nested)
-        # Every leaf already sits in coefficient space, recursively: the
-        # no-op conversion must short-circuit without rebuilding parts.
-        assert convert_result(wrapped, "coefficients") is wrapped
-
-    def test_sharded_stream_converts_through_algebra(self, sharded_streams, schema):
-        from repro.core.release import convert_result
-
-        nested, _, _ = sharded_streams
-        wrapped = publish_result_stub(nested)
-        converted = convert_result(wrapped, "dense")
-        assert converted is not wrapped
-        release = converted.release
-        assert isinstance(release, Partition)
-        for index in range(release.num_parts):
-            inner = release.part_result(index).release
-            assert isinstance(inner, TimeTree)
-            assert all(
-                node.representation == "dense" for node in inner.nodes.values()
-            )
-        queries = generate_workload(schema, 30, seed=26)
-        lows, highs = query_boxes(queries, schema.shape)
-        np.testing.assert_allclose(
-            release.answer_boxes(lows, highs),
-            nested.answer_boxes(lows, highs),
-            rtol=1e-9,
-            atol=1e-9,
-        )
-
-
-class TestSaOverride:
-    def test_sharded_override_rejected(self, sharded_result):
-        with pytest.raises(ServingError, match="own SA configuration"):
-            QueryEngine(sharded_result, sa_names=("Age",))
-
-    def test_nested_override_rejected(self, sharded_streams):
-        nested, _, _ = sharded_streams
-        with pytest.raises(ServingError, match="own SA configuration"):
-            QueryEngine(publish_result_stub(nested), sa_names=("Age",))
-
-    def test_stream_override_rejected(self, sharded_streams):
-        _, _, parts = sharded_streams
-        with pytest.raises(ServingError, match="own SA configuration"):
-            QueryEngine(parts[0], sa_names=("Gender",))

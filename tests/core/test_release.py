@@ -236,28 +236,18 @@ class TestConvertResult:
             convert_result(result, "sparse")
         assert set(REPRESENTATIONS) == {"dense", "coefficients"}
 
-    def test_sa_override_used_when_details_missing(self, mixed_matrix, rng):
-        import dataclasses
-
-        # A result whose metadata records nothing (e.g. a legacy archive):
-        # conversion must honour an explicit SA set instead of failing.
-        result = dataclasses.replace(
-            PriveletPlusMechanism(sa_names=("X",)).publish_matrix(
-                mixed_matrix, 1.0, seed=8
-            ),
-            details={},
-        )
-        with pytest.raises(QueryError):
-            convert_result(result, "coefficients")
-        converted = convert_result(result, "coefficients", sa_names=("X",))
-        assert converted.release.sa_names == ("X",)
-        lows, highs = random_boxes(mixed_matrix.schema, 20, rng)
-        np.testing.assert_allclose(
-            converted.release.answer_boxes(lows, highs),
-            result.release.answer_boxes(lows, highs),
-            rtol=1e-9,
-            atol=1e-8,
-        )
+    @pytest.mark.parametrize("layout", ["sharded", "stream"])
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_composed_results_rejected(self, mixed_table, layout, representation):
+        # A composed release serves as published; only leaves convert.
+        if layout == "sharded":
+            result = publish(mixed_table, 1.0, shard_by="X", shards=2, seed=8)
+        else:
+            stream = np.arange(mixed_table.num_rows) % 3
+            result = publish(mixed_table, 1.0, stream=stream, seed=8)
+        assert result.representation == layout
+        with pytest.raises(QueryError, match="only leaf releases convert"):
+            convert_result(result, representation)
 
 
 class TestOneDimensionalReleases:

@@ -8,7 +8,6 @@ from repro.core.basic import BasicMechanism
 from repro.core.compose import ComposedPart, Partition
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.core.publish import publish
-from repro.core.release import convert_result
 from repro.core.sharding import (
     partition_table,
     shard_bounds,
@@ -16,7 +15,7 @@ from repro.core.sharding import (
     shard_seeds,
 )
 from repro.data.census import BRAZIL, generate_census_table
-from repro.errors import SchemaError, ServingError
+from repro.errors import SchemaError
 from repro.queries.engine import QueryEngine
 from repro.queries.predicate import Predicate
 from repro.queries.query import RangeCountQuery
@@ -237,20 +236,6 @@ class TestShardedRelease:
         values, stds = QueryEngine(sharded).marginal_with_std(["Gender"])
         assert values.shape == stds.shape == (2,)
         assert np.all(stds > 0)
-
-    def test_convert_rewraps_every_shard(self, sharded):
-        queries = generate_workload(sharded.release.schema, 20, seed=6)
-        before = QueryEngine(sharded).answer_all(queries)
-        dense = convert_result(sharded, "dense")
-        assert dense.representation == "sharded"
-        assert dense.release.shard_result(0).representation == "dense"
-        np.testing.assert_allclose(
-            QueryEngine(dense).answer_all(queries), before, rtol=1e-9, atol=1e-6
-        )
-
-    def test_sa_override_rejected(self, sharded):
-        with pytest.raises(ServingError, match="own SA configuration"):
-            QueryEngine(sharded, sa_names=("Age",))
 
     def test_wrong_shard_count_rejected(self, table, per_shard):
         bounds, results = per_shard

@@ -70,8 +70,6 @@ class TestEngine:
         stripped = replace(published, details={})
         with pytest.raises(QueryError):
             QueryEngine(stripped)
-        # Explicit override works.
-        QueryEngine(stripped, sa_names=("X",))
 
     def test_interval_contains_estimate(self, published, mixed_table):
         engine = QueryEngine(published)
@@ -239,15 +237,6 @@ class TestCoefficientBackend:
         other = Schema([OrdinalAttribute("Z", 3)])
         with pytest.raises(QueryError):
             QueryEngine(published_coefficients).answer(RangeCountQuery(other))
-
-    def test_conflicting_sa_override_rejected(self, published_coefficients):
-        # The release knows its own SA set; a contradicting override
-        # would pair answers with the wrong uncertainty model.
-        with pytest.raises(QueryError, match="conflicts"):
-            QueryEngine(published_coefficients, sa_names=("G",))
-        # An agreeing override (any order) is accepted.
-        engine = QueryEngine(published_coefficients, sa_names=("X",))
-        assert engine.transform is published_coefficients.release.transform
 
 
 class TestMarginals:

@@ -267,3 +267,52 @@ class TestParseRequestLine:
     def test_malformed_json_is_serving_error(self):
         with pytest.raises(ServingError, match="malformed JSON"):
             parse_request_line("{nope")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"release": "r", "confidence": "0.9"}',
+            '{"op": "query_batch", "release": "r", "confidence": "0.9", '
+            '"ranges": {"X": {"lo": [0], "hi": [2]}}}',
+        ],
+        ids=["query", "query_batch"],
+    )
+    def test_string_confidence_rejected(self, line):
+        # Regression: float("0.9") used to accept a string confidence on
+        # the wire while string range bounds were already rejected.
+        with pytest.raises(ServingError, match="confidence must be a number"):
+            parse_request_line(line)
+
+
+class TestSharedValidation:
+    """Both request types share one confidence and one time-range check."""
+
+    @staticmethod
+    def _build(kind, **kwargs):
+        if kind == "query":
+            return QueryRequest("r", {"X": (0, 2)}, **kwargs)
+        return QueryBatchRequest("r", {"X": {"lo": [0], "hi": [2]}}, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["query", "query_batch"])
+    @pytest.mark.parametrize("confidence", ["0.9", True, None, float("nan"), 0.0])
+    def test_bad_confidence_rejected(self, kind, confidence):
+        with pytest.raises(ServingError, match="confidence"):
+            self._build(kind, confidence=confidence)
+
+    @pytest.mark.parametrize("kind", ["query", "query_batch"])
+    def test_numpy_confidence_accepted(self, kind):
+        request = self._build(kind, confidence=np.float64(0.9))
+        assert request.confidence == 0.9 and type(request.confidence) is float
+
+    @pytest.mark.parametrize("kind", ["query", "query_batch"])
+    @pytest.mark.parametrize(
+        "time_range", [(3, 1), (-1, 2), (0.5, 2), ("0", 2), (1,), 5, "01"]
+    )
+    def test_bad_time_range_rejected(self, kind, time_range):
+        with pytest.raises(ServingError, match="time_range"):
+            self._build(kind, time_range=time_range)
+
+    @pytest.mark.parametrize("kind", ["query", "query_batch"])
+    def test_time_range_normalized(self, kind):
+        assert self._build(kind, time_range=[1.0, None]).time_range == (1, None)
+        assert self._build(kind, time_range=(0, 3)).time_range == (0, 3)

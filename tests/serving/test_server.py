@@ -131,25 +131,27 @@ class TestErrors:
             server.query(QueryRequest("census"))
         assert excinfo.value.code == "closed"
 
-    def test_sa_conflict_surfaces_as_query_error(self, census_result):
-        with ReleaseServer(sa_names=("Income",)) as server:
-            server.register("census", census_result)
-            with pytest.raises(QueryError, match="conflicts"):
-                server.query(QueryRequest("census"))
-
 
 class TestRepresentation:
     def test_conversion_preserves_answers(self, census_result):
-        request = QueryRequest("census", {"Age": (5, 25)})
-        with ReleaseServer() as as_stored:
-            as_stored.register("census", census_result)
-            stored = as_stored.query(request)
-        with ReleaseServer(representation="dense") as converted:
-            converted.register("census", census_result)
-            dense = converted.query(request)
-            assert converted.engine("census").release.representation == "dense"
-        assert dense.estimate == pytest.approx(stored.estimate, abs=1e-6)
-        assert dense.noise_std == pytest.approx(stored.noise_std)
+        """The representation is chosen at publish time and served as is.
+
+        A dense publish of the same seed is the coefficient release
+        converted; the server answers both identically.
+        """
+        table = generate_census_table(BRAZIL.scaled(0.05), 2_000, seed=0)
+        dense_result = PriveletPlusMechanism(sa_names="auto").publish(
+            table, 1.0, seed=1
+        )
+        with ReleaseServer() as server:
+            server.register("coefficients", census_result)
+            server.register("dense", dense_result)
+            stored = server.query(QueryRequest("coefficients", {"Age": (5, 25)}))
+            dense = server.query(QueryRequest("dense", {"Age": (5, 25)}))
+            for name in ("coefficients", "dense"):
+                assert server.engine(name).release.representation == name
+        assert dense.estimate == stored.estimate
+        assert dense.noise_std == stored.noise_std
 
 
 class TestArchivesAndStats:

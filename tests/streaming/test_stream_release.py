@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.exact import query_boxes
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.data.census import BRAZIL, census_schema, generate_census_table
-from repro.errors import ServingError, StreamingError
+from repro.errors import StreamingError
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
 from repro.streaming import StreamingPublisher, cover_bound
@@ -115,10 +115,6 @@ class TestEngineIntegration:
         assert np.all(batch.estimates <= batch.uppers)
         assert np.all(batch.noise_stds > 0.0)
 
-    def test_sa_override_rejected(self, stream):
-        with pytest.raises(ServingError, match="own SA configuration"):
-            QueryEngine(stream.result(), sa_names=("Age",))
-
     def test_marginal_with_std(self, stream):
         engine = QueryEngine(stream.result())
         values, stds = engine.marginal_with_std(["Gender"])
@@ -132,20 +128,3 @@ class TestEngineIntegration:
         assert cache.misses > 0
         engine.noise_variances(queries)
         assert cache.hits > 0
-
-
-class TestConvert:
-    def test_convert_to_dense_preserves_answers(self, stream, queries):
-        from repro.core.release import convert_result
-
-        converted = convert_result(stream.result(), "dense")
-        assert converted.release.representation == "stream"
-        np.testing.assert_allclose(
-            QueryEngine(converted).answer_all(queries),
-            QueryEngine(stream.result()).answer_all(queries),
-            atol=1e-6,
-        )
-
-    def test_convert_noop_when_uniform(self, stream):
-        release = stream.release()
-        assert release.convert("coefficients") is release

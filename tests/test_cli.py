@@ -104,25 +104,6 @@ class TestCommands:
         assert "noise std" in out
         assert "mean noise std" in out
 
-    def test_query_sa_override(self, tmp_path, capsys):
-        output = tmp_path / "release.npz"
-        main(
-            [
-                "publish",
-                str(output),
-                "--scale",
-                "0.05",
-                "--rows",
-                "1000",
-                "--mechanism",
-                "privelet",
-            ]
-        )
-        capsys.readouterr()
-        # Explicit empty SA matches the plain-Privelet configuration.
-        assert main(["query", str(output), "--queries", "3", "--sa"]) == 0
-        assert "3 random range-count queries" in capsys.readouterr().out
-
     def test_query_errors_exit_cleanly(self, tmp_path, capsys):
         assert main(["query", str(tmp_path / "missing.npz")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -157,55 +138,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "coefficients backend" in out
 
-    def test_query_representation_conversion(self, tmp_path, capsys):
-        output = tmp_path / "release.npz"
-        main(
-            [
-                "publish",
-                str(output),
-                "--scale",
-                "0.05",
-                "--rows",
-                "1000",
-                "--mechanism",
-                "privelet+",
-                "--representation",
-                "coefficients",
-            ]
-        )
-        capsys.readouterr()
-        # Same archive, same seed, both serving backends: answers agree.
-        assert (
-            main(["query", str(output), "--queries", "4", "--seed", "3"]) == 0
-        )
-        coeff_out = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "query",
-                    str(output),
-                    "--queries",
-                    "4",
-                    "--seed",
-                    "3",
-                    "--representation",
-                    "dense",
-                ]
-            )
-            == 0
-        )
-        dense_out = capsys.readouterr().out
-        assert "dense backend" in dense_out
-
-        def estimates(text):
-            return [
-                float(line.split()[0])
-                for line in text.splitlines()
-                if "RangeCountQuery" in line
-            ]
-
-        assert estimates(coeff_out) == pytest.approx(estimates(dense_out), abs=1e-6)
-
     def test_figure_accepts_representation(self, capsys):
         code = main(
             [
@@ -223,40 +155,6 @@ class TestCommands:
         )
         assert code == 0
         assert "Basic" in capsys.readouterr().out
-
-    def test_query_conflicting_sa_on_v2_archive_exits_cleanly(
-        self, tmp_path, capsys
-    ):
-        """A v2 archive carries its own SA set; a conflicting override is
-        a clean CLI error, never a traceback."""
-        output = tmp_path / "release.npz"
-        main(
-            [
-                "publish",
-                str(output),
-                "--scale",
-                "0.05",
-                "--rows",
-                "1000",
-                "--representation",
-                "coefficients",
-            ]
-        )
-        capsys.readouterr()
-        code = main(
-            [
-                "query",
-                str(output),
-                "--representation",
-                "coefficients",
-                "--sa",
-                "Gender",
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "conflicts" in err
 
     def test_publish_sharded_round_trip(self, tmp_path, capsys):
         output = tmp_path / "sharded.npz"
@@ -370,8 +268,7 @@ class TestServe:
         code, responses, err = self._serve(
             monkeypatch,
             capsys,
-            ["serve", str(archives["br"]), str(archives["us"]),
-             "--stdin-jsonl", "--port-less"],
+            ["serve", str(archives["br"]), str(archives["us"])],
             [
                 '{"id": 1, "release": "br", "ranges": {"Age": [10, 40]}}',
                 '{"id": 2, "release": "us", "ranges": {"Age": [0, 30]}}',
@@ -496,39 +393,6 @@ class TestServe:
         code = main(["serve", str(tmp_path / "absent.npz")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_conflicting_sa_on_v2_archive_is_structured_error(
-        self, archives, monkeypatch, capsys
-    ):
-        """--sa that contradicts a v2 archive's own SA set surfaces as a
-        bad-request response on that release's first request."""
-        code, responses, _ = self._serve(
-            monkeypatch,
-            capsys,
-            ["serve", str(archives["br"]), "--sa", "Gender"],
-            ['{"id": 1, "release": "br", "ranges": {}}'],
-        )
-        assert code == 0
-        assert responses[0]["ok"] is False
-        assert responses[0]["code"] == "bad-request"
-        assert "conflicts" in responses[0]["error"]
-
-    def test_representation_conversion_flag(self, archives, monkeypatch, capsys):
-        _, stored, _ = self._serve(
-            monkeypatch,
-            capsys,
-            ["serve", str(archives["br"])],
-            ['{"id": 1, "release": "br", "ranges": {"Age": [5, 25]}}'],
-        )
-        _, dense, _ = self._serve(
-            monkeypatch,
-            capsys,
-            ["serve", str(archives["br"]), "--representation", "dense"],
-            ['{"id": 1, "release": "br", "ranges": {"Age": [5, 25]}}'],
-        )
-        assert stored[0]["estimate"] == pytest.approx(
-            dense[0]["estimate"], abs=1e-6
-        )
 
 
 class TestStreamingCommands:

@@ -13,7 +13,7 @@ from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.core.publish import publish
 from repro.core.release import convert_result
 from repro.data.census import BRAZIL, census_schema, generate_census_table
-from repro.errors import ReproError
+from repro.errors import QueryError, ReproError
 from repro.io import (
     ResultHandle,
     append_stream_nodes,
@@ -78,7 +78,7 @@ def _close_epochs(publisher, epochs, first_seed):
 
 
 def _release_shapes(directory) -> dict:
-    """``name -> (result, QueryEngine kwargs)`` for every release shape."""
+    """``name -> result`` for every release shape."""
     table = generate_census_table(SPEC, 800, seed=3)
     dense = publish(table, 1.0, seed=4)
     partition = publish(
@@ -99,36 +99,26 @@ def _release_shapes(directory) -> dict:
     resumed = StreamingPublisher.open(directory / "resumed.npz")
     _close_epochs(resumed, 2, 63)
     return {
-        "dense leaf": (dense, {}),
-        "coefficient leaf": (
-            publish(table, 1.0, seed=6, representation="coefficients"),
-            {},
+        "dense leaf": dense,
+        "coefficient leaf": publish(
+            table, 1.0, seed=6, representation="coefficients"
         ),
-        # Records no SA set, so exact variances need the engine override.
-        "dense leaf without SA": (
-            dataclasses.replace(dense, details={}),
-            {"sa_names": dense.details["sa"]},
+        # Records no SA set: it answers boxes but has no variance model.
+        "dense leaf without SA": dataclasses.replace(dense, details={}),
+        "mixed partition": dataclasses.replace(partition, release=mixed),
+        "stream": stream.result(),
+        "zero-epoch stream": _stream_publisher().result(),
+        "resumed stream": resumed.result(),
+        "window": dataclasses.replace(
+            stream.result(), release=stream.result().release.window(1, 4)
         ),
-        "mixed partition": (dataclasses.replace(partition, release=mixed), {}),
-        "stream": (stream.result(), {}),
-        "zero-epoch stream": (_stream_publisher().result(), {}),
-        "resumed stream": (resumed.result(), {}),
-        "window": (
-            dataclasses.replace(
-                stream.result(), release=stream.result().release.window(1, 4)
-            ),
-            {},
-        ),
-        "partition of streams": (
-            publish(
-                table,
-                1.0,
-                shard_by="Age",
-                shards=2,
-                stream=np.arange(table.num_rows) % 4,
-                seed=7,
-            ),
-            {},
+        "partition of streams": publish(
+            table,
+            1.0,
+            shard_by="Age",
+            shards=2,
+            stream=np.arange(table.num_rows) % 4,
+            seed=7,
         ),
     }
 
@@ -193,7 +183,7 @@ def _transport(transport, result, path):
     ],
 )
 def test_archive_round_trip(release_shapes, shape, transport, tmp_path):
-    result, engine_kwargs = release_shapes[shape]
+    result = release_shapes[shape]
     header, loaded = _transport(transport, result, tmp_path / "release.npz")
     assert header["format"] == 5
     assert header["representation"] == result.representation
@@ -202,18 +192,25 @@ def test_archive_round_trip(release_shapes, shape, transport, tmp_path):
     schema = result.release.schema
     queries = generate_workload(schema, 30, seed=1)
     lows, highs = query_boxes(queries, schema.shape)
-    original = QueryEngine(result, **engine_kwargs)
-    reloaded = QueryEngine(loaded, **engine_kwargs)
-    np.testing.assert_array_equal(
-        reloaded.noise_variances(queries), original.noise_variances(queries)
-    )
-    if transport != "parts":
-        # A path load reads no leaf or node before a query routes to it;
-        # exact variances need none at all.
-        assert _loaded_payloads(loaded.release) == 0
-    np.testing.assert_array_equal(
-        reloaded.answer_all(queries), original.answer_all(queries)
-    )
+    if shape == "dense leaf without SA":
+        # Served as published, a release with no SA set has no variance
+        # model, so the engine refuses it on either side of the trip.
+        for unmodelled in (result, loaded):
+            with pytest.raises(QueryError, match="no SA set"):
+                QueryEngine(unmodelled)
+    else:
+        original = QueryEngine(result)
+        reloaded = QueryEngine(loaded)
+        np.testing.assert_array_equal(
+            reloaded.noise_variances(queries), original.noise_variances(queries)
+        )
+        if transport != "parts":
+            # A path load reads no leaf or node before a query routes to
+            # it; exact variances need none at all.
+            assert _loaded_payloads(loaded.release) == 0
+        np.testing.assert_array_equal(
+            reloaded.answer_all(queries), original.answer_all(queries)
+        )
     np.testing.assert_array_equal(
         loaded.release.answer_boxes(lows, highs),
         result.release.answer_boxes(lows, highs),
