@@ -17,6 +17,8 @@ in ``docs/ARCHITECTURE.md``.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import pathlib
 import statistics
@@ -95,6 +97,27 @@ def paired_ratio(slow, fast) -> dict:
         "slow_seconds": statistics.median(slow_times),
         "fast_seconds": statistics.median(fast_times),
     }
+
+
+@contextlib.contextmanager
+def frozen_heap():
+    """Keep every object alive on entry out of the garbage collector.
+
+    In a full tier-1 pytest run the benchmarks that ran earlier leave
+    about 250k objects alive (session-scoped fixtures, results), and
+    every collection a timed Python-heavy loop triggers traverses them
+    all.  That slowed such loops by up to a third and moved two-sided
+    timing gates below their bars (serving warm 2.1x, streaming ingest
+    1.94x, against 2.5-2.8x run alone).  Timed comparisons run inside
+    this so they measure the same work whichever tests ran before;
+    objects created inside are collected as usual.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def bench_accuracy_config() -> AccuracyConfig:

@@ -10,6 +10,13 @@ This benchmark times both paths on one Haar axis across domain sizes,
 asserts the matrix-free path is at least 100x faster wherever the dense
 path is still feasible, and records matrix-free timings up to
 ``m = 2^20`` — a scale at which the dense path would need terabytes.
+
+A nominal axis reads its profiles from an exact ``(m+1) x (m+1)``
+table built on the transform's first profile call.  On census-shaped
+3-level hierarchies of 102, 512 and 2048 leaves this records the
+first-call build, the table's bytes and a 10k-range lookup, checks
+sampled ranges against the dense oracle at rtol 1e-12, and asserts the
+2048-leaf build takes under 2 s.
 """
 
 from __future__ import annotations
@@ -19,7 +26,14 @@ import time
 import numpy as np
 
 from repro.analysis.exact import axis_variance_profile
+from repro.data.hierarchy import two_level_hierarchy
 from repro.transforms.haar import HaarTransform
+from repro.transforms.nominal import NominalTransform
+
+#: Leaf counts of the nominal table rows (census Brazil x0.2 Occupation,
+#: the paper's US Occupation size, and 4x that).
+NOMINAL_LEAVES = (102, 512, 2048)
+MAX_NOMINAL_BUILD_SECONDS = 2.0
 
 
 def dense_profile(transform: HaarTransform, lo: int, hi: int) -> float:
@@ -28,6 +42,25 @@ def dense_profile(transform: HaarTransform, lo: int, hi: int) -> float:
     reconstruction = transform.inverse(identity, refine=True)
     adjoint = reconstruction[lo:hi].sum(axis=0)
     return float(np.sum((adjoint / transform.weight_vector()) ** 2))
+
+
+def census_shaped(leaves: int) -> NominalTransform:
+    """A 3-level hierarchy: about ``sqrt(leaves)`` groups under the root."""
+    groups = int(round(np.sqrt(leaves)))
+    sizes = [leaves // groups] * groups
+    for index in range(leaves - sum(sizes)):
+        sizes[index] += 1
+    return NominalTransform(two_level_hierarchy(sizes))
+
+
+def dense_profiles(transform, lows, highs) -> np.ndarray:
+    """Oracle profiles from one dense reconstruction matrix."""
+    reconstruction = transform.inverse(np.eye(transform.output_length), refine=True)
+    cumulative = np.concatenate(
+        [np.zeros((1, transform.output_length)), np.cumsum(reconstruction, axis=0)]
+    )
+    adjoints = cumulative[highs] - cumulative[lows]
+    return np.sum((adjoints / transform.weight_vector()) ** 2, axis=1)
 
 
 def _best_of(callable_, repeats: int) -> float:
@@ -85,6 +118,34 @@ def test_adjoint_scaling(record_result):
     batch_time = time.perf_counter() - start
     lines.append(f"10k-range batch on m=2^16: {batch_time:.4f} s total")
 
+    # Nominal axes: the profile table's first-call build and lookups.
+    lines.append("")
+    lines.append(
+        f"{'leaves':>10}{'table build (s)':>18}{'table MB':>10}"
+        f"{'10k lookup (s)':>16}{'max rel err':>13}"
+    )
+    builds = {}
+    for leaves in NOMINAL_LEAVES:
+        transform = census_shaped(leaves)
+        start = time.perf_counter()
+        transform.range_profile(0, leaves)
+        builds[leaves] = time.perf_counter() - start
+        table_bytes = transform._profile_table().nbytes
+        pairs = np.sort(rng.integers(0, leaves + 1, size=(10_000, 2)), axis=1)
+        lookup_time = _best_of(
+            lambda: transform.range_profiles(pairs[:, 0], pairs[:, 1]), 5
+        )
+        sample = pairs[:200]
+        expected = dense_profiles(transform, sample[:, 0], sample[:, 1])
+        got = transform.range_profiles(sample[:, 0], sample[:, 1])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        nonzero = expected > 0
+        error = float(np.max(np.abs(got[nonzero] / expected[nonzero] - 1.0)))
+        lines.append(
+            f"{leaves:>10}{builds[leaves]:>18.4f}{table_bytes / 1e6:>10.2f}"
+            f"{lookup_time:>16.6f}{error:>13.1e}"
+        )
+
     record_result("adjoint_scaling", "\n".join(lines))
 
     # The refactor's headline claim: >=100x at the largest size the dense
@@ -94,3 +155,8 @@ def test_adjoint_scaling(record_result):
     # Matrix-free must stay interactive at the scales dense cannot reach.
     assert free_times[16] < 0.05
     assert free_times[20] < 0.05
+    # The table is built incrementally in O(m^2 h) elementwise work;
+    # building it from per-range adjoints would be O(m^2 nodes).
+    assert builds[2048] < MAX_NOMINAL_BUILD_SECONDS, (
+        f"2048-leaf profile table took {builds[2048]:.2f} s to build"
+    )

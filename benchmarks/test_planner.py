@@ -13,8 +13,8 @@ cells) is answered twice over the same engine:
   duplicates collapse to one engine pass and answers scatter back
   bit-for-bit identical (asserted on every run).
 
-Recorded: sustained rows/sec for both paths and the speedup, the
-planner's dedup counters, and the engine profile-cache hit rate.  Set
+Recorded: sustained rows/sec for both paths and the speedup, and the
+planner's dedup counters.  Set
 ``BENCH_SMOKE=1`` for the CI-sized run (no timing assertion —
 shared-runner clocks are too noisy to gate on); either way the numbers
 land in ``results/BENCH_planner.json`` with a provenance block.
@@ -131,7 +131,8 @@ def test_planner_speedup(record_result):
     planner = QueryPlanner(engine)
     lows, highs = _skewed_batch(schema, batch_rows, seed=SEED + 9)
 
-    # Warm payloads and profile caches so both paths measure steady state.
+    # Load payloads and build serving tensors so both paths measure
+    # steady state.
     engine.answer_columnar(lows, highs)
     planner.answer_columnar(lows, highs)
 
@@ -143,7 +144,6 @@ def test_planner_speedup(record_result):
 
     total_rows = len(lows)
     speedup = unplanned_seconds / planned_seconds
-    caches = engine.profile_cache
     payload = {
         "smoke": _smoke(),
         "provenance": provenance(
@@ -167,9 +167,6 @@ def test_planner_speedup(record_result):
             "rows_planned": planner.rows_planned,
             "rows_deduped": planner.rows_deduped,
             "dedup_fraction": planner.rows_deduped / planner.rows_planned,
-        },
-        "caches": {
-            "profile_cache_hit_rate": caches.hit_rate,
         },
     }
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -2,16 +2,18 @@
 
 The serving layer's pitch is that a long-lived server answering
 dashboard-style traffic (the same ranges re-asked all day, across many
-releases) gets three compounding wins: archives load lazily once,
-adjoint profiles stay warm in the bounded LRU cache, and concurrent
+releases) gets two compounding wins: archives load lazily once (and
+each engine and its serving tensor build once), and concurrent
 requests coalesce into vectorized engine batches.  This benchmark
-measures all three on two census releases served *from coefficient
+measures both on two census releases served *from coefficient
 archives*:
 
 * **cold vs warm** — a fresh server answers a dashboard workload once
-  (pays archive load, engine build, serving-tensor prefix pass, and
-  every distinct profile), then answers the same workload again fully
-  warm.  The ISSUE's acceptance bar is a warm speedup >= 2x.
+  and closes (pays archive load, engine build, the serving-tensor
+  prefix pass and the nominal profile tables), against the same
+  workload on one long-lived, warmed server.  The two alternate in
+  :func:`benchmarks.conftest.paired_ratio`'s reference-bracketed pairs
+  and the gate reads the median ratio: warm >= 2x faster.
 * **batch sizes 1 / 16 / 256** — the same workload submitted in
   pipelined chunks of each size, measuring sustained queries/sec (a
   chunk bounds how much the micro-batcher can coalesce).
@@ -27,7 +29,7 @@ archives*:
 
 Set ``BENCH_SMOKE=1`` for a CI-sized run (tiny tables, no
 timing assertions — shared-runner clocks are too noisy to gate on).  In
-full mode the speedup gate is re-measured up to three times before
+full mode the columnar gates are re-measured up to three times before
 failing.  Either way the numbers land in ``results/BENCH_serving.json``
 with a provenance block, so the throughput trajectory accumulates run
 over run.
@@ -44,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from benchmarks.conftest import frozen_heap, paired_ratio
 from benchmarks.provenance import provenance
 from repro.analysis.exact import query_boxes
 from repro.core.privelet_plus import PriveletPlusMechanism
@@ -95,8 +98,7 @@ def _publish_archives(tmp_path) -> dict:
 def _dashboard_requests(archives, repeats: int) -> list[QueryRequest]:
     """A dashboard-style workload: distinct queries per release, repeated.
 
-    Repeats model widgets re-rendering; the distinct queries within one
-    pass are what the cold run must profile from scratch.
+    Repeats model widgets re-rendering.
     """
     _, _, distinct = _scale_rows_queries()
     per_release = []
@@ -127,25 +129,28 @@ def _fresh_server(archives) -> ReleaseServer:
     return server
 
 
-def _timed_pass(server, requests, batch_size: int | None = None) -> float:
-    """Seconds to answer ``requests`` (optionally in pipelined chunks)."""
+def _timed_pass(server, requests, batch_size: int) -> float:
+    """Seconds to answer ``requests`` in pipelined chunks of ``batch_size``."""
     start = time.perf_counter()
-    if batch_size is None:
-        server.query_many(requests)
-    else:
-        for begin in range(0, len(requests), batch_size):
-            server.query_many(requests[begin : begin + batch_size])
+    for begin in range(0, len(requests), batch_size):
+        server.query_many(requests[begin : begin + batch_size])
     return time.perf_counter() - start
 
 
 def _measure(archives, requests) -> dict:
-    """One full cold/warm + batch-size sweep on a fresh server."""
+    """Paired cold/warm ratio, then a batch-size sweep on the warm server."""
+
+    def cold() -> None:
+        with _fresh_server(archives) as fresh:
+            fresh.query_many(requests)
+
     with _fresh_server(archives) as server:
-        cold_seconds = _timed_pass(server, requests)
-        warm_seconds = _timed_pass(server, requests)
+        server.query_many(requests)
+        with frozen_heap():
+            paired = paired_ratio(cold, lambda: server.query_many(requests))
         sweep = []
         for batch_size in BATCH_SIZES:
-            seconds = _timed_pass(server, requests, batch_size=batch_size)
+            seconds = _timed_pass(server, requests, batch_size)
             sweep.append(
                 {
                     "batch_size": batch_size,
@@ -156,9 +161,10 @@ def _measure(archives, requests) -> dict:
         stats = server.stats()
     return {
         "requests": len(requests),
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "warm_speedup": cold_seconds / warm_seconds,
+        "cold_seconds": paired["slow_seconds"],
+        "warm_seconds": paired["fast_seconds"],
+        "warm_speedup": paired["ratio"],
+        "warm_speedup_pairs": paired["ratios"],
         "batch_sweep": sweep,
         "server_stats": dataclasses.asdict(stats),
     }
@@ -208,8 +214,8 @@ def _columnar_requests(boxes, batch_size: int) -> list[QueryBatchRequest]:
 def _measure_columnar(archives, boxes) -> dict:
     """Columnar sweep over BATCH_SIZES on a fresh (then warmed) server."""
     with _fresh_server(archives) as server:
-        # Warm pass: engine builds, plan compiles, profile fills — the
-        # sweep then measures steady-state throughput, same as the dict
+        # Warm pass: engine builds, plan compiles — the sweep then
+        # measures steady-state throughput, same as the dict
         # sweep running after its cold/warm passes.
         for request in _columnar_requests(boxes, max(BATCH_SIZES)):
             server.query_columnar(request)
@@ -247,7 +253,7 @@ def _measure_engine(archives, boxes) -> float:
     total_seconds = 0.0
     for name, (_, lows, highs) in sorted(boxes.items()):
         engine = engines[name]
-        # Warm the profile caches once, then time.
+        # Build the serving tensors once, then time.
         for begin in range(0, lows.shape[0], chunk):
             engine.answer_columnar(
                 lows[begin : begin + chunk], highs[begin : begin + chunk]
@@ -287,14 +293,7 @@ def test_serving_throughput(record_result, tmp_path):
             np.testing.assert_allclose(response.estimate, expected, atol=1e-6)
         assert server.stats().engines_built == len(archives)
 
-    # Timing gates are noisy on shared machines: re-measure the whole
-    # sweep (fresh server each attempt) and gate on the best attempt.
     payload = _measure(archives, requests)
-    if not _smoke():
-        for _ in range(ATTEMPTS - 1):
-            if payload["warm_speedup"] >= MIN_WARM_SPEEDUP:
-                break
-            payload = _measure(archives, requests)
 
     # Columnar wire path vs the dict path vs the raw engine ceiling,
     # over the same boxes the dict requests describe.
@@ -346,9 +345,9 @@ def test_serving_throughput(record_result, tmp_path):
         f"{len(requests)} dashboard requests over {len(archives)} "
         f"coefficient releases {sorted(archives)}",
         f"cold pass  : {payload['cold_seconds']:.4f} s "
-        f"(archive load + engine build + profile fills)",
+        f"(fresh server: archive load + engine build + serving tensors)",
         f"warm pass  : {payload['warm_seconds']:.4f} s "
-        f"(speedup {payload['warm_speedup']:.1f}x)",
+        f"(paired median speedup {payload['warm_speedup']:.2f}x)",
     ]
     for point in payload["batch_sweep"]:
         lines.append(
@@ -365,7 +364,6 @@ def test_serving_throughput(record_result, tmp_path):
         f"{columnar['serving_vs_engine_qps_ratio']:.2f})"
     )
     lines.append(
-        f"profile-cache hit rate {stats['profile_cache_hit_rate']:.0%}, "
         f"mean batch {stats['mean_batch_size']:.1f}, "
         f"p99 latency {stats['p99_latency_seconds'] * 1e3:.2f} ms"
     )
@@ -378,11 +376,11 @@ def test_serving_throughput(record_result, tmp_path):
     if _smoke():
         return
 
-    # The ISSUE's acceptance bar: a repeated workload served >= 2x
-    # faster once the profile cache and engines are warm.
+    # A repeated workload is served >= 2x faster by a warm server than
+    # by a fresh one (median of the paired ratios).
     assert payload["warm_speedup"] >= MIN_WARM_SPEEDUP, (
-        f"warm-cache speedup {payload['warm_speedup']:.2f}x below the "
-        f"{MIN_WARM_SPEEDUP:.0f}x bar after {ATTEMPTS} attempts"
+        f"warm-server speedup {payload['warm_speedup']:.2f}x (paired "
+        f"median) below the {MIN_WARM_SPEEDUP:.0f}x bar"
     )
     # Columnar bars: the structure-of-arrays wire path must beat the
     # per-request dict path by >= 5x at batch 256 and sit within 5x of

@@ -111,7 +111,7 @@ def test_sharding_scalability(record_result):
     mixed = generate_workload(table.schema, num_queries, seed=SEED + 3)
     sharded_engine = QueryEngine(sharded)
     unsharded_engine = QueryEngine(unsharded)
-    # Warm both engines' profile caches, then measure the steady state.
+    # Warm both engines' serving tensors, then measure the steady state.
     _timed_batch(sharded_engine, mixed[:50])
     _timed_batch(unsharded_engine, mixed[:50])
     sharded_seconds = _timed_batch(sharded_engine, mixed)

@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import bench_smoke
+from benchmarks.conftest import bench_smoke, frozen_heap
 from benchmarks.provenance import provenance
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.data.attributes import OrdinalAttribute
@@ -100,21 +100,24 @@ def test_streaming_scalability(record_result, tmp_path_factory):
     archive_dir = tmp_path_factory.mktemp("bench_streaming")
 
     # Both pipelines are timed as the min of two full passes, so one
-    # scheduler hiccup on a shared runner cannot sink the speedup gate.
-    # ---- streaming: publish each epoch once, merge, append to an archive
-    streaming_seconds = math.inf
-    for trial in range(2):
-        seconds, publisher = _timed_streaming(
-            tables, mechanism, archive_dir / f"stream_{trial}.npz"
-        )
-        streaming_seconds = min(streaming_seconds, seconds)
+    # scheduler hiccup on a shared runner cannot sink the speedup gate,
+    # with objects earlier tests left alive out of the collector's way.
+    with frozen_heap():
+        # ---- streaming: publish each epoch once, merge, append to an
+        # archive
+        streaming_seconds = math.inf
+        for trial in range(2):
+            seconds, publisher = _timed_streaming(
+                tables, mechanism, archive_dir / f"stream_{trial}.npz"
+            )
+            streaming_seconds = min(streaming_seconds, seconds)
 
-    # ---- baseline: same freshness from a one-shot pipeline means
-    # republishing the whole prefix after every epoch.
-    republish_seconds = math.inf
-    for _ in range(2):
-        seconds, flat = _timed_republish(tables, mechanism)
-        republish_seconds = min(republish_seconds, seconds)
+        # ---- baseline: same freshness from a one-shot pipeline means
+        # republishing the whole prefix after every epoch.
+        republish_seconds = math.inf
+        for _ in range(2):
+            seconds, flat = _timed_republish(tables, mechanism)
+            republish_seconds = min(republish_seconds, seconds)
     ingest_speedup = republish_seconds / streaming_seconds
 
     # ---- window queries: mixed dyadic-unaligned windows over the stream
@@ -133,7 +136,7 @@ def test_streaming_scalability(record_result, tmp_path_factory):
         window_engines.append(
             QueryEngine(dataclasses.replace(result, release=release))
         )
-    for engine in window_engines:  # warm node payloads + profile caches
+    for engine in window_engines:  # warm node payloads + serving tensors
         engine.answer_all_with_intervals(queries[:20])
     start = time.perf_counter()
     answered = 0

@@ -7,8 +7,8 @@ them to archives, and stands up a ``ReleaseServer`` over them:
 
 * archives register lazily (header read now, payload on first touch);
 * concurrent single queries coalesce into vectorized engine batches;
-* repeated dashboard ranges hit the bounded LRU profile cache;
-* the server reports hit rate, batch sizes, and p50/p99 latency.
+* repeated dashboard renders find engines and serving tensors built;
+* the server reports batch sizes and p50/p99 latency.
 
 Run:  PYTHONPATH=src python examples/multi_release_server.py
 """
@@ -64,15 +64,15 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         paths = publish_archives(Path(scratch))
 
-        with ReleaseServer(max_batch=128, profile_cache_entries=2048) as server:
+        with ReleaseServer(max_batch=128) as server:
             for path in paths:
                 server.register_archive(path)
             print(f"\nregistered (lazily): {list(server.names)}")
             for name in server.names:
                 print(f"  {name}: loaded={server.describe(name)['loaded']}")
 
-            # First render is cold: archive payloads map, engines build,
-            # every distinct profile computes.  Repeats are warm.
+            # First render is cold: archive payloads map, engines and
+            # their serving tensors build.  Repeats are warm.
             for label, release in (("brazil", "brazil-2026"), ("us", "us-2026")):
                 cold = dashboard(server, release, widgets=40)
                 warm = min(dashboard(server, release, widgets=40) for _ in range(3))
@@ -86,8 +86,7 @@ def main() -> None:
             print(
                 f"\nserver stats: {stats.requests} requests in "
                 f"{stats.batches} batches (mean {stats.mean_batch_size:.1f}, "
-                f"largest {stats.largest_batch}), profile-cache hit rate "
-                f"{stats.profile_cache_hit_rate:.0%}, p50 "
+                f"largest {stats.largest_batch}), p50 "
                 f"{stats.p50_latency_seconds * 1e3:.2f} ms, p99 "
                 f"{stats.p99_latency_seconds * 1e3:.2f} ms"
             )

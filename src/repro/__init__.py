@@ -42,7 +42,6 @@ from repro.core import (
     CoefficientRelease,
     ComposedPart,
     ComposedRelease,
-    CompositeProfileCaches,
     DenseRelease,
     Partition,
     TimeTree,
@@ -193,7 +192,6 @@ __all__ = [
     "CoefficientRelease",
     "ComposedPart",
     "ComposedRelease",
-    "CompositeProfileCaches",
     "Partition",
     "TimeTree",
     "convert_result",

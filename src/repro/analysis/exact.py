@@ -14,11 +14,14 @@ and for the HN transform both ``g`` and ``W`` factor across axes, so
     Var = 2 lambda^2 * prod_i ( sum_{j_i} g_i[j_i]^2 / W_i[j_i]^2 ).
 
 ``g_i`` is the adjoint of axis ``i``'s reconstruction map applied to the
-query's range indicator on that axis.  The transforms expose that
-adjoint **matrix-free** (``OneDimensionalTransform.adjoint_range`` /
-``range_profiles``): a Haar axis answers in ``O(log m)`` per range and a
-nominal axis in one bottom-up tree pass, so no ``m x m`` reconstruction
-matrix is ever materialized on the hot path.
+query's range indicator on that axis.  The transforms expose the folded
+profile per range (``OneDimensionalTransform.range_profiles``) without a
+reconstruction matrix: a Haar axis in its ``O(log m)`` closed form, a
+nominal axis as one read of an exact ``(m+1) x (m+1)`` table built once
+per transform, an identity axis as the range width.  Each range's
+profile is computed on its own, so it has the same bits whatever batch
+it arrives in, and :class:`AxisProfileCache` multiplies them across
+axes without storing anything.
 
 Batch evaluation goes through :class:`CompiledWorkload`, which extracts
 every query's per-axis ranges once, deduplicates them per axis, and
@@ -142,17 +145,14 @@ def query_boxes(queries, shape) -> tuple[np.ndarray, np.ndarray]:
 
 
 class AxisProfileCache:
-    """Memoized per-axis ``(lo, hi) -> profile`` store with batch fills.
+    """Per-query products of per-axis range profiles, stateless.
 
     Bound to one sequence of per-axis transforms (e.g. an engine's
-    ``HNTransform.transforms``); repeated queries over the same ranges —
-    the common case in OLAP traffic — hit the dictionary, and the ranges
-    a batch *does* miss are computed in a single vectorized
-    ``range_profiles`` call per axis.  Lookups and inserts go through the
-    :meth:`_get`/:meth:`_put` hooks so bounded policies (the serving
-    layer's LRU cache) can subclass without re-implementing the batch
-    fill; :attr:`hits`/:attr:`misses` count distinct-range lookups either
-    way.
+    ``HNTransform.transforms``).  Every transform's ``range_profiles`` is
+    elementwise per range — a table read on a nominal axis, the
+    ``O(log m)`` closed form on a Haar axis, the width on an identity
+    axis — so a product has the same bits whatever batch it is computed
+    in, and there is nothing to memoize.
 
     Parameters
     ----------
@@ -161,102 +161,13 @@ class AxisProfileCache:
         sequence the profiles are computed against (axis order = index).
     """
 
+    #: Always 0: nothing is memoized.  Kept for readers of the retired
+    #: memo's counters until ROADMAP item 2's benchmark change.
+    hits = 0
+    misses = 0
+
     def __init__(self, transforms):
-        self._transforms = list(transforms)
-        self._caches: list[dict[tuple[int, int], float]] = [
-            dict() for _ in self._transforms
-        ]
-        #: Distinct-range lookups served from the cache.
-        self.hits = 0
-        #: Distinct-range lookups that had to call the transform.
-        self.misses = 0
-
-    # -- storage hooks (subclass points for bounded policies) ----------
-    def _get(self, axis: int, key: tuple[int, int]) -> float | None:
-        """Return the cached profile for ``(axis, key)`` or ``None``."""
-        return self._caches[axis].get(key)
-
-    def _put(self, axis: int, key: tuple[int, int], value: float) -> None:
-        """Store one computed profile under ``(axis, key)``."""
-        self._caches[axis][key] = value
-
-    def __len__(self) -> int:
-        return sum(len(cache) for cache in self._caches)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of distinct-range lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def profile(self, axis: int, lo: int, hi: int) -> float:
-        """One axis profile for ``[lo, hi)``, memoized (``O(log m)`` on miss).
-
-        Parameters
-        ----------
-        axis:
-            Index into the bound transform sequence.
-        lo, hi:
-            Half-open range on that axis.
-
-        Returns
-        -------
-        float
-            ``sum_j (g[j] / W[j])^2`` for the range's adjoint ``g``.
-        """
-        key = (int(lo), int(hi))
-        value = self._get(axis, key)
-        if value is None:
-            self.misses += 1
-            value = axis_variance_profile(self._transforms[axis], *key)
-            self._put(axis, key, value)
-        else:
-            self.hits += 1
-        return value
-
-    def profiles(self, axis: int, lows, highs) -> np.ndarray:
-        """Vectorized profiles for one axis's ``lows``/``highs`` arrays.
-
-        Missing ranges are computed in one batched transform call and
-        remembered; duplicates within the batch are deduplicated first,
-        so each distinct range costs (and counts) one lookup.
-
-        Returns
-        -------
-        numpy.ndarray
-            Per-range profiles aligned with ``lows``/``highs``.
-        """
-        lows = np.asarray(lows, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
-        transform = self._transforms[axis]
-        if lows.size and not (
-            lows.min() >= 0 and np.all(lows <= highs) and highs.max() <= transform.input_length
-        ):
-            raise QueryError(
-                f"a range is out of bounds for axis {axis} of length "
-                f"{transform.input_length}"
-            )
-        pairs = np.stack([lows, highs], axis=1)
-        unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        keys = [(int(lo), int(hi)) for lo, hi in unique]
-        values = np.empty(len(keys), dtype=np.float64)
-        missing = []
-        for i, key in enumerate(keys):
-            cached = self._get(axis, key)
-            if cached is None:
-                missing.append(i)
-            else:
-                values[i] = cached
-        self.hits += len(keys) - len(missing)
-        self.misses += len(missing)
-        if missing:
-            computed = transform.range_profiles(
-                unique[missing, 0], unique[missing, 1]
-            )
-            for i, value in zip(missing, computed):
-                values[i] = float(value)
-                self._put(axis, keys[i], values[i])
-        return values[inverse]
+        self._transforms = tuple(transforms)
 
     def box_profile_products(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Per-query products of axis profiles for ``(n, d)`` box arrays.
@@ -273,8 +184,8 @@ class AxisProfileCache:
             ``q`` is ``2 lambda^2 * products[q]``.
         """
         products = np.ones(lows.shape[0], dtype=np.float64)
-        for axis in range(len(self._transforms)):
-            products *= self.profiles(axis, lows[:, axis], highs[:, axis])
+        for axis, transform in enumerate(self._transforms):
+            products *= transform.range_profiles(lows[:, axis], highs[:, axis])
         return products
 
 

@@ -245,12 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="upper bound of the adaptive micro-batching window",
     )
-    serve.add_argument(
-        "--profile-cache",
-        type=int,
-        default=4096,
-        help="per-axis LRU bound of each release's adjoint-profile cache",
-    )
 
     return parser
 
@@ -650,7 +644,6 @@ def _serve_tcp(args) -> int:
         workers=args.workers,
         max_batch=args.max_batch,
         max_linger_seconds=args.linger_ms / 1000.0,
-        profile_cache_entries=args.profile_cache,
     )
     for spec in args.archives:
         name, path = _parse_archive_spec(spec)
@@ -702,7 +695,6 @@ def _cmd_serve(args) -> int:
     server = ReleaseServer(
         max_batch=args.max_batch,
         max_linger_seconds=args.linger_ms / 1000.0,
-        profile_cache_entries=args.profile_cache,
     )
     with server:
         for spec in args.archives:
@@ -718,8 +710,7 @@ def _cmd_serve(args) -> int:
         stats = server.stats()
     print(
         f"served {served} request(s); mean batch "
-        f"{stats.mean_batch_size:.1f}, profile-cache hit rate "
-        f"{stats.profile_cache_hit_rate:.0%}, p99 latency "
+        f"{stats.mean_batch_size:.1f}, p99 latency "
         f"{stats.p99_latency_seconds * 1e3:.2f} ms",
         file=sys.stderr,
     )

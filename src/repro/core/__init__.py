@@ -32,7 +32,6 @@ from repro.core.postprocess import (
 from repro.core.compose import (
     ComposedPart,
     ComposedRelease,
-    CompositeProfileCaches,
     Partition,
     TimeTree,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "CoefficientRelease",
     "ComposedPart",
     "ComposedRelease",
-    "CompositeProfileCaches",
     "Partition",
     "TimeTree",
     "REPRESENTATIONS",

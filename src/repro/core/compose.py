@@ -21,15 +21,18 @@ The algebra is **closed under nesting**: a part of a
 :class:`Partition` may itself be any composed release, so a sharded
 stream is just ``Partition(TimeTree(...), ...)`` — window queries
 route to each shard's windowed view and the exact variances still sum.
-Every node uniformly exposes ``answer_boxes`` / ``noise_variances_boxes``
-/ ``build_profile_caches``, which is the one composed-backend code path
+Every node uniformly exposes ``answer_boxes`` / ``noise_variances_boxes``,
+which is the one composed-backend code path
 :class:`~repro.queries.engine.QueryEngine` speaks.  A composed release
 serves exactly as it was published: every leaf keeps its own
 representation and SA set.
 
 Routing masks, clip arithmetic, and the order of every floating-point
 accumulation are fixed, so a composed release answers bit-for-bit like
-the equivalent flat per-part computation.
+the equivalent flat per-part computation.  Each part's profile product
+is a pure function of its sub-box
+(:class:`~repro.analysis.exact.AxisProfileCache` stores nothing), so a
+std has the same bits whatever batch it is computed in.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from repro.transforms.multidim import HNTransform
 
 __all__ = [
     "ComposedPart",
-    "CompositeProfileCaches",
     "ComposedRelease",
     "Partition",
     "TimeTree",
@@ -198,50 +200,6 @@ class ComposedPart:
         return self._result
 
 
-class CompositeProfileCaches:
-    """Per-part profile caches plus aggregate hit/miss counters.
-
-    Built by :meth:`ComposedRelease.build_profile_caches`; each engine
-    serving a composed release owns one of these, so a server's bounded
-    cache policy applies to *its* traffic regardless of how the release
-    was used before registration.  Serving-layer stats read ``hits``/
-    ``misses``/``evictions`` off an engine's profile cache; here those
-    counters live in one cache per part, summed on access.  An entry may
-    itself be a :class:`CompositeProfileCaches` (a nested composed
-    part), so the counters aggregate recursively.
-
-    Parameters
-    ----------
-    caches:
-        One :class:`~repro.analysis.exact.AxisProfileCache` (or nested
-        composite) per part, in part order.
-    """
-
-    def __init__(self, caches):
-        self.caches = list(caches)
-
-    @property
-    def hits(self) -> int:
-        """Distinct-range lookups served from any part's cache."""
-        return sum(cache.hits for cache in self.caches)
-
-    @property
-    def misses(self) -> int:
-        """Distinct-range lookups that had to call a transform."""
-        return sum(cache.misses for cache in self.caches)
-
-    @property
-    def evictions(self) -> int:
-        """LRU evictions across parts (0 for unbounded caches)."""
-        return sum(getattr(cache, "evictions", 0) for cache in self.caches)
-
-    @property
-    def hit_rate(self) -> float:
-        """``hits / (hits + misses)``, 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class ComposedRelease(Release):
     """Base node of the composition algebra: parts behind one backend.
 
@@ -253,9 +211,9 @@ class ComposedRelease(Release):
     clips boxes against part intervals, :meth:`TimeTree._route` fans
     the same box to every cover node.  Everything else — answer
     accumulation, per-part variance dispatch (leaf formula vs. recursive
-    delegation for nested parts), profile-cache construction, and
-    lazy-load accounting — is shared here, so the combinators carry no
-    duplicated answer or variance logic.
+    delegation for nested parts), and lazy-load accounting — is shared
+    here, so the combinators carry no duplicated answer or variance
+    logic.
 
     Parameters
     ----------
@@ -270,8 +228,6 @@ class ComposedRelease(Release):
     def __init__(self, schema: Schema, parts):
         self._schema = schema
         self._parts = list(parts)
-        self._caches = None
-        self._caches_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -355,53 +311,11 @@ class ComposedRelease(Release):
                 answers[mask] += part_answers
         return answers
 
-    def build_profile_caches(self, factory=None) -> CompositeProfileCaches:
-        """Fresh per-part profile caches for one consumer (e.g. engine).
-
-        Each :class:`~repro.queries.engine.QueryEngine` serving this
-        release builds its own set, so a server's bounded cache policy
-        (and its hit/miss accounting) covers exactly that engine's
-        traffic.  Leaf parts get one cache over their own transform;
-        nested composed parts recurse, so the returned aggregate mirrors
-        the release tree.
-
-        Parameters
-        ----------
-        factory:
-            Optional callable mapping a part's per-axis transform
-            sequence to its :class:`~repro.analysis.exact.
-            AxisProfileCache`; the serving layer passes a bounded LRU
-            subclass.  The default is the unbounded cache.
-
-        Returns
-        -------
-        CompositeProfileCaches
-            One cache (or nested composite) per part, with aggregate
-            counters.
-        """
-        build = factory if factory is not None else AxisProfileCache
-        caches = []
-        for part in self._parts:
-            if getattr(part, "composed", False):
-                caches.append(part.result().release.build_profile_caches(factory))
-            else:
-                caches.append(build(part.transform.transforms))
-        return CompositeProfileCaches(caches)
-
-    def _default_caches(self) -> CompositeProfileCaches:
-        """The release's own (unbounded) caches for direct variance calls."""
-        if self._caches is None:
-            with self._caches_lock:
-                if self._caches is None:
-                    self._caches = self.build_profile_caches()
-        return self._caches
-
-    def noise_variances_boxes(self, lows, highs, *, caches=None) -> np.ndarray:
+    def noise_variances_boxes(self, lows, highs) -> np.ndarray:
         """Exact noise variance of each box's answer, summed over parts.
 
         Each routed leaf part contributes ``2 λ_i² · ∏ profile`` on its
-        sub-box (through a memoized profile cache); a routed composed
-        part recurses with its own nested cache; parts a query does not
+        sub-box; a routed composed part recurses; parts a query does not
         touch contribute nothing — independent noise means the variances
         of the summed answer simply add.  Needs no part payload: the
         profiles depend only on each part's transform configuration.
@@ -410,10 +324,6 @@ class ComposedRelease(Release):
         ----------
         lows, highs:
             ``(n, d)`` arrays of half-open box bounds, one row per query.
-        caches:
-            A :class:`CompositeProfileCaches` to memoize profiles in (an
-            engine passes its own); defaults to the release's internal
-            unbounded set.
 
         Returns
         -------
@@ -421,19 +331,17 @@ class ComposedRelease(Release):
             ``(n,)`` exact variances aligned with the rows.
         """
         lows, highs = self._check_boxes(lows, highs)
-        if caches is None:
-            caches = self._default_caches()
         variances = np.zeros(lows.shape[0], dtype=np.float64)
         for index, mask, sub_lows, sub_highs in self._route(lows, highs):
             part = self._parts[index]
             if getattr(part, "composed", False):
                 part_variances = part.result().release.noise_variances_boxes(
-                    sub_lows, sub_highs, caches=caches.caches[index]
-                )
-            else:
-                products = caches.caches[index].box_profile_products(
                     sub_lows, sub_highs
                 )
+            else:
+                products = AxisProfileCache(
+                    part.transform.transforms
+                ).box_profile_products(sub_lows, sub_highs)
                 part_variances = 2.0 * part.noise_magnitude**2 * products
             if mask is None:
                 variances += part_variances
@@ -792,26 +700,7 @@ class TimeTree(ComposedRelease):
         for index in range(len(self._parts)):
             yield index, None, lows, highs
 
-    def build_profile_caches(self, factory=None) -> CompositeProfileCaches:
-        """A fresh profile-cache set for one consumer (e.g. an engine).
-
-        All nodes share one transform, so the set holds a single
-        per-axis cache; it is wrapped in the same
-        :class:`CompositeProfileCaches` aggregate the union combinator
-        uses, so serving-layer stats read hit/miss counters identically
-        for both.
-
-        Parameters
-        ----------
-        factory:
-            Optional callable mapping the per-axis transform sequence to
-            its cache; the serving layer passes a bounded LRU subclass.
-            The default is the unbounded cache.
-        """
-        build = factory if factory is not None else AxisProfileCache
-        return CompositeProfileCaches([build(self._transform.transforms)])
-
-    def noise_variances_boxes(self, lows, highs, *, caches=None) -> np.ndarray:
+    def noise_variances_boxes(self, lows, highs) -> np.ndarray:
         """Exact noise variance of each box's answer over the window.
 
         One profile product per query (all nodes share the transform)
@@ -823,10 +712,6 @@ class TimeTree(ComposedRelease):
         ----------
         lows, highs:
             ``(n, d)`` arrays of half-open box bounds, one row per query.
-        caches:
-            A :class:`CompositeProfileCaches` to memoize profiles in (an
-            engine passes its own); defaults to the release's internal
-            unbounded set.
 
         Returns
         -------
@@ -834,14 +719,14 @@ class TimeTree(ComposedRelease):
             ``(n,)`` exact variances aligned with the rows.
         """
         lows, highs = self._check_boxes(lows, highs)
-        if caches is None:
-            caches = self._default_caches()
         factor = 2.0 * sum(
             self._nodes[key].noise_magnitude ** 2 for key in self._cover
         )
         if factor == 0.0:
             return np.zeros(lows.shape[0], dtype=np.float64)
-        products = caches.caches[0].box_profile_products(lows, highs)
+        products = AxisProfileCache(self._transform.transforms).box_profile_products(
+            lows, highs
+        )
         return factor * products
 
     def to_matrix(self) -> FrequencyMatrix:

@@ -26,7 +26,7 @@ import threading
 import numpy as np
 
 from repro.queries.engine import BatchQueryAnswers, _interval_answers
-from repro.utils.validation import ensure_boxes
+from repro.utils.validation import ensure_boxes, ensure_confidence
 
 __all__ = ["QueryPlanner"]
 
@@ -70,7 +70,8 @@ class QueryPlanner:
             ``(n, d)`` arrays of half-open box bounds, one row per
             query (axis order = schema order).
         confidence:
-            Two-sided coverage level in ``(0, 1)``.
+            Two-sided coverage level: a real number in ``(0, 1)``
+            (:class:`~repro.errors.QueryError` otherwise).
 
         Returns
         -------
@@ -79,10 +80,9 @@ class QueryPlanner:
             :meth:`~repro.queries.engine.QueryEngine.answer_columnar`
             on the same inputs.
         """
-        if not 0.0 < confidence < 1.0:
-            # Same precedence as the engine: a bad confidence fails
-            # before the bounds are even looked at.
-            _interval_answers(np.empty(0), np.empty(0), confidence)
+        # Same precedence as the engine: a bad confidence fails before
+        # the bounds are even looked at.
+        confidence = ensure_confidence(confidence)
         lows, highs = ensure_boxes(lows, highs, self._engine.schema.shape)
         dims = lows.shape[1]
         unique, inverse = np.unique(

@@ -16,11 +16,11 @@ mechanism configuration, not the data).  :class:`QueryEngine` packages:
 
 The primary entry point for traffic is the **batch API**
 (:meth:`QueryEngine.answer_all_with_intervals`): one vectorized backend
-gather plus one compiled variance pass over the whole batch, with the
-per-axis range profiles memoized across calls on the same engine — so an
-OLAP dashboard re-asking overlapping ranges pays for each distinct range
-once over the engine's lifetime.  The single-query methods are thin
-wrappers over the batch path.
+gather plus one variance pass over the whole batch.  The variance pass
+is stateless: each row's per-axis range profiles are table reads or
+closed forms (:class:`~repro.analysis.exact.AxisProfileCache`), so a
+row's std has the same bits whatever batch, engine or process computes
+it.  The single-query methods are thin wrappers over the batch path.
 
 Answer backends
 ---------------
@@ -63,7 +63,7 @@ from repro.errors import QueryError
 from repro.queries.query import RangeCountQuery
 from repro.transforms.multidim import HNTransform
 from repro.utils.stats import gaussian_quantile
-from repro.utils.validation import ensure_boxes
+from repro.utils.validation import ensure_boxes, ensure_confidence
 
 __all__ = ["QueryAnswer", "BatchQueryAnswers", "QueryEngine"]
 
@@ -78,10 +78,9 @@ def _interval_answers(
     planned answers stay bit-for-bit identical to unplanned ones.
     Gaussian approximation to the sum of independent Laplace noises,
     widened to the exact Laplace quantile when it is larger.
+    ``confidence`` has already passed :func:`~repro.utils.validation.
+    ensure_confidence`.
     """
-    if not 0.0 < confidence < 1.0:
-        raise QueryError(f"confidence must be in (0, 1), got {confidence}")
-    confidence = float(confidence)
     tail = (1.0 - confidence) / 2.0
     gaussian_multiplier = -gaussian_quantile(tail)
     # Exact Laplace quantile for a *single* Laplace with the same
@@ -151,40 +150,24 @@ class QueryEngine:
         A published result from any mechanism in this library.  A dense
         leaf's SA set is read from ``result.details`` (Basic implies all
         attributes); see :func:`~repro.core.release.infer_sa_names`.
-    profile_cache_factory:
-        Optional callable mapping the engine's per-axis transform
-        sequence to the :class:`~repro.analysis.exact.AxisProfileCache`
-        it memoizes profiles in.  The serving layer passes a bounded LRU
-        subclass here; the default is the unbounded cache.
     """
 
-    def __init__(self, result: PublishResult, *, profile_cache_factory=None):
+    def __init__(self, result: PublishResult):
         self._result = result
         self._release = result.release
-        schema = self._release.schema
         if hasattr(self._release, "noise_variances_boxes"):
             # A composed release (sharded, stream) has no single
             # transform or lambda: each shard or tree node carries its
             # own.  Point answers and exact variances both delegate to
-            # the release, which routes and sums per part.  The per-part
-            # profile caches are built with this engine's factory and
-            # owned by this engine, so a server's bounded policy (and
-            # its hit/miss accounting) covers exactly this engine's
-            # traffic.
+            # the release, which routes and sums per part.
             self._transform = None
-            self._profiles = self._release.build_profile_caches(
-                profile_cache_factory
-            )
+            self._profiles = AxisProfileCache(())
             return
         if isinstance(self._release, CoefficientRelease):
             self._transform = self._release.transform
         else:
-            self._transform = HNTransform(schema, infer_sa_names(result))
-        # Per-axis range -> profile memo, shared by every uncertainty
-        # call on this engine (batch misses fill it vectorized).
-        if profile_cache_factory is None:
-            profile_cache_factory = AxisProfileCache
-        self._profiles = profile_cache_factory(self._transform.transforms)
+            self._transform = HNTransform(self._release.schema, infer_sa_names(result))
+        self._profiles = AxisProfileCache(self._transform.transforms)
 
     # ------------------------------------------------------------------
     @property
@@ -207,10 +190,10 @@ class QueryEngine:
 
     @property
     def profile_cache(self):
-        """The per-axis profile cache this engine memoizes variances in.
+        """This engine's stateless profile kernel; ``hits``/``misses`` read 0.
 
-        Exposed so serving-layer stats can read its hit/miss counters;
-        treat it as read-only.
+        Kept for readers of the retired memo's counters until ROADMAP
+        item 2's benchmark change.
         """
         return self._profiles
 
@@ -252,10 +235,9 @@ class QueryEngine:
     def noise_variances(self, queries) -> np.ndarray:
         """Exact noise variances for a query batch, vectorized.
 
-        One compiled pass: each axis's distinct ranges are profiled in a
-        single transform call (through the engine's persistent cache),
-        then multiplied across axes per query — ``O(log m_i)`` per
-        distinct uncached range on a Haar axis, ``O(1)`` afterwards.
+        One vectorized pass: each axis's ranges are profiled in one
+        transform call, then multiplied across axes per query — one
+        table read per nominal range, ``O(log m_i)`` per Haar range.
 
         Parameters
         ----------
@@ -274,8 +256,7 @@ class QueryEngine:
         """Exact noise variances straight from ``(n, d)`` bound arrays.
 
         The columnar twin of :meth:`noise_variances`: no query objects,
-        just per-axis half-open bounds.  Same memoized profile cache,
-        same exact math.
+        just per-axis half-open bounds, same exact math.
 
         Parameters
         ----------
@@ -292,9 +273,7 @@ class QueryEngine:
         if self._transform is None:
             # Composed: per-part 2 lambda_i^2 * profile products,
             # summed (independent noise adds).
-            return self._release.noise_variances_boxes(
-                lows, highs, caches=self._profiles
-            )
+            return self._release.noise_variances_boxes(lows, highs)
         products = self._profiles.box_profile_products(lows, highs)
         return 2.0 * self._result.noise_magnitude**2 * products
 
@@ -323,8 +302,8 @@ class QueryEngine:
         approximation to the sum of independent Laplace noises, widened
         to the exact Laplace quantile when it is larger (so intervals
         stay valid even for answers dominated by a single coefficient).
-        Per query this is ``2^d`` corner reads plus ``O(log m_i)`` per
-        distinct uncached range for the variances.
+        Per query this is ``2^d`` corner reads plus one profile per axis
+        for the variance.
 
         Parameters
         ----------
@@ -349,10 +328,9 @@ class QueryEngine:
         The zero-object entry point the serving layer's columnar fast
         path hands its decoded wire batches to: no
         :class:`~repro.queries.query.RangeCountQuery` instances, no
-        per-query Python — one vectorized backend gather, one compiled
-        variance pass, one vectorized interval construction, all against
-        the same memoized profile caches the scalar path uses, so the
-        answers are bit-for-bit identical to
+        per-query Python — one vectorized backend gather, one variance
+        pass, one vectorized interval construction, the same code the
+        scalar path runs, so the answers are bit-for-bit identical to
         :meth:`answer_all_with_intervals` on the equivalent queries.
 
         Degenerate rows (``lo == hi`` on any axis) cover zero cells and
@@ -365,15 +343,15 @@ class QueryEngine:
             ``(n, d)`` int64 arrays of half-open box bounds, one row per
             query (axis order = schema order).
         confidence:
-            Two-sided coverage level in ``(0, 1)``.
+            Two-sided coverage level: a real number in ``(0, 1)``, never
+            a string or boolean (:class:`~repro.errors.QueryError`).
 
         Returns
         -------
         BatchQueryAnswers
             Arrays aligned with the rows.
         """
-        if not 0.0 < confidence < 1.0:
-            raise QueryError(f"confidence must be in (0, 1), got {confidence}")
+        confidence = ensure_confidence(confidence)
         lows, highs = ensure_boxes(lows, highs, self.schema.shape)
         estimates = self._release.answer_boxes(lows, highs)
         stds = np.sqrt(self.noise_variances_columnar(lows, highs))
@@ -401,8 +379,7 @@ class QueryEngine:
         Each marginal cell is a range-count query (a point on the kept
         axes, the full range on the summed-out axes), so its exact noise
         variance factorizes per axis — the whole std table costs one
-        vectorized profile pass per kept axis (memoized across calls
-        like every engine profile).
+        vectorized profile pass per kept axis.
 
         Parameters
         ----------
@@ -423,9 +400,7 @@ class QueryEngine:
             # passes (marginal_boxes validates the names).
             kept_sizes, lows, highs = marginal_boxes(schema, names)
             values = self._release.answer_boxes(lows, highs).reshape(kept_sizes)
-            variances = self._release.noise_variances_boxes(
-                lows, highs, caches=self._profiles
-            )
+            variances = self._release.noise_variances_boxes(lows, highs)
             return values, np.sqrt(variances).reshape(kept_sizes)
 
         keep_axes = schema.axes_of(names)
@@ -438,9 +413,9 @@ class QueryEngine:
         for axis, transform in enumerate(self._transform.transforms):
             if axis in keep_axes:
                 cells = np.arange(transform.input_length, dtype=np.int64)
-                per_axis.append(self._profiles.profiles(axis, cells, cells + 1))
+                per_axis.append(transform.range_profiles(cells, cells + 1))
             else:
-                factor *= self._profiles.profile(axis, 0, transform.input_length)
+                factor *= transform.range_profile(0, transform.input_length)
         # Outer product of the kept axes' profiles, ordered as requested.
         variance = np.ones((1,) * len(names))
         ordered = [per_axis[sorted(keep_axes).index(axis)] for axis in keep_axes]

@@ -15,12 +15,10 @@ package is about sustained traffic across *many* releases.  The pieces
   columnar);
 * :class:`~repro.serving.batching.MicroBatcher` — adaptive coalescing
   of concurrent single queries into vectorized engine batches;
-* :class:`~repro.serving.cache.LRUProfileCache` — bounded per-axis
-  adjoint-profile memo keyed by axis ranges;
 * :class:`~repro.serving.plans.PlanCache` — compiled per-shape plans
   the columnar path reuses across batches;
 * :class:`~repro.serving.server.ReleaseServer` — the composition, with
-  per-release locks and hit-rate/batch/latency stats;
+  per-release locks and plan-cache/batch/latency stats;
 * :mod:`~repro.serving.shm` — publish-once shared-memory segments that
   worker processes map zero copy;
 * :class:`~repro.serving.stats.LatencyRecorder` /
@@ -34,7 +32,6 @@ See ``docs/ARCHITECTURE.md`` for where this layer sits in the system.
 """
 
 from repro.serving.batching import MicroBatcher
-from repro.serving.cache import LRUProfileCache
 from repro.serving.network import NetworkServer
 from repro.serving.plans import CompiledPlan, PlanCache
 from repro.serving.registry import ReleaseRegistry
@@ -60,7 +57,6 @@ __all__ = [
     "BatchQueryResponse",
     "CompiledPlan",
     "ErrorResponse",
-    "LRUProfileCache",
     "LatencyRecorder",
     "MicroBatcher",
     "NetworkServer",

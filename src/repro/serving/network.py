@@ -8,8 +8,8 @@ This is the serving layer's answer to "millions of users": the JSONL
   wire types of the JSONL loop including ``op=query_batch``) running on
   a background event-loop thread;
 * ``N`` worker processes, each holding its own
-  :class:`~repro.serving.server.ReleaseServer` (engines, profile and
-  plan caches, micro-batcher) whose release tensors are mapped
+  :class:`~repro.serving.server.ReleaseServer` (engines, plan cache,
+  micro-batcher) whose release tensors are mapped
   **zero-copy** from shared-memory segments the parent published once
   (see :mod:`repro.serving.shm`) — no tensor ever crosses a pipe;
 * per-worker duplex pipes carrying only small JSON-able dicts:
@@ -106,7 +106,7 @@ def _worker_main(conn, manifests: dict, options: dict) -> None:
         ``name -> shm manifest`` for every published release.
     options:
         :class:`~repro.serving.server.ReleaseServer` keyword arguments
-        (``max_batch``, ``max_linger_seconds``, ``profile_cache_entries``).
+        (``max_batch``, ``max_linger_seconds``).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
@@ -235,7 +235,7 @@ class NetworkServer:
         resolved address).
     workers:
         Worker processes to run.
-    max_batch, max_linger_seconds, profile_cache_entries:
+    max_batch, max_linger_seconds:
         Forwarded to each worker's per-process
         :class:`~repro.serving.server.ReleaseServer`.
     max_pending_per_worker:
@@ -268,7 +268,6 @@ class NetworkServer:
         workers: int = 1,
         max_batch: int = 256,
         max_linger_seconds: float = 0.002,
-        profile_cache_entries: int = 4096,
         max_pending_per_worker: int = 64,
         max_frame_bytes: int = 1 << 20,
         start_method: str | None = None,
@@ -285,7 +284,6 @@ class NetworkServer:
         self._worker_options = {
             "max_batch": int(max_batch),
             "max_linger_seconds": float(max_linger_seconds),
-            "profile_cache_entries": int(profile_cache_entries),
         }
         self._max_pending = int(max_pending_per_worker)
         self._max_frame_bytes = int(max_frame_bytes)

@@ -12,14 +12,10 @@ all day) pays the resolution once and every later batch goes straight
 from wire arrays to :meth:`~repro.queries.engine.QueryEngine.
 answer_columnar`.
 
-The plan also pins the engine it compiled against, which is what makes
-the per-axis profile state compound across batches: every batch bound
-through one plan hits the same engine's
-:class:`~repro.analysis.exact.AxisProfileCache` (the serving layer's
-bounded LRU subclass), the same memoized adjoint profiles the
-:class:`~repro.analysis.exact.CompiledWorkload` analysis path
-deduplicates per axis — recompilation is skipped entirely, not merely
-made cheaper.
+The plan also pins the engine it compiled against, so every batch
+bound through one plan reaches the same engine (and, for a stream, the
+same window view) without a lookup — recompilation is skipped
+entirely, not merely made cheaper.
 
 Every plan also carries a :class:`~repro.planner.QueryPlanner` over
 its engine, and batches are answered through it, so duplicate boxes
@@ -63,8 +59,7 @@ class CompiledPlan:
         The ``(release, attribute names, time_range)`` shape this plan
         serves.
     engine:
-        The resolved :class:`~repro.queries.engine.QueryEngine` (its
-        profile caches are the cross-batch axis-profile state).
+        The resolved :class:`~repro.queries.engine.QueryEngine`.
     axes:
         Schema axis index per named attribute, aligned with the key's
         name tuple.
@@ -121,8 +116,7 @@ class PlanCache:
     max_plans:
         Most compiled plans kept; the least recently used plan beyond
         that is evicted (eviction loses no answers — an evicted shape
-        recompiles identically on its next batch, and the underlying
-        engine profile caches are owned by the engines, not the plan).
+        recompiles identically on its next batch).
 
     Thread-safety: lookups and inserts are lock-guarded so direct
     callers may share the cache with the batcher's drain thread.

@@ -54,10 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError, ServingError
+from repro.errors import QueryError, ReproError, ServingError
 from repro.queries.predicate import Predicate
 from repro.queries.query import RangeCountQuery
-from repro.utils.validation import integral_array
+from repro.utils.validation import ensure_confidence, integral_array
 
 __all__ = [
     "QueryRequest",
@@ -90,16 +90,14 @@ def _exact_int(value, what: str) -> int:
 def _confidence(value) -> float:
     """``value`` as a confidence level in ``(0, 1)``, or a ``bad-request``.
 
-    Only real numbers pass: a string such as ``"0.9"`` or a boolean is a
-    malformed request, not a level to coerce — the same rule the range
-    bounds follow.
+    The engine's rule (:func:`~repro.utils.validation.ensure_confidence`):
+    a string such as ``"0.9"`` or a boolean is a malformed request, not a
+    level to coerce — the same rule the range bounds follow.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ServingError(f"confidence must be a number, got {value!r}")
-    confidence = float(value)
-    if not 0.0 < confidence < 1.0:
-        raise ServingError(f"confidence must be in (0, 1), got {confidence}")
-    return confidence
+    try:
+        return ensure_confidence(value)
+    except QueryError as error:
+        raise ServingError(str(error)) from None
 
 
 def _time_range(value) -> tuple | None:

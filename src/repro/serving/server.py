@@ -7,22 +7,20 @@ it into one front door for query traffic:
 * a :class:`~repro.serving.registry.ReleaseRegistry` of named releases
   (in-process results or lazily loaded archives);
 * one :class:`~repro.queries.engine.QueryEngine` per release, built on
-  first touch under that release's lock, each with a **bounded**
-  :class:`~repro.serving.cache.LRUProfileCache` so repeated dashboard
-  ranges hit warm adjoint profiles while the server's memory stays
-  bounded for life;
+  first touch under that release's lock (its variance pass is stateless,
+  so an engine's memory does not grow with traffic);
 * an adaptive :class:`~repro.serving.batching.MicroBatcher` that
   coalesces concurrent single-query requests into one
   ``answer_all_with_intervals`` call per ``(release, confidence)`` group
   — concurrency in, vectorized batches out;
-* server-level stats: profile-cache hit rate, batch-size profile, and
+* server-level stats: plan-cache hit rate, batch-size profile, and
   p50/p99 request latency over a sliding window.
 
 Threading model
 ---------------
 ``submit``/``query`` may be called from any number of threads.  All
 answering happens on the batcher's single drain thread, so engines and
-their caches see single-threaded access on the hot path; per-release
+plans see single-threaded access on the hot path; per-release
 locks additionally guard lazy loading and engine construction for
 callers that touch :meth:`ReleaseServer.engine` directly.
 """
@@ -40,7 +38,6 @@ import numpy as np
 from repro.errors import ServingError, StreamingError
 from repro.queries.engine import BatchQueryAnswers, QueryEngine
 from repro.serving.batching import MicroBatcher
-from repro.serving.cache import LRUProfileCache
 from repro.serving.plans import PlanCache
 from repro.serving.registry import ReleaseRegistry
 from repro.serving.stats import LatencyRecorder
@@ -73,14 +70,11 @@ class ServerStats:
     mean_batch_size: float
     #: Largest single batch so far.
     largest_batch: int
-    #: Distinct-range profile lookups served from cache, all engines.
+    #: Always 0: variance profiles are not memoized.  Kept, with
+    #: ``profile_cache_misses``, until ROADMAP item 2's benchmark change.
     profile_cache_hits: int
-    #: Distinct-range profile lookups that computed, all engines.
+    #: Always 0 (see ``profile_cache_hits``).
     profile_cache_misses: int
-    #: hits / (hits + misses), 0.0 before any lookup.
-    profile_cache_hit_rate: float
-    #: LRU evictions across engines (0 until a cache fills).
-    profile_cache_evictions: int
     #: Columnar batches that found their shape compiled.
     plan_cache_hits: int
     #: Columnar batches that compiled a new plan.
@@ -119,8 +113,6 @@ class ReleaseServer:
         Most queries coalesced into one engine call.
     max_linger_seconds:
         Upper bound of the adaptive micro-batching window.
-    profile_cache_entries:
-        Per-axis bound of each engine's LRU profile cache.
     watch_streams:
         When True (the default), a request touching a release backed by
         an append-able **stream** archive first ``stat``-checks the file
@@ -146,13 +138,11 @@ class ReleaseServer:
         *,
         max_batch: int = 256,
         max_linger_seconds: float = 0.002,
-        profile_cache_entries: int = 4096,
         watch_streams: bool = True,
         window_engine_cache: int = 64,
         max_plans: int = 256,
     ):
         self._registry = registry if registry is not None else ReleaseRegistry()
-        self._profile_cache_entries = int(profile_cache_entries)
         self._watch_streams = bool(watch_streams)
         self._engines: dict[str, QueryEngine] = {}
         self._window_engines: OrderedDict = OrderedDict()
@@ -218,8 +208,7 @@ class ReleaseServer:
         Returns
         -------
         QueryEngine
-            The engine serving that release, with this server's bounded
-            profile cache installed.
+            The engine serving that release.
         """
         self._refresh_if_stale(name)
         if time_range is None:
@@ -230,7 +219,7 @@ class ReleaseServer:
                 engine = self._engines.get(name)
                 if engine is not None:
                     return engine
-                engine = self._build_engine(self._registry.get(name))
+                engine = QueryEngine(self._registry.get(name))
                 with self._engines_lock:
                     self._engines[name] = engine
                 return engine
@@ -259,9 +248,7 @@ class ReleaseServer:
                 view = window(lo, hi)
             except StreamingError as exc:
                 raise ServingError(str(exc), code="bad-request") from exc
-            engine = self._build_engine(
-                dataclasses.replace(result, release=view)
-            )
+            engine = QueryEngine(dataclasses.replace(result, release=view))
             with self._engines_lock:
                 self._window_engines[key] = engine
                 while len(self._window_engines) > self._max_window_engines:
@@ -325,15 +312,6 @@ class ReleaseServer:
                 # plan touching the swapped release must recompile.
                 self._plan_cache.invalidate(name)
         return changed
-
-    def _build_engine(self, result) -> QueryEngine:
-        entries = self._profile_cache_entries
-        return QueryEngine(
-            result,
-            profile_cache_factory=lambda transforms: LRUProfileCache(
-                transforms, max_entries_per_axis=entries
-            ),
-        )
 
     def _refresh_if_stale(self, name: str) -> None:
         """Auto-swap a live stream whose archive grew (stat probe only)."""
@@ -465,11 +443,6 @@ class ReleaseServer:
             engines = list(self._engines.values()) + list(
                 self._window_engines.values()
             )
-        hits = sum(engine.profile_cache.hits for engine in engines)
-        misses = sum(engine.profile_cache.misses for engine in engines)
-        evictions = sum(
-            getattr(engine.profile_cache, "evictions", 0) for engine in engines
-        )
         p50, p99 = self._latency.percentiles()
         return ServerStats(
             releases=self.names,
@@ -479,10 +452,8 @@ class ReleaseServer:
             batches=self._batcher.batches,
             mean_batch_size=self._batcher.mean_batch_size,
             largest_batch=self._batcher.largest_batch,
-            profile_cache_hits=hits,
-            profile_cache_misses=misses,
-            profile_cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-            profile_cache_evictions=evictions,
+            profile_cache_hits=0,
+            profile_cache_misses=0,
             plan_cache_hits=self._plan_cache.hits,
             plan_cache_misses=self._plan_cache.misses,
             plan_cache_hit_rate=self._plan_cache.hit_rate,

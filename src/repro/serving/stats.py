@@ -35,7 +35,6 @@ _SUMMED_FIELDS = (
     "columnar_rows",
     "profile_cache_hits",
     "profile_cache_misses",
-    "profile_cache_evictions",
     "plan_cache_hits",
     "plan_cache_misses",
     "plan_cache_evictions",
@@ -121,7 +120,7 @@ def merge_worker_stats(snapshots) -> dict:
     dict
         Counters summed, ``largest_batch`` maximised,
         ``mean_batch_size`` weighted by each worker's batch count,
-        cache hit rates recomputed from the summed hits/misses, and
+        the plan-cache hit rate recomputed from the summed hits/misses, and
         ``p50_latency_seconds``/``p99_latency_seconds`` computed over
         the **pooled** samples of every worker.  ``workers`` counts the
         snapshots merged and ``per_worker`` keeps a compact
@@ -159,10 +158,6 @@ def merge_worker_stats(snapshots) -> dict:
     merged["linger_seconds"] = linger
     batches = merged["batches"]
     merged["mean_batch_size"] = weighted_batch_size / batches if batches else 0.0
-    profile_total = merged["profile_cache_hits"] + merged["profile_cache_misses"]
-    merged["profile_cache_hit_rate"] = (
-        merged["profile_cache_hits"] / profile_total if profile_total else 0.0
-    )
     plan_total = merged["plan_cache_hits"] + merged["plan_cache_misses"]
     merged["plan_cache_hit_rate"] = (
         merged["plan_cache_hits"] / plan_total if plan_total else 0.0

@@ -178,7 +178,7 @@ class OneDimensionalTransform:
                 f"arrays, got shapes {lows.shape} and {highs.shape}"
             )
         valid = (lows >= 0) & (lows <= highs) & (highs <= self.input_length)
-        if not np.all(valid):
+        if not valid.all():
             bad = int(np.argmin(valid))
             raise _transform_error(
                 f"{type(self).__name__}: range [{lows[bad]}, {highs[bad]}) "

@@ -101,6 +101,7 @@ class NominalTransform(OneDimensionalTransform):
                     target = int(self._leaf_start[child]) if to_leaves else slots[child]
                     runs.append([child, child + 1, to_leaves, target])
             self._group_runs.append(runs)
+        self._profile_table_cache = None
 
     # ------------------------------------------------------------------
     def leaf_sums(self, values: np.ndarray) -> np.ndarray:
@@ -163,7 +164,7 @@ class NominalTransform(OneDimensionalTransform):
         return mean_subtract(self._check_inverse_input(coefficients), self._groups)
 
     # ------------------------------------------------------------------
-    # Range adjoints (matrix-free, one O(num_nodes) pass per batch)
+    # Range adjoints and profiles
     # ------------------------------------------------------------------
     # The refined reconstruction is x = L M c with M the mean-subtraction
     # map and L the Equation-5 accumulation, so g = M^T L^T r.  The
@@ -173,7 +174,79 @@ class NominalTransform(OneDimensionalTransform):
     #     t(leaf node) = r(leaf),   t(N) = sum_children t(C) / fanout(N)
     #
     # and M is symmetric per sibling group (I - J/f), so M^T = M is just
-    # another mean subtraction.
+    # another mean subtraction: g(root) = t(root), g(C) = t(C) - t(P)
+    # for a child C of P.  With 1/W = (2f - 2)/f across P's children the
+    # range profile is
+    #
+    #     t(root)^2 + sum_P ((2f_P - 2)/f_P)^2 (sum_C t(C)^2 - f_P t(P)^2)
+    #
+    # which range_profiles reads from a table of every (lo, hi) pair.
+
+    def range_profiles(self, lows, highs) -> np.ndarray:
+        """Profiles read from the exact ``(m+1) x (m+1)`` range table.
+
+        Each row is one table read, so a range's profile has the same
+        bits whatever batch it arrives in.
+        """
+        lows, highs = self._check_ranges(lows, highs)
+        return self._profile_table()[highs, lows]
+
+    def _profile_table(self) -> np.ndarray:
+        """Profile of ``[lo, hi)`` at ``[hi, lo]``, built on first use.
+
+        The build is deterministic, so two threads racing to build it
+        store the same array and no lock is needed.
+        """
+        table = self._profile_table_cache
+        if table is None:
+            table = self._profile_table_cache = self._build_profile_table()
+        return table
+
+    def _build_profile_table(self) -> np.ndarray:
+        """Every range profile, one leaf ``x`` at a time.
+
+        Extending every range ``[lo, x)`` with ``lo <= x`` by leaf ``x``
+        raises ``t`` along the leaf's root path by the same amount for
+        every ``lo``: 1 at the leaf, divided by each fanout going up.
+        Raising ``t(C)`` by ``d`` and ``t(P)`` by ``d / f`` changes P's
+        profile term by ``c (2 d (t(C) - t(P)) + d^2 (1 - 1/f))``, so row
+        ``x + 1`` follows from row ``x`` with O(height) vector updates
+        over ``lo``.  Only elementwise numpy is used, so every entry is
+        the same sequence of float operations in any process.
+        """
+        size = self.input_length + 1
+        table = np.zeros((size, size), dtype=np.float64)
+        # t(N) over lo for the ranges [lo, x), for N on leaf x's path.
+        sums: dict[int, np.ndarray] = {}
+        for x, leaf in enumerate(self._leaf_node_ids):
+            lows = slice(0, x + 1)
+            change = np.zeros(x + 1, dtype=np.float64)
+            constant = 0.0
+            below, rise, node = None, 1.0, int(leaf)
+            raised = []
+            while node > 0:
+                parent = int(self._parent[node])
+                fanout = float(self._fanout[parent])
+                scale = ((2.0 * fanout - 2.0) / fanout) ** 2
+                if parent not in sums:
+                    sums[parent] = np.zeros(size, dtype=np.float64)
+                above = sums[parent][lows]
+                gap = -above if below is None else below - above
+                change += (2.0 * scale * rise) * gap
+                constant += scale * rise * rise * (1.0 - 1.0 / fanout)
+                rise /= fanout
+                raised.append((above, rise))
+                below, node = above, parent
+            if below is not None:
+                change += (2.0 * rise) * below
+            constant += rise * rise
+            change += constant
+            np.add(table[x, lows], change, out=table[x + 1, lows])
+            for above, amount in raised:
+                above += amount
+            for node in [n for n in sums if self._leaf_end[n] == x + 1]:
+                del sums[node]
+        return table
 
     def adjoint_range(self, lo: int, hi: int) -> np.ndarray:
         """``R^T r`` including mean subtraction; no dense matrix built."""

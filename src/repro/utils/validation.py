@@ -53,13 +53,32 @@ def ensure_boxes(lows, highs, shape):
             f"expected (n, {len(shape)}) box-bound arrays, got shapes "
             f"{lows.shape} and {highs.shape}"
         )
-    for axis, size in enumerate(shape):
-        lo, hi = lows[:, axis], highs[:, axis]
-        if lo.size and not (lo.min() >= 0 and np.all(lo <= hi) and hi.max() <= size):
-            raise QueryError(
-                f"a range is out of bounds for axis {axis} of size {size}"
-            )
+    # One pass over every axis at once: this runs on each batch's hot path.
+    bad = (lows < 0) | (lows > highs) | (highs > np.asarray(shape, dtype=np.int64))
+    if bad.any():
+        axis = int(np.argmax(bad.any(axis=0)))
+        raise QueryError(
+            f"a range is out of bounds for axis {axis} of size {shape[axis]}"
+        )
     return lows, highs
+
+
+def ensure_confidence(confidence) -> float:
+    """``confidence`` as a two-sided level in ``(0, 1)``.
+
+    Only real numbers pass: a string such as ``"0.9"``, a boolean, a
+    list or ``None`` is rejected rather than coerced, as is NaN.  The one
+    check every interval path shares (the engine, the planner and the
+    wire requests).  Raises :class:`repro.errors.QueryError`.
+    """
+    from repro.errors import QueryError
+
+    if isinstance(confidence, bool) or not isinstance(confidence, numbers.Real):
+        raise QueryError(f"confidence must be a number, got {confidence!r}")
+    confidence = float(confidence)
+    if not 0.0 < confidence < 1.0:
+        raise QueryError(f"confidence must be in (0, 1), got {confidence}")
+    return confidence
 
 
 def ensure_epsilon(epsilon) -> float:

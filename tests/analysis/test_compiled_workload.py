@@ -9,10 +9,11 @@ from repro.analysis.exact import (
     AxisProfileCache,
     CompiledWorkload,
     expected_relative_errors,
+    query_boxes,
     query_noise_variance,
     workload_average_variance,
 )
-from repro.errors import QueryError
+from repro.errors import QueryError, TransformError
 from repro.queries.workload import Workload, generate_workload
 from repro.transforms.multidim import HNTransform
 
@@ -113,23 +114,31 @@ class TestCompiledWorkload:
 
 
 class TestAxisProfileCache:
-    def test_memoizes_and_matches_scalar_path(self, mixed_schema):
-        hn = HNTransform(mixed_schema)
-        cache = AxisProfileCache(hn.transforms)
-        lows = np.array([0, 1, 0, 1])
-        highs = np.array([5, 3, 5, 3])
-        first = cache.profiles(0, lows, highs)
-        for value, (lo, hi) in zip(first, zip(lows, highs)):
-            assert value == pytest.approx(cache.profile(0, lo, hi))
-        # Second call is served from the memo (same values, no new keys).
-        keys_before = dict(cache._caches[0])
-        np.testing.assert_allclose(cache.profiles(0, lows, highs), first)
-        assert cache._caches[0] == keys_before
-
     def test_bounds_rejected(self, mixed_schema):
+        # The kernel validates nothing itself: each axis's transform
+        # rejects an out-of-range bound.
         hn = HNTransform(mixed_schema)
-        cache = AxisProfileCache(hn.transforms)
-        with pytest.raises(QueryError):
-            cache.profiles(0, [0], [99])
-        with pytest.raises(QueryError):
-            cache.profile(0, -1, 3)
+        kernel = AxisProfileCache(hn.transforms)
+        lows = np.zeros((1, mixed_schema.dimensions), dtype=np.int64)
+        highs = np.ones((1, mixed_schema.dimensions), dtype=np.int64)
+        highs[0, 0] = 99
+        with pytest.raises(TransformError):
+            kernel.box_profile_products(lows, highs)
+        lows[0, 0], highs[0, 0] = -1, 3
+        with pytest.raises(TransformError):
+            kernel.box_profile_products(lows, highs)
+
+    def test_products_are_per_axis_profiles(self, mixed_schema):
+        # X identity, G nominal, Y Haar: every kind of axis.
+        hn = HNTransform(mixed_schema, sa_names=("X",))
+        kernel = AxisProfileCache(hn.transforms)
+        queries = generate_workload(mixed_schema, 40, seed=9)
+        lows, highs = query_boxes(queries, mixed_schema.shape)
+        expected = np.ones(len(queries))
+        for axis, transform in enumerate(hn.transforms):
+            expected *= [
+                transform.range_profile(lo, hi)
+                for lo, hi in zip(lows[:, axis], highs[:, axis])
+            ]
+        assert kernel.box_profile_products(lows, highs).tolist() == expected.tolist()
+        assert kernel.hits == kernel.misses == 0

@@ -150,10 +150,9 @@ class TestSameSeedParity:
         expected = np.zeros(len(queries))
         for index, result in enumerate(results):
             mask, sub_lows, sub_highs = _clip(bounds, axis, lows, highs, index)
-            engine = QueryEngine(result)
-            products = engine.profile_cache.box_profile_products(
-                sub_lows, sub_highs
-            )
+            products = np.ones(len(sub_lows))
+            for a, transform in enumerate(QueryEngine(result).transform.transforms):
+                products *= transform.range_profiles(sub_lows[:, a], sub_highs[:, a])
             expected[mask] += 2.0 * result.noise_magnitude**2 * products
         actual = QueryEngine(sharded).noise_variances(queries)
         np.testing.assert_allclose(actual, expected, rtol=1e-12)

@@ -150,17 +150,6 @@ class TestBatchAnswers:
         assert batch[2] == answers[2]
         assert answers[0].confidence == 0.8
 
-    def test_profile_cache_persists_across_calls(self, published, mixed_table):
-        """Repeat traffic hits the per-engine memo: after a first batch,
-        re-answering the same queries adds no new cache entries."""
-        engine = QueryEngine(published)
-        queries = generate_workload(mixed_table.schema, 30, seed=16)
-        first = engine.answer_all_with_intervals(queries)
-        sizes = [len(cache) for cache in engine._profiles._caches]
-        again = engine.answer_all_with_intervals(queries)
-        assert [len(cache) for cache in engine._profiles._caches] == sizes
-        np.testing.assert_allclose(again.noise_stds, first.noise_stds)
-
     @pytest.mark.parametrize("fixture", ["published", "published_coefficients"])
     def test_fractional_bounds_rejected(self, fixture, request):
         # A fractional or boolean bound used to be truncated, answering a
@@ -187,6 +176,60 @@ class TestBatchAnswers:
         queries = generate_workload(mixed_table.schema, 2, seed=17)
         with pytest.raises(QueryError):
             engine.answer_all_with_intervals(queries, confidence=0.0)
+
+    @pytest.mark.parametrize("confidence", ["0.9", None, [0.9], True, float("nan")])
+    def test_non_number_confidence_is_a_query_error(
+        self, published, mixed_table, confidence
+    ):
+        # Only real numbers pass; these used to raise a bare TypeError
+        # (or, for a string, compare against floats at all).
+        engine = QueryEngine(published)
+        query = RangeCountQuery(mixed_table.schema)
+        lows, highs = np.zeros((1, 3), dtype=np.int64), np.ones((1, 3), dtype=np.int64)
+        with pytest.raises(QueryError, match="confidence"):
+            engine.answer_columnar(lows, highs, confidence)
+        with pytest.raises(QueryError, match="confidence"):
+            engine.answer_with_interval(query, confidence)
+        with pytest.raises(QueryError, match="confidence"):
+            engine.answer_all_with_intervals([query], confidence)
+
+
+class TestStdsArePureFunctionsOfTheBox:
+    """A std depends on its box alone, never on the batch around it.
+
+    Census Brazil x0.2 with Occupation left out of the SA set, so the
+    nominal axis is a wavelet axis with 102 leaves.
+    """
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        from repro.analysis.exact import query_boxes
+        from repro.data.census import BRAZIL, generate_census_table
+
+        table = generate_census_table(BRAZIL.scaled(0.2), 20_000, seed=0)
+        result = PriveletPlusMechanism(sa_names=("Age", "Gender", "Income")).publish(
+            table, 1.0, seed=1, materialize=False
+        )
+        queries = generate_workload(table.schema, 256, seed=3)
+        return result, *query_boxes(queries, table.schema.shape)
+
+    def test_batch_reversed_and_single_rows_agree(self, census):
+        from repro.transforms.nominal import NominalTransform
+
+        result, lows, highs = census
+        engine = QueryEngine(result)
+        occupation = engine.schema.axes_of(["Occupation"])[0]
+        assert isinstance(engine.transform.transforms[occupation], NominalTransform)
+        batch = engine.answer_columnar(lows, highs).noise_stds
+        backwards = QueryEngine(result).answer_columnar(lows[::-1], highs[::-1])
+        single = QueryEngine(result)
+        alone = [
+            single.answer_columnar(lows[row : row + 1], highs[row : row + 1])
+            .noise_stds[0]
+            for row in range(len(lows))
+        ]
+        assert backwards.noise_stds[::-1].tolist() == batch.tolist()
+        assert alone == batch.tolist()
 
 
 class TestCoefficientBackend:

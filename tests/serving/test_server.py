@@ -180,25 +180,36 @@ class TestArchivesAndStats:
             server.query_many(requests)
             warm = server.stats()
         assert cold.requests == 20 and warm.requests == 40
-        assert warm.profile_cache_hits > cold.profile_cache_hits
-        assert warm.profile_cache_hit_rate > cold.profile_cache_hit_rate
         assert warm.errors == 0
         assert warm.batches >= 2
         assert warm.p50_latency_seconds <= warm.p99_latency_seconds
         assert warm.releases == ("census",)
+
+    def test_profile_counters_read_zero(self, census_result):
+        # Profiles are stateless; the counters stay (always 0) for
+        # readers of the retired memo's hit rate.
+        sharded = publish(
+            generate_census_table(BRAZIL.scaled(0.05), 500, seed=2), 1.0,
+            shard_by="Age", shards=2, seed=3, representation="coefficients",
+        )
+        with ReleaseServer() as server:
+            server.register("flat", census_result)
+            server.register("sharded", sharded)
+            for name in ("flat", "sharded"):
+                server.query_many(
+                    [QueryRequest(name, {"Age": (lo, lo + 5)}) for lo in range(8)] * 2
+                )
+                cache = server.engine(name).profile_cache
+                assert cache.hits == cache.misses == 0
+            stats = server.stats()
+        assert stats.requests == 32
+        assert stats.profile_cache_hits == stats.profile_cache_misses == 0
 
     def test_error_counter(self, server):
         before = server.stats().errors
         with pytest.raises(ServingError):
             server.query(QueryRequest("missing"))
         assert server.stats().errors == before + 1
-
-    def test_bounded_profile_cache_evicts(self, ordinal_result):
-        with ReleaseServer(profile_cache_entries=4) as server:
-            server.register("ordinal", ordinal_result)
-            for lo in range(0, 60):
-                server.query(QueryRequest("ordinal", {"value": (lo, 64)}))
-            assert server.stats().profile_cache_evictions > 0
 
 
 class TestShardedArchives:
@@ -233,7 +244,6 @@ class TestShardedArchives:
                 assert response.noise_std == pytest.approx(expected.noise_std)
             stats = server.stats()
             assert stats.engines_built == 1
-            assert stats.profile_cache_misses > 0
             # Narrow requests only touched the shards they intersect.
             engine = server.engine("census")
             assert engine.release.shards_loaded >= 1

@@ -151,10 +151,8 @@ def _snapshot(**overrides):
         "batches": 5,
         "mean_batch_size": 2.0,
         "largest_batch": 4,
-        "profile_cache_hits": 8,
-        "profile_cache_misses": 2,
-        "profile_cache_hit_rate": 0.8,
-        "profile_cache_evictions": 0,
+        "profile_cache_hits": 0,
+        "profile_cache_misses": 0,
         "plan_cache_hits": 3,
         "plan_cache_misses": 1,
         "plan_cache_hit_rate": 0.75,
@@ -182,8 +180,8 @@ class TestMergeWorkerStats:
             largest_batch=9,
             releases=("census", "stream"),
             latency_samples=[0.5, 1.0, 2.0],
-            profile_cache_hits=0,
-            profile_cache_misses=10,
+            plan_cache_hits=0,
+            plan_cache_misses=10,
         )
         merged = merge_worker_stats([first, second])
         assert merged["workers"] == 2
@@ -195,7 +193,9 @@ class TestMergeWorkerStats:
         # Weighted by batch count: (2*5 + 4*15) / 20.
         assert merged["mean_batch_size"] == pytest.approx(3.5)
         # Recomputed from summed hits/misses, not averaged rates.
-        assert merged["profile_cache_hit_rate"] == pytest.approx(8 / 20)
+        assert merged["plan_cache_hit_rate"] == pytest.approx(3 / 14)
+        assert merged["profile_cache_hits"] == merged["profile_cache_misses"] == 0
+        assert "profile_cache_hit_rate" not in merged
         pooled = [0.01, 0.02, 0.5, 1.0, 2.0]
         assert merged["p50_latency_seconds"] == float(np.percentile(pooled, 50))
         assert merged["p99_latency_seconds"] == float(np.percentile(pooled, 99))

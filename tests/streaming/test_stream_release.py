@@ -120,11 +120,3 @@ class TestEngineIntegration:
         values, stds = engine.marginal_with_std(["Gender"])
         assert values.shape == stds.shape == (stream.schema["Gender"].size,)
         assert np.all(stds > 0.0)
-
-    def test_profile_cache_counters_aggregate(self, stream, queries):
-        engine = QueryEngine(stream.result())
-        engine.noise_variances(queries)
-        cache = engine.profile_cache
-        assert cache.misses > 0
-        engine.noise_variances(queries)
-        assert cache.hits > 0

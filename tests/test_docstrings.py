@@ -29,7 +29,6 @@ AUDITED_MODULES = [
     "repro.planner",
     "repro.analysis.exact",
     "repro.serving.batching",
-    "repro.serving.cache",
     "repro.serving.registry",
     "repro.serving.network",
     "repro.serving.requests",

@@ -177,3 +177,16 @@ def test_bad_confidence_rejected_before_bounds(sharded):
             np.ones((1, 2), dtype=np.int64),
             confidence=1.5,
         )
+
+
+@pytest.mark.parametrize("confidence", ["0.9", None, [0.9]])
+def test_non_number_confidence_is_a_query_error(sharded, confidence):
+    # The engine's rule: only real numbers, never coerced; these used to
+    # raise a bare TypeError from the comparison.
+    planner = QueryPlanner(QueryEngine(sharded))
+    with pytest.raises(QueryError, match="confidence must be a number"):
+        planner.answer_columnar(
+            np.zeros((1, 4), dtype=np.int64),
+            np.ones((1, 4), dtype=np.int64),
+            confidence=confidence,
+        )

@@ -121,6 +121,75 @@ class TestNominalAdjoint:
             assert transform.range_profile(lo, hi) == pytest.approx(expected)
 
 
+def all_ranges(transform):
+    """Every ``lo <= hi`` pair of the transform's axis, as two arrays."""
+    lows, highs = np.triu_indices(transform.input_length + 1)
+    return lows.astype(np.int64), highs.astype(np.int64)
+
+
+def dense_profiles(transform, lows, highs):
+    """Oracle: ``sum_j (g[j] / W[j])^2`` from the dense reconstruction."""
+    reconstruction = transform.inverse(
+        np.eye(transform.output_length), refine=True
+    )
+    cumulative = np.concatenate(
+        [np.zeros((1, transform.output_length)), np.cumsum(reconstruction, axis=0)]
+    )
+    adjoints = cumulative[highs] - cumulative[lows]
+    return np.sum((adjoints / transform.weight_vector()) ** 2, axis=1)
+
+
+class TestRangeProfiles:
+    """A range's profile is a pure function of the range: one batched
+    call equals one-range calls bit for bit, on every pair of the axis."""
+
+    @pytest.fixture(
+        params=["two-level", "balanced", "mixed-depth", "haar-37", "identity-9"]
+    )
+    def transform(self, request, unbalanced_hierarchy):
+        return {
+            "two-level": lambda: NominalTransform(two_level_hierarchy([3, 4, 2])),
+            "balanced": lambda: NominalTransform(balanced_hierarchy(27, 3)),
+            "mixed-depth": lambda: NominalTransform(unbalanced_hierarchy),
+            "haar-37": lambda: HaarTransform(37),
+            "identity-9": lambda: IdentityTransform(9),
+        }[request.param]()
+
+    def test_batch_equals_single_ranges(self, transform):
+        lows, highs = all_ranges(transform)
+        batch = transform.range_profiles(lows, highs)
+        singles = [transform.range_profile(lo, hi) for lo, hi in zip(lows, highs)]
+        assert batch.tolist() == singles
+        reversed_batch = transform.range_profiles(lows[::-1], highs[::-1])
+        assert reversed_batch[::-1].tolist() == singles
+
+    def test_matches_dense_oracle(self, transform):
+        lows, highs = all_ranges(transform)
+        np.testing.assert_allclose(
+            transform.range_profiles(lows, highs),
+            dense_profiles(transform, lows, highs),
+            rtol=1e-12,
+            atol=0.0,
+        )
+
+    def test_nominal_table_is_built_once(self):
+        transform = NominalTransform(two_level_hierarchy([3, 4, 2]))
+        transform.range_profile(0, 9)
+        table = transform._profile_table()
+        transform.range_profiles([1, 2], [5, 9])
+        assert transform._profile_table() is table
+        assert table.shape == (10, 10)
+
+    def test_nominal_bounds_rejected(self):
+        transform = NominalTransform(two_level_hierarchy([3, 4, 2]))
+        with pytest.raises(TransformError):
+            transform.range_profiles([0], [10])
+        with pytest.raises(TransformError):
+            transform.range_profiles([5], [4])
+        with pytest.raises(TransformError):
+            transform.range_profile(-1, 3)
+
+
 class TestIdentityAdjoint:
     def test_adjoint_is_indicator(self):
         transform = IdentityTransform(7)
