@@ -26,6 +26,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from benchmarks.provenance import provenance
 from repro.core.privelet_plus import PriveletPlusMechanism
@@ -37,6 +38,11 @@ SEED = 20100301
 HOT_KEYS = 64
 ZIPF_EXPONENT = 1.5
 MIN_FLEET_SPEEDUP = 2.0
+#: A load client's socket timeout.  The main thread waits longer than
+#: this for the warm-up, so a stalled client's own error reports first.
+CLIENT_TIMEOUT_SECONDS = 60.0
+#: Longest one load run may take before its clients count as hung.
+RUN_TIMEOUT_SECONDS = 600.0
 
 
 def _smoke() -> bool:
@@ -85,17 +91,30 @@ def _zipf_trace(rng, length: int) -> list[int]:
 
 
 def _run_load(address, boxes, concurrency: int, requests_per_client: int) -> dict:
-    """Closed-loop load: each client thread plays its trace, records latency."""
+    """Closed-loop load: each client thread plays its trace, records latency.
+
+    A client that fails (refused connection, socket timeout) aborts the
+    start barrier so nobody waits on it; its exception is re-raised here
+    once every client has finished or the run has timed out.
+    """
     import socket
 
     latencies: list[list[float]] = [[] for _ in range(concurrency)]
     errors = [0] * concurrency
+    failures: list[Exception] = []
     barrier = threading.Barrier(concurrency + 1)
 
     def client(slot: int) -> None:
+        try:
+            play(slot)
+        except Exception as exc:
+            failures.append(exc)
+            barrier.abort()
+
+    def play(slot: int) -> None:
         rng = np.random.default_rng(SEED + slot)
         trace = _zipf_trace(rng, requests_per_client)
-        sock = socket.create_connection(address, timeout=60)
+        sock = socket.create_connection(address, timeout=CLIENT_TIMEOUT_SECONDS)
         stream = sock.makefile("rwb")
         try:
             # Warm the connection (and the worker caches) off the clock.
@@ -130,18 +149,31 @@ def _run_load(address, boxes, concurrency: int, requests_per_client: int) -> dic
                 if not raw or not json.loads(raw).get("ok"):
                     errors[slot] += 1
         finally:
+            stream.close()
             sock.close()
 
     threads = [
-        threading.Thread(target=client, args=(slot,)) for slot in range(concurrency)
+        threading.Thread(target=client, args=(slot,), daemon=True)
+        for slot in range(concurrency)
     ]
     for thread in threads:
         thread.start()
-    barrier.wait()
+    try:
+        barrier.wait(timeout=2 * CLIENT_TIMEOUT_SECONDS)
+    except threading.BrokenBarrierError:
+        pass  # a client failed, or the warm-up stalled: reported below
     started = time.perf_counter()
+    deadline = started + RUN_TIMEOUT_SECONDS
     for thread in threads:
-        thread.join()
+        thread.join(timeout=max(0.0, deadline - time.perf_counter()))
     elapsed = time.perf_counter() - started
+    hung = sum(thread.is_alive() for thread in threads)
+    assert not hung, (
+        f"{hung} of {concurrency} load clients still running after "
+        f"{RUN_TIMEOUT_SECONDS:.0f} s (first client error: {failures[:1]})"
+    )
+    if failures:
+        raise failures[0]
     pooled = np.asarray([s for per in latencies for s in per], dtype=np.float64)
     completed = int(pooled.size)
     return {
@@ -153,6 +185,20 @@ def _run_load(address, boxes, concurrency: int, requests_per_client: int) -> dic
         "p50_ms": float(np.percentile(pooled, 50)) * 1e3 if completed else 0.0,
         "p99_ms": float(np.percentile(pooled, 99)) * 1e3 if completed else 0.0,
     }
+
+
+def test_load_generator_fails_fast_when_a_client_dies():
+    """A client that dies before the start barrier fails the run at once."""
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        address = probe.getsockname()
+    # Nothing listens on ``address`` any more: every connect is refused.
+    started = time.perf_counter()
+    with pytest.raises(ConnectionRefusedError):
+        _run_load(address, [{}] * HOT_KEYS, concurrency=2, requests_per_client=5)
+    assert time.perf_counter() - started < 10.0
 
 
 def test_network_fleet_throughput(record_result):

@@ -5,6 +5,11 @@ A Laplace noise of *magnitude* ``lambda`` has density
 ``2 lambda^2``.  Privelet draws per-coefficient noise with magnitude
 ``lambda / W(c)``; this module provides scalar and tensor-shaped draws
 plus the small analytic helpers tests use (density ratios, variance).
+
+A draw is unit Laplace noise scaled in place.  numpy computes each
+Laplace variate as ``loc +/- scale * log(.)``, so under one seed this has
+the bits of ``rng.laplace(0.0, magnitude, size=shape)`` while the
+magnitudes stay in whatever broadcastable form the caller holds.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ def laplace_noise(magnitude, shape=None, *, seed=None) -> np.ndarray:
     ----------
     magnitude:
         Scalar magnitude ``lambda``, or an array of per-entry magnitudes
-        (e.g. ``lambda / W`` for a whole coefficient matrix).  All entries
-        must be positive.
+        broadcastable to ``shape`` (e.g. ``lambda / W`` for a coefficient
+        matrix, length 1 along axes whose weights are all one).  All
+        entries must be positive.
     shape:
         Output shape; defaults to ``magnitude``'s shape when ``magnitude``
         is an array.
@@ -42,8 +48,9 @@ def laplace_noise(magnitude, shape=None, *, seed=None) -> np.ndarray:
         raise PrivacyError("noise magnitudes must be positive and finite")
     if shape is None:
         shape = magnitude.shape
-    rng = as_generator(seed)
-    return rng.laplace(loc=0.0, scale=magnitude, size=shape)
+    noise = as_generator(seed).laplace(size=shape)
+    noise *= magnitude
+    return noise
 
 
 def laplace_variance(magnitude: float) -> float:

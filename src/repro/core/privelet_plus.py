@@ -119,9 +119,9 @@ class PriveletPlusMechanism(PublishingMechanism):
         rho = transform.generalized_sensitivity()
         magnitude = magnitude_for_epsilon(epsilon, 2.0 * rho)
 
-        coefficients = transform.forward(matrix.values)
-        magnitudes = magnitude / weight_tensor(transform.weight_vectors())
-        noisy = coefficients + laplace_noise(magnitudes, seed=seed)
+        noisy = transform.forward(matrix.values)
+        magnitudes = magnitude / transform.broadcast_weights()
+        noisy += laplace_noise(magnitudes, noisy.shape, seed=seed)
         if materialize:
             reconstructed = transform.inverse(noisy, refine=True)
             release = DenseRelease(FrequencyMatrix(matrix.schema, reconstructed))

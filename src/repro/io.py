@@ -47,6 +47,7 @@ tree shape).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -525,12 +526,25 @@ def _read_header(archive) -> dict:
     return header
 
 
+@contextlib.contextmanager
+def _open_npz(path):
+    """``np.load`` over a file this module opens, and always closes.
+
+    ``np.load(path)`` hands its file to ``NpzFile`` before the zip is
+    parsed, so a truncated archive's ``BadZipFile`` would leak the
+    descriptor; a server re-registering a corrupt archive would leak one
+    per attempt.
+    """
+    with open(path, "rb") as file, np.load(file) as archive:
+        yield archive
+
+
 def _path_reader(path):
     """Read one member by re-opening ``path`` (appends never hold it open)."""
     path = os.fspath(path)
 
     def read(member: str) -> np.ndarray:
-        with np.load(path) as archive:
+        with _open_npz(path) as archive:
             return archive[member]
 
     return read
@@ -645,10 +659,11 @@ def load_result(path) -> PublishResult:
     path:
         A format-5 archive path or readable binary file object.
     """
-    with np.load(path) as archive:
+    if not isinstance(path, (str, os.PathLike)):
+        with np.load(path) as archive:
+            return _decode(_read_header(archive), archive.__getitem__, lazy=False)
+    with _open_npz(path) as archive:
         header = _read_header(archive)
-        if not isinstance(path, (str, os.PathLike)):
-            return _decode(header, archive.__getitem__, lazy=False)
     return _decode(header, _path_reader(path), lazy=True)
 
 
@@ -694,7 +709,7 @@ class ResultHandle:
             with self._lock:
                 if self._header is None:
                     stat = os.stat(self._path)
-                    with np.load(self._path) as archive:
+                    with _open_npz(self._path) as archive:
                         self._header = _read_header(archive)
                     self._stat = (stat.st_mtime_ns, stat.st_size)
         return self._header

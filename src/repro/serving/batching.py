@@ -185,9 +185,19 @@ class MicroBatcher:
                 if remaining <= 0:
                     break
                 try:
-                    entry = self._queue.get(timeout=remaining)
+                    entry = self._queue.get_nowait()
                 except queue.Empty:
-                    break
+                    # The empty get_nowait() left the queue's lock taken,
+                    # so the timed get blocks on it until a put or the
+                    # deadline.  Entered with that lock free (a burst put
+                    # while this thread was busy leaves it free), CPython's
+                    # SimpleQueue.get can instead wait for the next put when
+                    # preempted past its deadline, and the submitters
+                    # waiting on this batch never put again.
+                    try:
+                        entry = self._queue.get(timeout=remaining)
+                    except queue.Empty:
+                        break
                 if entry is _SHUTDOWN:
                     shutdown = True
                     break

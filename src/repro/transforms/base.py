@@ -2,8 +2,10 @@
 
 The multi-dimensional Haar-Nominal (HN) transform of paper §VI applies a
 one-dimensional transform along each axis of the frequency matrix in
-turn.  Each 1-D transform must provide, beyond ``forward`` and
-``inverse_into`` (the inverse written into a caller's array):
+turn.  Each 1-D transform must provide ``forward_into`` and
+``inverse_into`` — the forward and inverse transforms written into a
+caller's array, which the base class's ``forward`` and ``inverse`` wrap
+with validation and an allocation — and, beyond those:
 
 * a **weight vector** aligned with its coefficient layout — the weight
   function ``W`` of §III-B, which scales per-coefficient Laplace noise
@@ -50,6 +52,20 @@ class OneDimensionalTransform:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Transform ``values`` (shape ``(input_length, ...)``) to coefficients."""
+        values = self._check_forward_input(values)
+        coefficients = np.empty((self.output_length,) + values.shape[1:])
+        self.forward_into(values, coefficients)
+        return coefficients
+
+    def forward_into(self, values: np.ndarray, out: np.ndarray) -> None:
+        """:meth:`forward`, written into ``out`` instead of a new array.
+
+        ``values`` has shape ``(input_length, ...)`` and ``out``
+        ``(output_length, ...)`` with the same trailing shape; either may
+        be a strided view.  Shapes are not re-checked, and ``values`` is
+        only read, which is what lets the multi-dimensional transform
+        write its last axis straight into the coefficient tensor.
+        """
         raise NotImplementedError
 
     def inverse(self, coefficients: np.ndarray, *, refine: bool = False) -> np.ndarray:
@@ -221,8 +237,8 @@ class IdentityTransform(OneDimensionalTransform):
         self.input_length = int(length)
         self.output_length = int(length)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        return self._check_forward_input(values).copy()
+    def forward_into(self, values: np.ndarray, out: np.ndarray) -> None:
+        np.copyto(out, values)
 
     def inverse_into(
         self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = False

@@ -44,10 +44,12 @@ from repro.utils.validation import ensure_positive_int, next_power_of_two
 __all__ = ["HaarTransform", "haar_forward", "haar_inverse", "haar_weight_vector"]
 
 
-def haar_forward(values: np.ndarray) -> np.ndarray:
+def haar_forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Haar-transform axis 0 (length must be a power of two).
 
-    Returns coefficients in level order, base coefficient first.
+    Returns coefficients in level order, base coefficient first, written
+    into ``out`` (any array of ``values``' shape, possibly a strided
+    view) when one is given.
     """
     values = np.asarray(values, dtype=np.float64)
     length = values.shape[0]
@@ -61,7 +63,7 @@ def haar_forward(values: np.ndarray) -> np.ndarray:
         levels.append((even - odd) / 2.0)
         current = (even + odd) / 2.0
     # current[0] is the base coefficient (overall mean).
-    return np.concatenate([current] + levels[::-1], axis=0)
+    return np.concatenate([current] + levels[::-1], axis=0, out=out)
 
 
 def haar_inverse(coefficients: np.ndarray) -> np.ndarray:
@@ -144,13 +146,12 @@ class HaarTransform(OneDimensionalTransform):
         self.output_length = self.padded_length
         self._levels = self.padded_length.bit_length() - 1  # l
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        values = self._check_forward_input(values)
+    def forward_into(self, values: np.ndarray, out: np.ndarray) -> None:
         if self.padded_length != self.input_length:
             pad = [(0, self.padded_length - self.input_length)]
             pad += [(0, 0)] * (values.ndim - 1)
             values = np.pad(values, pad)
-        return haar_forward(values)
+        haar_forward(values, out)
 
     def inverse_into(
         self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = False

@@ -6,12 +6,17 @@ for nominal dimensions, and (for Privelet+, §VI-D) the identity for the
 ``SA`` dimensions that are released untransformed.  The step-``i`` matrix
 of the paper is the array after the first ``i`` axes are transformed.
 
+Identity axes are skipped in both directions: copying an axis changes no
+bits, so the forward transform writes only its wavelet axes, the last of
+them straight into one C-ordered coefficient tensor.
+
 Weights: because every 1-D transform stores its coefficients in level
 order, a coefficient's per-step weight depends only on its *index along
 that axis*.  ``W_HN`` is therefore the outer (tensor) product of the
-per-axis weight vectors, which this module never materializes except when
-drawing noise (Example 5 of the paper works through exactly this
-product).
+per-axis weight vectors (Example 5 of the paper works through exactly
+this product).  The publish path builds it along the wavelet axes only:
+:meth:`HNTransform.broadcast_weights` keeps every identity axis at length
+1, and the noise draw broadcasts over it.
 
 Privacy/utility factors (Theorem 2, Theorem 3, Corollary 1) are products
 of the per-axis factors exposed by each 1-D transform.
@@ -67,9 +72,8 @@ def apply_along_axis(
 def weight_tensor(weight_vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Materialize the outer product of per-axis weight vectors.
 
-    Shape is ``(len(w_0), ..., len(w_{d-1}))``.  Only used when drawing
-    noise (the magnitude matrix is the same size as the coefficient
-    matrix, so this costs no extra asymptotic memory).
+    Shape is ``(len(w_0), ..., len(w_{d-1}))``; a length-1 vector keeps
+    its axis at length 1, so the product broadcasts along it.
     """
     tensor = np.ones((1,) * len(weight_vectors), dtype=np.float64)
     for axis, vector in enumerate(weight_vectors):
@@ -124,15 +128,30 @@ class HNTransform:
 
     # ------------------------------------------------------------------
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Transform axes ``0 .. d-1`` in turn (producing the step-d matrix)."""
+        """Transform axes ``0 .. d-1`` in turn (producing the step-d matrix).
+
+        Identity axes are skipped.  Wavelet axes go in ascending order,
+        each but the last through a temporary; the last writes straight
+        into the returned C-ordered array.  The result never shares
+        memory with ``values``, so a caller may add noise to it in place.
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.input_shape:
             raise TransformError(
                 f"expected input shape {self.input_shape}, got {values.shape}"
             )
-        for axis, transform in enumerate(self.transforms):
-            values = apply_along_axis(transform, values, axis)
-        return values
+        out = np.empty(self.output_shape)
+        wavelet_axes = self._wavelet_axes()
+        if not wavelet_axes:
+            np.copyto(out, values)
+            return out
+        *first, last = wavelet_axes
+        for axis in first:
+            values = apply_along_axis(self.transforms[axis], values, axis)
+        self.transforms[last].forward_into(
+            np.moveaxis(values, last, 0), np.moveaxis(out, last, 0)
+        )
+        return out
 
     def inverse(self, coefficients: np.ndarray, *, refine: bool = True) -> np.ndarray:
         """Invert axes ``d-1 .. 0``.
@@ -160,11 +179,7 @@ class HNTransform:
             raise TransformError(
                 f"expected coefficient shape {self.output_shape}, got {coefficients.shape}"
             )
-        wavelet_axes = [
-            axis
-            for axis in reversed(range(self.dimensions))
-            if not isinstance(self.transforms[axis], IdentityTransform)
-        ]
+        wavelet_axes = self._wavelet_axes()[::-1]
         if not wavelet_axes:
             np.copyto(out, coefficients)
             return
@@ -177,10 +192,31 @@ class HNTransform:
             np.moveaxis(coefficients, last, 0), np.moveaxis(out, last, 0), refine=refine
         )
 
+    def _wavelet_axes(self) -> list[int]:
+        return [
+            axis
+            for axis, transform in enumerate(self.transforms)
+            if not isinstance(transform, IdentityTransform)
+        ]
+
     # ------------------------------------------------------------------
     def weight_vectors(self) -> list[np.ndarray]:
         """Per-axis weight vectors whose outer product is ``W_HN``."""
         return [t.weight_vector() for t in self.transforms]
+
+    def broadcast_weights(self) -> np.ndarray:
+        """``W_HN`` with every identity axis at length 1.
+
+        An identity axis's weights are all ones and ``x * 1.0 == x``, so
+        each entry has the bits of the full :func:`weight_tensor` entry
+        it broadcasts to, at a fraction of its size.
+        """
+        return weight_tensor(
+            [
+                np.ones(1) if isinstance(t, IdentityTransform) else t.weight_vector()
+                for t in self.transforms
+            ]
+        )
 
     def weight_of(self, coordinates: Sequence[int]) -> float:
         """``W_HN`` at one coefficient coordinate (Example 5 arithmetic)."""

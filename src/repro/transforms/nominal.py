@@ -34,6 +34,12 @@ bound of ``< 4 sigma^2`` per query.
 Coefficients are stored in the hierarchy's level order (root first;
 children of one parent contiguous), satisfying the §VI-A layout rule and
 making sibling groups plain slices.
+
+Both directions walk the same sibling groups with elementwise numpy
+only: the forward pass sums leaf-sums bottom-up into a scratch of one
+slab per internal node and writes each child's coefficient straight
+into the caller's array, and Equation 5 runs top-down the same way.
+Neither allocates anything the size of its output.
 """
 
 from __future__ import annotations
@@ -104,27 +110,35 @@ class NominalTransform(OneDimensionalTransform):
         self._profile_table_cache = None
 
     # ------------------------------------------------------------------
-    def leaf_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-node leaf-sums of ``values`` (axis 0 = leaf index)."""
-        values = self._check_forward_input(values)
-        prefix = np.concatenate(
-            [np.zeros((1,) + values.shape[1:], dtype=np.float64), np.cumsum(values, axis=0)],
-            axis=0,
-        )
-        return prefix[self._leaf_end] - prefix[self._leaf_start]
+    def forward_into(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Leaf-sums and coefficients in one bottom-up pass into ``out``.
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        sums = self.leaf_sums(values)
-        coefficients = np.empty_like(sums)
-        coefficients[0] = sums[0]  # base coefficient: total leaf-sum
-        if self.output_length > 1:
-            parents = self._parent[1:]
-            # average leaf-sum of the parent's children = parent's
-            # leaf-sum / parent's fanout
-            coefficients[1:] = sums[1:] - sums[parents] / self._fanout[parents].reshape(
-                (-1,) + (1,) * (sums.ndim - 1)
-            )
-        return coefficients
+        Internal nodes' leaf-sums live in a scratch array of one slab per
+        internal node, filled deepest first.  Each is the sum of its
+        children's leaf-sums in child order (elementwise adds only, like
+        :meth:`inverse_into`'s mean), so its bits do not depend on memory
+        layout.  The children are then written straight into ``out`` as
+        their leaf-sum minus the parent's leaf-sum over its fanout.
+        """
+        if not self._group_runs:  # the root is the only node
+            out[0] = values[0]
+            return
+        sums = np.empty((len(self._group_runs),) + values.shape[1:])
+        for slot in reversed(range(len(self._group_runs))):
+            runs = self._group_runs[slot]
+            children = [
+                (values if to_leaves else sums)[target : target + last - first]
+                for first, last, to_leaves, target in runs
+            ]
+            rows = [row for run in children for row in run]
+            total = sums[slot, ...]  # a view, also on 1-D input
+            np.copyto(total, rows[0])
+            for row in rows[1:]:
+                total += row
+            share = total / len(rows)
+            for (first, last, _, _), run in zip(runs, children):
+                np.subtract(run, share, out=out[first:last])
+        out[0] = sums[0]  # base coefficient: the total leaf-sum
 
     def inverse_into(
         self, coefficients: np.ndarray, out: np.ndarray, *, refine: bool = False

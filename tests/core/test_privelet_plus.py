@@ -64,6 +64,18 @@ class TestPublish:
         result = PriveletPlusMechanism(sa_names=("X",)).publish(mixed_table, 1.0, seed=1)
         assert result.details["sa"] == ("X",)
 
+    @pytest.mark.parametrize("sa", [(), ("X",), ("G",), ("Y",), ("X", "G", "Y")])
+    @pytest.mark.parametrize("materialize", [False, True])
+    def test_noise_never_lands_in_the_input(self, mixed_table, sa, materialize):
+        """Noise is added to the forward's output in place, never to the
+        caller's matrix, even when every axis is an identity axis."""
+        matrix = mixed_table.frequency_matrix()
+        before = matrix.values.copy()
+        PriveletPlusMechanism(sa_names=sa).publish_matrix(
+            matrix, 1.0, seed=3, materialize=materialize
+        )
+        assert np.array_equal(matrix.values, before)
+
 
 class TestSplitEquivalence:
     """The vectorized implementation vs the literal Figure 5 loop."""

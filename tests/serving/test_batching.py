@@ -1,5 +1,8 @@
 """Tests for the adaptive micro-batcher."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -225,3 +228,34 @@ class TestWeightedSubmit:
         with MicroBatcher(lambda items: items) as batcher:
             with pytest.raises(ValueError):
                 batcher.submit("x", weight=0)
+
+
+class TestLingerWait:
+    def test_bursts_under_cpu_contention_never_stall(self):
+        """The linger wait returns once its deadline passes, even when the
+        drain thread is preempted inside it.
+
+        A burst submitted while the drain thread is busy is the fleet
+        worker's pattern; on CPython 3.11 a ``SimpleQueue`` linger wait
+        then blocked for good about once in a few thousand bursts when
+        preempted, and the submitter, waiting on that batch, never put
+        again.  One busy process per core, plus one, makes the preemption
+        likely within the run.
+        """
+        hogs = [
+            subprocess.Popen([sys.executable, "-c", "while True: pass"])
+            for _ in range((os.cpu_count() or 1) + 1)
+        ]
+        batcher = MicroBatcher(lambda items: items, max_linger_seconds=1e-5)
+        try:
+            bursts, deadline = 0, time.monotonic() + 4.0
+            while time.monotonic() < deadline:
+                futures = [batcher.submit(index) for index in range(8)]
+                assert [f.result(timeout=10.0) for f in futures] == list(range(8))
+                bursts += 1
+            assert bursts > 100
+        finally:
+            for hog in hogs:
+                hog.kill()
+                hog.wait()
+            assert batcher.close()

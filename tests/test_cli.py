@@ -876,35 +876,34 @@ class TestServeTcp:
             assert banner.startswith("listening on ")
             host, port = banner.split()[2].rsplit(":", 1)
             sock = socket.create_connection((host, int(port)), timeout=30)
-            stream = sock.makefile("rwb")
-            for index in range(6):
-                stream.write(
-                    (
-                        json.dumps(
-                            {
-                                "op": "query",
-                                "release": "census",
-                                "ranges": {"Age": [0, 10]},
-                                "id": index,
-                            }
-                        )
-                        + "\n"
-                    ).encode()
-                )
-            stream.flush()
-            first = json.loads(stream.readline())
-            assert first["ok"] is True and first["id"] == 0
-            # Five responses still owed when the signal lands.
-            proc.send_signal(_signal.SIGTERM)
-            drained = [first]
-            for _ in range(5):
-                raw = stream.readline()
-                assert raw, "queued response lost during SIGTERM drain"
-                drained.append(json.loads(raw))
-            assert [r["id"] for r in drained] == list(range(6))
-            assert all(r["ok"] for r in drained)
-            assert stream.readline() == b""  # then the socket closes
-            sock.close()
+            with sock, sock.makefile("rwb") as stream:
+                for index in range(6):
+                    stream.write(
+                        (
+                            json.dumps(
+                                {
+                                    "op": "query",
+                                    "release": "census",
+                                    "ranges": {"Age": [0, 10]},
+                                    "id": index,
+                                }
+                            )
+                            + "\n"
+                        ).encode()
+                    )
+                stream.flush()
+                first = json.loads(stream.readline())
+                assert first["ok"] is True and first["id"] == 0
+                # Five responses still owed when the signal lands.
+                proc.send_signal(_signal.SIGTERM)
+                drained = [first]
+                for _ in range(5):
+                    raw = stream.readline()
+                    assert raw, "queued response lost during SIGTERM drain"
+                    drained.append(json.loads(raw))
+                assert [r["id"] for r in drained] == list(range(6))
+                assert all(r["ok"] for r in drained)
+                assert stream.readline() == b""  # then the socket closes
             summary = proc.stderr.read()
             assert proc.wait(timeout=30) == 0
             assert "served" in summary and "respawn" in summary
@@ -912,3 +911,4 @@ class TestServeTcp:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stderr.close()

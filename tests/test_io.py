@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -330,6 +331,20 @@ class TestResultHandle:
         path.write_bytes(b"PK\x03\x04" + b"\x00" * 40)
         with pytest.raises(ReproError, match="not a repro result archive"):
             open_result(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_failed_opens_close_their_files(self, tmp_path):
+        """Re-registering a corrupt archive must not leak a descriptor per
+        attempt, even while the errors (and their tracebacks) are kept."""
+        path = tmp_path / "truncated.npz"
+        path.write_bytes(b"PK\x03\x04" + b"\x00" * 40)
+        before = len(os.listdir("/proc/self/fd"))
+        errors = []
+        for _ in range(50):
+            with pytest.raises(ReproError) as caught:
+                open_result(path)
+            errors.append(caught.value)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_repr_shows_laziness(self, coefficient_archive):
         path, _ = coefficient_archive

@@ -16,6 +16,8 @@ from repro.transforms.multidim import (
     weight_tensor,
 )
 from repro.transforms.nominal import NominalTransform
+from repro.transforms.tree import haar_forward_reference, nominal_forward_reference
+from repro.utils.validation import next_power_of_two
 
 
 class TestFigure4:
@@ -110,6 +112,69 @@ class TestRoundTrip:
             hn.forward(np.zeros((5, 6, 5)))
         with pytest.raises(TransformError):
             hn.inverse(np.zeros((5, 6, 4)))
+
+
+def _oracle_forward(schema, sa, values):
+    """Every wavelet axis through the tree oracles, one fiber at a time."""
+    for axis, attribute in enumerate(schema):
+        if attribute.name in sa:
+            continue
+        if isinstance(attribute, NominalAttribute):
+            hierarchy = attribute.hierarchy
+            values = np.apply_along_axis(
+                lambda fiber: nominal_forward_reference(fiber, hierarchy), axis, values
+            )
+        else:
+            padding = next_power_of_two(attribute.size) - attribute.size
+            values = np.apply_along_axis(
+                lambda fiber: haar_forward_reference(np.pad(fiber, (0, padding))),
+                axis,
+                values,
+            )
+    return values
+
+
+class TestForwardParity:
+    """One forward into one C-ordered tensor, checked against the oracles."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("sa", [(), ("X",), ("Y",)])
+    def test_matches_tree_oracles(self, unbalanced_hierarchy, rng, position, sa):
+        attributes = [OrdinalAttribute("X", 5), OrdinalAttribute("Y", 4)]
+        attributes.insert(position, NominalAttribute("G", unbalanced_hierarchy))
+        schema = Schema(attributes)
+        hn = HNTransform(schema, sa_names=sa)
+        values = rng.normal(size=schema.shape) * 10.0
+        transposed = np.ascontiguousarray(values.T).T
+        expected = _oracle_forward(schema, sa, values)
+        for layout in (values, transposed):
+            coefficients = hn.forward(layout)
+            np.testing.assert_allclose(coefficients, expected, rtol=1e-12, atol=1e-12)
+            assert coefficients.shape == hn.output_shape
+            assert coefficients.flags.c_contiguous
+        # Elementwise kernels only: the memory layout moves no bits.
+        assert np.array_equal(hn.forward(values), hn.forward(transposed))
+
+    @pytest.mark.parametrize("sa", [(), ("X",), ("G",), ("X", "G", "Y")])
+    def test_never_returns_its_input(self, mixed_schema, rng, sa):
+        hn = HNTransform(mixed_schema, sa_names=sa)
+        values = rng.normal(size=mixed_schema.shape)
+        coefficients = hn.forward(values)
+        assert not np.shares_memory(coefficients, values)
+        assert coefficients.flags.c_contiguous
+
+    def test_one_dimensional_forward_into_matches_forward(self, unbalanced_hierarchy, rng):
+        for transform in (
+            HaarTransform(5),
+            NominalTransform(unbalanced_hierarchy),
+            IdentityTransform(4),
+        ):
+            # Both arguments strided views, as HNTransform passes them.
+            values = np.moveaxis(rng.normal(size=(3, transform.input_length, 2)), 1, 0)
+            out = np.empty((3, transform.output_length, 2))
+            transform.forward_into(values, np.moveaxis(out, 1, 0))
+            expected = transform.forward(np.ascontiguousarray(values))
+            assert np.array_equal(np.moveaxis(out, 1, 0), expected)
 
 
 class TestTransformSelection:
