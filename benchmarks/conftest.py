@@ -44,7 +44,7 @@ def bench_smoke() -> bool:
     return os.environ.get("BENCH_SMOKE", "") not in {"", "0"}
 
 
-#: Alternating pairs :func:`paired_ratio` times.
+#: Alternating pairs :func:`paired_ratio` times by default.
 PAIRS = 15
 _REFERENCE_DATA = np.random.default_rng(0).random(1 << 16)
 
@@ -60,13 +60,13 @@ def _reference_seconds() -> float:
     return time.perf_counter() - start
 
 
-def paired_ratio(slow, fast) -> dict:
+def paired_ratio(slow, fast, *, pairs: int = PAIRS) -> dict:
     """How many times longer ``slow()`` takes than ``fast()``, steadied.
 
     Each vCPU of a shared host can switch between speed modes every
     50-200 ms, so two operations timed in separate sweeps may each run
     in a different mode and their ratio drifts.  Here the two calls
-    alternate in :data:`PAIRS` pairs, every call is bracketed by a fixed
+    alternate in ``pairs`` pairs, every call is bracketed by a fixed
     reference computation, and each call's time is divided by the mean
     of the two reference times around it: its cost in reference units,
     which the host's mode moves far less than it moves wall time.
@@ -80,7 +80,7 @@ def paired_ratio(slow, fast) -> dict:
     """
     ratios, slow_times, fast_times = [], [], []
     before = _reference_seconds()
-    for _ in range(PAIRS):
+    for _ in range(pairs):
         costs = []
         for call, times in ((slow, slow_times), (fast, fast_times)):
             start = time.perf_counter()

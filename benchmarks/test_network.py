@@ -213,7 +213,7 @@ def test_network_fleet_throughput(record_result):
     runs = []
     aggregate_qps: dict[int, float] = {}
     for workers in plan["workers"]:
-        server = NetworkServer(workers=workers, max_linger_seconds=0.001)
+        server = NetworkServer(workers=workers)
         server.register("census", result)
         address = server.start()
         try:

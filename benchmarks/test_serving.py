@@ -3,8 +3,8 @@
 The serving layer's pitch is that a long-lived server answering
 dashboard-style traffic (the same ranges re-asked all day, across many
 releases) gets two compounding wins: archives load lazily once (and
-each engine and its serving tensor build once), and concurrent
-requests coalesce into vectorized engine batches.  This benchmark
+each engine and its serving tensor build once), and every list of
+requests is answered in one grouped engine pass.  This benchmark
 measures both on two census releases served *from coefficient
 archives*:
 
@@ -15,8 +15,8 @@ archives*:
   :func:`benchmarks.conftest.paired_ratio`'s reference-bracketed pairs
   and the gate reads the median ratio: warm >= 2x faster.
 * **batch sizes 1 / 16 / 256** — the same workload submitted in
-  pipelined chunks of each size, measuring sustained queries/sec (a
-  chunk bounds how much the micro-batcher can coalesce).
+  ``query_many`` chunks of each size, measuring sustained queries/sec
+  (a chunk is one grouped pass).
 * **two releases concurrently** — both releases are queried from
   parallel threads and every answer is checked against a direct
   single-release engine.
@@ -114,8 +114,8 @@ def _dashboard_requests(archives, repeats: int) -> list[QueryRequest]:
                 for query in queries
             ]
         )
-    # Interleave the releases so every slice of traffic is mixed (the
-    # batcher then splits each coalesced batch per release).
+    # Interleave the releases so every slice of traffic is mixed (each
+    # pass then splits its requests per release).
     interleaved = [
         request for group in zip(*per_release) for request in group
     ]
@@ -123,14 +123,14 @@ def _dashboard_requests(archives, repeats: int) -> list[QueryRequest]:
 
 
 def _fresh_server(archives) -> ReleaseServer:
-    server = ReleaseServer(max_batch=256, max_linger_seconds=0.002)
+    server = ReleaseServer()
     for name, (path, _) in sorted(archives.items()):
         server.register_archive(path, name=name)
     return server
 
 
 def _timed_pass(server, requests, batch_size: int) -> float:
-    """Seconds to answer ``requests`` in pipelined chunks of ``batch_size``."""
+    """Seconds to answer ``requests`` in ``query_many`` chunks of ``batch_size``."""
     start = time.perf_counter()
     for begin in range(0, len(requests), batch_size):
         server.query_many(requests[begin : begin + batch_size])
@@ -364,7 +364,7 @@ def test_serving_throughput(record_result, tmp_path):
         f"{columnar['serving_vs_engine_qps_ratio']:.2f})"
     )
     lines.append(
-        f"mean batch {stats['mean_batch_size']:.1f}, "
+        f"{stats['requests']} requests in {stats['batches']} passes, "
         f"p99 latency {stats['p99_latency_seconds'] * 1e3:.2f} ms"
     )
     record_result(

@@ -9,9 +9,11 @@ ingestion exists for):
   add each), so total work over ``T`` epochs is linear in the data.
   The baseline is what a one-shot pipeline must do for the same
   freshness: **republish the entire prefix after every epoch**, which
-  re-bins ``O(T^2)`` rows overall.  The benchmark times both over the
-  same rows (streaming side includes its archive appends) and records
-  the speedup plus sustained ingest throughput.
+  re-bins ``O(T^2)`` rows overall.  The benchmark alternates the two
+  over the same rows (streaming side includes its archive appends) in
+  :func:`benchmarks.conftest.paired_ratio`'s reference-bracketed pairs,
+  gates the median pair's speedup, and records sustained ingest
+  throughput.
 * **logarithmic window queries** — a window query touches only its
   canonical dyadic cover (``<= 2 ceil log2 T`` nodes, asserted here),
   so window-restricted traffic stays fast as history grows; the same
@@ -34,7 +36,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import bench_smoke, frozen_heap
+from benchmarks.conftest import bench_smoke, frozen_heap, paired_ratio
 from benchmarks.provenance import provenance
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.data.attributes import OrdinalAttribute
@@ -50,6 +52,8 @@ SCHEMA = Schema([OrdinalAttribute("value", 4096), OrdinalAttribute("kind", 8)])
 #: Full-mode acceptance bar: streaming ingestion must beat republishing
 #: the growing prefix every epoch (O(T) vs O(T^2) rows processed).
 MIN_INGEST_SPEEDUP = 2.0
+#: Alternating republish/streaming pairs behind the gated median.
+INGEST_PAIRS = 7
 
 
 def _config() -> tuple[int, int, int]:
@@ -69,56 +73,51 @@ def _epoch_tables(epochs: int, rows: int) -> list[Table]:
     return tables
 
 
-def _timed_streaming(tables, mechanism, archive):
-    """One full streaming pass into a fresh archive; (seconds, publisher)."""
+def _streaming(tables, mechanism, archive):
+    """One full streaming pass into a fresh archive; returns the publisher."""
+    archive.unlink(missing_ok=True)
     publisher = StreamingPublisher(
         SCHEMA, mechanism, 1.0, seed=SEED, archive_path=archive
     )
-    start = time.perf_counter()
     for table in tables:
         publisher.ingest(table)
         publisher.advance_epoch()
-    return time.perf_counter() - start, publisher
+    return publisher
 
 
-def _timed_republish(tables, mechanism):
-    """One full republish-the-prefix pass; (seconds, final flat result)."""
-    start = time.perf_counter()
+def _republish(tables, mechanism):
+    """One full republish-the-prefix pass; returns the final flat result."""
     prefix_rows = []
     flat = None
     for table in tables:
         prefix_rows.append(table.rows)
         prefix = Table(SCHEMA, np.concatenate(prefix_rows, axis=0))
         flat = mechanism.publish(prefix, 1.0, seed=SEED, materialize=False)
-    return time.perf_counter() - start, flat
+    return flat
 
 
 def test_streaming_scalability(record_result, tmp_path_factory):
     epochs, rows, num_queries = _config()
     tables = _epoch_tables(epochs, rows)
     mechanism = PriveletPlusMechanism(sa_names="auto")
-    archive_dir = tmp_path_factory.mktemp("bench_streaming")
+    archive = tmp_path_factory.mktemp("bench_streaming") / "stream.npz"
 
-    # Both pipelines are timed as the min of two full passes, so one
-    # scheduler hiccup on a shared runner cannot sink the speedup gate,
-    # with objects earlier tests left alive out of the collector's way.
+    # Streaming (publish each epoch once, merge, append to an archive)
+    # against the same freshness from a one-shot pipeline (republish the
+    # whole prefix after every epoch), alternated in paired_ratio's
+    # reference-bracketed pairs; the gate reads the median pair, with
+    # objects earlier tests left alive out of the collector's way.
+    last = {}
     with frozen_heap():
-        # ---- streaming: publish each epoch once, merge, append to an
-        # archive
-        streaming_seconds = math.inf
-        for trial in range(2):
-            seconds, publisher = _timed_streaming(
-                tables, mechanism, archive_dir / f"stream_{trial}.npz"
-            )
-            streaming_seconds = min(streaming_seconds, seconds)
-
-        # ---- baseline: same freshness from a one-shot pipeline means
-        # republishing the whole prefix after every epoch.
-        republish_seconds = math.inf
-        for _ in range(2):
-            seconds, flat = _timed_republish(tables, mechanism)
-            republish_seconds = min(republish_seconds, seconds)
-    ingest_speedup = republish_seconds / streaming_seconds
+        paired = paired_ratio(
+            lambda: last.update(flat=_republish(tables, mechanism)),
+            lambda: last.update(publisher=_streaming(tables, mechanism, archive)),
+            pairs=2 if bench_smoke() else INGEST_PAIRS,
+        )
+    publisher, flat = last["publisher"], last["flat"]
+    streaming_seconds = paired["fast_seconds"]
+    republish_seconds = paired["slow_seconds"]
+    ingest_speedup = paired["ratio"]
 
     # ---- window queries: mixed dyadic-unaligned windows over the stream
     queries = generate_workload(SCHEMA, num_queries, seed=SEED + 1)
@@ -173,6 +172,7 @@ def test_streaming_scalability(record_result, tmp_path_factory):
             "streaming_rows_per_s": epochs * rows / streaming_seconds,
             "flat_republish_seconds": republish_seconds,
             "ingest_speedup": ingest_speedup,
+            "pair_ratios": paired["ratios"],
         },
         "window_query": {
             "queries": answered,
@@ -200,7 +200,7 @@ def test_streaming_scalability(record_result, tmp_path_factory):
                 f"({payload['ingest']['streaming_rows_per_s']:,.0f} rows/s, "
                 "publish-once + tree merges + archive appends)",
                 f"flat republish   : {republish_seconds:.3f} s "
-                f"(speedup {ingest_speedup:.2f}x)",
+                f"(paired median speedup {ingest_speedup:.2f}x)",
                 f"window queries   : {window_qps:,.0f} q/s "
                 f"(<= {payload['window_query']['max_nodes_touched']} nodes "
                 f"per window, bound {bound})",
@@ -213,6 +213,6 @@ def test_streaming_scalability(record_result, tmp_path_factory):
     if bench_smoke():
         return
     assert ingest_speedup >= MIN_INGEST_SPEEDUP, (
-        f"streaming ingest speedup {ingest_speedup:.2f}x below the "
+        f"streaming ingest speedup {ingest_speedup:.2f}x (paired median) below the "
         f"{MIN_INGEST_SPEEDUP:.1f}x bar (O(T) streaming vs O(T^2) republish)"
     )

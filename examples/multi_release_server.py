@@ -6,16 +6,16 @@ walkthrough publishes two census releases in coefficient space, writes
 them to archives, and stands up a ``ReleaseServer`` over them:
 
 * archives register lazily (header read now, payload on first touch);
-* concurrent single queries coalesce into vectorized engine batches;
+* a dashboard render passes its widgets as one list, answered in one
+  grouped engine pass on the caller's thread;
 * repeated dashboard renders find engines and serving tensors built;
-* the server reports batch sizes and p50/p99 latency.
+* the server reports requests, passes and p50/p99 latency.
 
 Run:  PYTHONPATH=src python examples/multi_release_server.py
 """
 
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro import (
@@ -45,7 +45,7 @@ def publish_archives(directory: Path) -> list[Path]:
 
 
 def dashboard(server: ReleaseServer, release: str, widgets: int) -> float:
-    """One dashboard render: a fixed set of range widgets, in parallel."""
+    """One dashboard render: a fixed set of range widgets, one pass."""
     requests = [
         QueryRequest(release, {"Age": (lo, lo + 15)}) for lo in range(widgets)
     ] + [
@@ -53,8 +53,7 @@ def dashboard(server: ReleaseServer, release: str, widgets: int) -> float:
         for lo in range(widgets)
     ]
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        responses = list(pool.map(server.query, requests))
+    responses = server.query_many(requests)
     seconds = time.perf_counter() - start
     assert all(r.lower <= r.estimate <= r.upper for r in responses)
     return seconds
@@ -64,7 +63,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         paths = publish_archives(Path(scratch))
 
-        with ReleaseServer(max_batch=128) as server:
+        with ReleaseServer() as server:
             for path in paths:
                 server.register_archive(path)
             print(f"\nregistered (lazily): {list(server.names)}")
@@ -85,8 +84,7 @@ def main() -> None:
             stats = server.stats()
             print(
                 f"\nserver stats: {stats.requests} requests in "
-                f"{stats.batches} batches (mean {stats.mean_batch_size:.1f}, "
-                f"largest {stats.largest_batch}), p50 "
+                f"{stats.batches} passes, p50 "
                 f"{stats.p50_latency_seconds * 1e3:.2f} ms, p99 "
                 f"{stats.p99_latency_seconds * 1e3:.2f} ms"
             )

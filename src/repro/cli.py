@@ -59,7 +59,6 @@ import queue
 import signal
 import sys
 import threading
-from collections import deque
 
 import numpy as np
 
@@ -83,7 +82,7 @@ from repro.io import load_result, open_result, save_result
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
 from repro.serving.network import NetworkServer
-from repro.serving.requests import ErrorResponse, QueryBatchRequest, QueryRequest
+from repro.serving.requests import ErrorResponse
 from repro.serving.server import ReleaseServer
 from repro.streaming import StreamingPublisher
 
@@ -238,14 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes behind --tcp (each maps the published "
         "releases from shared memory, zero copy)",
     )
-    serve.add_argument("--max-batch", type=int, default=256)
-    serve.add_argument(
-        "--linger-ms",
-        type=float,
-        default=2.0,
-        help="upper bound of the adaptive micro-batching window",
-    )
-
     return parser
 
 
@@ -501,36 +492,49 @@ def _emit(stream, payload: dict) -> None:
     stream.flush()
 
 
-def _flush_pending(pending, stream, *, only_done: bool = False) -> None:
-    """Emit responses in submission order (the wire never reorders).
+def _op_reply(server: ReleaseServer, payload) -> dict:
+    """The in-place answer to a malformed, ``stats``, ``list`` or unknown-op line."""
+    if isinstance(payload, json.JSONDecodeError):
+        return ErrorResponse(
+            "bad-request", f"malformed JSON request: {payload}"
+        ).to_dict()
+    request_id = payload.get("id")
+    op = payload.get("op")
+    if op == "stats":
+        return {"ok": True, "id": request_id, "stats": dataclasses.asdict(server.stats())}
+    if op == "list":
+        return {
+            "ok": True,
+            "id": request_id,
+            "releases": [server.describe(name) for name in server.names],
+        }
+    return ErrorResponse("bad-request", f"unknown op {op!r}", request_id).to_dict()
 
-    ``only_done=True`` emits just the already-completed prefix (used
-    between submits so the loop keeps pipelining); the default drains
-    everything, blocking on still-batching futures.
-    """
-    while pending and not (only_done and not pending[0][1].done()):
-        request_id, future = pending.popleft()
-        try:
-            _emit(stream, future.result().to_dict())
-        except Exception as exc:  # noqa: BLE001 - wire gets structured errors
-            _emit(stream, ErrorResponse.from_exception(exc, request_id).to_dict())
+
+def _answer_run(server: ReleaseServer, run: list, stream) -> int:
+    """Answer a run of query payloads in one pass, emit, and empty it."""
+    for response in server.answer_payloads(run):
+        _emit(stream, response)
+    count = len(run)
+    run.clear()
+    return count
 
 
 def _serve_loop(server: ReleaseServer, lines, stream) -> int:
     """Drive the JSONL request/response loop until stdin closes.
 
     Every line produces exactly one response line, in request order.
-    Input is consumed through a background reader thread so the loop
-    never blocks in ``readline`` while holding finished futures: with
-    responses outstanding it polls briefly and, once input goes idle,
-    drains the pending queue — a strict request/response client (which
+    Input is consumed through a background reader thread, so the loop
+    never blocks in ``readline`` while it holds answers: it waits for
+    one line, takes every line already queued behind it, answers each
+    run of consecutive query lines in one grouped pass, and answers
+    ``stats``, ``list``, malformed and unknown-op lines in place, after
+    the queries before them.  A strict request/response client (which
     sends nothing until it reads its answer) therefore always gets one.
-    With nothing pending it blocks on input without polling.  Pipelined
-    clients may still see responses lag their requests by up to the
-    batching window; ``stats``/``list`` operations flush the pending
-    queue first so their answers observe every earlier request.
+
+    Returns the number of query lines answered.
     """
-    feed: queue.Queue = queue.Queue()
+    feed: queue.SimpleQueue = queue.SimpleQueue()
     done = object()
 
     def read() -> None:
@@ -539,73 +543,32 @@ def _serve_loop(server: ReleaseServer, lines, stream) -> int:
         feed.put(done)
 
     threading.Thread(target=read, daemon=True, name="repro-serve-stdin").start()
-    pending: deque = deque()
     served = 0
     while True:
-        try:
-            # Poll only while responses are outstanding; otherwise park.
-            line = feed.get(timeout=0.01) if pending else feed.get()
-        except queue.Empty:
-            # Input idle with responses pending: resolve whatever the
-            # batcher has finished (and block for the rest — the window
-            # is milliseconds).
-            _flush_pending(pending, stream)
-            continue
-        if line is done:
-            break
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _flush_pending(pending, stream)
-            _emit(
-                stream,
-                ErrorResponse("bad-request", f"malformed JSON request: {exc}").to_dict(),
-            )
-            continue
-        request_id = payload.get("id") if isinstance(payload, dict) else None
-        op = payload.get("op", "query") if isinstance(payload, dict) else "query"
-        if op == "stats":
-            _flush_pending(pending, stream)
-            _emit(
-                stream,
-                {"ok": True, "id": request_id, "stats": dataclasses.asdict(server.stats())},
-            )
-            continue
-        if op == "list":
-            _flush_pending(pending, stream)
-            _emit(
-                stream,
-                {
-                    "ok": True,
-                    "id": request_id,
-                    "releases": [server.describe(name) for name in server.names],
-                },
-            )
-            continue
-        if op not in ("query", "query_batch"):
-            _flush_pending(pending, stream)
-            _emit(
-                stream,
-                ErrorResponse("bad-request", f"unknown op {op!r}", request_id).to_dict(),
-            )
-            continue
-        try:
-            if op == "query_batch":
-                request = QueryBatchRequest.from_dict(payload)
+        queued = [feed.get()]
+        while queued[-1] is not done:
+            try:
+                queued.append(feed.get_nowait())
+            except queue.Empty:
+                break
+        run: list = []
+        for line in queued:
+            if line is done or not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                payload = exc
             else:
-                request = QueryRequest.from_dict(payload)
-            pending.append((request.request_id, server.submit(request)))
-            served += 1
-        except Exception as exc:  # noqa: BLE001 - wire gets structured errors
-            _flush_pending(pending, stream)
-            _emit(stream, ErrorResponse.from_exception(exc, request_id).to_dict())
-            continue
-        _flush_pending(pending, stream, only_done=True)
-    _flush_pending(pending, stream)
-    return served
+                op = payload.get("op", "query") if isinstance(payload, dict) else "query"
+                if op in ("query", "query_batch"):
+                    run.append(payload)
+                    continue
+            served += _answer_run(server, run, stream)
+            _emit(stream, _op_reply(server, payload))
+        served += _answer_run(server, run, stream)
+        if queued[-1] is done:
+            return served
 
 
 def _parse_archive_spec(spec: str) -> tuple[str | None, str]:
@@ -638,13 +601,7 @@ def _parse_tcp_spec(spec: str) -> tuple[str, int]:
 def _serve_tcp(args) -> int:
     """Run the multi-process TCP fleet until SIGTERM/SIGINT, then drain."""
     host, port = _parse_tcp_spec(args.tcp)
-    server = NetworkServer(
-        host=host,
-        port=port,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_linger_seconds=args.linger_ms / 1000.0,
-    )
+    server = NetworkServer(host=host, port=port, workers=args.workers)
     for spec in args.archives:
         name, path = _parse_archive_spec(spec)
         server.register_archive(path, name=name)
@@ -692,11 +649,7 @@ def _serve_tcp(args) -> int:
 def _cmd_serve(args) -> int:
     if args.tcp is not None:
         return _serve_tcp(args)
-    server = ReleaseServer(
-        max_batch=args.max_batch,
-        max_linger_seconds=args.linger_ms / 1000.0,
-    )
-    with server:
+    with ReleaseServer() as server:
         for spec in args.archives:
             name, path = _parse_archive_spec(spec)
             server.register_archive(path, name=name)
@@ -709,8 +662,8 @@ def _cmd_serve(args) -> int:
         served = _serve_loop(server, sys.stdin, sys.stdout)
         stats = server.stats()
     print(
-        f"served {served} request(s); mean batch "
-        f"{stats.mean_batch_size:.1f}, p99 latency "
+        f"served {served} request(s) in {stats.batches} pass(es); "
+        f"p99 latency "
         f"{stats.p99_latency_seconds * 1e3:.2f} ms",
         file=sys.stderr,
     )

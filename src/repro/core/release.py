@@ -47,6 +47,7 @@ a :class:`DenseRelease` over it answers identically.
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 
@@ -217,7 +218,10 @@ class Release:
 
         lows, highs = self._check_boxes(lows, highs)
         if self._prefix is None:
-            self._prefix = prefix_tensor(self.schema.shape, self._fill_prefix)
+            # Concurrent first answers build the tensor once.
+            with self._prefix_lock:
+                if self._prefix is None:
+                    self._prefix = prefix_tensor(self.schema.shape, self._fill_prefix)
         answers = box_sums(self._prefix, lows, highs)
         # An empty box has exactly zero cells; force the float-exact 0.0
         # the inclusion-exclusion sum is not guaranteed to produce.
@@ -240,6 +244,7 @@ class DenseRelease(Release):
         if not isinstance(matrix, FrequencyMatrix):
             raise QueryError("DenseRelease requires a FrequencyMatrix")
         self._matrix = matrix
+        self._prefix_lock = threading.Lock()
 
     @property
     def schema(self) -> Schema:
@@ -297,6 +302,7 @@ class CoefficientRelease(Release):
                 f"got {coefficients.shape}"
             )
         self._coefficients = coefficients
+        self._prefix_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @classmethod

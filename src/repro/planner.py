@@ -6,7 +6,7 @@ batch (dashboards, repeated widgets), and because a release's noise is
 *frozen at publish time* the same box always returns the same float.
 :class:`QueryPlanner` exploits exactly that, without changing a single
 output bit: the batch's ``(lo, hi)`` rows are collapsed to their
-distinct boxes (``numpy.unique`` over the stacked bounds), each distinct
+distinct boxes (keyed by their corners' flat indices), each distinct
 box is answered once, and the answers are scattered back through the
 inverse map, so the response order is the request order.
 
@@ -29,6 +29,30 @@ from repro.queries.engine import BatchQueryAnswers, _interval_answers
 from repro.utils.validation import ensure_boxes, ensure_confidence
 
 __all__ = ["QueryPlanner"]
+
+
+def _distinct_boxes(lows, highs, shape) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` over validated bounds: one row index per
+    distinct box, and each row's position among them, so
+    ``lows[first][inverse]`` is ``lows``.
+
+    A box is keyed by the flat indices of its two corners in the
+    ``prod(n_i + 1)`` corner grid, and one ``lexsort`` of the key pairs
+    groups equal boxes; at 256 rows that costs about an eighth of
+    ``numpy.unique(axis=0)`` over the stacked bounds.
+    """
+    sizes = np.asarray(shape, dtype=np.int64) + 1
+    strides = np.append(np.cumprod(sizes[:0:-1])[::-1], 1)
+    flat_lows, flat_highs = lows @ strides, highs @ strides
+    order = np.lexsort((flat_highs, flat_lows))
+    sorted_lows, sorted_highs = flat_lows[order], flat_highs[order]
+    starts = np.ones(order.shape[0], dtype=bool)
+    starts[1:] = (sorted_lows[1:] != sorted_lows[:-1]) | (
+        sorted_highs[1:] != sorted_highs[:-1]
+    )
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 class QueryPlanner:
@@ -83,18 +107,13 @@ class QueryPlanner:
         # Same precedence as the engine: a bad confidence fails before
         # the bounds are even looked at.
         confidence = ensure_confidence(confidence)
-        lows, highs = ensure_boxes(lows, highs, self._engine.schema.shape)
-        dims = lows.shape[1]
-        unique, inverse = np.unique(
-            np.concatenate([lows, highs], axis=1), axis=0, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        answered = self._engine.answer_columnar(
-            unique[:, :dims], unique[:, dims:], confidence
-        )
+        shape = self._engine.schema.shape
+        lows, highs = ensure_boxes(lows, highs, shape)
+        first, inverse = _distinct_boxes(lows, highs, shape)
+        answered = self._engine.answer_columnar(lows[first], highs[first], confidence)
         with self._lock:
             self.rows_planned += int(inverse.shape[0])
-            self.rows_deduped += int(inverse.shape[0]) - int(unique.shape[0])
+            self.rows_deduped += int(inverse.shape[0]) - int(first.shape[0])
         return _interval_answers(
             answered.estimates[inverse], answered.noise_stds[inverse], confidence
         )

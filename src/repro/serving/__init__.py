@@ -13,12 +13,11 @@ package is about sustained traffic across *many* releases.  The pieces
   :class:`~repro.serving.requests.ErrorResponse` — the wire types of
   the JSONL protocol ``python -m repro serve`` speaks (scalar and
   columnar);
-* :class:`~repro.serving.batching.MicroBatcher` — adaptive coalescing
-  of concurrent single queries into vectorized engine batches;
 * :class:`~repro.serving.plans.PlanCache` — compiled per-shape plans
   the columnar path reuses across batches;
-* :class:`~repro.serving.server.ReleaseServer` — the composition, with
-  per-release locks and plan-cache/batch/latency stats;
+* :class:`~repro.serving.server.ReleaseServer` — the composition: it
+  answers each list of requests in one grouped pass on the caller's
+  thread, with per-release locks and plan-cache/pass/latency stats;
 * :mod:`~repro.serving.shm` — publish-once shared-memory segments that
   worker processes map zero copy;
 * :class:`~repro.serving.stats.LatencyRecorder` /
@@ -31,7 +30,6 @@ package is about sustained traffic across *many* releases.  The pieces
 See ``docs/ARCHITECTURE.md`` for where this layer sits in the system.
 """
 
-from repro.serving.batching import MicroBatcher
 from repro.serving.network import NetworkServer
 from repro.serving.plans import CompiledPlan, PlanCache
 from repro.serving.registry import ReleaseRegistry
@@ -58,7 +56,6 @@ __all__ = [
     "CompiledPlan",
     "ErrorResponse",
     "LatencyRecorder",
-    "MicroBatcher",
     "NetworkServer",
     "PlanCache",
     "QueryBatchRequest",

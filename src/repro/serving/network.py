@@ -8,13 +8,15 @@ This is the serving layer's answer to "millions of users": the JSONL
   wire types of the JSONL loop including ``op=query_batch``) running on
   a background event-loop thread;
 * ``N`` worker processes, each holding its own
-  :class:`~repro.serving.server.ReleaseServer` (engines, plan cache,
-  micro-batcher) whose release tensors are mapped
+  :class:`~repro.serving.server.ReleaseServer` (engines, plan cache)
+  whose release tensors are mapped
   **zero-copy** from shared-memory segments the parent published once
   (see :mod:`repro.serving.shm`) — no tensor ever crosses a pipe;
 * per-worker duplex pipes carrying only small JSON-able dicts:
   requests go out with a token, responses come back by token, and a
-  reader thread per worker resolves the matching asyncio future.
+  reader thread per worker resolves the matching asyncio future.  A
+  worker reads every message already waiting on its pipe and answers
+  each run of requests in that read in one grouped pass.
 
 Failure modes are part of the contract, not an afterthought:
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -50,7 +53,7 @@ import threading
 from repro.errors import ServingError
 from repro.io import load_result
 from repro.serving.registry import ReleaseRegistry
-from repro.serving.requests import ErrorResponse, QueryBatchRequest, QueryRequest
+from repro.serving.requests import ErrorResponse
 from repro.serving.server import ReleaseServer
 from repro.serving.shm import (
     DEFAULT_PREFIX,
@@ -81,21 +84,7 @@ def _worker_attach(manifests: dict):
     return registry, attachments
 
 
-def _worker_answer(server: ReleaseServer, payload):
-    """Start answering one wire payload; a Future or an error dict."""
-    request_id = payload.get("id") if isinstance(payload, dict) else None
-    try:
-        op = payload.get("op", "query") if isinstance(payload, dict) else "query"
-        if op == "query_batch":
-            request = QueryBatchRequest.from_dict(payload)
-        else:
-            request = QueryRequest.from_dict(payload)
-        return request_id, server.submit(request)
-    except Exception as exc:  # noqa: BLE001 - wire gets structured errors
-        return request_id, ErrorResponse.from_exception(exc, request_id).to_dict()
-
-
-def _worker_main(conn, manifests: dict, options: dict) -> None:
+def _worker_main(conn, manifests: dict) -> None:
     """The worker process body: attach, serve the pipe, exit on stop.
 
     Parameters
@@ -104,14 +93,11 @@ def _worker_main(conn, manifests: dict, options: dict) -> None:
         The child end of the worker's duplex pipe.
     manifests:
         ``name -> shm manifest`` for every published release.
-    options:
-        :class:`~repro.serving.server.ReleaseServer` keyword arguments
-        (``max_batch``, ``max_linger_seconds``).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         registry, attachments = _worker_attach(manifests)
-        server = ReleaseServer(registry, watch_streams=False, **options)
+        server = ReleaseServer(registry, watch_streams=False)
     except Exception as exc:  # noqa: BLE001 - reported to the parent
         try:
             conn.send({"kind": "failed", "error": f"{type(exc).__name__}: {exc}"})
@@ -133,45 +119,44 @@ def _worker_main(conn, manifests: dict, options: dict) -> None:
             except (EOFError, OSError):
                 break
             replies = []
-            for message in batch:
-                kind = message.get("kind")
-                token = message.get("token")
-                if kind == "stop":
-                    running = False
-                elif kind == "request":
-                    request_id, item = _worker_answer(server, message["payload"])
-                    replies.append((token, request_id, item))
-                elif kind == "stats":
-                    snapshot = dataclasses.asdict(server.stats())
-                    snapshot["latency_samples"] = server.latency_samples()
-                    snapshot["pid"] = os.getpid()
-                    replies.append((token, None, {"stats": snapshot}))
-                elif kind == "refresh":
-                    name = message["name"]
-                    try:
-                        attachment = attach_result_from_shm(message["manifest"])
-                        if name in registry:
-                            server.replace(name, attachment.result)
-                        else:
-                            server.register(name, attachment.result)
-                        attachments[name] = attachment
-                        replies.append((token, None, {"ok": True}))
-                    except Exception as exc:  # noqa: BLE001
-                        replies.append(
-                            (token, None, {"ok": False, "error": str(exc)})
-                        )
-            # All requests were submitted above, so the micro-batcher
-            # coalesces the whole pipe batch; now resolve in order.
-            for token, request_id, item in replies:
-                if hasattr(item, "result"):
-                    try:
-                        response = item.result().to_dict()
-                    except Exception as exc:  # noqa: BLE001
-                        response = ErrorResponse.from_exception(
-                            exc, request_id
-                        ).to_dict()
-                else:
-                    response = item
+            # Each run of requests before a control message is answered
+            # in one pass, so a stats reply counts every request read
+            # before it.
+            for is_request, run in itertools.groupby(
+                batch, key=lambda message: message.get("kind") == "request"
+            ):
+                run = list(run)
+                if is_request:
+                    responses = server.answer_payloads(
+                        [message["payload"] for message in run]
+                    )
+                    replies.extend(
+                        zip((message.get("token") for message in run), responses)
+                    )
+                    continue
+                for message in run:
+                    kind = message.get("kind")
+                    token = message.get("token")
+                    if kind == "stop":
+                        running = False
+                    elif kind == "stats":
+                        snapshot = dataclasses.asdict(server.stats())
+                        snapshot["latency_samples"] = server.latency_samples()
+                        snapshot["pid"] = os.getpid()
+                        replies.append((token, {"stats": snapshot}))
+                    elif kind == "refresh":
+                        name = message["name"]
+                        try:
+                            attachment = attach_result_from_shm(message["manifest"])
+                            if name in registry:
+                                server.replace(name, attachment.result)
+                            else:
+                                server.register(name, attachment.result)
+                            attachments[name] = attachment
+                            replies.append((token, {"ok": True}))
+                        except Exception as exc:  # noqa: BLE001
+                            replies.append((token, {"ok": False, "error": str(exc)}))
+            for token, response in replies:
                 try:
                     conn.send({"token": token, "response": response})
                 except (BrokenPipeError, OSError):
@@ -235,9 +220,6 @@ class NetworkServer:
         resolved address).
     workers:
         Worker processes to run.
-    max_batch, max_linger_seconds:
-        Forwarded to each worker's per-process
-        :class:`~repro.serving.server.ReleaseServer`.
     max_pending_per_worker:
         Outstanding requests allowed per worker before the acceptor
         stops reading frames (back-pressure bound).
@@ -266,8 +248,6 @@ class NetworkServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 1,
-        max_batch: int = 256,
-        max_linger_seconds: float = 0.002,
         max_pending_per_worker: int = 64,
         max_frame_bytes: int = 1 << 20,
         start_method: str | None = None,
@@ -281,10 +261,6 @@ class NetworkServer:
         self._host = host
         self._port = int(port)
         self._num_workers = int(workers)
-        self._worker_options = {
-            "max_batch": int(max_batch),
-            "max_linger_seconds": float(max_linger_seconds),
-        }
         self._max_pending = int(max_pending_per_worker)
         self._max_frame_bytes = int(max_frame_bytes)
         self._start_method = start_method
@@ -309,6 +285,7 @@ class NetworkServer:
         self._address: tuple | None = None
         self._connections: set = set()
         self._respawn_queue: asyncio.Queue | None = None
+        self._refresh_lock: asyncio.Lock | None = None
         self._respawn_task = None
         self._watch_task = None
         self._worker_available: asyncio.Event | None = None
@@ -581,7 +558,7 @@ class NetworkServer:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
-            args=(child_conn, self._manifests, self._worker_options),
+            args=(child_conn, self._manifests),
             name=f"repro-net-worker-{slot}",
             daemon=True,
         )
@@ -644,6 +621,7 @@ class NetworkServer:
             socket_name = self._tcp_server.sockets[0].getsockname()
             self._address = (socket_name[0], socket_name[1])
             self._respawn_queue = asyncio.Queue()
+            self._refresh_lock = asyncio.Lock()
             self._worker_available = asyncio.Event()
             self._worker_available.set()
             self._respawn_task = self._loop.create_task(self._respawn_loop())
@@ -991,50 +969,56 @@ class NetworkServer:
     # Refresh / stream watching (loop thread)
     # ------------------------------------------------------------------
     async def _refresh(self, name: str, result=None) -> None:
-        if name not in self._manifests:
-            raise ServingError(
-                f"unknown release {name!r}", code="unknown-release"
-            )
-        if result is None:
-            path = self._archive_paths.get(name)
-            if path is None:
+        # _aclose takes this lock before it cancels anything, so a
+        # refresh in flight finishes (its old generation unlinked, its
+        # new one recorded for teardown) and none starts after.
+        async with self._refresh_lock:
+            if self._closing:
+                raise ServingError("server is closing", code="closed")
+            if name not in self._manifests:
                 raise ServingError(
-                    f"release {name!r} is in-memory; pass the replacement "
-                    "result to refresh()"
+                    f"unknown release {name!r}", code="unknown-release"
                 )
-            self._archive_stats[name] = self._stat_of(path)
-            result = await self._loop.run_in_executor(None, load_result, path)
-        publication = await self._loop.run_in_executor(
-            None, lambda: publish_result_to_shm(result, prefix=self._shm_prefix)
-        )
-        old = self._publications[name]
-        self._publications[name] = publication
-        self._manifests[name] = publication.manifest
-        self._describe[name].update(
-            epsilon=result.epsilon,
-            representation=result.representation,
-            shape=list(result.release.schema.shape),
-        )
-        alive = [w for w in self._workers if w is not None and w.alive]
-        acks = await asyncio.gather(
-            *(
-                self._control(
-                    w,
-                    {
-                        "kind": "refresh",
-                        "name": name,
-                        "manifest": publication.manifest,
-                    },
-                    timeout=30.0,
-                )
-                for w in alive
-            ),
-            return_exceptions=True,
-        )
-        # Old segments: names go away now; mappings workers still hold
-        # (engines mid-request) stay valid until they drop them.
-        old.close()
-        old.unlink()
+            if result is None:
+                path = self._archive_paths.get(name)
+                if path is None:
+                    raise ServingError(
+                        f"release {name!r} is in-memory; pass the replacement "
+                        "result to refresh()"
+                    )
+                self._archive_stats[name] = self._stat_of(path)
+                result = await self._loop.run_in_executor(None, load_result, path)
+            publication = await self._loop.run_in_executor(
+                None, lambda: publish_result_to_shm(result, prefix=self._shm_prefix)
+            )
+            old = self._publications[name]
+            self._publications[name] = publication
+            self._manifests[name] = publication.manifest
+            self._describe[name].update(
+                epsilon=result.epsilon,
+                representation=result.representation,
+                shape=list(result.release.schema.shape),
+            )
+            alive = [w for w in self._workers if w is not None and w.alive]
+            acks = await asyncio.gather(
+                *(
+                    self._control(
+                        w,
+                        {
+                            "kind": "refresh",
+                            "name": name,
+                            "manifest": publication.manifest,
+                        },
+                        timeout=30.0,
+                    )
+                    for w in alive
+                ),
+                return_exceptions=True,
+            )
+            # Old segments: names go away now; mappings workers still hold
+            # (engines mid-request) stay valid until they drop them.
+            old.close()
+            old.unlink()
         problems = [
             ack
             for ack in acks
@@ -1069,6 +1053,8 @@ class NetworkServer:
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
+        async with self._refresh_lock:  # a refresh in flight finishes
+            pass
         for task in (self._respawn_task, self._watch_task):
             if task is not None:
                 task.cancel()

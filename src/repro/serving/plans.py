@@ -118,8 +118,8 @@ class PlanCache:
         that is evicted (eviction loses no answers — an evicted shape
         recompiles identically on its next batch).
 
-    Thread-safety: lookups and inserts are lock-guarded so direct
-    callers may share the cache with the batcher's drain thread.
+    Thread-safety: lookups and inserts are lock-guarded so concurrent
+    callers may share the cache.
     """
 
     #: Monotone planner counters folded when a plan retires.

@@ -66,6 +66,7 @@ __all__ = [
     "BatchQueryResponse",
     "ErrorResponse",
     "parse_request_line",
+    "request_from_dict",
 ]
 
 
@@ -722,6 +723,25 @@ def parse_request_line(line: str):
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ServingError(f"malformed JSON request: {exc}") from exc
+    return request_from_dict(payload)
+
+
+def request_from_dict(payload):
+    """Decode one wire request object into its request.
+
+    Parameters
+    ----------
+    payload:
+        A decoded JSON request object.
+
+    Returns
+    -------
+    QueryRequest | QueryBatchRequest
+        A columnar batch when the payload carries ``"op":
+        "query_batch"``, else a scalar request.  A malformed payload
+        (not an object included) raises
+        :class:`~repro.errors.ServingError`.
+    """
     if isinstance(payload, dict) and payload.get("op") == "query_batch":
         return QueryBatchRequest.from_dict(payload)
     return QueryRequest.from_dict(payload)

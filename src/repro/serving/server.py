@@ -1,4 +1,4 @@
-"""The multi-release serving layer: registry + engines + micro-batching.
+"""The multi-release serving layer: registry, engines, one grouped pass.
 
 :class:`ReleaseServer` is the first layer of this library whose job is
 *throughput* rather than a single answer.  It composes the pieces below
@@ -9,20 +9,27 @@ it into one front door for query traffic:
 * one :class:`~repro.queries.engine.QueryEngine` per release, built on
   first touch under that release's lock (its variance pass is stateless,
   so an engine's memory does not grow with traffic);
-* an adaptive :class:`~repro.serving.batching.MicroBatcher` that
-  coalesces concurrent single-query requests into one
-  ``answer_all_with_intervals`` call per ``(release, confidence)`` group
-  — concurrency in, vectorized batches out;
-* server-level stats: plan-cache hit rate, batch-size profile, and
+* :meth:`ReleaseServer.answer_requests`, which answers a list of
+  requests in one grouped pass: one ``answer_all_with_intervals`` call
+  per ``(release, confidence, time_range)`` group of scalar requests and
+  one ``answer_columnar`` call per ``(plan, confidence)`` group of
+  columnar batches;
+* server-level stats: plan-cache hit rate, request and pass counts, and
   p50/p99 request latency over a sliding window.
 
 Threading model
 ---------------
-``submit``/``query`` may be called from any number of threads.  All
-answering happens on the batcher's single drain thread, so engines and
-plans see single-threaded access on the hot path; per-release
-locks additionally guard lazy loading and engine construction for
-callers that touch :meth:`ReleaseServer.engine` directly.
+Privelet fixes all of its noise at publish time, so answering is a pure
+read of the release.  Every call answers on the thread that makes it:
+the server starts no thread and queues nothing.  Requests are merged
+where they arrive, by whoever reads several at once and passes them as
+one list (the fleet worker its pipe batch, the JSONL ``serve`` loop the
+lines already queued, :meth:`ReleaseServer.query_many` its argument).
+Concurrent callers answer in parallel.  What they share is guarded
+where it is built: a registry entry's lock covers its archive load and
+engine build, the plan cache and the planner lock their tables, a leaf
+release builds its prefix tensor under its own lock, and the server's
+counters update under one lock.
 """
 
 from __future__ import annotations
@@ -31,24 +38,34 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServingError, StreamingError
 from repro.queries.engine import BatchQueryAnswers, QueryEngine
-from repro.serving.batching import MicroBatcher
 from repro.serving.plans import PlanCache
 from repro.serving.registry import ReleaseRegistry
 from repro.serving.stats import LatencyRecorder
 from repro.serving.requests import (
     BatchQueryResponse,
+    ErrorResponse,
     QueryBatchRequest,
     QueryRequest,
     QueryResponse,
+    request_from_dict,
 )
 
 __all__ = ["ReleaseServer", "ServerStats"]
+
+#: Most compiled columnar plans a server keeps; the least recently used
+#: beyond that is evicted and recompiles identically on its next batch.
+MAX_PLANS = 256
+#: Most ``(release, time_range)`` window engines a server keeps; the
+#: least recently used beyond that is dropped (its node payloads stay
+#: cached on the shared stream release).
+MAX_WINDOW_ENGINES = 64
 
 
 @dataclass(frozen=True)
@@ -57,19 +74,17 @@ class ServerStats:
 
     #: Registered release names.
     releases: tuple
-    #: Engines built so far (lazily; stream releases may add one engine
-    #: per cached time window, so this can exceed len(releases)).
+    #: Engines cached now: one per touched release, plus one per cached
+    #: stream time window.  A refresh drops the refreshed release's
+    #: engines, so this count can fall.
     engines_built: int
     #: Requests completed (successfully answered).
     requests: int
     #: Requests that resolved to an error response/exception.
     errors: int
-    #: Handler batches dispatched by the micro-batcher.
+    #: Grouped passes answered: one per ``answer_requests`` call with at
+    #: least one request (so one per ``query`` or ``query_many`` call).
     batches: int
-    #: Mean items per batch so far.
-    mean_batch_size: float
-    #: Largest single batch so far.
-    largest_batch: int
     #: Always 0: variance profiles are not memoized.  Kept, with
     #: ``profile_cache_misses``, until ROADMAP item 2's benchmark change.
     profile_cache_hits: int
@@ -89,12 +104,10 @@ class ServerStats:
     #: Rows the planner answered by scatter from an identical row
     #: (monotone, survives plan eviction/invalidation).
     planner_deduped_rows: int
-    #: Median request latency (submit → answered) over the window.
+    #: Median request latency (start to end of its pass) over the window.
     p50_latency_seconds: float
     #: 99th-percentile request latency over the window.
     p99_latency_seconds: float
-    #: The batcher's current adaptive linger window.
-    linger_seconds: float
 
 
 class ReleaseServer:
@@ -102,17 +115,16 @@ class ReleaseServer:
 
     Every release serves exactly as it was published: the engine is
     built straight from the registry's result, in its stored
-    representation and with its recorded SA set.
+    representation and with its recorded SA set.  Columnar batches are
+    answered through a :class:`~repro.serving.plans.PlanCache` of at
+    most :data:`MAX_PLANS` compiled shapes, and stream windows through
+    at most :data:`MAX_WINDOW_ENGINES` cached window engines.
 
     Parameters
     ----------
     registry:
         An existing :class:`ReleaseRegistry` to serve from; a fresh
         empty one by default.
-    max_batch:
-        Most queries coalesced into one engine call.
-    max_linger_seconds:
-        Upper bound of the adaptive micro-batching window.
     watch_streams:
         When True (the default), a request touching a release backed by
         an append-able **stream** archive first ``stat``-checks the file
@@ -120,46 +132,27 @@ class ReleaseServer:
         in a re-resolved release (in-flight requests finish against the
         one they already hold).  Static archives are never re-resolved
         — their answers must not change under traffic.
-    window_engine_cache:
-        How many distinct ``(release, time_range)`` window engines to
-        keep (least recently used beyond that are dropped; their node
-        payloads stay cached on the shared stream release).
-    max_plans:
-        LRU bound of the columnar :class:`~repro.serving.plans.PlanCache`
-        (compiled ``(release, attribute set, time_range)`` shapes).
-        Every compiled plan answers its columnar batches through a
-        :class:`~repro.planner.QueryPlanner`, so duplicate boxes in a
-        batch cost one engine pass.
     """
 
     def __init__(
         self,
         registry: ReleaseRegistry | None = None,
         *,
-        max_batch: int = 256,
-        max_linger_seconds: float = 0.002,
         watch_streams: bool = True,
-        window_engine_cache: int = 64,
-        max_plans: int = 256,
     ):
         self._registry = registry if registry is not None else ReleaseRegistry()
         self._watch_streams = bool(watch_streams)
         self._engines: dict[str, QueryEngine] = {}
         self._window_engines: OrderedDict = OrderedDict()
-        self._max_window_engines = int(window_engine_cache)
         self._engines_lock = threading.RLock()
         self._latency = LatencyRecorder()
+        self._counters_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
         self._columnar_rows = 0
+        self._batches = 0
         self._closed = False
-        self._plan_cache = PlanCache(self.engine, max_plans=max_plans)
-        self._batcher = MicroBatcher(
-            self._handle_batch,
-            max_batch=max_batch,
-            max_linger_seconds=max_linger_seconds,
-            name="repro-release-server",
-        )
+        self._plan_cache = PlanCache(self.engine, max_plans=MAX_PLANS)
 
     # ------------------------------------------------------------------
     # Registry facade
@@ -251,7 +244,7 @@ class ReleaseServer:
             engine = QueryEngine(dataclasses.replace(result, release=view))
             with self._engines_lock:
                 self._window_engines[key] = engine
-                while len(self._window_engines) > self._max_window_engines:
+                while len(self._window_engines) > MAX_WINDOW_ENGINES:
                     self._window_engines.popitem(last=False)
             return engine
 
@@ -326,58 +319,145 @@ class ReleaseServer:
         """The columnar plan cache (compiled per-shape serving state)."""
         return self._plan_cache
 
-    def submit(self, request):
-        """Enqueue one request; returns a future of its response.
+    def answer_requests(self, requests) -> list:
+        """Answer ``requests`` in one grouped pass on the caller's thread.
+
+        Scalar requests group by ``(release, confidence, time_range)``,
+        one ``answer_all_with_intervals`` call per group.  Columnar
+        batches group by ``(plan_key, confidence)``: each binds through
+        the plan cache on its own (so an out-of-domain batch fails
+        alone), and the group's rows are answered by one
+        ``answer_columnar`` call whose result arrays the responses
+        slice, so nothing on that path is copied per row.
 
         Parameters
         ----------
-        request:
-            A :class:`QueryRequest` (scalar path), or a
-            :class:`QueryBatchRequest` (columnar path — the whole batch
-            is one queue item weighted by its row count, so micro-batch
-            coalescing stays bounded by total rows).
+        requests:
+            Iterable of :class:`QueryRequest` and
+            :class:`QueryBatchRequest`.
 
         Returns
         -------
-        concurrent.futures.Future
-            Resolves to a :class:`QueryResponse` (scalar) or a
-            :class:`BatchQueryResponse` (columnar), or raises the
-            per-request error (e.g. ``unknown-release``).
+        list
+            One entry per request, in order: its :class:`QueryResponse`
+            or :class:`BatchQueryResponse`, or the :class:`Exception`
+            that request alone failed with (e.g. ``unknown-release``).
+            Anything else in ``requests``, or a closed server, raises
+            :class:`~repro.errors.ServingError`.
         """
+        requests = list(requests)
+        for request in requests:
+            if not isinstance(request, (QueryRequest, QueryBatchRequest)):
+                raise ServingError(
+                    "answer_requests needs QueryRequest or QueryBatchRequest "
+                    f"items, got {type(request).__name__}"
+                )
         if self._closed:
             raise ServingError("server is closed", code="closed")
-        if isinstance(request, QueryBatchRequest):
-            return self._batcher.submit(
-                (request, time.monotonic()), weight=len(request)
+        if not requests:
+            return []
+        start = time.monotonic()
+        results: list = [None] * len(requests)
+        groups: dict[tuple, list[int]] = {}
+        columnar_groups: dict[tuple, list[int]] = {}
+        for index, request in enumerate(requests):
+            if isinstance(request, QueryBatchRequest):
+                columnar_groups.setdefault(
+                    (request.plan_key, request.confidence), []
+                ).append(index)
+            else:
+                groups.setdefault(
+                    (request.release, request.confidence, request.time_range), []
+                ).append(index)
+        for (plan_key, confidence), indexes in columnar_groups.items():
+            self._answer_columnar_group(requests, results, plan_key, confidence, indexes)
+        for (release_name, confidence, time_range), indexes in groups.items():
+            self._answer_scalar_group(
+                requests, results, release_name, confidence, time_range, indexes
             )
-        if not isinstance(request, QueryRequest):
-            raise ServingError(
-                f"submit needs a QueryRequest or QueryBatchRequest, "
-                f"got {type(request).__name__}"
-            )
-        return self._batcher.submit((request, time.monotonic()))
+        elapsed = time.monotonic() - start
+        answered = errors = rows = 0
+        for result in results:
+            self._latency.record_latency(elapsed)
+            if isinstance(result, Exception):
+                errors += 1
+            elif isinstance(result, BatchQueryResponse):
+                answered += len(result)
+                rows += len(result)
+            else:
+                answered += 1
+        with self._counters_lock:
+            self._batches += 1
+            self._requests += answered
+            self._errors += errors
+            self._columnar_rows += rows
+        return results
 
-    def submit_columnar(self, request: QueryBatchRequest):
-        """Enqueue one columnar batch; returns a future of its
-        :class:`BatchQueryResponse`.
+    def answer_payloads(self, payloads: list) -> list:
+        """Answer decoded wire requests in one pass; one wire dict each.
+
+        Each payload decodes through
+        :func:`~repro.serving.requests.request_from_dict`, every decoded
+        request is answered in one :meth:`answer_requests` pass, and
+        each request's failure, a decode error included, becomes its
+        :class:`ErrorResponse` dict.  The fleet worker and the JSONL
+        ``serve`` loop both answer through this.
+
+        Parameters
+        ----------
+        payloads:
+            List of decoded JSON request objects (``op`` ``query`` or
+            ``query_batch``).
+
+        Returns
+        -------
+        list[dict]
+            One wire response dict per payload, in order.
+        """
+        decoded = []
+        for payload in payloads:
+            try:
+                decoded.append(request_from_dict(payload))
+            except Exception as exc:  # noqa: BLE001 - wire gets structured errors
+                decoded.append(exc)
+        answers = iter(
+            self.answer_requests(
+                [item for item in decoded if not isinstance(item, Exception)]
+            )
+        )
+        responses = []
+        for payload, item in zip(payloads, decoded):
+            if not isinstance(item, Exception):
+                item = next(answers)
+            if isinstance(item, Exception):
+                request_id = payload.get("id") if isinstance(payload, dict) else None
+                item = ErrorResponse.from_exception(item, request_id)
+            responses.append(item.to_dict())
+        return responses
+
+    def submit(self, request) -> Future:
+        """Answer one request now; returns its already-resolved future.
 
         Parameters
         ----------
         request:
-            The columnar batch to serve.
+            A :class:`QueryRequest` (scalar path) or a
+            :class:`QueryBatchRequest` (columnar path).
 
         Returns
         -------
         concurrent.futures.Future
-            Resolves to a :class:`BatchQueryResponse` whose arrays are
-            aligned with the request's rows.
+            Done on return: holds a :class:`QueryResponse` (scalar) or
+            a :class:`BatchQueryResponse` (columnar), or the per-request
+            error (e.g. ``unknown-release``).
         """
-        if not isinstance(request, QueryBatchRequest):
-            raise ServingError(
-                f"submit_columnar needs a QueryBatchRequest, "
-                f"got {type(request).__name__}"
-            )
-        return self.submit(request)
+        [result] = self.answer_requests([request])
+        future: Future = Future()
+        if isinstance(result, Exception):
+            future.set_exception(result)
+        else:
+            future.set_result(result)
+        return future
 
     def query_columnar(self, request: QueryBatchRequest) -> BatchQueryResponse:
         """Serve one columnar batch synchronously.
@@ -393,10 +473,10 @@ class ReleaseServer:
             Estimates, exact noise stds, and interval bounds as arrays
             aligned with the request's rows.
         """
-        return self.submit_columnar(request).result()
+        return self.query_many([request])[0]
 
     def query(self, request: QueryRequest) -> QueryResponse:
-        """Serve one request synchronously (through the batching queue).
+        """Serve one request synchronously.
 
         Parameters
         ----------
@@ -408,24 +488,28 @@ class ReleaseServer:
         QueryResponse
             The answer with exact noise std and confidence interval.
         """
-        return self.submit(request).result()
+        return self.query_many([request])[0]
 
     def query_many(self, requests) -> list:
-        """Serve many requests, coalesced into as few batches as possible.
+        """Serve many requests in one grouped pass (:meth:`answer_requests`).
 
         Parameters
         ----------
         requests:
-            Iterable of :class:`QueryRequest`.
+            Iterable of :class:`QueryRequest` and
+            :class:`QueryBatchRequest`.
 
         Returns
         -------
-        list[QueryResponse]
+        list
             Responses aligned with ``requests``; the first failing
             request's error is raised.
         """
-        futures = [self.submit(request) for request in requests]
-        return [future.result() for future in futures]
+        results = self.answer_requests(requests)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return results
 
     # ------------------------------------------------------------------
     # Stats / lifecycle
@@ -436,33 +520,31 @@ class ReleaseServer:
         Returns
         -------
         ServerStats
-            Aggregated over every engine built so far; latency
+            Aggregated over every engine cached now; latency
             percentiles cover the sliding window only.
         """
         with self._engines_lock:
-            engines = list(self._engines.values()) + list(
-                self._window_engines.values()
-            )
+            engines = len(self._engines) + len(self._window_engines)
+        with self._counters_lock:
+            requests, errors = self._requests, self._errors
+            batches, columnar_rows = self._batches, self._columnar_rows
         p50, p99 = self._latency.percentiles()
         return ServerStats(
             releases=self.names,
-            engines_built=len(engines),
-            requests=self._requests,
-            errors=self._errors,
-            batches=self._batcher.batches,
-            mean_batch_size=self._batcher.mean_batch_size,
-            largest_batch=self._batcher.largest_batch,
+            engines_built=engines,
+            requests=requests,
+            errors=errors,
+            batches=batches,
             profile_cache_hits=0,
             profile_cache_misses=0,
             plan_cache_hits=self._plan_cache.hits,
             plan_cache_misses=self._plan_cache.misses,
             plan_cache_hit_rate=self._plan_cache.hit_rate,
             plan_cache_evictions=self._plan_cache.evictions,
-            columnar_rows=self._columnar_rows,
+            columnar_rows=columnar_rows,
             planner_deduped_rows=self._plan_cache.planner_stats()["rows_deduped"],
             p50_latency_seconds=p50,
             p99_latency_seconds=p99,
-            linger_seconds=self._batcher.linger_seconds,
         )
 
     def latency_samples(self) -> list:
@@ -475,24 +557,12 @@ class ReleaseServer:
         """
         return self._latency.samples()
 
-    def close(self, *, timeout: float = 5.0) -> bool:
-        """Stop the batching thread; later submits raise ``closed``.
+    def close(self) -> None:
+        """Mark the server closed: later calls raise ``closed``.
 
-        Parameters
-        ----------
-        timeout:
-            Seconds to wait for the batching thread to drain and exit.
-
-        Returns
-        -------
-        bool
-            True once the batching thread has exited (every accepted
-            future is resolved); False if the join timed out and
-            outstanding futures may never resolve — see
-            :meth:`~repro.serving.batching.MicroBatcher.close`.
+        Idempotent.  A pass already running on another thread finishes.
         """
         self._closed = True
-        return self._batcher.close(timeout=timeout)
 
     def __enter__(self) -> "ReleaseServer":
         """Context-manager entry (returns self)."""
@@ -509,93 +579,51 @@ class ReleaseServer:
         )
 
     # ------------------------------------------------------------------
-    # Batch handler (runs on the drain thread)
+    # The grouped pass
     # ------------------------------------------------------------------
-    def _handle_batch(self, payloads) -> list:
-        """Answer one coalesced batch, grouped per (release, confidence).
-
-        Scalar requests group by ``(release, confidence, time_range)``
-        and go through ``answer_all_with_intervals`` as before; columnar
-        batches group by ``(plan_key, confidence)``, bind through the
-        plan cache, and reach the engine as concatenated ndarray views —
-        no per-row Python objects anywhere on that path.
-
-        Returns one entry per payload: a :class:`QueryResponse` /
-        :class:`BatchQueryResponse`, or an :class:`Exception` for that
-        request alone (the micro-batcher sets it on the matching future,
-        isolating failures per request).
-        """
-        results: list = [None] * len(payloads)
-        groups: dict[tuple, list[int]] = {}
-        columnar_groups: dict[tuple, list[int]] = {}
-        for index, (request, _) in enumerate(payloads):
-            if isinstance(request, QueryBatchRequest):
-                columnar_groups.setdefault(
-                    (request.plan_key, request.confidence), []
-                ).append(index)
-            else:
-                groups.setdefault(
-                    (request.release, request.confidence, request.time_range), []
-                ).append(index)
-        for (plan_key, confidence), indexes in columnar_groups.items():
-            self._handle_columnar_group(payloads, results, plan_key, confidence, indexes)
-        for (release_name, confidence, time_range), indexes in groups.items():
-            try:
-                engine = self.engine(release_name, time_range)
-            except Exception as exc:  # noqa: BLE001 - becomes per-request error
-                for index in indexes:
-                    results[index] = exc
-                continue
-            queries, valid = [], []
+    def _answer_scalar_group(
+        self, requests, results, release_name, confidence, time_range, indexes
+    ) -> None:
+        """Answer one scalar group with one ``answer_all_with_intervals``."""
+        try:
+            engine = self.engine(release_name, time_range)
+        except Exception as exc:  # noqa: BLE001 - becomes per-request error
             for index in indexes:
-                request = payloads[index][0]
-                try:
-                    queries.append(request.to_query(engine.schema))
-                    valid.append(index)
-                except Exception as exc:  # noqa: BLE001
-                    results[index] = exc
-            if not valid:
-                continue
+                results[index] = exc
+            return
+        queries, valid = [], []
+        for index in indexes:
             try:
-                batch = engine.answer_all_with_intervals(queries, confidence)
+                queries.append(requests[index].to_query(engine.schema))
+                valid.append(index)
             except Exception as exc:  # noqa: BLE001
-                for index in valid:
-                    results[index] = exc
-                continue
-            for position, index in enumerate(valid):
-                answer = batch[position]
-                results[index] = QueryResponse(
-                    release=release_name,
-                    estimate=answer.estimate,
-                    noise_std=answer.noise_std,
-                    lower=answer.lower,
-                    upper=answer.upper,
-                    confidence=answer.confidence,
-                    request_id=payloads[index][0].request_id,
-                )
-        now = time.monotonic()
-        for result, (_, enqueued) in zip(results, payloads):
-            self._latency.record_latency(now - enqueued)
-            if isinstance(result, Exception):
-                self._errors += 1
-            elif isinstance(result, BatchQueryResponse):
-                self._requests += len(result)
-                self._columnar_rows += len(result)
-            else:
-                self._requests += 1
-        return results
+                results[index] = exc
+        if not valid:
+            return
+        try:
+            batch = engine.answer_all_with_intervals(queries, confidence)
+        except Exception as exc:  # noqa: BLE001
+            for index in valid:
+                results[index] = exc
+            return
+        for position, index in enumerate(valid):
+            answer = batch[position]
+            results[index] = QueryResponse(
+                release=release_name,
+                estimate=answer.estimate,
+                noise_std=answer.noise_std,
+                lower=answer.lower,
+                upper=answer.upper,
+                confidence=answer.confidence,
+                request_id=requests[index].request_id,
+            )
 
-    def _handle_columnar_group(
-        self, payloads, results, plan_key, confidence, indexes
+    def _answer_columnar_group(
+        self, requests, results, plan_key, confidence, indexes
     ) -> None:
         """Answer one columnar plan group: bind, concatenate, one engine call.
 
-        Each wire item binds separately (so an out-of-domain batch fails
-        alone); the surviving bound arrays are concatenated — a lone
-        item passes its views through untouched — and answered by one
-        :meth:`~repro.queries.engine.QueryEngine.answer_columnar` call.
-        Responses adopt slices of the engine's result arrays, so nothing
-        on this path is copied per row.
+        A lone item passes its bound views through untouched.
         """
         try:
             plan = self._plan_cache.plan(plan_key)
@@ -605,9 +633,8 @@ class ReleaseServer:
             return
         bound, valid = [], []
         for index in indexes:
-            request = payloads[index][0]
             try:
-                bound.append(plan.bind(request))
+                bound.append(plan.bind(requests[index]))
                 valid.append(index)
             except Exception as exc:  # noqa: BLE001
                 results[index] = exc
@@ -626,7 +653,7 @@ class ReleaseServer:
             return
         offset = 0
         for index in valid:
-            request = payloads[index][0]
+            request = requests[index]
             stop = offset + len(request)
             window = BatchQueryAnswers(
                 estimates=answers.estimates[offset:stop],

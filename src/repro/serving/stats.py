@@ -1,20 +1,19 @@
 """Cross-process serving statistics: latency recording and merging.
 
-The single-process :class:`~repro.serving.server.ReleaseServer` keeps
-its latency window on the batcher drain thread, but the network
-front-end records latencies from socket handlers, worker reader
-threads, and benchmark load generators concurrently — and then has to
-present one coherent p50/p99 across N worker processes.  This module
-holds the two pieces that make that sound:
+A :class:`~repro.serving.server.ReleaseServer` records latencies from
+every thread that calls it, the network front-end records them from
+its event loop, and the fleet has to present one coherent p50/p99
+across N worker processes.  This module holds the two pieces that make
+that sound:
 
 * :class:`LatencyRecorder` — a lock-protected sliding window whose
   :meth:`~LatencyRecorder.record_latency` is safe from any number of
   threads, with exact percentiles over whatever is currently in the
   window;
 * :func:`merge_worker_stats` — pure-function aggregation of per-worker
-  stat snapshots (counters summed, batch maxima kept, percentiles
-  recomputed from the **pooled** latency samples rather than averaging
-  per-worker percentiles, which would be statistically meaningless).
+  stat snapshots (counters summed, percentiles recomputed from the
+  **pooled** latency samples rather than averaging per-worker
+  percentiles, which would be statistically meaningless).
 """
 
 from __future__ import annotations
@@ -118,9 +117,8 @@ def merge_worker_stats(snapshots) -> dict:
     Returns
     -------
     dict
-        Counters summed, ``largest_batch`` maximised,
-        ``mean_batch_size`` weighted by each worker's batch count,
-        the plan-cache hit rate recomputed from the summed hits/misses, and
+        Counters summed, the plan-cache hit rate recomputed from the
+        summed hits/misses, and
         ``p50_latency_seconds``/``p99_latency_seconds`` computed over
         the **pooled** samples of every worker.  ``workers`` counts the
         snapshots merged and ``per_worker`` keeps a compact
@@ -130,19 +128,11 @@ def merge_worker_stats(snapshots) -> dict:
     merged: dict = {field: 0 for field in _SUMMED_FIELDS}
     releases: set = set()
     pooled: list[float] = []
-    weighted_batch_size = 0.0
-    largest_batch = 0
-    linger = 0.0
     per_worker = []
     for snapshot in snapshots:
         for field in _SUMMED_FIELDS:
             merged[field] += int(snapshot.get(field, 0))
         releases.update(snapshot.get("releases", ()))
-        weighted_batch_size += float(snapshot.get("mean_batch_size", 0.0)) * int(
-            snapshot.get("batches", 0)
-        )
-        largest_batch = max(largest_batch, int(snapshot.get("largest_batch", 0)))
-        linger = max(linger, float(snapshot.get("linger_seconds", 0.0)))
         pooled.extend(float(s) for s in snapshot.get("latency_samples", ()))
         per_worker.append(
             {
@@ -154,10 +144,6 @@ def merge_worker_stats(snapshots) -> dict:
     merged["releases"] = tuple(sorted(releases))
     merged["workers"] = len(snapshots)
     merged["per_worker"] = per_worker
-    merged["largest_batch"] = largest_batch
-    merged["linger_seconds"] = linger
-    batches = merged["batches"]
-    merged["mean_batch_size"] = weighted_batch_size / batches if batches else 0.0
     plan_total = merged["plan_cache_hits"] + merged["plan_cache_misses"]
     merged["plan_cache_hit_rate"] = (
         merged["plan_cache_hits"] / plan_total if plan_total else 0.0

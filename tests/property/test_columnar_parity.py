@@ -84,7 +84,7 @@ def stream_archive(tmp_path_factory):
 @pytest.fixture(scope="module")
 def server(table, stream_archive):
     mechanism = PriveletPlusMechanism(sa_names="auto")
-    with ReleaseServer(max_linger_seconds=0.001) as srv:
+    with ReleaseServer() as srv:
         srv.register(
             "dense", mechanism.publish(table, 1.0, seed=1, materialize=True)
         )

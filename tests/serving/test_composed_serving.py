@@ -83,7 +83,7 @@ def flat(nested, table):
 @pytest.fixture(scope="module")
 def reference(nested, flat):
     """In-process ground truth serving both releases."""
-    with ReleaseServer(max_linger_seconds=0.001) as server:
+    with ReleaseServer() as server:
         server.register("nested", nested)
         server.register("flat", flat)
         yield server
@@ -92,7 +92,7 @@ def reference(nested, flat):
 @pytest.fixture(scope="module")
 def fleet(nested, flat):
     """The TCP fleet under test, fed through shared-memory workers."""
-    server = NetworkServer(workers=2, max_linger_seconds=0.001)
+    server = NetworkServer(workers=2)
     server.register("nested", nested)
     server.register("flat", flat)
     with hard_deadline(120):
@@ -194,7 +194,7 @@ class TestComposedArchiveServing:
         path = tmp_path / "events.npz"
         save_result(path, result)
         ranges = _random_ranges_static()
-        with ReleaseServer(max_linger_seconds=0.001) as server:
+        with ReleaseServer() as server:
             server.register_archive(path)
             server.register("memory", result)
             served = server.query_columnar(QueryBatchRequest("events", ranges))

@@ -43,7 +43,7 @@ def result():
 @pytest.fixture(scope="module")
 def fleet(result):
     """A single-worker fleet: every kill is deterministic."""
-    server = NetworkServer(workers=1, max_linger_seconds=0.001)
+    server = NetworkServer(workers=1)
     server.register("census", result)
     with hard_deadline(120):
         address = server.start()
@@ -132,7 +132,7 @@ class TestClientDisconnect:
     def test_disconnect_mid_batch_releases_slots(self, result):
         """An abandoning client must not starve the fleet's slots."""
         server = NetworkServer(
-            workers=1, max_pending_per_worker=4, max_linger_seconds=0.001
+            workers=1, max_pending_per_worker=4
         )
         server.register("census", result)
         with hard_deadline(180):

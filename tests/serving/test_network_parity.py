@@ -84,7 +84,7 @@ def stream_archive(tmp_path_factory):
 def reference(table, stream_archive):
     """The in-process ground truth: one ReleaseServer, same releases."""
     backends = _publish_backends(table, stream_archive)
-    with ReleaseServer(max_linger_seconds=0.001) as server:
+    with ReleaseServer() as server:
         for name in ("dense", "coefficient", "sharded"):
             server.register(name, backends[name])
         server.register_archive(backends["stream"], name="stream")
@@ -95,7 +95,7 @@ def reference(table, stream_archive):
 def fleet(table, stream_archive):
     """The TCP fleet under test: 2 workers over shared memory."""
     backends = _publish_backends(table, stream_archive)
-    server = NetworkServer(workers=2, max_linger_seconds=0.001)
+    server = NetworkServer(workers=2)
     for name in ("dense", "coefficient", "sharded"):
         server.register(name, backends[name])
     server.register_archive(backends["stream"], name="stream")

@@ -7,6 +7,7 @@ from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.data.census import BRAZIL, generate_census_table
 from repro.errors import ServingError
 from repro.serving.plans import PlanCache
+from repro.serving import server as server_module
 from repro.serving.requests import QueryBatchRequest
 from repro.serving.server import ReleaseServer
 
@@ -23,7 +24,7 @@ def census_result():
 
 @pytest.fixture
 def server(census_result):
-    with ReleaseServer(max_linger_seconds=0.001) as srv:
+    with ReleaseServer() as srv:
         srv.register("census", census_result)
         yield srv
 
@@ -84,9 +85,10 @@ class TestPlanReuse:
 
 
 class TestEviction:
-    def test_bound_held_under_shape_churn(self, census_result):
+    def test_bound_held_under_shape_churn(self, census_result, monkeypatch):
         names = ("Age", "Gender", "Occupation", "Income")
-        with ReleaseServer(max_linger_seconds=0.001, max_plans=3) as srv:
+        monkeypatch.setattr(server_module, "MAX_PLANS", 3)
+        with ReleaseServer() as srv:
             srv.register("census", census_result)
             # 15 distinct shapes (every non-empty subset), far over the bound.
             import itertools
@@ -103,8 +105,9 @@ class TestEviction:
             assert cache.evictions == len(shapes) - 3
             assert cache.misses == len(shapes)
 
-    def test_evicted_plan_recompiles_identically(self, census_result):
-        with ReleaseServer(max_linger_seconds=0.001, max_plans=1) as srv:
+    def test_evicted_plan_recompiles_identically(self, census_result, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_PLANS", 1)
+        with ReleaseServer() as srv:
             srv.register("census", census_result)
             request = _request(("Age",), row=(3, 42))
             first = srv.query_columnar(request)
@@ -117,8 +120,9 @@ class TestEviction:
             assert np.array_equal(first.lowers, again.lowers)
             assert np.array_equal(first.uppers, again.uppers)
 
-    def test_lru_order_keeps_recently_used(self, census_result):
-        with ReleaseServer(max_linger_seconds=0.001, max_plans=2) as srv:
+    def test_lru_order_keeps_recently_used(self, census_result, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_PLANS", 2)
+        with ReleaseServer() as srv:
             srv.register("census", census_result)
             srv.query_columnar(_request(("Age",)))
             srv.query_columnar(_request(("Income",)))
@@ -134,7 +138,7 @@ class TestEviction:
 
 class TestInvalidation:
     def test_invalidate_drops_only_that_release(self, census_result):
-        with ReleaseServer(max_linger_seconds=0.001) as srv:
+        with ReleaseServer() as srv:
             srv.register("census", census_result)
             srv.register("other", census_result)
             srv.query_columnar(_request(("Age",)))

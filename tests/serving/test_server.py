@@ -1,4 +1,4 @@
-"""Tests for the multi-release server: correctness, batching, stats."""
+"""Tests for the multi-release server: correctness, grouped passes, stats."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,7 +31,7 @@ def ordinal_result():
 
 @pytest.fixture
 def server(census_result, ordinal_result):
-    with ReleaseServer(max_linger_seconds=0.001) as srv:
+    with ReleaseServer() as srv:
         srv.register("census", census_result)
         srv.register("ordinal", ordinal_result)
         yield srv
@@ -109,15 +109,18 @@ class TestErrors:
         assert excinfo.value.code == "unknown-release"
 
     def test_bad_request_is_isolated_from_batchmates(self, server, ordinal_result):
-        good = server.submit(QueryRequest("ordinal", {"value": (0, 8)}))
-        bad = server.submit(QueryRequest("ordinal", {"nope": (0, 1)}))
-        unknown = server.submit(QueryRequest("missing"))
+        good, bad, unknown = server.answer_requests(
+            [
+                QueryRequest("ordinal", {"value": (0, 8)}),
+                QueryRequest("ordinal", {"nope": (0, 1)}),
+                QueryRequest("missing"),
+            ]
+        )
         expected = ordinal_result.release.answer_box([(0, 8)])
-        assert good.result(timeout=5).estimate == pytest.approx(expected)
-        with pytest.raises(QueryError):
-            bad.result(timeout=5)
-        with pytest.raises(ServingError):
-            unknown.result(timeout=5)
+        assert good.estimate == pytest.approx(expected)
+        assert isinstance(bad, QueryError)
+        assert isinstance(unknown, ServingError)
+        assert server.stats().errors == 2
 
     def test_submit_rejects_non_request(self, server):
         with pytest.raises(ServingError, match="QueryRequest"):
@@ -226,7 +229,7 @@ class TestShardedArchives:
         )
         path = tmp_path / "sharded.npz"
         save_result(path, result)
-        with ReleaseServer(max_linger_seconds=0.001) as server:
+        with ReleaseServer() as server:
             server.register_archive(path, name="census")
             description = server.describe("census")
             assert description["representation"] == "sharded"
@@ -250,35 +253,136 @@ class TestShardedArchives:
 
 
 class TestCloseReporting:
-    def test_close_returns_true_after_clean_drain(self, census_result):
+    def test_close_rejects_every_later_call(self, census_result):
         server = ReleaseServer()
         server.register("census", census_result)
         server.query(QueryRequest("census"))
-        assert server.close() is True
+        assert server.close() is None
+        server.close()  # idempotent
+        calls = (
+            lambda: server.query(QueryRequest("census")),
+            lambda: server.submit(QueryRequest("census")),
+            lambda: server.query_many([QueryRequest("census")]),
+            lambda: server.answer_requests([QueryRequest("census")]),
+        )
+        for call in calls:
+            with pytest.raises(ServingError) as excinfo:
+                call()
+            assert excinfo.value.code == "closed"
+        assert server.stats().requests == 1
 
-    def test_close_surfaces_timed_out_drain(self, census_result, monkeypatch):
+
+def _single_threaded_answer(engine, request):
+    """``request`` answered by ``engine`` directly, as the server would."""
+    from repro.serving.requests import QueryBatchRequest
+
+    if isinstance(request, QueryBatchRequest):
+        lows, highs = request.bind(engine.schema)
+        return engine.answer_columnar(lows, highs, request.confidence)
+    return engine.answer_with_interval(
+        request.to_query(engine.schema), request.confidence
+    )
+
+
+class TestConcurrentCallers:
+    def test_eight_threads_on_a_cold_server(self, tmp_path, census_result, monkeypatch):
+        """Callers answer on their own threads: every answer equals a
+        single-threaded engine's, no counter update is lost, and each
+        leaf builds its prefix tensor once."""
+        import sys
         import threading
 
-        release = threading.Event()
-        started = threading.Event()
-        server = ReleaseServer(max_linger_seconds=0.0)
-        server.register("census", census_result)
-        inner = server._handle_batch
+        import repro.core.release as release_module
+        from repro.io import load_result
+        from repro.serving.requests import QueryBatchRequest
 
-        def slow_handler(payloads):
-            started.set()
-            release.wait(timeout=10)
-            return inner(payloads)
+        sharded = publish(
+            generate_census_table(BRAZIL.scaled(0.05), 2_000, seed=4), 1.0,
+            shard_by="Age", shards=3, seed=6, representation="coefficients",
+        )
+        paths = {"flat": tmp_path / "flat.npz", "sharded": tmp_path / "sharded.npz"}
+        save_result(paths["flat"], census_result)
+        save_result(paths["sharded"], sharded)
+        engines = {name: QueryEngine(load_result(path)) for name, path in paths.items()}
+        per_thread = []
+        for caller in range(8):
+            requests = []
+            for step in range(6):
+                lo = (7 * caller + 5 * step) % 90
+                name = ("flat", "sharded")[(caller + step) % 2]
+                if step % 2:
+                    requests.append(QueryBatchRequest(
+                        name, {"Age": {"lo": [lo, 0, lo], "hi": [lo + 11, 101, lo + 1]}},
+                        confidence=0.9,
+                    ))
+                else:
+                    requests.append(QueryRequest(name, {"Age": (lo, 101)}))
+            per_thread.append(requests)
+        truths = [
+            [_single_threaded_answer(engines[request.release], request) for request in requests]
+            for requests in per_thread
+        ]
 
-        monkeypatch.setattr(server._batcher, "_handler", slow_handler)
-        future = server.submit(QueryRequest("census"))
-        assert started.wait(timeout=5)
-        # The drain thread is wedged inside the handler: the server must
-        # report the timed-out join instead of silently returning.
-        assert server.close(timeout=0.05) is False
-        release.set()
-        assert server.close(timeout=5.0) is True
-        assert future.result(timeout=5).release == "census"
+        builds = []
+        real_prefix_tensor = release_module.prefix_tensor
+
+        def counting_prefix_tensor(shape, fill):
+            builds.append(tuple(shape))
+            return real_prefix_tensor(shape, fill)
+
+        monkeypatch.setattr(release_module, "prefix_tensor", counting_prefix_tensor)
+        answers = [None] * len(per_thread)
+        errors = []
+        barrier = threading.Barrier(len(per_thread))
+
+        def run(index):
+            try:
+                barrier.wait(timeout=10)
+                answers[index] = [
+                    server.query_columnar(request)
+                    if isinstance(request, QueryBatchRequest)
+                    else server.query(request)
+                    for request in per_thread[index]
+                ]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ReleaseServer() as server:
+                for name, path in paths.items():
+                    server.register_archive(path, name=name)
+                threads = [
+                    threading.Thread(target=run, args=(index,))
+                    for index in range(len(per_thread))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        expected_rows = 0
+        for requests, responses, truth in zip(per_thread, answers, truths):
+            for request, response, expected in zip(requests, responses, truth):
+                if isinstance(request, QueryBatchRequest):
+                    for field in ("estimates", "noise_stds", "lowers", "uppers"):
+                        assert np.array_equal(
+                            getattr(response, field), getattr(expected, field)
+                        )
+                    expected_rows += len(request)
+                else:
+                    for field in ("estimate", "noise_std", "lower", "upper"):
+                        assert getattr(response, field) == getattr(expected, field)
+                    expected_rows += 1
+        assert stats.requests == expected_rows
+        assert stats.errors == 0
+        # One flat leaf and three shard leaves, each built exactly once.
+        assert len(builds) == 1 + sharded.release.num_shards
 
 
 class TestColumnarServing:
@@ -295,23 +399,27 @@ class TestColumnarServing:
         assert batch.lowers[0] == scalar.lower
         assert batch.uppers[0] == scalar.upper
 
-    def test_submit_columnar_rejects_scalar_request(self, server):
-        with pytest.raises(ServingError, match="QueryBatchRequest"):
-            server.submit_columnar(QueryRequest("census"))
+    def test_answer_requests_rejects_non_request(self, server):
+        with pytest.raises(ServingError, match="QueryRequest"):
+            server.answer_requests([QueryRequest("census"), {"release": "census"}])
         with pytest.raises(ServingError, match="QueryRequest"):
             server.submit(object())
+        assert server.stats().batches == 0
 
-    def test_columnar_batch_counts_rows_toward_max_batch(self, census_result):
+    def test_columnar_rows_and_passes_are_counted(self, census_result):
         from repro.serving.requests import QueryBatchRequest
 
-        with ReleaseServer(max_batch=8, max_linger_seconds=0.001) as srv:
+        with ReleaseServer() as srv:
             srv.register("census", census_result)
             request = QueryBatchRequest(
                 "census", {"Age": {"lo": [0] * 6, "hi": [10] * 6}}
             )
             srv.query_columnar(request)
-            assert srv._batcher.items == 6
-            assert srv._batcher.largest_batch == 6
+            stats = srv.stats()
+            assert (stats.requests, stats.columnar_rows, stats.batches) == (6, 6, 1)
+            srv.query_many([request, QueryRequest("census"), request])
+            stats = srv.stats()
+            assert (stats.requests, stats.columnar_rows, stats.batches) == (19, 18, 2)
 
     def test_columnar_error_isolated_per_wire_item(self, server):
         from repro.serving.requests import QueryBatchRequest
@@ -331,7 +439,7 @@ class TestColumnarServing:
 
         path = tmp_path / "census.npz"
         save_result(path, census_result)
-        with ReleaseServer(max_linger_seconds=0.001) as srv:
+        with ReleaseServer() as srv:
             srv.register_archive(path)
             srv.query_columnar(
                 QueryBatchRequest("census", {"Age": {"lo": [0], "hi": [10]}})

@@ -206,7 +206,6 @@ class TestStreamRefresh:
             workers=2,
             shm_prefix=prefix,
             watch_streams=False,
-            max_linger_seconds=0.001,
         )
         server.register_archive(archive, name="stream")
         failures = []
@@ -305,4 +304,42 @@ class TestStreamRefresh:
                         assert answer["code"] == "bad-request"
             finally:
                 server.close()
+        assert _segments(prefix) == []
+
+    def test_close_lets_an_in_flight_refresh_finish(self, result, monkeypatch):
+        """A refresh running when close() starts completes and is torn
+        down: neither generation of its segments outlives the fleet."""
+        import repro.serving.network as network
+
+        prefix = f"shmtest-closing-{os.getpid()}"
+        server = NetworkServer(workers=1, shm_prefix=prefix, watch_streams=False)
+        server.register("census", result)
+        entered, published = threading.Event(), threading.Event()
+
+        def slow_publish(*args, **kwargs):
+            entered.set()
+            # Still publishing after close() has started.
+            threading.Event().wait(0.5)
+            publication = publish_result_to_shm(*args, **kwargs)
+            published.set()
+            return publication
+
+        def refresh():
+            try:
+                server.refresh("census", result)
+            except Exception:  # noqa: BLE001 - only the segments matter here
+                pass
+
+        with hard_deadline(120):
+            server.start()
+            monkeypatch.setattr(network, "publish_result_to_shm", slow_publish)
+            refresher = threading.Thread(target=refresh)
+            refresher.start()
+            try:
+                assert entered.wait(timeout=30)
+            finally:
+                server.close()
+            refresher.join(timeout=30)
+            assert not refresher.is_alive()
+            assert published.wait(timeout=30)
         assert _segments(prefix) == []

@@ -120,7 +120,7 @@ class TestServerLatencyIntegration:
         )
         registry = ReleaseRegistry()
         registry.register("census", result)
-        with ReleaseServer(registry, max_linger_seconds=0.001) as server:
+        with ReleaseServer(registry) as server:
             threads = [
                 threading.Thread(
                     target=lambda: [
@@ -149,8 +149,6 @@ def _snapshot(**overrides):
         "requests": 10,
         "errors": 1,
         "batches": 5,
-        "mean_batch_size": 2.0,
-        "largest_batch": 4,
         "profile_cache_hits": 0,
         "profile_cache_misses": 0,
         "plan_cache_hits": 3,
@@ -160,7 +158,6 @@ def _snapshot(**overrides):
         "columnar_rows": 100,
         "p50_latency_seconds": 0.01,
         "p99_latency_seconds": 0.02,
-        "linger_seconds": 0.002,
         "latency_samples": [0.01, 0.02],
         "pid": 1111,
     }
@@ -176,8 +173,6 @@ class TestMergeWorkerStats:
             requests=30,
             errors=0,
             batches=15,
-            mean_batch_size=4.0,
-            largest_batch=9,
             releases=("census", "stream"),
             latency_samples=[0.5, 1.0, 2.0],
             plan_cache_hits=0,
@@ -188,10 +183,7 @@ class TestMergeWorkerStats:
         assert merged["requests"] == 40
         assert merged["errors"] == 1
         assert merged["batches"] == 20
-        assert merged["largest_batch"] == 9
         assert merged["releases"] == ("census", "stream")
-        # Weighted by batch count: (2*5 + 4*15) / 20.
-        assert merged["mean_batch_size"] == pytest.approx(3.5)
         # Recomputed from summed hits/misses, not averaged rates.
         assert merged["plan_cache_hit_rate"] == pytest.approx(3 / 14)
         assert merged["profile_cache_hits"] == merged["profile_cache_misses"] == 0
@@ -209,7 +201,7 @@ class TestMergeWorkerStats:
         assert merged["workers"] == 0
         assert merged["requests"] == 0
         assert merged["p50_latency_seconds"] == 0.0
-        assert merged["mean_batch_size"] == 0.0
+        assert merged["batches"] == 0
         assert merged["releases"] == ()
 
     def test_real_server_snapshot_round_trips(self):
@@ -220,7 +212,7 @@ class TestMergeWorkerStats:
         )
         registry = ReleaseRegistry()
         registry.register("census", result)
-        with ReleaseServer(registry, max_linger_seconds=0.001) as server:
+        with ReleaseServer(registry) as server:
             for _ in range(6):
                 server.query(QueryRequest("census", {"Age": (0, 5)}))
             snapshot = dataclasses.asdict(server.stats())

@@ -11,6 +11,7 @@ from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.errors import ServingError
 from repro.queries.engine import QueryEngine
+from repro.serving import server as server_module
 from repro.serving.requests import QueryRequest
 from repro.serving.server import ReleaseServer
 from repro.streaming import StreamingPublisher
@@ -115,8 +116,9 @@ class TestTimeRangeRequests:
                 )
             assert excinfo.value.code == "bad-request"
 
-    def test_window_engines_are_lru_bounded(self, stream_archive):
-        with ReleaseServer(window_engine_cache=2) as server:
+    def test_window_engines_are_lru_bounded(self, stream_archive, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_WINDOW_ENGINES", 2)
+        with ReleaseServer() as server:
             server.register_archive(stream_archive)
             for epoch in range(EPOCHS):
                 server.query(

@@ -812,8 +812,8 @@ class TestColumnarCli:
         assert code == 0
         stats = responses[-1]["stats"]
         # One compiled shape either way; whether the second batch shows
-        # as a hit depends on whether the two coalesced into one
-        # micro-batch group (one lookup) or arrived separately (two).
+        # as a hit depends on whether the loop read both lines before
+        # answering (one grouped pass, one lookup) or apart (two).
         assert stats["plan_cache_misses"] == 1
         assert stats["plan_cache_hits"] in (0, 1)
         assert stats["plan_cache_evictions"] == 0

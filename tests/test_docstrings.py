@@ -28,7 +28,6 @@ AUDITED_MODULES = [
     "repro.queries.engine",
     "repro.planner",
     "repro.analysis.exact",
-    "repro.serving.batching",
     "repro.serving.registry",
     "repro.serving.network",
     "repro.serving.requests",
