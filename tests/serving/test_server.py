@@ -1,5 +1,6 @@
 """Tests for the multi-release server: correctness, grouped passes, stats."""
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -269,6 +270,42 @@ class TestCloseReporting:
             with pytest.raises(ServingError) as excinfo:
                 call()
             assert excinfo.value.code == "closed"
+        assert server.stats().requests == 1
+
+    def test_close_lets_an_in_flight_pass_finish(self, census_result, monkeypatch):
+        """A pass already running on another thread when ``close()`` is
+        called returns its answer; only calls made after it are refused."""
+        server = ReleaseServer()
+        server.register("census", census_result)
+        engine = server.engine("census")
+        expected = engine.answer_with_interval(
+            QueryRequest("census", {"Age": (10, 40)}).to_query(engine.schema), 0.95
+        )
+        entered, resume = threading.Event(), threading.Event()
+        answer_all = engine.answer_all_with_intervals
+
+        def held(queries, confidence):
+            entered.set()
+            assert resume.wait(timeout=10)
+            return answer_all(queries, confidence)
+
+        monkeypatch.setattr(engine, "answer_all_with_intervals", held)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            in_flight = pool.submit(
+                server.query, QueryRequest("census", {"Age": (10, 40)})
+            )
+            assert entered.wait(timeout=10)
+            server.close()
+            resume.set()
+            response = in_flight.result(timeout=10)
+        assert (response.estimate, response.noise_std) == (
+            expected.estimate,
+            expected.noise_std,
+        )
+        assert (response.lower, response.upper) == (expected.lower, expected.upper)
+        with pytest.raises(ServingError) as excinfo:
+            server.query(QueryRequest("census"))
+        assert excinfo.value.code == "closed"
         assert server.stats().requests == 1
 
 
