@@ -148,11 +148,14 @@ class AxisProfileCache:
     """Per-query products of per-axis range profiles, stateless.
 
     Bound to one sequence of per-axis transforms (e.g. an engine's
-    ``HNTransform.transforms``).  Every transform's ``range_profiles`` is
+    ``HNTransform.transforms``).  Every transform's profile reader is
     elementwise per range — a table read on a nominal axis, the
     ``O(log m)`` closed form on a Haar axis, the width on an identity
     axis — so a product has the same bits whatever batch it is computed
-    in, and there is nothing to memoize.
+    in, and there is nothing to memoize.  :meth:`box_profile_products`
+    checks every axis's ranges first; the query engine and the
+    composition algebra, which validate or clip their boxes themselves,
+    multiply the readers unchecked.
 
     Parameters
     ----------
@@ -175,17 +178,28 @@ class AxisProfileCache:
         Parameters
         ----------
         lows, highs:
-            ``(n, d)`` half-open box bounds, one row per query.
+            ``(n, d)`` half-open box bounds, one row per query; a range
+            out of its axis's bounds raises
+            :class:`~repro.errors.TransformError`.
 
         Returns
         -------
         numpy.ndarray
-            ``(n,)`` products over axes — the exact variance of query
-            ``q`` is ``2 lambda^2 * products[q]``.
+            ``(n,)`` products over axes, multiplied in axis order — the
+            exact variance of query ``q`` is ``2 lambda^2 * products[q]``.
         """
-        products = np.ones(lows.shape[0], dtype=np.float64)
+        lows = np.asarray(lows, dtype=np.int64)
+        highs = np.asarray(highs, dtype=np.int64)
         for axis, transform in enumerate(self._transforms):
-            products *= transform.range_profiles(lows[:, axis], highs[:, axis])
+            transform._check_ranges(lows[:, axis], highs[:, axis])
+        return self._read_products(lows, highs)
+
+    def _read_products(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """:meth:`box_profile_products` of validated ``(n, d)`` int64 bounds."""
+        first, *rest = self._transforms
+        products = first._read_profiles(lows[:, 0], highs[:, 0])
+        for axis, transform in enumerate(rest, start=1):
+            products *= transform._read_profiles(lows[:, axis], highs[:, axis])
         return products
 
 

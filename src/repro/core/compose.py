@@ -339,9 +339,9 @@ class ComposedRelease(Release):
                     sub_lows, sub_highs
                 )
             else:
-                products = AxisProfileCache(
-                    part.transform.transforms
-                ).box_profile_products(sub_lows, sub_highs)
+                products = AxisProfileCache(part.transform.transforms)._read_products(
+                    sub_lows, sub_highs
+                )
                 part_variances = 2.0 * part.noise_magnitude**2 * products
             if mask is None:
                 variances += part_variances
@@ -724,7 +724,7 @@ class TimeTree(ComposedRelease):
         )
         if factor == 0.0:
             return np.zeros(lows.shape[0], dtype=np.float64)
-        products = AxisProfileCache(self._transform.transforms).box_profile_products(
+        products = AxisProfileCache(self._transform.transforms)._read_products(
             lows, highs
         )
         return factor * products

@@ -2,9 +2,11 @@
 
 Every release serves from one layout: the zero-bordered prefix-sum
 tensor of its data-space matrix, ``prod_i (n_i + 1)`` floats built on
-the first answer (:func:`prefix_tensor`), after which any box is ``2^d``
-corner reads (:func:`repro.queries.oracle.box_sums`).  The two leaf
-representations differ only in what they store:
+the first answer (:func:`prefix_tensor`) with its serving kernel
+(``_CornerKernel``), after which a batch of boxes is one gather of every
+box's ``2^d`` corners.  Bounds are validated once, at the edge; the
+kernel checks nothing.  The two leaf representations differ only in
+what they store:
 
 * :class:`DenseRelease` — the materialized ``M*``; its serving tensor is
   that matrix prefix-summed.
@@ -47,6 +49,7 @@ a :class:`DenseRelease` over it answers identically.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import threading
 
 import numpy as np
@@ -88,6 +91,46 @@ def prefix_tensor(shape, fill) -> np.ndarray:
     for axis in range(len(shape)):
         np.cumsum(interior, axis=axis, out=interior)
     return prefix
+
+
+class _CornerKernel:
+    """Box sums over one zero-bordered prefix tensor, by inclusion-exclusion.
+
+    Holds a flat view of the tensor (never a copy), its element strides,
+    and the ``(d, 2^d)`` corner bits and signs in ``itertools.product``
+    order.  A call takes validated ``(n, d)`` int64 bounds and checks
+    nothing: one int64 matmul gives every corner's flat index, one gather
+    reads them, and ``add.accumulate`` (never a reordering reduction)
+    adds the signed corners one after another in ``product`` order, so a
+    row has the same bits in any batch.  A row with an empty range
+    answers an exact ``0.0``, which the sum is not guaranteed to give.
+    """
+
+    def __init__(self, prefix: np.ndarray):
+        corners = np.asarray(
+            list(itertools.product((0, 1), repeat=prefix.ndim)), dtype=np.int64
+        )
+        self._flat = prefix.reshape(-1)
+        self._strides = np.asarray(prefix.strides, dtype=np.int64) // prefix.itemsize
+        self._bits = np.ascontiguousarray(corners.T)
+        self._signs = np.where((prefix.ndim - corners.sum(axis=1)) % 2, -1.0, 1.0)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the prefix tensor this kernel reads."""
+        return int(self._flat.nbytes)
+
+    def __call__(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        widths = highs - lows
+        index = (lows @ self._strides)[:, None] + (widths * self._strides) @ self._bits
+        values = self._flat[index]
+        values *= self._signs
+        np.add.accumulate(values, axis=1, out=values)
+        # A copy, so the answers do not keep the (n, 2^d) corners alive.
+        answers = values[:, -1].copy()
+        if not widths.all():
+            answers[(widths == 0).any(axis=1)] = 0.0
+        return answers
 
 
 def marginal_boxes(schema, attribute_names):
@@ -200,33 +243,26 @@ class Release:
     def _check_boxes(self, lows, highs) -> tuple[np.ndarray, np.ndarray]:
         return ensure_boxes(lows, highs, self.schema.shape)
 
-    #: The zero-bordered prefix-sum serving tensor, built on first answer.
-    _prefix = None
+    #: The leaf's serving kernel over its prefix tensor, built on first answer.
+    _kernel = None
 
     def _fill_prefix(self, interior: np.ndarray) -> None:
         """Write the data-space matrix into the serving tensor's interior."""
         raise NotImplementedError
 
     def _prefix_nbytes(self) -> int:
-        return 0 if self._prefix is None else self._prefix.nbytes
+        return 0 if self._kernel is None else self._kernel.nbytes
 
-    def _serve_boxes(self, lows, highs) -> np.ndarray:
-        """Validated box answers from the serving tensor (built on first use)."""
-        # Imported here: repro.queries imports repro.core at package
-        # import time, so the reverse import must happen at call time.
-        from repro.queries.oracle import box_sums
-
-        lows, highs = self._check_boxes(lows, highs)
-        if self._prefix is None:
-            # Concurrent first answers build the tensor once.
+    def _serving_kernel(self) -> _CornerKernel:
+        """The kernel, built once with its prefix tensor and published only
+        complete; callers pass it bounds they have already validated."""
+        if self._kernel is None:
             with self._prefix_lock:
-                if self._prefix is None:
-                    self._prefix = prefix_tensor(self.schema.shape, self._fill_prefix)
-        answers = box_sums(self._prefix, lows, highs)
-        # An empty box has exactly zero cells; force the float-exact 0.0
-        # the inclusion-exclusion sum is not guaranteed to produce.
-        answers[np.any(lows == highs, axis=1)] = 0.0
-        return answers
+                if self._kernel is None:
+                    self._kernel = _CornerKernel(
+                        prefix_tensor(self.schema.shape, self._fill_prefix)
+                    )
+        return self._kernel
 
 
 class DenseRelease(Release):
@@ -251,8 +287,9 @@ class DenseRelease(Release):
         return self._matrix.schema
 
     def answer_boxes(self, lows, highs) -> np.ndarray:
-        # Documented on Release: 2^d corner reads of the prefix tensor.
-        return self._serve_boxes(lows, highs)
+        # Documented on Release: validate, then 2^d corner reads.
+        lows, highs = self._check_boxes(lows, highs)
+        return self._serving_kernel()(lows, highs)
 
     def _fill_prefix(self, interior: np.ndarray) -> None:
         np.copyto(interior, self._matrix.values)
@@ -354,7 +391,8 @@ class CoefficientRelease(Release):
         numpy.ndarray
             ``(n,)`` private counts aligned with the rows.
         """
-        return self._serve_boxes(lows, highs)
+        lows, highs = self._check_boxes(lows, highs)
+        return self._serving_kernel()(lows, highs)
 
     def _fill_prefix(self, interior: np.ndarray) -> None:
         self._transform.inverse_into(self._coefficients, interior, refine=True)

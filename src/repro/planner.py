@@ -10,8 +10,10 @@ distinct boxes (keyed by their corners' flat indices), each distinct
 box is answered once, and the answers are scattered back through the
 inverse map, so the response order is the request order.
 
-Deduplicated and direct batches share one interval constructor, one
-variance pass, and one backend gather, so
+The planner validates the batch once, then hands the distinct rows to
+the engine's own post-validation pass and gathers every output column
+(estimates, stds and both bounds) back through the inverse map.  Each
+output is elementwise in its row, so
 :meth:`QueryPlanner.answer_columnar` is bit-for-bit equal to
 :meth:`~repro.queries.engine.QueryEngine.answer_columnar` on the same
 rows.  A composed release routes the distinct boxes inside its own
@@ -25,7 +27,7 @@ import threading
 
 import numpy as np
 
-from repro.queries.engine import BatchQueryAnswers, _interval_answers
+from repro.queries.engine import BatchQueryAnswers
 from repro.utils.validation import ensure_boxes, ensure_confidence
 
 __all__ = ["QueryPlanner"]
@@ -110,12 +112,16 @@ class QueryPlanner:
         shape = self._engine.schema.shape
         lows, highs = ensure_boxes(lows, highs, shape)
         first, inverse = _distinct_boxes(lows, highs, shape)
-        answered = self._engine.answer_columnar(lows[first], highs[first], confidence)
+        answered = self._engine._answer_validated(lows[first], highs[first], confidence)
         with self._lock:
             self.rows_planned += int(inverse.shape[0])
             self.rows_deduped += int(inverse.shape[0]) - int(first.shape[0])
-        return _interval_answers(
-            answered.estimates[inverse], answered.noise_stds[inverse], confidence
+        return BatchQueryAnswers(
+            estimates=answered.estimates[inverse],
+            noise_stds=answered.noise_stds[inverse],
+            lowers=answered.lowers[inverse],
+            uppers=answered.uppers[inverse],
+            confidence=confidence,
         )
 
     def __repr__(self) -> str:

@@ -15,12 +15,14 @@ mechanism configuration, not the data).  :class:`QueryEngine` packages:
   quantile to the Laplace one when the effective term count is tiny).
 
 The primary entry point for traffic is the **batch API**
-(:meth:`QueryEngine.answer_all_with_intervals`): one vectorized backend
-gather plus one variance pass over the whole batch.  The variance pass
-is stateless: each row's per-axis range profiles are table reads or
-closed forms (:class:`~repro.analysis.exact.AxisProfileCache`), so a
-row's std has the same bits whatever batch, engine or process computes
-it.  The single-query methods are thin wrappers over the batch path.
+(:meth:`QueryEngine.answer_columnar`): it validates the bounds once, at
+its edge, then a leaf's serving kernel gathers all ``2^d`` corners of
+every row in one pass and each axis's profile reader gives the variance
+without re-checking a range.  The variance pass is stateless: each
+row's per-axis range profiles are table reads or closed forms
+(:class:`~repro.analysis.exact.AxisProfileCache`), so a row's std has
+the same bits whatever batch, engine or process computes it.  The
+single-query methods are thin wrappers over the batch path.
 
 Answer backends
 ---------------
@@ -73,9 +75,9 @@ def _interval_answers(
 ) -> "BatchQueryAnswers":
     """Two-sided confidence intervals around ``estimates``, vectorized.
 
-    The single interval construction every batch path uses — the engine
-    directly, and the planner after scattering deduplicated rows — so
-    planned answers stay bit-for-bit identical to unplanned ones.
+    The single interval construction every batch path uses.  Every
+    output is elementwise in its row, so the planner's scatter of
+    deduplicated rows stays bit-for-bit identical to unplanned answers.
     Gaussian approximation to the sum of independent Laplace noises,
     widened to the exact Laplace quantile when it is larger.
     ``confidence`` has already passed :func:`~repro.utils.validation.
@@ -168,6 +170,7 @@ class QueryEngine:
         else:
             self._transform = HNTransform(self._release.schema, infer_sa_names(result))
         self._profiles = AxisProfileCache(self._transform.transforms)
+        self._variance_scale = 2.0 * result.noise_magnitude**2
 
     # ------------------------------------------------------------------
     @property
@@ -270,12 +273,15 @@ class QueryEngine:
             Per-row exact variances.
         """
         lows, highs = ensure_boxes(lows, highs, self.schema.shape)
+        return self._noise_variances(lows, highs)
+
+    def _noise_variances(self, lows, highs) -> np.ndarray:
+        """:meth:`noise_variances_columnar` of already-validated bounds."""
         if self._transform is None:
             # Composed: per-part 2 lambda_i^2 * profile products,
             # summed (independent noise adds).
             return self._release.noise_variances_boxes(lows, highs)
-        products = self._profiles.box_profile_products(lows, highs)
-        return 2.0 * self._result.noise_magnitude**2 * products
+        return self._variance_scale * self._profiles._read_products(lows, highs)
 
     def answer_with_interval(
         self, query: RangeCountQuery, confidence: float = 0.95
@@ -328,10 +334,11 @@ class QueryEngine:
         The zero-object entry point the serving layer's columnar fast
         path hands its decoded wire batches to: no
         :class:`~repro.queries.query.RangeCountQuery` instances, no
-        per-query Python — one vectorized backend gather, one variance
-        pass, one vectorized interval construction, the same code the
-        scalar path runs, so the answers are bit-for-bit identical to
-        :meth:`answer_all_with_intervals` on the equivalent queries.
+        per-query Python — the bounds are validated once, then one
+        corner gather, one variance pass and one vectorized interval
+        construction, the same code the scalar path runs, so the answers
+        are bit-for-bit identical to :meth:`answer_all_with_intervals`
+        on the equivalent queries.
 
         Degenerate rows (``lo == hi`` on any axis) cover zero cells and
         answer an exact ``0.0`` with zero noise — consistent with every
@@ -353,8 +360,16 @@ class QueryEngine:
         """
         confidence = ensure_confidence(confidence)
         lows, highs = ensure_boxes(lows, highs, self.schema.shape)
-        estimates = self._release.answer_boxes(lows, highs)
-        stds = np.sqrt(self.noise_variances_columnar(lows, highs))
+        return self._answer_validated(lows, highs, confidence)
+
+    def _answer_validated(self, lows, highs, confidence: float) -> BatchQueryAnswers:
+        """:meth:`answer_columnar` after its checks (also the planner's
+        entry): a leaf reads its serving kernel directly."""
+        if self._transform is None:
+            estimates = self._release.answer_boxes(lows, highs)
+        else:
+            estimates = self._release._serving_kernel()(lows, highs)
+        stds = np.sqrt(self._noise_variances(lows, highs))
         return _interval_answers(estimates, stds, confidence)
 
     def answer_all(self, queries) -> np.ndarray:

@@ -140,7 +140,14 @@ class OneDimensionalTransform:
 
     def range_profiles(self, lows, highs) -> np.ndarray:
         """Vectorized :meth:`range_profile`; returns shape ``(len(lows),)``."""
-        adjoints = self.adjoint_ranges(lows, highs)
+        return self._read_profiles(*self._check_ranges(lows, highs))
+
+    def _read_profiles(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """:meth:`range_profiles` of equal-length int64 ranges already in
+        bounds, unchecked, each computed on its own so it has the same bits
+        in any batch.  Subclasses override this dense fallback."""
+        cumulative = self._cumulative_reconstruction()
+        adjoints = cumulative[highs] - cumulative[lows]
         weights = self._cached_weight_vector()
         return np.sum((adjoints / weights) ** 2, axis=-1)
 
@@ -269,9 +276,8 @@ class IdentityTransform(OneDimensionalTransform):
             (positions >= lows[:, None]) & (positions < highs[:, None])
         ).astype(np.float64)
 
-    def range_profiles(self, lows, highs) -> np.ndarray:
-        """With unit weights the profile is just the range width."""
-        lows, highs = self._check_ranges(lows, highs)
+    def _read_profiles(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        # With unit weights the profile is just the range width.
         return (highs - lows).astype(np.float64)
 
 

@@ -119,17 +119,17 @@ def haar_weight_vector(padded_length: int) -> np.ndarray:
     return weights
 
 
-def _straddle_contribution(lows, highs, nodes, shift):
-    """Adjoint entry of level nodes ``nodes`` (block width ``2**shift``).
+def _straddle_contribution(lows, highs, start, half):
+    """Adjoint entry of the level nodes whose leaf blocks start at ``start``.
 
-    A leaf in the node's left half contributes ``+1`` to the node's
-    coefficient in the reconstruction, a leaf in its right half ``-1``;
-    the adjoint entry is therefore (left overlap) - (right overlap) with
-    the query range.  Blocks fully inside or outside the range cancel to
-    zero, which is why only the two boundary nodes per level survive.
+    Each block is ``2 * half`` leaves wide.  A leaf in the node's left
+    half contributes ``+1`` to the node's coefficient in the
+    reconstruction, a leaf in its right half ``-1``; the adjoint entry is
+    therefore (left overlap) - (right overlap) with the query range.
+    Blocks fully inside or outside the range cancel to zero, which is why
+    only the two boundary nodes per level survive.  Broadcasts, so one
+    call can cover every level at once.
     """
-    half = 1 << (shift - 1)
-    start = nodes << shift
     mid = start + half
     stop = mid + half
     left = np.maximum(0, np.minimum(highs, mid) - np.maximum(lows, start))
@@ -145,6 +145,13 @@ class HaarTransform(OneDimensionalTransform):
         self.padded_length = next_power_of_two(self.input_length)
         self.output_length = self.padded_length
         self._levels = self.padded_length.bit_length() - 1  # l
+        # Per-level constants of the profile reader, level 1 (the root)
+        # first: block widths 2**shift, their halves, squared weights.
+        self._shifts = np.arange(self._levels, 0, -1, dtype=np.int64)
+        self._halves = np.left_shift(1, self._shifts - 1)
+        self._weights_sq = np.asarray(
+            [float(1 << int(shift)) ** 2 for shift in self._shifts], dtype=np.float64
+        )
 
     def forward_into(self, values: np.ndarray, out: np.ndarray) -> None:
         if self.padded_length != self.input_length:
@@ -202,39 +209,40 @@ class HaarTransform(OneDimensionalTransform):
             offset = 1 << (level - 1)
             node_lo = level_lows >> shift
             node_hi = last >> shift
+            half = 1 << (shift - 1)
             # When node_lo == node_hi the two writes coincide (same value).
             adjoints[rows, offset + node_lo] = _straddle_contribution(
-                level_lows, level_highs, node_lo, shift
+                level_lows, level_highs, node_lo << shift, half
             )
             adjoints[rows, offset + node_hi] = _straddle_contribution(
-                level_lows, level_highs, node_hi, shift
+                level_lows, level_highs, node_hi << shift, half
             )
         return adjoints
 
-    def range_profiles(self, lows, highs) -> np.ndarray:
+    def _read_profiles(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """``sum_j (g[j]/W[j])^2`` per range in ``O(log m)`` each.
 
         Never allocates a length-``m`` vector: only the boundary nodes of
-        each level contribute, and their weights are ``2**(l-i+1)``.
+        each level contribute, and their weights are ``2**(l-i+1)``.  All
+        ``l`` levels of a batch are one ``(n, l)`` pass, and each row's
+        terms are added one after another, base term first and then
+        level 1 down to level ``l``, so a profile has the same bits in
+        any batch.  An empty range's terms are all zero.
         """
-        lows, highs = self._check_ranges(lows, highs)
+        shifts = self._shifts
+        lo, hi = lows[:, None], highs[:, None]
+        node_lo = lo >> shifts
+        # The clamp keeps an empty range's last leaf in bounds.
+        node_hi = np.maximum(hi - 1, lo) >> shifts
+        g_lo = _straddle_contribution(lo, hi, node_lo << shifts, self._halves)
+        g_hi = _straddle_contribution(lo, hi, node_hi << shifts, self._halves)
+        g_hi[node_hi == node_lo] = 0.0
+        terms = np.empty((lows.shape[0], shifts.size + 1), dtype=np.float64)
         widths = (highs - lows).astype(np.float64)
-        profiles = (widths / float(self.padded_length)) ** 2
-        nonempty = highs > lows
-        last = np.maximum(highs - 1, lows)  # clamp keeps empty ranges in bounds
-        for level in range(1, self._levels + 1):
-            shift = self._levels - level + 1
-            weight_sq = float(1 << shift) ** 2
-            node_lo = lows >> shift
-            node_hi = last >> shift
-            g_lo = _straddle_contribution(lows, highs, node_lo, shift)
-            g_hi = np.where(
-                node_hi != node_lo,
-                _straddle_contribution(lows, highs, node_hi, shift),
-                0.0,
-            )
-            profiles += np.where(nonempty, (g_lo**2 + g_hi**2) / weight_sq, 0.0)
-        return profiles
+        terms[:, 0] = (widths / float(self.padded_length)) ** 2
+        np.divide(g_lo**2 + g_hi**2, self._weights_sq, out=terms[:, 1:])
+        np.add.accumulate(terms, axis=1, out=terms)
+        return terms[:, -1].copy()
 
     def __repr__(self) -> str:
         return (

@@ -196,13 +196,8 @@ class NominalTransform(OneDimensionalTransform):
     #
     # which range_profiles reads from a table of every (lo, hi) pair.
 
-    def range_profiles(self, lows, highs) -> np.ndarray:
-        """Profiles read from the exact ``(m+1) x (m+1)`` range table.
-
-        Each row is one table read, so a range's profile has the same
-        bits whatever batch it arrives in.
-        """
-        lows, highs = self._check_ranges(lows, highs)
+    def _read_profiles(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        # One read of the exact (m+1) x (m+1) range table per range.
         return self._profile_table()[highs, lows]
 
     def _profile_table(self) -> np.ndarray:

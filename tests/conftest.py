@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,31 @@ def mixed_table(mixed_schema, rng) -> Table:
 def binary_hierarchy_8() -> Hierarchy:
     """Balanced binary hierarchy over 8 leaves (height 4)."""
     return balanced_hierarchy(8, 2)
+
+
+def _box_sums_reference(prefix, lows, highs):
+    """The corner loop every leaf served through before its serving kernel.
+
+    One gather per corner pattern, signed corners added one after
+    another in ``itertools.product`` order onto a zero total, and an
+    exact ``0.0`` for a box with an empty range.  ``lows``/``highs`` are
+    validated ``(n, d)`` int64 bounds.
+    """
+    d = prefix.ndim
+    flat = prefix.reshape(-1)
+    strides = np.asarray(
+        [int(np.prod(prefix.shape[axis + 1 :])) for axis in range(d)], dtype=np.int64
+    )
+    totals = np.zeros(lows.shape[0], dtype=np.float64)
+    for corner in itertools.product((0, 1), repeat=d):
+        picks = np.where(np.asarray(corner, dtype=bool), highs, lows)
+        sign = -1.0 if (d - sum(corner)) % 2 else 1.0
+        totals += sign * flat[picks @ strides]
+    totals[np.any(lows == highs, axis=1)] = 0.0
+    return totals
+
+
+@pytest.fixture
+def box_sums_reference():
+    """The pre-kernel corner loop, as the reference for ``==`` tests."""
+    return _box_sums_reference

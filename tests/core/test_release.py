@@ -12,12 +12,14 @@ from repro.core.release import (
     DenseRelease,
     convert_result,
     infer_sa_names,
+    prefix_tensor,
 )
 from repro.data.attributes import NominalAttribute, OrdinalAttribute
 from repro.data.frequency import FrequencyMatrix
 from repro.data.hierarchy import balanced_hierarchy, two_level_hierarchy
 from repro.data.schema import Schema
 from repro.errors import PrivacyError, QueryError, TransformError
+from repro.queries.oracle import RangeSumOracle
 from repro.queries.workload import generate_workload
 from repro.transforms.multidim import HNTransform
 
@@ -376,3 +378,47 @@ def test_layout_parity(axis_kind, sa, batch, rng):
     np.testing.assert_array_equal(attached.answer_boxes(lows, highs), answers)
     serving = np.prod([size + 1 for size in schema.shape]) * 8
     assert release.nbytes() == noisy.nbytes + serving
+
+
+#: d = 1..5, with size-1 axes in every position that has one.
+KERNEL_SHAPES = [(7,), (1,), (1, 5), (4, 1, 3), (3, 2, 1, 4), (2, 3, 1, 2, 3)]
+
+
+def _kernel_batch(shape, kind, rows, rng):
+    """``rows`` boxes of one ``BATCHES`` kind over ``shape``."""
+    sizes = np.asarray(shape, dtype=np.int64)
+    if kind == "full-domain":
+        return np.zeros((rows, sizes.size), dtype=np.int64), np.tile(sizes, (rows, 1))
+    if kind == "single-cell":
+        lows = rng.integers(0, sizes, size=(rows, sizes.size))
+        return lows, lows + 1
+    pairs = np.sort(rng.integers(0, sizes + 1, size=(2, rows, sizes.size)), axis=0)
+    lows, highs = pairs[0], pairs[1]
+    if kind == "empty-rows":
+        axes = rng.integers(0, sizes.size, size=rows)
+        highs[np.arange(rows), axes] = lows[np.arange(rows), axes]
+    return lows, highs
+
+
+@pytest.mark.parametrize("rows", [0, 1, 256])
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_corner_kernel_matches_reference_loop(shape, batch, rows, rng, box_sums_reference):
+    """Every leaf's one-gather kernel == the corner loop it replaced, bit
+    for bit: coefficients attached at an offset (as shared memory places
+    them), the dense conversion and the prefix-sum oracle."""
+    schema = Schema([OrdinalAttribute(f"A{axis}", size) for axis, size in enumerate(shape)])
+    transform = HNTransform(schema, ())
+    noisy = transform.forward(rng.integers(0, 25, size=shape).astype(np.float64))
+    noisy += rng.laplace(size=transform.output_shape)
+    release = CoefficientRelease(schema, (), _offset_copy(noisy, 1))
+    lows, highs = _kernel_batch(shape, batch, rows, rng)
+
+    expected = box_sums_reference(
+        prefix_tensor(shape, release._fill_prefix), lows, highs
+    ).tolist()
+
+    assert release.answer_boxes(lows, highs).tolist() == expected
+    matrix = release.to_matrix()
+    assert DenseRelease(matrix).answer_boxes(lows, highs).tolist() == expected
+    assert RangeSumOracle(matrix).answer_boxes(lows, highs).tolist() == expected

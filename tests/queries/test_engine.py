@@ -1,15 +1,20 @@
 """Tests for the QueryEngine (answers + exact uncertainty)."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.analysis.exact import query_boxes
 from repro.core.basic import BasicMechanism
 from repro.core.privelet_plus import PriveletPlusMechanism
+from repro.core.release import CoefficientRelease, infer_sa_names, prefix_tensor
 from repro.errors import QueryError
 from repro.queries.engine import QueryAnswer, QueryEngine
 from repro.queries.predicate import interval_predicate
 from repro.queries.query import RangeCountQuery
 from repro.queries.workload import generate_workload
+from repro.transforms.multidim import HNTransform
 from repro.utils.stats import gaussian_quantile
 
 
@@ -203,7 +208,6 @@ class TestStdsArePureFunctionsOfTheBox:
 
     @pytest.fixture(scope="class")
     def census(self):
-        from repro.analysis.exact import query_boxes
         from repro.data.census import BRAZIL, generate_census_table
 
         table = generate_census_table(BRAZIL.scaled(0.2), 20_000, seed=0)
@@ -230,6 +234,72 @@ class TestStdsArePureFunctionsOfTheBox:
         ]
         assert backwards.noise_stds[::-1].tolist() == batch.tolist()
         assert alone == batch.tolist()
+
+
+def _pre_kernel_answers(result, lows, highs, confidence, box_sums_reference):
+    """The engine's answers rebuilt the way it computed them before its
+    serving kernel: the corner loop over the prefix tensor, per-axis
+    public ``range_profiles`` multiplied onto ones, then the interval."""
+    release = result.release
+    if isinstance(release, CoefficientRelease):
+        transform = release.transform
+    else:
+        transform = HNTransform(release.schema, infer_sa_names(result))
+    prefix = prefix_tensor(release.schema.shape, release._fill_prefix)
+    estimates = box_sums_reference(prefix, lows, highs)
+    products = np.ones(lows.shape[0])
+    for axis, axis_transform in enumerate(transform.transforms):
+        products *= axis_transform.range_profiles(lows[:, axis], highs[:, axis])
+    stds = np.sqrt(2.0 * result.noise_magnitude**2 * products)
+    tail = (1.0 - confidence) / 2.0
+    multiplier = max(-gaussian_quantile(tail), -math.log(2.0 * tail) / math.sqrt(2.0))
+    half_widths = multiplier * stds
+    return estimates, stds, estimates - half_widths, estimates + half_widths
+
+
+class TestLeafKernelParity:
+    """One validation, one corner gather and unchecked profile readers
+    answer bit for bit like the path they replaced, in a batch and one
+    row at a time."""
+
+    @staticmethod
+    def _assert_pre_kernel_bits(result, lows, highs, box_sums_reference):
+        engine = QueryEngine(result)
+        expected = _pre_kernel_answers(result, lows, highs, 0.9, box_sums_reference)
+        batch = engine.answer_columnar(lows, highs, 0.9)
+        rows = [
+            engine.answer_columnar(lows[row : row + 1], highs[row : row + 1], 0.9)
+            for row in range(lows.shape[0])
+        ]
+        for name, column in zip(("estimates", "noise_stds", "lowers", "uppers"), expected):
+            assert getattr(batch, name).tolist() == column.tolist(), name
+            alone = [float(getattr(answers, name)[0]) for answers in rows]
+            assert alone == column.tolist(), name
+
+    @pytest.mark.parametrize("materialize", [True, False], ids=["dense", "coefficients"])
+    @pytest.mark.parametrize("sa", [(), ("X",), ("X", "G", "Y")], ids=lambda sa: "SA=" + "".join(sa))
+    def test_mixed_axes(self, mixed_table, sa, materialize, box_sums_reference):
+        result = PriveletPlusMechanism(sa_names=sa).publish(
+            mixed_table, 1.0, seed=5, materialize=materialize
+        )
+        schema = mixed_table.schema
+        lows, highs = query_boxes(generate_workload(schema, 48, seed=21), schema.shape)
+        # Empty ranges on the last rows, full-domain on one.
+        lows[-3:, 1] = highs[-3:, 1]
+        lows[0], highs[0] = 0, schema.shape
+        self._assert_pre_kernel_bits(result, lows, highs, box_sums_reference)
+
+    def test_census_every_axis_a_wavelet(self, box_sums_reference):
+        from repro.data.census import BRAZIL, generate_census_table
+
+        table = generate_census_table(BRAZIL.scaled(0.2), 20_000, seed=0)
+        result = PriveletPlusMechanism(sa_names=()).publish(
+            table, 1.0, seed=1, materialize=False
+        )
+        lows, highs = query_boxes(
+            generate_workload(table.schema, 96, seed=4), table.schema.shape
+        )
+        self._assert_pre_kernel_bits(result, lows, highs, box_sums_reference)
 
 
 class TestCoefficientBackend:

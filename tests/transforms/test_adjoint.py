@@ -127,6 +127,33 @@ def all_ranges(transform):
     return lows.astype(np.int64), highs.astype(np.int64)
 
 
+def haar_profiles_level_loop(transform, lows, highs):
+    """The per-level loop ``HaarTransform`` read its profiles with before
+    its one-pass reader: base term first, then levels 1 to ``l``."""
+    lows = np.asarray(lows, dtype=np.int64)
+    highs = np.asarray(highs, dtype=np.int64)
+    levels = transform.padded_length.bit_length() - 1
+    widths = (highs - lows).astype(np.float64)
+    profiles = (widths / float(transform.padded_length)) ** 2
+    nonempty = highs > lows
+    last = np.maximum(highs - 1, lows)
+    for level in range(1, levels + 1):
+        shift = levels - level + 1
+        half = 1 << (shift - 1)
+        weight_sq = float(1 << shift) ** 2
+        node_lo, node_hi = lows >> shift, last >> shift
+        g = []
+        for nodes in (node_lo, node_hi):
+            start = nodes << shift
+            mid, stop = start + half, start + 2 * half
+            left = np.maximum(0, np.minimum(highs, mid) - np.maximum(lows, start))
+            right = np.maximum(0, np.minimum(highs, stop) - np.maximum(lows, mid))
+            g.append((left - right).astype(np.float64))
+        g_hi = np.where(node_hi != node_lo, g[1], 0.0)
+        profiles += np.where(nonempty, (g[0] ** 2 + g_hi**2) / weight_sq, 0.0)
+    return profiles
+
+
 def dense_profiles(transform, lows, highs):
     """Oracle: ``sum_j (g[j] / W[j])^2`` from the dense reconstruction."""
     reconstruction = transform.inverse(
@@ -144,14 +171,20 @@ class TestRangeProfiles:
     call equals one-range calls bit for bit, on every pair of the axis."""
 
     @pytest.fixture(
-        params=["two-level", "balanced", "mixed-depth", "haar-37", "identity-9"]
+        params=[
+            "two-level", "balanced", "mixed-depth",
+            "haar-1", "haar-2", "haar-37", "haar-64", "identity-9",
+        ]
     )
     def transform(self, request, unbalanced_hierarchy):
         return {
             "two-level": lambda: NominalTransform(two_level_hierarchy([3, 4, 2])),
             "balanced": lambda: NominalTransform(balanced_hierarchy(27, 3)),
             "mixed-depth": lambda: NominalTransform(unbalanced_hierarchy),
+            "haar-1": lambda: HaarTransform(1),
+            "haar-2": lambda: HaarTransform(2),
             "haar-37": lambda: HaarTransform(37),
+            "haar-64": lambda: HaarTransform(64),
             "identity-9": lambda: IdentityTransform(9),
         }[request.param]()
 
@@ -171,6 +204,19 @@ class TestRangeProfiles:
             rtol=1e-12,
             atol=0.0,
         )
+
+    @pytest.mark.parametrize("domain", [1, 2, 37, 64, 4096])
+    def test_haar_reader_matches_level_loop(self, domain, rng):
+        """The one-pass Haar reader == the per-level loop it replaced."""
+        transform = HaarTransform(domain)
+        if domain <= 64:
+            lows, highs = all_ranges(transform)
+        else:
+            lows, highs = random_ranges(transform, 5000, rng)
+            lows = np.concatenate([lows, [0, 0, domain, 17]])
+            highs = np.concatenate([highs, [domain, 0, domain, 17]])
+        expected = haar_profiles_level_loop(transform, lows, highs)
+        assert transform.range_profiles(lows, highs).tolist() == expected.tolist()
 
     def test_nominal_table_is_built_once(self):
         transform = NominalTransform(two_level_hierarchy([3, 4, 2]))

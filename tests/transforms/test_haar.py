@@ -37,6 +37,25 @@ class TestFigure2:
         assert w[2] == 4.0  # c2 (level 2)
         assert w[4] == 2.0  # c4 (level 3)
 
+    @pytest.mark.parametrize(
+        "lo,hi,profile",
+        [
+            # (1/8)^2 + (1/8)^2 + (1/4)^2 + (1/2)^2: one leaf straddles a
+            # node on every level.
+            (0, 1, 0.34375),
+            # The whole domain: only the base coefficient, (8/8)^2.
+            (0, 8, 1.0),
+            # (4/8)^2 + 2 (2/4)^2: each level-2 node holds the range in
+            # one half (g = -2 and +2); the root's halves cancel.
+            (2, 6, 0.75),
+            (3, 3, 0.0),
+        ],
+    )
+    def test_range_profiles_known_answers(self, lo, hi, profile):
+        """Exact binary fractions: (w/8)^2 plus (g/W)^2 over the nodes the
+        range straddles, each with its §IV-B weight W."""
+        assert HaarTransform(8).range_profile(lo, hi) == profile
+
 
 class TestForwardInverse:
     @pytest.mark.parametrize("length", [1, 2, 4, 8, 16, 64, 256])
