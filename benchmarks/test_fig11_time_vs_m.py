@@ -12,10 +12,7 @@ import dataclasses
 from repro.experiments.figures import run_time_vs_m
 from repro.experiments.reporting import format_timing_run
 
-from .test_fig10_time_vs_n import linear_fit_r2
-
-#: Timings per point; ``TimingConfig`` keeps the minimum across them.
-REPEATS = 3
+from .test_fig10_time_vs_n import REPEATS, linear_fit_r2
 
 
 def test_fig11_time_vs_m(benchmark, timing_config, record_result):

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import queue
 import signal
@@ -76,13 +75,13 @@ from repro.experiments.figures import (
     run_time_vs_n,
 )
 from repro.data.table import Table
-from repro.errors import ReproError
+from repro.errors import ReproError, ServingError
 from repro.experiments.reporting import format_accuracy_run, format_timing_run
 from repro.io import load_result, open_result, save_result
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
 from repro.serving.network import NetworkServer
-from repro.serving.requests import ErrorResponse
+from repro.serving.requests import ErrorResponse, decode_line, encode_line
 from repro.serving.server import ReleaseServer
 from repro.streaming import StreamingPublisher
 
@@ -488,16 +487,14 @@ def _cmd_query(args) -> int:
 
 def _emit(stream, payload: dict) -> None:
     """Write one JSONL response line and flush (client may be pipelined)."""
-    stream.write(json.dumps(payload) + "\n")
+    stream.write(encode_line(payload).decode())
     stream.flush()
 
 
 def _op_reply(server: ReleaseServer, payload) -> dict:
     """The in-place answer to a malformed, ``stats``, ``list`` or unknown-op line."""
-    if isinstance(payload, json.JSONDecodeError):
-        return ErrorResponse(
-            "bad-request", f"malformed JSON request: {payload}"
-        ).to_dict()
+    if isinstance(payload, ServingError):
+        return ErrorResponse.from_exception(payload).to_dict()
     request_id = payload.get("id")
     op = payload.get("op")
     if op == "stats":
@@ -556,8 +553,8 @@ def _serve_loop(server: ReleaseServer, lines, stream) -> int:
             if line is done or not line.strip():
                 continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                payload = decode_line(line)
+            except ServingError as exc:
                 payload = exc
             else:
                 op = payload.get("op", "query") if isinstance(payload, dict) else "query"

@@ -6,17 +6,22 @@ This is the serving layer's answer to "millions of users": the JSONL
 
 * an asyncio TCP acceptor (newline-delimited JSON frames, the exact
   wire types of the JSONL loop including ``op=query_batch``) running on
-  a background event-loop thread;
+  a background event-loop thread.  It decodes each frame once, only to
+  route it: ``stats`` and ``list`` it answers itself, and every query
+  line goes on to a worker as the raw bytes the client sent;
 * ``N`` worker processes, each holding its own
   :class:`~repro.serving.server.ReleaseServer` (engines, plan cache)
   whose release tensors are mapped
   **zero-copy** from shared-memory segments the parent published once
   (see :mod:`repro.serving.shm`) — no tensor ever crosses a pipe;
-* per-worker duplex pipes carrying only small JSON-able dicts:
-  requests go out with a token, responses come back by token, and a
-  reader thread per worker resolves the matching asyncio future.  A
-  worker reads every message already waiting on its pipe and answers
-  each run of requests in that read in one grouped pass.
+* one socketpair per worker carrying length-prefixed byte frames, read
+  and written on the acceptor's event loop.  A worker reads every frame
+  already waiting, answers each run of query lines in one grouped pass,
+  and sends back each reply already encoded as its wire line, which the
+  acceptor writes to the client verbatim.  A worker replies in the
+  order its frames arrived, so the acceptor matches replies to requests
+  by order alone.  Control messages (``stats``, ``refresh``) travel as
+  pickled dicts behind their own tag, and a stop frame ends the worker.
 
 Failure modes are part of the contract, not an afterthought:
 
@@ -41,19 +46,21 @@ receive window pushes back on the clients.
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import itertools
-import json
 import multiprocessing
 import os
-import queue as _queue_module
+import pickle
 import signal
+import socket
+import struct
 import threading
 
 from repro.errors import ServingError
 from repro.io import load_result
 from repro.serving.registry import ReleaseRegistry
-from repro.serving.requests import ErrorResponse
+from repro.serving.requests import ErrorResponse, decode_line, encode_line
 from repro.serving.server import ReleaseServer
 from repro.serving.shm import (
     DEFAULT_PREFIX,
@@ -65,9 +72,50 @@ from repro.serving.stats import LatencyRecorder, merge_worker_stats
 
 __all__ = ["NetworkServer"]
 
-#: Messages the worker coalesces per pipe read (keeps the per-message
-#: overhead amortized without starving control traffic).
-_WORKER_COALESCE = 64
+#: A worker-pipe frame header: body length, then a one-byte tag.
+_HEADER = struct.Struct("!IB")
+#: Tag of a query line on its way to a worker, and of its reply line.
+_LINE = 0
+#: Tag of a pickled control dict: a worker's greeting, a ``stats`` or
+#: ``refresh`` message, and the worker's reply to it.
+_CONTROL = 1
+#: Tag of the parent's last frame: the worker exits without replying.
+_STOP = 2
+#: Bytes a worker asks its socket for per read.
+_READ_SIZE = 1 << 18
+#: The request id a control message waits under in a worker's FIFO.
+_NO_REQUEST = object()
+
+
+def _frame(tag: int, body: bytes) -> bytes:
+    """One worker-pipe frame: header, then ``body``."""
+    return _HEADER.pack(len(body), tag) + body
+
+
+def _take_frames(buffer: bytearray) -> list:
+    """Cut every complete ``(tag, body)`` frame off the front of ``buffer``."""
+    frames, offset, size = [], 0, len(buffer)
+    while size - offset >= _HEADER.size:
+        length, tag = _HEADER.unpack_from(buffer, offset)
+        start = offset + _HEADER.size
+        if size - start < length:
+            break
+        frames.append((tag, buffer[start:start + length]))
+        offset = start + length
+    del buffer[:offset]
+    return frames
+
+
+def _recv_frame(sock) -> bytearray:
+    """The body of the one frame a blocking ``sock`` holds; EOFError at EOF."""
+    buffer, frames = bytearray(), []
+    while not frames:
+        chunk = sock.recv(_READ_SIZE)
+        if not chunk:
+            raise EOFError("the worker closed its pipe")
+        buffer += chunk
+        frames = _take_frames(buffer)
+    return frames[0][1]
 
 
 # ----------------------------------------------------------------------
@@ -84,119 +132,132 @@ def _worker_attach(manifests: dict):
     return registry, attachments
 
 
-def _worker_main(conn, manifests: dict) -> None:
-    """The worker process body: attach, serve the pipe, exit on stop.
+def _worker_main(sock, manifests: dict) -> None:
+    """The worker process body: attach, answer frames until told to stop.
 
     Parameters
     ----------
-    conn:
-        The child end of the worker's duplex pipe.
+    sock:
+        The worker's end of its socketpair with the parent.
     manifests:
         ``name -> shm manifest`` for every published release.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        registry, attachments = _worker_attach(manifests)
-        server = ReleaseServer(registry, watch_streams=False)
-    except Exception as exc:  # noqa: BLE001 - reported to the parent
+    with sock:
         try:
-            conn.send({"kind": "failed", "error": f"{type(exc).__name__}: {exc}"})
-        except OSError:
-            pass
-        return
-    try:
-        conn.send({"kind": "ready", "pid": os.getpid()})
-    except OSError:
-        server.close()
-        return
-    running = True
-    try:
-        while running:
+            registry, attachments = _worker_attach(manifests)
+        except Exception as exc:  # noqa: BLE001 - reported to the parent
+            failure = {"kind": "failed", "error": f"{type(exc).__name__}: {exc}"}
             try:
-                batch = [conn.recv()]
-                while len(batch) < _WORKER_COALESCE and conn.poll(0):
-                    batch.append(conn.recv())
-            except (EOFError, OSError):
-                break
-            replies = []
-            # Each run of requests before a control message is answered
-            # in one pass, so a stats reply counts every request read
-            # before it.
-            for is_request, run in itertools.groupby(
-                batch, key=lambda message: message.get("kind") == "request"
-            ):
-                run = list(run)
-                if is_request:
-                    responses = server.answer_payloads(
-                        [message["payload"] for message in run]
-                    )
-                    replies.extend(
-                        zip((message.get("token") for message in run), responses)
-                    )
-                    continue
-                for message in run:
-                    kind = message.get("kind")
-                    token = message.get("token")
-                    if kind == "stop":
-                        running = False
-                    elif kind == "stats":
-                        snapshot = dataclasses.asdict(server.stats())
-                        snapshot["latency_samples"] = server.latency_samples()
-                        snapshot["pid"] = os.getpid()
-                        replies.append((token, {"stats": snapshot}))
-                    elif kind == "refresh":
-                        name = message["name"]
-                        try:
-                            attachment = attach_result_from_shm(message["manifest"])
-                            if name in registry:
-                                server.replace(name, attachment.result)
-                            else:
-                                server.register(name, attachment.result)
-                            attachments[name] = attachment
-                            replies.append((token, {"ok": True}))
-                        except Exception as exc:  # noqa: BLE001
-                            replies.append((token, {"ok": False, "error": str(exc)}))
-            for token, response in replies:
-                try:
-                    conn.send({"token": token, "response": response})
-                except (BrokenPipeError, OSError):
-                    running = False
-                    break
-    finally:
-        server.close()
-        conn.close()
+                sock.sendall(_frame(_CONTROL, pickle.dumps(failure)))
+            except OSError:
+                pass
+            return
+        server = ReleaseServer(registry, watch_streams=False)
+        greeting = {"kind": "ready", "pid": os.getpid()}
+        buffer = bytearray()
+        try:
+            sock.sendall(_frame(_CONTROL, pickle.dumps(greeting)))
+            while True:
+                chunk = sock.recv(_READ_SIZE)
+                if not chunk:
+                    return  # the parent closed the pipe
+                buffer += chunk
+                frames = _take_frames(buffer)
+                if frames and frames[-1][0] == _STOP:
+                    return
+                replies = _answer_frames(server, attachments, frames)
+                if replies:
+                    sock.sendall(b"".join(replies))
+        except OSError:
+            return  # the parent is gone
+        finally:
+            server.close()
+
+
+def _answer_frames(server: ReleaseServer, attachments: dict, frames: list) -> list:
+    """One reply frame per frame, in order.
+
+    Each run of query lines is decoded and answered in one
+    :meth:`~repro.serving.server.ReleaseServer.answer_payloads` pass, so
+    a ``stats`` reply counts every request read before it.
+    """
+    replies = []
+    for tag, run in itertools.groupby(frames, key=lambda frame: frame[0]):
+        bodies = [body for _, body in run]
+        if tag == _LINE:
+            responses = server.answer_payloads([decode_line(body) for body in bodies])
+            replies.extend(_frame(_LINE, encode_line(response)) for response in responses)
+            continue
+        for body in bodies:
+            reply = _control_reply(server, attachments, pickle.loads(body))
+            replies.append(_frame(_CONTROL, pickle.dumps(reply)))
+    return replies
+
+
+def _control_reply(server: ReleaseServer, attachments: dict, message: dict) -> dict:
+    """A worker's answer to one ``stats`` or ``refresh`` control message."""
+    if message["kind"] == "stats":
+        snapshot = dataclasses.asdict(server.stats())
+        snapshot["latency_samples"] = server.latency_samples()
+        snapshot["pid"] = os.getpid()
+        return {"stats": snapshot}
+    name = message["name"]
+    try:
+        attachment = attach_result_from_shm(message["manifest"])
+        if name in server.registry:
+            server.replace(name, attachment.result)
+        else:
+            server.register(name, attachment.result)
+        attachments[name] = attachment
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        return {"ok": False, "error": str(exc)}
+    return {"ok": True}
 
 
 # ----------------------------------------------------------------------
 # Parent-side worker handle
 # ----------------------------------------------------------------------
-class _Worker:
-    """Parent-side handle on one worker process (loop-thread state)."""
+class _Worker(asyncio.Protocol):
+    """Parent-side handle on one worker process; its pipe lives on the loop.
 
-    __slots__ = (
-        "slot",
-        "process",
-        "conn",
-        "pid",
-        "alive",
-        "pending",
-        "semaphore",
-        "send_queue",
-        "sender_thread",
-        "reader_thread",
-    )
+    A worker replies in the order its frames arrived, so ``pending`` is
+    a FIFO of ``(future, request_id)``: each reply frame resolves the
+    oldest entry, a query's with its encoded reply line and a control
+    message's with the unpickled reply dict.
+    """
 
-    def __init__(self, slot: int, process, conn, pid: int, max_pending: int):
+    def __init__(self, slot: int, process, sock, pid: int, max_pending: int, on_lost):
         self.slot = slot
         self.process = process
-        self.conn = conn
+        self.sock = sock
         self.pid = pid
-        self.alive = True
-        self.pending: dict = {}
+        #: Live from the moment its pipe is attached to the loop.
+        self.alive = False
+        self.pending: collections.deque = collections.deque()
         self.semaphore = asyncio.Semaphore(max_pending)
-        self.send_queue: _queue_module.SimpleQueue = _queue_module.SimpleQueue()
-        self.sender_thread = None
-        self.reader_thread = None
+        self.transport = None
+        self._on_lost = on_lost
+        self._buffer = bytearray()
+
+    def send(self, tag: int, body: bytes, future, request_id) -> None:
+        """Queue ``future`` for the reply and write one frame."""
+        self.pending.append((future, request_id))
+        self.transport.write(_frame(tag, body))
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.alive = True
+
+    def data_received(self, data) -> None:
+        self._buffer += data
+        for tag, body in _take_frames(self._buffer):
+            future, _ = self.pending.popleft()
+            if not future.done():
+                future.set_result(body if tag == _LINE else pickle.loads(body))
+
+    def connection_lost(self, exc) -> None:
+        self._on_lost(self)
 
 
 class NetworkServer:
@@ -289,7 +350,6 @@ class NetworkServer:
         self._respawn_task = None
         self._watch_task = None
         self._worker_available: asyncio.Event | None = None
-        self._next_token = 0
         self._closing = False
         self._closed = False
         self._started = False
@@ -399,16 +459,13 @@ class NetworkServer:
         try:
             self._publish_all()
             self._context = self._make_context()
-            self._workers = [
-                self._spawn_worker(slot) for slot in range(self._num_workers)
-            ]
+            for slot in range(self._num_workers):
+                self._workers.append(self._spawn_worker(slot))
             self._start_loop()
-            for worker in self._workers:
-                self._activate(worker)
         except BaseException:
             self._closing = True
-            self._teardown_processes()
             self._teardown_loop()
+            self._teardown_processes()
             self._teardown_shm()
             raise
         return self._address
@@ -438,8 +495,8 @@ class NetworkServer:
                 ).result(timeout=budget + 5.0)
             except Exception:  # noqa: BLE001 - close must not raise
                 pass
-        self._teardown_processes()
         self._teardown_loop()
+        self._teardown_processes()
         self._teardown_shm()
 
     def __enter__(self) -> "NetworkServer":
@@ -554,49 +611,35 @@ class NetworkServer:
             return multiprocessing.get_context("spawn")
 
     def _spawn_worker(self, slot: int) -> _Worker:
-        """Start one worker process and wait for its ready handshake."""
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
+        """Start one worker process and wait for its ready greeting."""
+        parent_sock, child_sock = socket.socketpair()
         process = self._context.Process(
             target=_worker_main,
-            args=(child_conn, self._manifests),
+            args=(child_sock, self._manifests),
             name=f"repro-net-worker-{slot}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()
         try:
-            if not parent_conn.poll(60.0):
-                raise ServingError(f"worker {slot} did not come up in 60s")
-            greeting = parent_conn.recv()
+            with child_sock:
+                process.start()
+            parent_sock.settimeout(60.0)  # the loop makes it non-blocking
+            greeting = pickle.loads(_recv_frame(parent_sock))
         except (EOFError, OSError) as exc:
-            parent_conn.close()
-            process.join(timeout=1.0)
-            raise ServingError(f"worker {slot} died during startup") from exc
-        if greeting.get("kind") != "ready":
-            parent_conn.close()
+            parent_sock.close()
+            if process.pid is not None:
+                process.kill()
+                process.join(timeout=1.0)
+            raise ServingError(f"worker {slot} did not come up: {exc!r}") from exc
+        if greeting["kind"] != "ready" or self._closing:
+            parent_sock.close()  # a ready worker exits on the EOF
             process.join(timeout=1.0)
             raise ServingError(
-                f"worker {slot} failed to attach: "
-                f"{greeting.get('error', greeting)!r}"
+                f"worker {slot} failed to attach: {greeting.get('error', 'closing')}"
             )
-        return _Worker(slot, process, parent_conn, greeting["pid"], self._max_pending)
-
-    def _activate(self, worker: _Worker) -> None:
-        """Start the worker's sender/reader threads (loop must exist)."""
-        worker.sender_thread = threading.Thread(
-            target=self._sender_body,
-            args=(worker,),
-            name=f"repro-net-sender-{worker.slot}",
-            daemon=True,
+        return _Worker(
+            slot, process, parent_sock, greeting["pid"], self._max_pending,
+            self._worker_lost,
         )
-        worker.reader_thread = threading.Thread(
-            target=self._reader_body,
-            args=(worker,),
-            name=f"repro-net-reader-{worker.slot}",
-            daemon=True,
-        )
-        worker.sender_thread.start()
-        worker.reader_thread.start()
 
     def _start_loop(self) -> None:
         self._loop = asyncio.new_event_loop()
@@ -606,6 +649,8 @@ class NetworkServer:
         def run() -> None:
             asyncio.set_event_loop(self._loop)
             try:
+                for worker in self._workers:
+                    self._loop.run_until_complete(self._attach(worker))
                 self._tcp_server = self._loop.run_until_complete(
                     asyncio.start_server(
                         self._handle_connection,
@@ -616,24 +661,23 @@ class NetworkServer:
                 )
             except Exception as exc:  # noqa: BLE001 - surfaced to start()
                 failure.append(exc)
+            else:
+                socket_name = self._tcp_server.sockets[0].getsockname()
+                self._address = (socket_name[0], socket_name[1])
+                self._respawn_queue = asyncio.Queue()
+                self._refresh_lock = asyncio.Lock()
+                self._worker_available = asyncio.Event()
+                self._worker_available.set()
+                self._respawn_task = self._loop.create_task(self._respawn_loop())
+                if self._watch_streams and any(
+                    self._describe[n]["representation"] == "stream"
+                    for n in self._archive_paths
+                ):
+                    self._watch_task = self._loop.create_task(self._watch_loop())
                 ready.set()
-                return
-            socket_name = self._tcp_server.sockets[0].getsockname()
-            self._address = (socket_name[0], socket_name[1])
-            self._respawn_queue = asyncio.Queue()
-            self._refresh_lock = asyncio.Lock()
-            self._worker_available = asyncio.Event()
-            self._worker_available.set()
-            self._respawn_task = self._loop.create_task(self._respawn_loop())
-            if self._watch_streams and any(
-                self._describe[n]["representation"] == "stream"
-                for n in self._archive_paths
-            ):
-                self._watch_task = self._loop.create_task(self._watch_loop())
-            ready.set()
-            try:
                 self._loop.run_forever()
             finally:
+                ready.set()
                 tasks = asyncio.all_tasks(self._loop)
                 for task in tasks:
                     task.cancel()
@@ -641,6 +685,9 @@ class NetworkServer:
                     self._loop.run_until_complete(
                         asyncio.gather(*tasks, return_exceptions=True)
                     )
+                # Every worker pipe closes on its own loop, before it stops.
+                self._close_pipes()
+                self._loop.run_until_complete(asyncio.sleep(0))
                 self._loop.close()
 
         self._thread = threading.Thread(
@@ -649,69 +696,44 @@ class NetworkServer:
         self._thread.start()
         ready.wait(timeout=30.0)
         if failure:
-            raise ServingError(f"could not bind {self._host}:{self._port}: {failure[0]}")
+            raise ServingError(
+                f"could not serve on {self._host}:{self._port}: {failure[0]}"
+            )
         if self._address is None:
             raise ServingError("event loop failed to start")
 
     # ------------------------------------------------------------------
-    # Worker pipe threads
-    # ------------------------------------------------------------------
-    def _sender_body(self, worker: _Worker) -> None:
-        while True:
-            message = worker.send_queue.get()
-            if message is None:
-                return
-            try:
-                worker.conn.send(message)
-            except (BrokenPipeError, OSError):
-                return
-
-    def _reader_body(self, worker: _Worker) -> None:
-        while True:
-            try:
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                break
-            # Delivery hops to the loop thread so all worker state
-            # (pending maps, semaphores) is single-threaded there.
-            self._call_on_loop(self._deliver, worker, message)
-        self._call_on_loop(self._worker_lost, worker)
-
-    def _call_on_loop(self, fn, *args) -> None:
-        loop = self._loop
-        if loop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(fn, *args)
-        except RuntimeError:  # loop already closed during shutdown
-            pass
-
-    # ------------------------------------------------------------------
     # Loop-thread worker state
     # ------------------------------------------------------------------
-    def _deliver(self, worker: _Worker, message: dict) -> None:
-        entry = worker.pending.pop(message.get("token"), None)
-        if entry is None:
-            return
-        future, _ = entry
-        if not future.done():
-            future.set_result(message.get("response"))
+    async def _attach(self, worker: _Worker) -> None:
+        """Read and write ``worker``'s pipe on this loop from now on."""
+        await self._loop.connect_accepted_socket(lambda: worker, worker.sock)
+
+    def _close_pipes(self) -> None:
+        """Stop every worker and close its pipe now, on the loop."""
+        for worker in self._workers:
+            transport = None if worker is None else worker.transport
+            if transport is not None and not transport.is_closing():
+                # The stop frame, not the EOF, ends a worker whose socket
+                # a sibling forked after it still holds a copy of.
+                transport.write(_frame(_STOP, b""))
+                transport.abort()
 
     def _worker_lost(self, worker: _Worker) -> None:
         if not worker.alive:
             return
         worker.alive = False
-        pending, worker.pending = worker.pending, {}
-        for future, request_id in pending.values():
-            if not future.done():
-                future.set_result(
-                    ErrorResponse(
-                        "worker-lost",
-                        f"worker pid {worker.pid} died mid-request; "
-                        "it is being respawned",
-                        request_id,
-                    ).to_dict()
-                )
+        pending, worker.pending = worker.pending, collections.deque()
+        error = f"worker pid {worker.pid} died mid-request; it is being respawned"
+        for future, request_id in pending:
+            if future.done():
+                continue
+            if request_id is _NO_REQUEST:
+                future.set_exception(ServingError(error, code="worker-lost"))
+            else:
+                future.set_result(encode_line(
+                    ErrorResponse("worker-lost", error, request_id).to_dict()
+                ))
         if not self._closing and self._respawn_queue is not None:
             if not any(w is not None and w.alive for w in self._workers):
                 self._worker_available.clear()
@@ -738,31 +760,27 @@ class NetworkServer:
                         break
                     await asyncio.sleep(0.2 * failures)
                     continue
-                self._activate(worker)
                 self._workers[slot] = worker
+                await self._attach(worker)
                 self._respawns += 1
                 self._worker_available.set()
                 break
 
-    def _reap(self, worker: _Worker) -> None:
-        worker.send_queue.put(None)
+    @staticmethod
+    def _reap(worker: _Worker) -> None:
         worker.process.join(timeout=2.0)
         if worker.process.is_alive():  # pragma: no cover - stuck worker
             worker.process.kill()
             worker.process.join(timeout=1.0)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # Dispatch (loop thread)
     # ------------------------------------------------------------------
-    async def _dispatch(self, payload, request_id):
-        """Assign one wire payload to the least-loaded live worker.
+    async def _dispatch(self, line: bytes, request_id):
+        """Forward one query line to the least-loaded live worker.
 
-        Returns the asyncio future its response will resolve; raises
-        ``unavailable`` only if no worker comes back within 10s.
+        Returns the asyncio future its encoded reply line will resolve;
+        raises ``unavailable`` only if no worker comes back within 10s.
         """
         deadline = self._loop.time() + 10.0
         while True:
@@ -787,10 +805,7 @@ class NetworkServer:
                 raise ServingError(
                     "no live worker available", code="unavailable"
                 ) from None
-        token = self._next_token
-        self._next_token += 1
         future = self._loop.create_future()
-        worker.pending[token] = (future, request_id)
         start = self._loop.time()
 
         def on_done(_f, worker=worker, start=start):
@@ -798,18 +813,13 @@ class NetworkServer:
             self._latency.record_latency(self._loop.time() - start)
 
         future.add_done_callback(on_done)
-        worker.send_queue.put(
-            {"kind": "request", "token": token, "payload": payload}
-        )
+        worker.send(_LINE, line, future, request_id)
         return future
 
     async def _control(self, worker: _Worker, message: dict, timeout: float = 10.0):
         """Send one control message; await the worker's reply dict."""
-        token = self._next_token
-        self._next_token += 1
         future = self._loop.create_future()
-        worker.pending[token] = (future, None)
-        worker.send_queue.put(dict(message, token=token))
+        worker.send(_CONTROL, pickle.dumps(message), future, _NO_REQUEST)
         return await asyncio.wait_for(future, timeout=timeout)
 
     # ------------------------------------------------------------------
@@ -848,10 +858,10 @@ class NetworkServer:
                 except ValueError:
                     # Oversized frame: answer once, close this connection.
                     conn.queue.put_nowait(
-                        ErrorResponse(
+                        encode_line(ErrorResponse(
                             "bad-request",
                             f"frame exceeds {self._max_frame_bytes} bytes",
-                        ).to_dict()
+                        ).to_dict())
                     )
                     return
                 if not line:
@@ -861,22 +871,21 @@ class NetworkServer:
                 if not line.strip():
                     continue
                 try:
-                    payload = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    payload = decode_line(line)
+                except ServingError as exc:
                     conn.queue.put_nowait(
-                        ErrorResponse(
-                            "bad-request", f"malformed JSON request: {exc}"
-                        ).to_dict()
+                        encode_line(ErrorResponse.from_exception(exc).to_dict())
                     )
                     return  # malformed frame: close only this connection
                 self._frames += 1
-                await self._route(payload, conn)
+                await self._route(payload, line, conn)
         except (ConnectionError, OSError):
             return
         finally:
             conn.queue.put_nowait(None)
 
-    async def _route(self, payload, conn) -> None:
+    async def _route(self, payload, line: bytes, conn) -> None:
+        """Answer ``stats``, ``list`` and unknown ops; forward ``line`` else."""
         request_id = payload.get("id") if isinstance(payload, dict) else None
         op = payload.get("op", "query") if isinstance(payload, dict) else "query"
         if op == "stats":
@@ -884,42 +893,36 @@ class NetworkServer:
                 asyncio.ensure_future(self._stats_response(request_id))
             )
         elif op == "list":
-            conn.queue.put_nowait(
-                {
-                    "ok": True,
-                    "id": request_id,
-                    "releases": [
-                        dict(self._describe[name]) for name in sorted(self._describe)
-                    ],
-                }
-            )
+            conn.queue.put_nowait(encode_line({
+                "ok": True,
+                "id": request_id,
+                "releases": [
+                    self._describe[name] for name in sorted(self._describe)
+                ],
+            }))
         elif op not in ("query", "query_batch"):
-            conn.queue.put_nowait(
-                ErrorResponse(
-                    "bad-request", f"unknown op {op!r}", request_id
-                ).to_dict()
-            )
+            conn.queue.put_nowait(encode_line(
+                ErrorResponse("bad-request", f"unknown op {op!r}", request_id).to_dict()
+            ))
         else:
             try:
-                future = await self._dispatch(payload, request_id)
+                future = await self._dispatch(line, request_id)
             except ServingError as exc:
-                conn.queue.put_nowait(
+                conn.queue.put_nowait(encode_line(
                     ErrorResponse.from_exception(exc, request_id).to_dict()
-                )
+                ))
             else:
                 conn.queue.put_nowait(future)
 
     async def _write_frames(self, writer, conn) -> None:
+        """Write each owed reply line, in request order, as it resolves."""
         while True:
             item = await conn.queue.get()
             if item is None:
                 return
-            if asyncio.isfuture(item):
-                payload = await item
-            else:
-                payload = item
+            line = await item if asyncio.isfuture(item) else item
             try:
-                writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+                writer.write(line)
                 await writer.drain()
             except (ConnectionError, OSError):
                 # Client went away mid-batch: stop reading its frames.
@@ -930,15 +933,12 @@ class NetworkServer:
                 return
             self._responses += 1
 
-    async def _stats_response(self, request_id) -> dict:
+    async def _stats_response(self, request_id) -> bytes:
         try:
-            return {
-                "ok": True,
-                "id": request_id,
-                "stats": await self._collect_stats(),
-            }
+            reply = {"ok": True, "id": request_id, "stats": await self._collect_stats()}
         except Exception as exc:  # noqa: BLE001 - wire gets structured errors
-            return ErrorResponse.from_exception(exc, request_id).to_dict()
+            reply = ErrorResponse.from_exception(exc, request_id).to_dict()
+        return encode_line(reply)
 
     async def _collect_stats(self) -> dict:
         alive = [w for w in self._workers if w is not None and w.alive]
@@ -1074,24 +1074,18 @@ class NetworkServer:
         else:
             for task in writers:
                 task.cancel()
+        self._close_pipes()
 
     def _teardown_processes(self) -> None:
-        for worker in self._workers:
-            if worker is None:
-                continue
-            worker.send_queue.put({"kind": "stop"})
-            worker.send_queue.put(None)
-        for worker in self._workers:
-            if worker is None:
-                continue
+        # The loop has closed every attached pipe; this closes the rest.
+        workers = [worker for worker in self._workers if worker is not None]
+        for worker in workers:
+            worker.sock.close()
+        for worker in workers:
             worker.process.join(timeout=5.0)
             if worker.process.is_alive():
                 worker.process.kill()
                 worker.process.join(timeout=2.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
         self._workers = []
 
     def _teardown_loop(self) -> None:

@@ -39,7 +39,14 @@ with the per-attribute bounds as parallel ``lo``/``hi`` integer arrays
 The arrays decode straight into ndarrays and are validated in one
 vectorized pass, so a batch of thousands of queries costs O(ndarray)
 Python work, not O(queries); the batch answer comes back as a single
-:class:`BatchQueryResponse` (arrays out, one ``json.dumps`` per batch).
+:class:`BatchQueryResponse` (arrays out, one encoded line per batch).
+
+Every wire line goes through one codec, orjson: :func:`decode_line`
+and :func:`encode_line`.  Replies are compact and write each float in
+its shortest round-trip form, which Python's ``json.loads`` reads back
+as the same double.  Input must be strict JSON: ``NaN``, ``Infinity``
+and lone surrogates are malformed, and an integer outside the 64-bit
+range decodes (so an ``id`` echoes) as a float.
 
 Failures never surface as tracebacks on the wire: every error becomes an
 :class:`ErrorResponse` whose ``code`` is machine-readable
@@ -48,11 +55,11 @@ Failures never surface as tracebacks on the wire: every error becomes an
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from repro.errors import QueryError, ReproError, ServingError
 from repro.queries.predicate import Predicate
@@ -67,7 +74,13 @@ __all__ = [
     "ErrorResponse",
     "parse_request_line",
     "request_from_dict",
+    "decode_line",
+    "encode_line",
 ]
+
+#: The one encoder's options: numpy scalars and arrays encode natively
+#: (plain orjson rejects ``np.float64``), and every line ends in ``\n``.
+_WIRE_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 
 def _exact_int(value, what: str) -> int:
@@ -567,8 +580,8 @@ class BatchQueryResponse:
     The structure-of-arrays twin of :class:`QueryResponse` — one
     response object (and one wire line) per *batch*, with all the
     per-query numbers as parallel arrays.  Encoding is vectorized:
-    :meth:`to_json` is one ``ndarray.round``-free ``json.dumps`` over
-    four ``tolist()`` columns, never N dict round-trips.  Indexing
+    :meth:`to_json` is one :func:`encode_line` over four ``tolist()``
+    columns, never N dict round-trips.  Indexing
     yields per-query :class:`QueryResponse` views for callers that want
     the scalar shape (the parity tests compare exactly these).
 
@@ -659,8 +672,8 @@ class BatchQueryResponse:
         }
 
     def to_json(self) -> str:
-        """One wire line for the whole batch (a single ``json.dumps``)."""
-        return json.dumps(self.to_dict())
+        """One wire line for the whole batch, newline included."""
+        return encode_line(self.to_dict()).decode()
 
     def __repr__(self) -> str:
         return (
@@ -719,11 +732,7 @@ def parse_request_line(line: str):
         answer with a ``bad-request`` :class:`ErrorResponse` instead of
         crashing.
     """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ServingError(f"malformed JSON request: {exc}") from exc
-    return request_from_dict(payload)
+    return request_from_dict(decode_line(line))
 
 
 def request_from_dict(payload):
@@ -745,3 +754,25 @@ def request_from_dict(payload):
     if isinstance(payload, dict) and payload.get("op") == "query_batch":
         return QueryBatchRequest.from_dict(payload)
     return QueryRequest.from_dict(payload)
+
+
+def decode_line(line):
+    """One wire ``line`` (bytes or str, trailing newline allowed) as JSON.
+
+    A line that is not strict JSON (``NaN``, ``Infinity`` and lone
+    surrogates included) raises a ``bad-request``
+    :class:`~repro.errors.ServingError`: "malformed JSON request".
+    """
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
+        raise ServingError(f"malformed JSON request: {exc}") from None
+
+
+def encode_line(payload) -> bytes:
+    """``payload`` as one compact UTF-8 wire line ending in a newline.
+
+    numpy scalars and arrays encode as numbers and lists, and every
+    float in its shortest round-trip form.
+    """
+    return orjson.dumps(payload, option=_WIRE_OPTIONS)

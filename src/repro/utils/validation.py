@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
+from repro.errors import PrivacyError, QueryError
+
 
 def integral_array(values):
     """``values`` as an int64 array, or ``None`` unless every entry is whole.
@@ -18,8 +22,6 @@ def integral_array(values):
     strings, objects and fractional values never do: truncating
     ``3.7`` to ``3`` would answer a *different* query without an error.
     """
-    import numpy as np
-
     array = np.asarray(values)
     if array.dtype.kind == "f":
         if not (np.all(np.isfinite(array)) and np.array_equal(array, np.trunc(array))):
@@ -38,10 +40,6 @@ def ensure_boxes(lows, highs, shape):
     Bounds must be whole numbers (:func:`integral_array`).  Raises
     :class:`repro.errors.QueryError`.
     """
-    import numpy as np
-
-    from repro.errors import QueryError
-
     lows, highs = integral_array(lows), integral_array(highs)
     if lows is None or highs is None:
         raise QueryError(
@@ -53,9 +51,15 @@ def ensure_boxes(lows, highs, shape):
             f"expected (n, {len(shape)}) box-bound arrays, got shapes "
             f"{lows.shape} and {highs.shape}"
         )
-    # One pass over every axis at once: this runs on each batch's hot path.
-    bad = (lows < 0) | (lows > highs) | (highs > np.asarray(shape, dtype=np.int64))
-    if bad.any():
+    # This runs on every engine call.  Read as unsigned, a negative
+    # bound exceeds any size, so two comparisons check 0 <= lo <= hi <=
+    # size on every axis at once; the failure path finds the axis.
+    unsigned_highs = highs.view(np.uint64)
+    if not (
+        (lows.view(np.uint64) <= unsigned_highs)
+        & (unsigned_highs <= np.asarray(shape, dtype=np.uint64))
+    ).all():
+        bad = (lows < 0) | (lows > highs) | (highs > np.asarray(shape, dtype=np.int64))
         axis = int(np.argmax(bad.any(axis=0)))
         raise QueryError(
             f"a range is out of bounds for axis {axis} of size {shape[axis]}"
@@ -71,8 +75,6 @@ def ensure_confidence(confidence) -> float:
     check every interval path shares (the engine, the planner and the
     wire requests).  Raises :class:`repro.errors.QueryError`.
     """
-    from repro.errors import QueryError
-
     if isinstance(confidence, bool) or not isinstance(confidence, numbers.Real):
         raise QueryError(f"confidence must be a number, got {confidence!r}")
     confidence = float(confidence)
@@ -89,8 +91,6 @@ def ensure_epsilon(epsilon) -> float:
     this check).  Raises :class:`repro.errors.PrivacyError` so the error
     a caller sees is the same regardless of the entry point.
     """
-    from repro.errors import PrivacyError
-
     if not (isinstance(epsilon, (int, float)) and epsilon > 0):
         raise PrivacyError(f"epsilon must be a positive number, got {epsilon!r}")
     return float(epsilon)
