@@ -14,11 +14,18 @@ ingestion exists for):
   :func:`benchmarks.conftest.paired_ratio`'s reference-bracketed pairs,
   gates the median pair's speedup, and records sustained ingest
   throughput.
-* **logarithmic window queries** — a window query touches only its
-  canonical dyadic cover (``<= 2 ceil log2 T`` nodes, asserted here),
-  so window-restricted traffic stays fast as history grows; the same
-  workload on the flat full-prefix release is recorded for context
+* **window queries at any T** — a window answers from two slices of
+  the stream's running prefix, and its exact variance sums the λ² of
+  its canonical dyadic cover (``<= 2 ceil log2 T`` nodes, asserted
+  here), so window-restricted traffic stays fast as history grows; the
+  same workload on the flat full-prefix release is recorded for context
   (it cannot answer windows at all).
+* **live windows beside appends** — a ``ReleaseServer`` watching the
+  archive answers :data:`LIVE_BATCHES` windowed 256-row ``query_batch``
+  requests at seeded random windows after every append (each append
+  refreshes the server, which continues the stream's running prefix),
+  recording rows/s and the stream's ``nbytes()`` after the last append.
+  Recorded, not gated.
 
 Set ``BENCH_SMOKE=1`` for a CI-sized run (few epochs, no timing
 assertions).  Either way the numbers land in
@@ -42,8 +49,11 @@ from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.data.attributes import OrdinalAttribute
 from repro.data.schema import Schema
 from repro.data.table import Table
+from repro.analysis.exact import query_boxes
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
+from repro.serving.requests import QueryBatchRequest
+from repro.serving.server import ReleaseServer
 from repro.streaming import StreamingPublisher, cover_bound
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -54,6 +64,9 @@ SCHEMA = Schema([OrdinalAttribute("value", 4096), OrdinalAttribute("kind", 8)])
 MIN_INGEST_SPEEDUP = 2.0
 #: Alternating republish/streaming pairs behind the gated median.
 INGEST_PAIRS = 7
+#: Windowed batches a live server answers after each append, and rows each.
+LIVE_BATCHES = 8
+LIVE_ROWS = 256
 
 
 def _config() -> tuple[int, int, int]:
@@ -96,6 +109,43 @@ def _republish(tables, mechanism):
     return flat
 
 
+def _live_windows(tables, mechanism, archive, queries):
+    """Append every table to a fresh archive beside a watching server.
+
+    After each append the server answers :data:`LIVE_BATCHES` windowed
+    ``query_batch`` requests of the first :data:`LIVE_ROWS` queries at
+    seeded random windows over the closed epochs.  Returns the seconds
+    those requests took and the stream's ``nbytes()`` after the last
+    append.
+    """
+    archive.unlink(missing_ok=True)
+    publisher = StreamingPublisher(
+        SCHEMA, mechanism, 1.0, seed=SEED, archive_path=archive
+    )
+    lows, highs = query_boxes(queries[:LIVE_ROWS], SCHEMA.shape)
+    ranges = {
+        attribute.name: {"lo": lows[:, axis].tolist(), "hi": highs[:, axis].tolist()}
+        for axis, attribute in enumerate(SCHEMA)
+    }
+    rng = np.random.default_rng(SEED + 3)
+    seconds = 0.0
+    with ReleaseServer(watch_streams=True) as server:
+        for epoch, table in enumerate(tables):
+            publisher.ingest(table)
+            publisher.advance_epoch()
+            if epoch == 0:
+                server.register_archive(archive, name="stream")
+            for _ in range(LIVE_BATCHES):
+                lo = int(rng.integers(0, epoch + 1))
+                hi = int(rng.integers(lo + 1, epoch + 2))
+                request = QueryBatchRequest("stream", ranges, time_range=(lo, hi))
+                start = time.perf_counter()
+                server.query_columnar(request)
+                seconds += time.perf_counter() - start
+        nbytes = server.registry.get("stream").release.nbytes()
+    return seconds, nbytes
+
+
 def test_streaming_scalability(record_result, tmp_path_factory):
     epochs, rows, num_queries = _config()
     tables = _epoch_tables(epochs, rows)
@@ -135,7 +185,7 @@ def test_streaming_scalability(record_result, tmp_path_factory):
         window_engines.append(
             QueryEngine(dataclasses.replace(result, release=release))
         )
-    for engine in window_engines:  # warm node payloads + serving tensors
+    for engine in window_engines:  # warm the running-prefix slices
         engine.answer_all_with_intervals(queries[:20])
     start = time.perf_counter()
     answered = 0
@@ -153,6 +203,9 @@ def test_streaming_scalability(record_result, tmp_path_factory):
     flat_engine.answer_all_with_intervals(queries)
     flat_seconds = time.perf_counter() - start
     flat_qps = len(queries) / flat_seconds
+
+    live_seconds, live_nbytes = _live_windows(tables, mechanism, archive, queries)
+    live_rows = epochs * LIVE_BATCHES * LIVE_ROWS
 
     payload = {
         "smoke": bench_smoke(),
@@ -184,6 +237,15 @@ def test_streaming_scalability(record_result, tmp_path_factory):
             ),
             "cover_bound": bound,
         },
+        "live_window": {
+            "epochs": epochs,
+            "batches_per_append": LIVE_BATCHES,
+            "rows_per_batch": LIVE_ROWS,
+            "rows": live_rows,
+            "seconds": live_seconds,
+            "rows_per_s": live_rows / live_seconds,
+            "stream_nbytes": live_nbytes,
+        },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_streaming.json").write_text(
@@ -205,6 +267,9 @@ def test_streaming_scalability(record_result, tmp_path_factory):
                 f"(<= {payload['window_query']['max_nodes_touched']} nodes "
                 f"per window, bound {bound})",
                 f"flat full prefix : {flat_qps:,.0f} q/s (no windows possible)",
+                f"live windows     : {live_rows / live_seconds:,.0f} rows/s "
+                f"({LIVE_BATCHES} x {LIVE_ROWS}-row batches after each append; "
+                f"stream holds {live_nbytes / 1e6:.1f} MB)",
             ]
         ),
         meta={"seed": SEED, "epochs": epochs, "rows_per_epoch": rows},

@@ -12,10 +12,12 @@ other.  This module makes composition a first-class **algebra** over the
   A box query is clipped against each part's interval; only intersecting
   parts answer, and independent noise means exact variances **add**.
 * :class:`TimeTree` — coefficient-addition over a dyadic time
-  hierarchy.  A window query is answered by its canonical dyadic cover
-  (at most ``2 ceil(log2 T)`` nodes), every node answering the *same*
-  box; all nodes share one transform, so the variance pass computes a
-  single profile product per query.
+  hierarchy.  A window ``[lo, hi)`` answers from the stream's running
+  prefix (:class:`PrefixSlices`): slice ``S_t`` sums epochs ``[0, t)``,
+  so a box is ``K(S_hi) - K(S_lo)``, two corner gathers whatever the
+  window.  Its exact variance reads the canonical dyadic cover's λs
+  (at most ``2 ceil(log2 T)`` nodes) times one profile product, since
+  all nodes share one transform.
 
 The algebra is **closed under nesting**: a part of a
 :class:`Partition` may itself be any composed release, so a sharded
@@ -28,8 +30,9 @@ serves exactly as it was published: every leaf keeps its own
 representation and SA set.
 
 Routing masks, clip arithmetic, and the order of every floating-point
-accumulation are fixed, so a composed release answers bit-for-bit like
-the equivalent flat per-part computation.  Each part's profile product
+accumulation are fixed, so a partition answers bit-for-bit like the
+equivalent flat per-part computation, and a window like the difference
+of its two running-prefix slices.  Each part's profile product
 is a pure function of its sub-box
 (:class:`~repro.analysis.exact.AxisProfileCache` stores nothing), so a
 std has the same bits whatever batch it is computed in.
@@ -44,7 +47,7 @@ import numpy as np
 
 from repro.analysis.exact import AxisProfileCache
 from repro.core.framework import PublishResult
-from repro.core.release import Release, infer_sa_names
+from repro.core.release import Release, _CornerKernel, infer_sa_names, prefix_tensor
 from repro.data.attributes import OrdinalAttribute
 from repro.data.frequency import FrequencyMatrix
 from repro.data.schema import Schema
@@ -55,6 +58,7 @@ __all__ = [
     "ComposedPart",
     "ComposedRelease",
     "Partition",
+    "PrefixSlices",
     "TimeTree",
     "shard_schema",
 ]
@@ -207,13 +211,12 @@ class ComposedRelease(Release):
     ``schema``, :meth:`answer_boxes`, ``marginal``, ``to_matrix`` — plus
     :meth:`noise_variances_boxes`, the exact-uncertainty hook the query
     engine uses because a composed release has no single transform or λ.
-    Subclasses supply the **routing**: :meth:`Partition._route`
-    clips boxes against part intervals, :meth:`TimeTree._route` fans
-    the same box to every cover node.  Everything else — answer
-    accumulation, per-part variance dispatch (leaf formula vs. recursive
-    delegation for nested parts), and lazy-load accounting — is shared
-    here, so the combinators carry no duplicated answer or variance
-    logic.
+    :class:`Partition` supplies the **routing** (:meth:`Partition._route`
+    clips boxes against part intervals); answer accumulation, per-part
+    variance dispatch (leaf formula vs. recursive delegation for nested
+    parts), and lazy-load accounting are shared here.  :class:`TimeTree`
+    keeps the accounting but answers from its running prefix instead of
+    routing.
 
     Parameters
     ----------
@@ -540,6 +543,96 @@ class Partition(ComposedRelease):
         )
 
 
+class PrefixSlices:
+    """A stream's running prefix: the serving state every view of it shares.
+
+    Slice ``S_t`` is the zero-bordered prefix tensor of epochs ``[0, t)``
+    summed: ``S_0`` is zeros and ``S_{t+1} = S_t + prefix(leaf t)``, where
+    ``prefix(leaf t)`` is the tensor leaf ``t`` serves from (built by its
+    own ``_fill_prefix``, so both leaf representations fold).  A window
+    ``[lo, hi)`` answers ``K(S_hi) - K(S_lo)`` through each slice's
+    :class:`~repro.core.release._CornerKernel`.  Slices are built lazily,
+    in epoch order, when an answer first needs them; each reads one
+    level-0 node once and keeps no payload, so a stream holds
+    ``(h + 1) * prod(n_i + 1) * 8`` bytes, ``h`` the largest ``hi``
+    answered.  Every slice is a pure function of the leaves before it:
+    a state extended across appends equals one built from scratch bit
+    for bit.
+
+    The state also holds the stream's :class:`~repro.transforms.multidim.
+    HNTransform`, so a root, its :meth:`TimeTree.window` views, a
+    publisher's snapshots and a re-opened archive's root that continues
+    the state all read one transform's profiles.
+
+    Parameters
+    ----------
+    schema:
+        The stream's released schema.
+    sa_names:
+        The SA set every node was published under.
+    """
+
+    def __init__(self, schema: Schema, sa_names):
+        self.transform = HNTransform(schema, tuple(sa_names))
+        #: The SA set, in schema order.
+        self.sa_names = tuple(
+            name for name in schema.names if name in self.transform.sa_names
+        )
+        self._kernels: list[_CornerKernel] = []
+        self._sources: list = []
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """How many slices are built (``S_0`` through ``S_{len - 1}``)."""
+        return len(self._kernels)
+
+    @property
+    def sources(self) -> tuple:
+        """The stored source of each folded leaf, in epoch order.
+
+        A leaf's ``source`` token (archive member name, CRC-32 and size;
+        ``None`` for an in-memory leaf), which is how a re-opened archive
+        checks that every leaf this state folded is unchanged.
+        """
+        return tuple(self._sources)
+
+    def nbytes(self) -> int:
+        """Bytes of the slices built so far."""
+        return sum(kernel.nbytes for kernel in self._kernels)
+
+    def kernel(self, epoch: int, nodes) -> _CornerKernel:
+        """The kernel over slice ``S_epoch``, folding the leaves it needs.
+
+        Parameters
+        ----------
+        epoch:
+            The slice index: ``S_epoch`` sums epochs ``[0, epoch)``.
+        nodes:
+            The stream's ``(level, index) -> node`` table; only the
+            level-0 leaves below ``epoch`` are read, each once per state.
+        """
+        if epoch >= len(self._kernels):
+            with self._lock:
+                while len(self._kernels) <= epoch:
+                    self._kernels.append(self._next_slice(nodes))
+        return self._kernels[epoch]
+
+    def _next_slice(self, nodes) -> _CornerKernel:
+        shape = self.transform.schema.shape
+        if not self._kernels:
+            return _CornerKernel(np.zeros(tuple(size + 1 for size in shape)))
+        epoch = len(self._kernels) - 1
+        try:
+            node = nodes[(0, epoch)]
+        except KeyError:
+            raise StreamingError(f"stream is missing leaf (0, {epoch})") from None
+        tensor = prefix_tensor(shape, node.read().release._fill_prefix)
+        flat = tensor.reshape(-1)
+        flat += self._kernels[-1].flat
+        self._sources.append(node.source)
+        return _CornerKernel(tensor)
+
+
 class TimeTree(ComposedRelease):
     """Dyadic-time composition: a window over a tree of merged epochs.
 
@@ -547,11 +640,12 @@ class TimeTree(ComposedRelease):
     coefficient-sum of ``2**level`` independently noised epoch releases
     (pure post-processing, no fresh noise), so its effective λ is
     ``λ · 2**(level/2)`` and the usual ``2 λ_eff² · ∏ profile`` variance
-    formula stays exact.  A window ``[lo, hi)`` is answered by its
-    canonical dyadic cover — at most ``2 ceil(log2 T)`` nodes, each
-    answering the *same* box, summed; all nodes share one schema and SA
-    set, so the variance pass computes a single profile product per
-    query regardless of cover size.
+    formula stays exact.  A window ``[lo, hi)`` answers a box as
+    ``K(S_hi) - K(S_lo)`` over the stream's :class:`PrefixSlices`, which
+    read level-0 leaves only; its exact variance sums the λ² of the
+    window's canonical dyadic cover (at most ``2 ceil(log2 T)`` nodes)
+    times a single profile product, since all nodes share one schema
+    and SA set.
 
     Parameters
     ----------
@@ -566,20 +660,32 @@ class TimeTree(ComposedRelease):
     nodes:
         Mapping ``(level, index) -> node``, shared (not copied) between
         a merge and its :meth:`window` views; nodes satisfy the part
-        protocol (:class:`~repro.streaming.release.StreamNode` does).
+        protocol plus ``read()`` and ``source``
+        (:class:`~repro.streaming.release.StreamNode` does).
     window:
         Optional ``(lo, hi)`` epoch window; ``None`` means ``[0, T)``.
+    slices:
+        The stream's running-prefix state to serve from, shared with
+        the views, snapshots and re-opened roots of the same stream;
+        ``None`` starts a new one.
     """
 
     representation = "stream"
 
-    def __init__(self, schema: Schema, sa_names, epochs: int, nodes, *, window=None):
+    def __init__(
+        self, schema: Schema, sa_names, epochs: int, nodes, *, window=None,
+        slices: PrefixSlices | None = None,
+    ):
         from repro.streaming.tree import dyadic_cover
 
-        self._transform = HNTransform(schema, tuple(sa_names))
-        self._sa_names = tuple(
-            name for name in schema.names if name in self._transform.sa_names
-        )
+        if slices is None:
+            slices = PrefixSlices(schema, sa_names)
+        elif slices.transform.schema.shape != schema.shape:
+            raise StreamingError(
+                f"prefix slices of shape {slices.transform.schema.shape} cannot "
+                f"serve a stream of shape {schema.shape}"
+            )
+        self._slices = slices
         self._epochs = int(epochs)
         if self._epochs < 0:
             raise StreamingError(f"invalid epoch count {self._epochs}")
@@ -603,12 +709,18 @@ class TimeTree(ComposedRelease):
     @property
     def sa_names(self) -> tuple[str, ...]:
         """The SA set shared by every node, in schema order."""
-        return self._sa_names
+        return self._slices.sa_names
 
     @property
     def transform(self) -> HNTransform:
-        """The HN transform every node's coefficients live in."""
-        return self._transform
+        """The HN transform every node's coefficients live in (one object
+        per stream, shared by every view)."""
+        return self._slices.transform
+
+    @property
+    def slices(self) -> PrefixSlices:
+        """The running-prefix state this window answers from."""
+        return self._slices
 
     @property
     def epochs(self) -> int:
@@ -627,7 +739,7 @@ class TimeTree(ComposedRelease):
 
     @property
     def nodes_touched(self) -> int:
-        """How many node releases a query on this window consults."""
+        """How many nodes' λ a variance on this window sums (its cover)."""
         return len(self._cover)
 
     @property
@@ -642,7 +754,7 @@ class TimeTree(ComposedRelease):
 
     @property
     def nodes_loaded(self) -> int:
-        """How many node payloads have been materialized so far."""
+        """How many node payloads are held in memory (answering keeps none)."""
         return self.parts_loaded
 
     def _iter_members(self):
@@ -666,9 +778,9 @@ class TimeTree(ComposedRelease):
     def window(self, lo: int, hi: int | None = None) -> "TimeTree":
         """A view answering only over epochs ``[lo, hi)``.
 
-        The view shares the node table (and therefore every lazily
-        loaded payload) with this release; building it costs the
-        ``O(log T)`` cover computation only.
+        The view shares the node table, the transform and the running
+        prefix with this release; building it costs the ``O(log T)``
+        cover computation only.
 
         Parameters
         ----------
@@ -688,17 +800,39 @@ class TimeTree(ComposedRelease):
             hi = self._epochs
         return type(self)(
             self._schema,
-            self._sa_names,
+            self.sa_names,
             self._epochs,
             self._nodes,
             window=(lo, hi),
+            slices=self._slices,
         )
 
     # ------------------------------------------------------------------
-    def _route(self, lows: np.ndarray, highs: np.ndarray):
-        """Yield every cover node with the unmodified boxes (no mask)."""
-        for index in range(len(self._parts)):
-            yield index, None, lows, highs
+    def answer_boxes(self, lows, highs) -> np.ndarray:
+        """Batch box answers over the window: ``K(S_hi) - K(S_lo)``.
+
+        Validates once, then reads slice ``S_hi`` alone when ``lo == 0``
+        and subtracts ``S_lo``'s answers otherwise; an empty window
+        answers exact zeros and builds no slice.
+
+        Parameters
+        ----------
+        lows, highs:
+            ``(n, d)`` arrays of half-open box bounds, one row per query.
+
+        Returns
+        -------
+        numpy.ndarray
+            ``(n,)`` private counts aligned with the rows.
+        """
+        lows, highs = self._check_boxes(lows, highs)
+        lo, hi = self._window
+        if lo == hi:
+            return np.zeros(lows.shape[0], dtype=np.float64)
+        answers = self._slices.kernel(hi, self._nodes)(lows, highs)
+        if lo:
+            answers -= self._slices.kernel(lo, self._nodes)(lows, highs)
+        return answers
 
     def noise_variances_boxes(self, lows, highs) -> np.ndarray:
         """Exact noise variance of each box's answer over the window.
@@ -724,21 +858,25 @@ class TimeTree(ComposedRelease):
         )
         if factor == 0.0:
             return np.zeros(lows.shape[0], dtype=np.float64)
-        products = AxisProfileCache(self._transform.transforms)._read_products(
+        products = AxisProfileCache(self.transform.transforms)._read_products(
             lows, highs
         )
         return factor * products
 
+    def nbytes(self) -> int:
+        """Bytes of the running prefix plus any node payload held."""
+        return self._slices.nbytes() + super().nbytes()
+
     def to_matrix(self) -> FrequencyMatrix:
         """Materialize the window's ``M*`` by summing cover-node matrices.
 
-        Loads (and densifies) every cover node — the thing the tree
-        exists to avoid on the serving path — so the result is not
-        cached.
+        Reads (and densifies) every cover node — the thing the tree
+        exists to avoid on the serving path — and caches neither the
+        payloads nor the result.
         """
         values = np.zeros(self._schema.shape, dtype=np.float64)
         for key in self._cover:
-            values += self._nodes[key].result().release.to_matrix().values
+            values += self._nodes[key].read().release.to_matrix().values
         return FrequencyMatrix(self._schema, values)
 
     def __repr__(self) -> str:
@@ -746,5 +884,5 @@ class TimeTree(ComposedRelease):
         return (
             f"{type(self).__name__}(shape={self._schema.shape}, "
             f"epochs={self._epochs}, window=[{lo}, {hi}), "
-            f"cover={len(self._cover)} nodes)"
+            f"slices={len(self._slices)})"
         )

@@ -26,8 +26,9 @@ through: ``schema``, :meth:`Release.answer_boxes`,
 :meth:`Release.marginal`, and :meth:`Release.to_matrix`.  A third
 family, the composition algebra of :mod:`repro.core.compose`, lives in
 its own module: partitions and time trees of independently published
-releases, composed behind the same protocol; their parts serve through
-their own leaves' tensors.
+releases, composed behind the same protocol.  A partition's parts serve
+through their own leaves' tensors; a time tree folds its leaves'
+tensors into running-prefix slices and serves through their kernels.
 
 How a coefficient release builds its serving tensor
 ---------------------------------------------------
@@ -119,6 +120,11 @@ class _CornerKernel:
     def nbytes(self) -> int:
         """Bytes of the prefix tensor this kernel reads."""
         return int(self._flat.nbytes)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The prefix tensor this kernel reads, as a flat view."""
+        return self._flat
 
     def __call__(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         widths = highs - lows

@@ -33,11 +33,17 @@ shared-memory serving fleet ships a release.
 
 Loading from a filesystem path is **lazy**: the header and tree alone
 rebuild routing and exact variances for the whole release, and each
-part or node payload is read when the first query routes to it.
+partition part's payload is read when the first query routes to it; a
+stream's leaves are read once each, as its running prefix folds them.
 :func:`open_result` returns a :class:`ResultHandle` that reads only the
-header (and tree) until :meth:`ResultHandle.load`.  Archives of the
-earlier formats 1–4 are rejected with a :class:`~repro.errors.
-ReproError` naming their format.
+header (and tree) until :meth:`ResultHandle.load`.  A path's zip
+directory is parsed once per open and each member read at its recorded
+offset (``_ArchiveReader``), so a read costs the same at any member
+count; the directory also gives every stream leaf its ``source`` token
+(member name, CRC-32, size), which :meth:`ResultHandle.load` compares
+before a re-opened stream continues an earlier load's running prefix.
+Archives of the earlier formats 1–4 are rejected with a
+:class:`~repro.errors.ReproError` naming their format.
 
 Hierarchies are serialized by their parent arrays + labels, which is
 enough to rebuild an identical :class:`~repro.data.hierarchy.Hierarchy`
@@ -47,14 +53,16 @@ tree shape).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
 import shutil
+import struct
 import tempfile
 import threading
 import zipfile
+import zlib
+from io import BytesIO
 
 import numpy as np
 
@@ -88,6 +96,9 @@ _FORMAT = 5
 _SCHEMA_VERSION = 1
 #: Member-name prefix of the versioned release trees.
 _TREE_PREFIX = "tree_"
+#: A zip local file header: signature, 22 bytes this reader skips, then
+#: the name and extra-field lengths.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
 
 
 def _hierarchy_to_dict(hierarchy: Hierarchy) -> dict:
@@ -513,49 +524,117 @@ def _decode_json(array) -> dict:
     return json.loads(bytes(np.asarray(array).tobytes()).decode("utf-8"))
 
 
-def _read_header(archive) -> dict:
-    """An open archive's header with its newest tree under ``"tree"``."""
+def _read_header(read, members) -> dict:
+    """An archive's header with its newest tree under ``"tree"``.
+
+    ``read`` maps a member name to its array and ``members`` lists the
+    names (without ``.npy``).
+    """
     try:
-        header = _decode_json(archive["header"])
+        header = _decode_json(read("header"))
     except KeyError as exc:
         raise ReproError(f"not a repro result archive: missing {exc}") from exc
     _check_format(header)
-    tree = _decode_json(archive[f"{_TREE_PREFIX}{_newest_version(archive.files)}"])
-    _check_members(tree, archive.files)
+    tree = _decode_json(read(f"{_TREE_PREFIX}{_newest_version(members)}"))
+    _check_members(tree, members)
     header["tree"] = tree
     return header
 
 
-@contextlib.contextmanager
-def _open_npz(path):
-    """``np.load`` over a file this module opens, and always closes.
+class _ArchiveReader:
+    """Reads the members of the archive at ``path`` at their recorded offsets.
 
-    ``np.load(path)`` hands its file to ``NpzFile`` before the zip is
-    parsed, so a truncated archive's ``BadZipFile`` would leak the
-    descriptor; a server re-registering a corrupt archive would leak one
-    per attempt.
+    The zip directory is parsed once, on construction, and kept: an
+    append copies the archive and adds members after the existing ones,
+    so every member it already lists stays where it was.  A read checks
+    the local header's name and the data's CRC-32 against the directory;
+    when either check fails or the member is unknown (the path now holds
+    another archive), the directory is parsed again and the read retried,
+    and a member that still fails the fast path (a compressed one) is
+    read through :mod:`zipfile`.  The file is opened per read and always
+    closed, so an append's ``os.replace`` never races an open handle.
     """
-    with open(path, "rb") as file, np.load(file) as archive:
-        yield archive
+
+    def __init__(self, path):
+        self._path = os.fspath(path)
+        self._directory = self._parse()
+
+    def _parse(self) -> dict:
+        with open(self._path, "rb") as file, zipfile.ZipFile(file) as archive:
+            return {info.filename: info for info in archive.infolist()}
+
+    @property
+    def members(self) -> list[str]:
+        """Every member name in the parsed directory, without ``.npy``."""
+        return [name.removesuffix(".npy") for name in self._directory]
+
+    def source(self, member: str):
+        """``(name, CRC-32, size)`` of ``member`` in the parsed directory."""
+        info = self._directory.get(member + ".npy")
+        return None if info is None else (info.filename, info.CRC, info.file_size)
+
+    def __call__(self, member: str) -> np.ndarray:
+        name = member + ".npy"
+        data = self._stored_bytes(self._directory.get(name))
+        if data is None:
+            self._directory = self._parse()
+            if name not in self._directory:
+                raise KeyError(member)
+            data = self._stored_bytes(self._directory[name])
+        if data is None:
+            with open(self._path, "rb") as file, zipfile.ZipFile(file) as archive:
+                with archive.open(name) as stream:
+                    return np.lib.format.read_array(stream, allow_pickle=False)
+        return np.lib.format.read_array(BytesIO(data), allow_pickle=False)
+
+    def _stored_bytes(self, info) -> bytes | None:
+        """A stored member's data, or ``None`` unless every check passes."""
+        if info is None or info.compress_type != zipfile.ZIP_STORED:
+            return None
+        with open(self._path, "rb") as file:
+            file.seek(info.header_offset)
+            local = file.read(_LOCAL_HEADER.size)
+            if len(local) != _LOCAL_HEADER.size:
+                return None
+            signature, name_length, extra_length = _LOCAL_HEADER.unpack(local)
+            if signature != b"PK\x03\x04" or (
+                file.read(name_length) != info.filename.encode("utf-8")
+            ):
+                return None
+            file.seek(extra_length, os.SEEK_CUR)
+            data = file.read(info.compress_size)
+        if len(data) != info.compress_size or zlib.crc32(data) != info.CRC:
+            return None
+        return data
 
 
-def _path_reader(path):
-    """Read one member by re-opening ``path`` (appends never hold it open)."""
-    path = os.fspath(path)
+def _continues(slices, schema: Schema, sa_names, nodes) -> bool:
+    """Whether a re-opened stream may continue an earlier running prefix.
 
-    def read(member: str) -> np.ndarray:
-        with _open_npz(path) as archive:
-            return archive[member]
+    Only when its schema and SA set are the same and every leaf the
+    prefix folded is stored under the same member name, CRC-32 and size
+    in the re-opened archive.  An append never rewrites a member, so an
+    appended archive passes; an archive deleted and re-created at the
+    same path holds other bytes under those names and starts afresh.
+    """
+    if slices.transform.schema != schema or set(slices.sa_names) != set(sa_names):
+        return False
+    return all(
+        source is not None
+        and getattr(nodes.get((0, epoch)), "source", None) == source
+        for epoch, source in enumerate(slices.sources)
+    )
 
-    return read
 
-
-def _result(entry: dict, schema: Schema, read, lazy: bool) -> PublishResult:
+def _result(
+    entry: dict, schema: Schema, read, lazy: bool, slices=None
+) -> PublishResult:
     """Rebuild the result one tree entry describes (recursive).
 
     Combinator structure is rebuilt at once; when ``lazy`` each
     partition leaf and stream node gets a loader instead of its payload,
-    so nothing is read until a query routes to it.
+    so nothing is read until a query needs it.  A stream entry continues
+    ``slices`` when :func:`_continues` allows it.
     """
     kind = entry.get("kind")
     if kind == "leaf":
@@ -590,17 +669,24 @@ def _result(entry: dict, schema: Schema, read, lazy: bool) -> PublishResult:
         release = Partition(schema, attribute, bounds, parts)
     elif kind == "stream":
         nodes = {}
+        source = getattr(read, "source", None)
         for node in entry["nodes"]:
             key = (int(node["level"]), int(node["index"]))
             load = functools.partial(_result, node, schema, read, lazy)
             nodes[key] = (
-                StreamNode(*key, node["noise_magnitude"], load, node["representation"])
+                StreamNode(
+                    *key, node["noise_magnitude"], load, node["representation"],
+                    source(node["member"]) if source else None,
+                )
                 if lazy
                 else StreamNode.from_result(*key, load())
             )
+        if slices is not None and not _continues(slices, schema, entry["sa"], nodes):
+            slices = None
         lo, hi = entry["window"]
         release = TimeTree(
-            schema, tuple(entry["sa"]), int(entry["epochs"]), nodes, window=(lo, hi)
+            schema, tuple(entry["sa"]), int(entry["epochs"]), nodes, window=(lo, hi),
+            slices=slices,
         )
     else:
         raise ReproError(f"corrupt result archive: unknown tree entry kind {kind!r}")
@@ -614,10 +700,12 @@ def _result(entry: dict, schema: Schema, read, lazy: bool) -> PublishResult:
     )
 
 
-def _decode(header: dict, read, lazy: bool) -> PublishResult:
+def _decode(header: dict, read, lazy: bool, slices=None) -> PublishResult:
     """The result a header (with its tree) describes."""
     try:
-        return _result(header["tree"], schema_from_dict(header["schema"]), read, lazy)
+        return _result(
+            header["tree"], schema_from_dict(header["schema"]), read, lazy, slices
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ReproError(f"corrupt result archive: {exc!r}") from exc
 
@@ -650,9 +738,9 @@ def load_result(path) -> PublishResult:
     """Reload a result written by :func:`save_result` or a stream publisher.
 
     From a filesystem path every partition part and stream node stays
-    lazy: only the header and newest tree are parsed now, and each
-    payload is read when the first query routes to it.  File objects
-    load eagerly.
+    lazy: only the zip directory, the header and the newest tree are
+    parsed now, and each payload is read when a query first needs it.
+    File objects load eagerly.
 
     Parameters
     ----------
@@ -661,10 +749,10 @@ def load_result(path) -> PublishResult:
     """
     if not isinstance(path, (str, os.PathLike)):
         with np.load(path) as archive:
-            return _decode(_read_header(archive), archive.__getitem__, lazy=False)
-    with _open_npz(path) as archive:
-        header = _read_header(archive)
-    return _decode(header, _path_reader(path), lazy=True)
+            header = _read_header(archive.__getitem__, archive.files)
+            return _decode(header, archive.__getitem__, lazy=False)
+    reader = _ArchiveReader(path)
+    return _decode(_read_header(reader, reader.members), reader, lazy=True)
 
 
 class ResultHandle:
@@ -675,8 +763,9 @@ class ResultHandle:
     server registered over dozens of archives therefore learns every
     release's schema, representation, and privacy accounting at
     registration time; :meth:`load` (cached and thread-safe) rebuilds the
-    release from that header alone, and each leaf or node payload is
-    read when the first query routes to it.
+    release from that header alone; each partition leaf's payload is
+    read when the first query routes to it, and each stream leaf's once,
+    when the stream's running prefix folds it.
 
     Parameters
     ----------
@@ -688,6 +777,7 @@ class ResultHandle:
         self._path = str(path)
         self._header: dict | None = None
         self._result: PublishResult | None = None
+        self._reader: _ArchiveReader | None = None
         self._stat: tuple[int, int] | None = None
         self._lock = threading.Lock()
 
@@ -709,8 +799,9 @@ class ResultHandle:
             with self._lock:
                 if self._header is None:
                     stat = os.stat(self._path)
-                    with _open_npz(self._path) as archive:
-                        self._header = _read_header(archive)
+                    reader = _ArchiveReader(self._path)
+                    self._header = _read_header(reader, reader.members)
+                    self._reader = reader
                     self._stat = (stat.st_mtime_ns, stat.st_size)
         return self._header
 
@@ -746,8 +837,18 @@ class ResultHandle:
         """The released schema, rebuilt from the header alone."""
         return schema_from_dict(self.header["schema"])
 
-    def load(self) -> PublishResult:
+    def load(self, slices=None) -> PublishResult:
         """The full :class:`PublishResult`, loaded once and cached.
+
+        Parameters
+        ----------
+        slices:
+            An earlier load's :class:`~repro.core.compose.PrefixSlices`
+            for a stream root to continue.  Adopted only when every leaf
+            it folded is stored in this archive under the same member
+            name, CRC-32 and size (read from the zip directory the
+            handle already parsed); otherwise the root starts a new
+            running prefix.  Ignored once the result is loaded.
 
         Returns
         -------
@@ -759,7 +860,7 @@ class ResultHandle:
             header = self.header
             with self._lock:
                 if self._result is None:
-                    self._result = _decode(header, _path_reader(self._path), lazy=True)
+                    self._result = _decode(header, self._reader, lazy=True, slices=slices)
         return self._result
 
     def __repr__(self) -> str:

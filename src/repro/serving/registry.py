@@ -143,8 +143,12 @@ class ReleaseRegistry:
         The swap is atomic under the entry's lock: in-flight requests
         finish against the release they already resolved, and the next
         resolution sees the re-opened archive (for a stream archive,
-        its newest release tree).  In-memory entries have nothing to
-        re-resolve and return ``False``.
+        its newest release tree).  A loaded stream root hands its
+        running prefix to the re-opened root, which continues it when
+        every leaf it folded is unchanged in the new file (see
+        :meth:`repro.io.ResultHandle.load`), so an append costs one
+        leaf read and one slice add instead of a reload.  In-memory
+        entries have nothing to re-resolve and return ``False``.
 
         Parameters
         ----------
@@ -160,8 +164,12 @@ class ReleaseRegistry:
         with entry.lock:
             if entry.handle is None:
                 return False
+            previous = entry.result
             entry.handle = open_result(entry.handle.path)
             entry.result = None
+            slices = getattr(getattr(previous, "release", None), "slices", None)
+            if slices is not None:
+                entry.result = entry.handle.load(slices=slices)
             return True
 
     def stale(self, name: str) -> bool:

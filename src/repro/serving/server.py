@@ -63,8 +63,8 @@ __all__ = ["ReleaseServer", "ServerStats"]
 #: beyond that is evicted and recompiles identically on its next batch.
 MAX_PLANS = 256
 #: Most ``(release, time_range)`` window engines a server keeps; the
-#: least recently used beyond that is dropped (its node payloads stay
-#: cached on the shared stream release).
+#: least recently used beyond that is dropped (its slices stay on the
+#: stream's shared running prefix, so a rebuilt view reads them again).
 MAX_WINDOW_ENGINES = 64
 
 

@@ -13,8 +13,10 @@ After each close, completed sibling nodes merge up the dyadic tree
 (:func:`repro.streaming.tree.merge_path`): a level-``k`` node covering
 epochs ``[i * 2**k, (i+1) * 2**k)`` is the element-wise *sum* of its
 children's payloads — post-processing of already-published releases, so
-the merge draws no noise and spends no budget, yet any window query then
-needs only the ``O(log T)`` nodes of its canonical cover.  (Contrast
+the merge draws no noise and spends no budget.  A window's exact variance
+sums the λ² of only the ``O(log T)`` nodes of its canonical cover, and
+its answer reads two running-prefix slices folded from the leaves
+(:class:`~repro.core.compose.PrefixSlices`).  (Contrast
 with the binary-tree mechanism for continual observation, which draws
 fresh noise per node at a split budget; here the per-epoch ε is fixed
 and the tree buys *compute*, not accuracy — a window answer's variance
@@ -36,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.basic import BasicMechanism
-from repro.core.compose import TimeTree
+from repro.core.compose import PrefixSlices, TimeTree
 from repro.core.framework import PublishResult
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.core.release import infer_sa_names
@@ -153,6 +155,8 @@ class StreamingPublisher:
         # Accounting of the closed epochs' leaves (see result()).
         self._leaves: list = []
         self._sa: tuple[str, ...] | None = None
+        # The running prefix every release() snapshot shares.
+        self._slices: PrefixSlices | None = None
         self._archive_path = None
         if archive_path is not None:
             # Imported here: repro.io imports repro.streaming.release.
@@ -418,14 +422,19 @@ class StreamingPublisher:
         Returns
         -------
         TimeTree
-            A snapshot view: it shares node payloads with the publisher
-            but its epoch count is fixed at call time (live serving
-            re-resolves through the archive instead).
+            A snapshot view: it shares node payloads and one running
+            prefix with every other snapshot, but its epoch count is
+            fixed at call time (live serving re-resolves through the
+            archive instead).
         """
         if hi is None:
             hi = self._epoch
+        sa = self._sa_hint()
+        if self._slices is None or set(self._slices.sa_names) != set(sa):
+            self._slices = PrefixSlices(self._schema, sa)
         return TimeTree(
-            self._schema, self._sa_hint(), self._epoch, self._nodes, window=(lo, hi)
+            self._schema, sa, self._epoch, self._nodes, window=(lo, hi),
+            slices=self._slices,
         )
 
     def result(self) -> PublishResult:

@@ -1,15 +1,16 @@
 """Stream nodes: the parts a :class:`~repro.core.compose.TimeTree` sums.
 
 A stream publishes one release per epoch and merges completed sibling
-epochs up a dyadic tree (:mod:`repro.streaming.tree`), so any window is
-answered by the at most ``2 * ceil(log2 T)`` node releases of its
-canonical cover, each answering the *same* box, their answers summed —
-the :class:`~repro.core.compose.TimeTree` combinator of the composition
-algebra.  This module holds that combinator's parts:
+epochs up a dyadic tree (:mod:`repro.streaming.tree`).  The
+:class:`~repro.core.compose.TimeTree` combinator of the composition
+algebra answers a window from running-prefix slices folded from the
+level-0 leaves, and sums the λ² of the window's canonical cover (at
+most ``2 * ceil(log2 T)`` nodes) for its exact variance.  This module
+holds that combinator's parts:
 
 * :class:`StreamNode` — one tree node: its accounting now, its payload
-  on first touch (archive-backed streams read a node member on its
-  first routed query);
+  when read (archive-backed streams read a leaf member once, when the
+  running prefix folds it);
 * :func:`merge_results` — the parent of two sibling nodes, the
   element-wise sum of their payloads.  A level-``k`` node's effective λ
   is ``lambda * 2**(k/2)``: its coefficients are the *sum* of ``2**k``
@@ -39,12 +40,12 @@ class StreamNode:
 
     The accounting (``noise_magnitude`` as the node's effective λ plus
     the shared SA set) is all a :class:`~repro.core.compose.TimeTree`
-    needs for exact
-    variances, so an archive-backed stream registers and profiles
-    queries without decompressing any node; ``load`` runs once,
-    thread-safely, on the first query whose cover touches the node.
-    Satisfies the part protocol of
-    :class:`~repro.core.compose.ComposedRelease`.
+    needs for exact variances, so an archive-backed stream registers
+    and profiles queries without reading any node.  Answering folds
+    each leaf once through :meth:`read`, which keeps no payload;
+    :meth:`result` loads and caches it (once, thread-safely) for
+    callers that want the node's own release.  Satisfies the part
+    protocol of :class:`~repro.core.compose.ComposedRelease`.
 
     Parameters
     ----------
@@ -60,16 +61,22 @@ class StreamNode:
     representation:
         The payload's representation when known without loading
         (``"dense"``/``"coefficients"``), else ``None``.
+    source:
+        A token naming the stored payload ``load`` reads (an archive's
+        member name, CRC-32 and size), or ``None`` for a payload held in
+        memory; a re-opened archive compares the tokens of the leaves a
+        running prefix folded before it continues that prefix.
     """
 
     def __init__(
         self, level: int, index: int, noise_magnitude: float, load,
-        representation: str | None = None,
+        representation: str | None = None, source=None,
     ):
         self.level = int(level)
         self.index = int(index)
         self.noise_magnitude = float(noise_magnitude)
         self.representation = representation
+        self.source = source
         self._loader = load
         self._result: PublishResult | None = None
         self._lock = threading.Lock()
@@ -112,6 +119,12 @@ class StreamNode:
                 if self._result is None:
                     self._result = self._loader()
         return self._result
+
+    def read(self) -> PublishResult:
+        """The node's result without caching it: the loaded one if held,
+        else a fresh read through the loader."""
+        result = self._result
+        return result if result is not None else self._loader()
 
 
 def merge_results(left: PublishResult, right: PublishResult) -> PublishResult:

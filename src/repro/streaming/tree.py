@@ -16,9 +16,9 @@ span of epochs its own pre-merged node:
   node per trailing set bit of ``e + 1`` (:func:`merge_path`);
 * any window ``[lo, hi)`` over closed epochs decomposes into the
   **canonical cover** (:func:`dyadic_cover`) of at most
-  ``2 * ceil(log2(hi - lo))`` maximal nodes (:func:`cover_bound`) —
-  which is what keeps window queries at ``O(log T)`` release touches
-  instead of ``O(T)``.
+  ``2 * ceil(log2(hi - lo))`` maximal nodes (:func:`cover_bound`),
+  whose effective λs a window's exact variance sums (its answer reads
+  the stream's running-prefix slices instead).
 
 All functions here are pure integer math; the releases that hang off
 the nodes live in :mod:`repro.streaming.release`.

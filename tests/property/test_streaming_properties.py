@@ -102,11 +102,17 @@ def test_stream_window_matches_flat_per_epoch_releases(
     np.testing.assert_allclose(got_answers, want_answers, atol=1e-8)
     np.testing.assert_allclose(got_variances, want_variances, rtol=1e-10)
 
-    # Single-epoch windows are bit-identical to the flat publish.
+    # A single-epoch window is the flat publish: bit for bit when it
+    # starts at epoch 0 (it reads slice S_1, the leaf's own tensor), and
+    # otherwise within the rounding of S_hi - S_lo, two running-prefix
+    # sums whose difference rounds unlike the leaf's own tensor (about
+    # 1e-13 relative where observed; the tolerance leaves headroom).
     if hi - lo == 1:
         flat = mechanism.publish(
             tables[lo], EPSILON, seed=epoch_seed(SEED, lo), materialize=False
         )
-        np.testing.assert_array_equal(
-            got_answers, QueryEngine(flat).answer_all(queries)
-        )
+        want = QueryEngine(flat).answer_all(queries)
+        if lo == 0:
+            np.testing.assert_array_equal(got_answers, want)
+        else:
+            np.testing.assert_allclose(got_answers, want, rtol=1e-12, atol=1e-9)

@@ -5,9 +5,13 @@ Age shard), which saves/loads through the v5 composition archive and is
 served by the TCP fleet.  With ``T = 4`` epochs the full window's dyadic
 cover is exactly the root node ``(2, 0)`` of every shard's tree, so a
 *flat* one-level Partition built from those very node releases answers
-every full-window query with the same noise draw — the nested release on
-the wire must therefore be bit-identical to the flat one.  JSON's float
-round-trip is exact, so the comparison really is bit for bit.
+every full-window query with the same noise draw.  The nested release
+answers from each shard's running-prefix slice ``S_4`` (the sum of the
+four leaves' prefix tensors) while the flat one inverts the merged root
+node, so estimates and bounds agree within :data:`ESTIMATE_RTOL` /
+:data:`ESTIMATE_ATOL`, and stds — the same cover λ times the same
+profiles — bit for bit.  JSON's float round-trip is exact, so the
+comparisons are of the served bits.
 """
 
 import numpy as np
@@ -29,6 +33,16 @@ NAMES = ("Age", "Income")
 EPOCHS = 4  # power of two: the full window's cover is the single root node
 SHARDS = 2
 BATCH = 24
+#: Estimates and bounds of a nested window against the flat merged-node
+#: release: the sum of four leaf prefix tensors rounds unlike the
+#: prefix tensor of their merged coefficients (about 1e-13 relative
+#: where observed; these bounds leave headroom).
+ESTIMATE_RTOL = 1e-12
+ESTIMATE_ATOL = 1e-9
+
+
+def _close(got, want) -> None:
+    np.testing.assert_allclose(got, want, rtol=ESTIMATE_RTOL, atol=ESTIMATE_ATOL)
 
 
 def _random_ranges(schema, rng, count):
@@ -114,10 +128,10 @@ class TestComposedServing:
                 for name in ("nested", "flat")
             }
         assert answers["nested"]["ok"] and answers["flat"]["ok"]
-        assert answers["nested"]["estimates"] == answers["flat"]["estimates"]
+        _close(answers["nested"]["estimates"], answers["flat"]["estimates"])
         assert answers["nested"]["noise_stds"] == answers["flat"]["noise_stds"]
-        assert answers["nested"]["lowers"] == answers["flat"]["lowers"]
-        assert answers["nested"]["uppers"] == answers["flat"]["uppers"]
+        _close(answers["nested"]["lowers"], answers["flat"]["lowers"])
+        _close(answers["nested"]["uppers"], answers["flat"]["uppers"])
 
     def test_full_window_time_range_is_the_flat_answer(self, fleet):
         """An explicit (0, EPOCHS) window serves the same root nodes."""
@@ -138,7 +152,7 @@ class TestComposedServing:
                 }
             )
         assert windowed["ok"] and flat["ok"]
-        assert windowed["estimates"] == flat["estimates"]
+        _close(windowed["estimates"], flat["estimates"])
         assert windowed["noise_stds"] == flat["noise_stds"]
 
     def test_tcp_matches_in_process(self, fleet, reference):
@@ -168,7 +182,7 @@ class TestComposedServing:
                     {"op": "query", "release": "flat", "ranges": box}
                 )
                 assert nested["ok"] and flat["ok"]
-                assert nested["estimate"] == flat["estimate"]
+                _close(nested["estimate"], flat["estimate"])
                 assert nested["noise_std"] == flat["noise_std"]
 
 

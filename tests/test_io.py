@@ -142,15 +142,31 @@ def _loaded_payloads(release) -> int:
 
 
 def _routed_payloads(release) -> int:
-    """Payloads a full-domain box must read: every part, each tree's cover."""
+    """Payloads a full-domain box keeps loaded: every partition leaf it
+    routes to, and no stream node (a stream folds its level-0 leaves into
+    running-prefix slices and keeps none of them)."""
     if isinstance(release, TimeTree):
-        return len(release.cover)
+        return 0
     if isinstance(release, Partition):
         return sum(
             _routed_payloads(part.result().release) if part.composed else 1
             for part in release.parts
         )
     return 0
+
+
+def _time_trees(release) -> list:
+    """Every stream in a release: itself, or a partition's stream parts."""
+    if isinstance(release, TimeTree):
+        return [release]
+    if isinstance(release, Partition):
+        return [
+            tree
+            for part in release.parts
+            if part.composed
+            for tree in _time_trees(part.result().release)
+        ]
+    return []
 
 
 def _transport(transport, result, path):
@@ -217,11 +233,17 @@ def test_archive_round_trip(release_shapes, shape, transport, tmp_path):
         result.release.answer_boxes(lows, highs),
     )
     if transport != "parts":
-        # Answering reads exactly the parts and cover nodes it routes
-        # to, never a whole stream's node table.
+        # Answering keeps exactly the partition parts it routes to; a
+        # stream reads each leaf below its window's end once, into its
+        # running prefix, and keeps no node.
         full = np.asarray([schema.shape], dtype=np.int64)
         loaded.release.answer_boxes(np.zeros_like(full), full)
         assert _loaded_payloads(loaded.release) == _routed_payloads(loaded.release)
+        for tree in _time_trees(loaded.release):
+            lo, hi = tree.window_bounds
+            assert len(tree.slices) == (hi + 1 if lo < hi else 0)
+            assert len(tree.slices.sources) == max(len(tree.slices) - 1, 0)
+            assert None not in tree.slices.sources
 
     assert loaded.epsilon == result.epsilon
     assert loaded.noise_magnitude == result.noise_magnitude

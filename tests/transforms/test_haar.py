@@ -57,6 +57,24 @@ class TestFigure2:
         assert HaarTransform(8).range_profile(lo, hi) == profile
 
 
+class TestRipplesKnownAnswer:
+    """SNIPPETS.md snippet 3's worked three-level Haar example: every
+    value is an exact binary fraction, so forward and inverse are ``==``."""
+
+    SIGNAL = [56.0, 40.0, 8.0, 24.0, 48.0, 48.0, 40.0, 16.0]
+    COEFFICIENTS = [35.0, -3.0, 16.0, 10.0, 8.0, -8.0, 0.0, 12.0]
+
+    def test_forward(self):
+        assert HaarTransform(8).forward(np.asarray(self.SIGNAL)).tolist() == (
+            self.COEFFICIENTS
+        )
+
+    def test_inverse(self):
+        assert HaarTransform(8).inverse(np.asarray(self.COEFFICIENTS)).tolist() == (
+            self.SIGNAL
+        )
+
+
 class TestForwardInverse:
     @pytest.mark.parametrize("length", [1, 2, 4, 8, 16, 64, 256])
     def test_round_trip(self, length, rng):
