@@ -26,6 +26,12 @@ ingestion exists for):
   refreshes the server, which continues the stream's running prefix),
   recording rows/s and the stream's ``nbytes()`` after the last append.
   Recorded, not gated.
+* **close growth with T** — a long stream of small epochs
+  (:data:`GROWTH_EPOCHS` of :data:`GROWTH_ROWS` rows) closed into a fresh
+  archive, recording the median close of the first and of the last
+  eighth of epochs, their ratio, and the archive's bytes over the bytes
+  of its stored node payloads.  Recorded, not gated: the zip directory
+  and the tree version each close writes still grow with T.
 
 Set ``BENCH_SMOKE=1`` for a CI-sized run (few epochs, no timing
 assertions).  Either way the numbers land in
@@ -40,6 +46,7 @@ import math
 import os
 import pathlib
 import time
+import zipfile
 
 import numpy as np
 
@@ -67,6 +74,9 @@ INGEST_PAIRS = 7
 #: Windowed batches a live server answers after each append, and rows each.
 LIVE_BATCHES = 8
 LIVE_ROWS = 256
+#: Rows per epoch of the close-growth stream, and its epochs (full, smoke).
+GROWTH_ROWS = 2_000
+GROWTH_EPOCHS = (256, 32)
 
 
 def _config() -> tuple[int, int, int]:
@@ -146,6 +156,50 @@ def _live_windows(tables, mechanism, archive, queries):
     return seconds, nbytes
 
 
+def _close_growth(mechanism, archive) -> dict:
+    """Close a long stream of small epochs into ``archive``, timing each close.
+
+    Each close (ingest plus :meth:`~repro.streaming.StreamingPublisher.
+    advance_epoch`, archive append included) is timed alone; the archive
+    is deleted afterwards.
+    """
+    epochs = GROWTH_EPOCHS[bench_smoke()]
+    archive.unlink(missing_ok=True)
+    publisher = StreamingPublisher(
+        SCHEMA, mechanism, 1.0, seed=SEED, archive_path=archive
+    )
+    rng = np.random.default_rng(SEED + 4)
+    closes = []
+    for _ in range(epochs):
+        table = Table(SCHEMA, np.stack(
+            [rng.integers(0, 4096, GROWTH_ROWS), rng.integers(0, 8, GROWTH_ROWS)],
+            axis=1,
+        ))
+        start = time.perf_counter()
+        publisher.ingest(table)
+        publisher.advance_epoch()
+        closes.append(time.perf_counter() - start)
+    with zipfile.ZipFile(archive) as stored:
+        payload = sum(
+            info.file_size for info in stored.infolist()
+            if info.filename.startswith("node_")
+        )
+    archive_bytes = archive.stat().st_size
+    archive.unlink()
+    eighth = epochs // 8
+    first, last = np.median(closes[:eighth]), np.median(closes[-eighth:])
+    return {
+        "epochs": epochs,
+        "rows_per_epoch": GROWTH_ROWS,
+        "first_eighth_close_ms": first * 1e3,
+        "last_eighth_close_ms": last * 1e3,
+        "last_over_first": last / first,
+        "archive_bytes": archive_bytes,
+        "payload_bytes": payload,
+        "archive_over_payload": archive_bytes / payload,
+    }
+
+
 def test_streaming_scalability(record_result, tmp_path_factory):
     epochs, rows, num_queries = _config()
     tables = _epoch_tables(epochs, rows)
@@ -206,6 +260,7 @@ def test_streaming_scalability(record_result, tmp_path_factory):
 
     live_seconds, live_nbytes = _live_windows(tables, mechanism, archive, queries)
     live_rows = epochs * LIVE_BATCHES * LIVE_ROWS
+    growth = _close_growth(mechanism, archive)
 
     payload = {
         "smoke": bench_smoke(),
@@ -246,6 +301,7 @@ def test_streaming_scalability(record_result, tmp_path_factory):
             "rows_per_s": live_rows / live_seconds,
             "stream_nbytes": live_nbytes,
         },
+        "close_growth": growth,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_streaming.json").write_text(
@@ -270,6 +326,11 @@ def test_streaming_scalability(record_result, tmp_path_factory):
                 f"live windows     : {live_rows / live_seconds:,.0f} rows/s "
                 f"({LIVE_BATCHES} x {LIVE_ROWS}-row batches after each append; "
                 f"stream holds {live_nbytes / 1e6:.1f} MB)",
+                f"close growth     : {growth['first_eighth_close_ms']:.2f} -> "
+                f"{growth['last_eighth_close_ms']:.2f} ms per close, first to last "
+                f"eighth of {growth['epochs']} epochs x {GROWTH_ROWS} rows "
+                f"({growth['last_over_first']:.2f}x); archive "
+                f"{growth['archive_over_payload']:.3f}x its node payloads",
             ]
         ),
         meta={"seed": SEED, "epochs": epochs, "rows_per_epoch": rows},

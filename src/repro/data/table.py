@@ -43,8 +43,11 @@ class Table:
             raise SchemaError(
                 f"rows must have shape (n, {schema.dimensions}), got {rows.shape}"
             )
-        shape = np.asarray(schema.shape, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or np.any(rows >= shape[np.newaxis, :])):
+        # One min and one max per column: no (n, d) temporary.
+        if rows.size and any(
+            rows[:, axis].min() < 0 or rows[:, axis].max() >= size
+            for axis, size in enumerate(schema.shape)
+        ):
             raise SchemaError("a row value is outside its attribute domain")
         self._rows = rows
         self._rows.setflags(write=False)

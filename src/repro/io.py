@@ -25,9 +25,12 @@ one ``.npz`` (zip) layout, **format 5**:
 :func:`save_result` writes version 0.  A live stream's archive is
 created empty by :func:`create_stream_archive`, and every epoch close
 (:func:`append_stream_nodes`) appends its new node members plus the
-next tree version to a copy that then atomically replaces the archive,
-so existing members are never rewritten and readers always see a whole
-zip.  :func:`result_to_parts` is the same layout without the archive —
+next tree version to the archive file itself, over its old zip
+directory, under an exclusive ``flock``.  Existing members are never
+rewritten or moved; readers parse a directory under a shared ``flock``,
+so they always see a whole zip, and an ``<archive>.undo`` record lets
+:func:`repair_stream_archive` restore an archive whose writer was killed
+mid-append.  :func:`result_to_parts` is the same layout without the archive —
 the tree rides inline under ``header["tree"]`` — which is how the
 shared-memory serving fleet ships a release.
 
@@ -53,12 +56,12 @@ tree shape).
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import json
 import os
-import shutil
 import struct
-import tempfile
 import threading
 import zipfile
 import zlib
@@ -87,6 +90,7 @@ __all__ = [
     "schema_from_dict",
     "create_stream_archive",
     "append_stream_nodes",
+    "repair_stream_archive",
     "stream_node_key",
 ]
 
@@ -99,6 +103,11 @@ _TREE_PREFIX = "tree_"
 #: A zip local file header: signature, 22 bytes this reader skips, then
 #: the name and extra-field lengths.
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
+#: Suffix of the record an append keeps beside the archive until it
+#: completes (written as ``<suffix>.tmp``, then renamed): the old
+#: directory's offset, then every byte from there to the end of the file.
+_UNDO_SUFFIX = ".undo"
+_UNDO_OFFSET = struct.Struct("<Q")
 
 
 def _hierarchy_to_dict(hierarchy: Hierarchy) -> dict:
@@ -427,16 +436,23 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
     """Append an epoch close: its new node members plus the next tree.
 
     Append-only at the *member* level (existing members are never
-    rewritten, every earlier tree version stays parseable) and
-    **atomic** at the *file* level: the new members are appended to a
-    temporary copy in the same directory which then replaces the
-    archive via ``os.replace``, so a concurrent reader — e.g. a serving
-    process whose ``watch_streams`` probe fires mid-append — always
-    opens either the old or the new archive, never a zip whose central
-    directory is being rewritten.  The caller is the single writer (the
-    stream's publisher).  Only the new nodes are encoded: the earlier
-    nodes' entries come from the archive's newest tree, so resumed
-    streams never load old payloads.
+    rewritten or moved, every earlier tree version stays parseable) and
+    **in place** at the *file* level, so a close costs its own bytes,
+    not the archive's.  Under an exclusive ``flock`` on the archive, the
+    new members and tree version are written over its old zip directory,
+    then a new directory and end record.  Readers parse a directory only
+    under a shared ``flock``, so a concurrent reader — e.g. a serving
+    process whose ``watch_streams`` probe fires mid-append — sees either
+    the old or the new directory, never a half-written one.  Before the
+    first byte is written, the old directory's offset and every byte from
+    there on go to ``<path>.undo``: a failure writes them back (the file
+    is then byte-identical to what it was) and deletes the record, and a
+    writer killed mid-append leaves it for :func:`repair_stream_archive`,
+    which every append (and :meth:`~repro.streaming.publisher.
+    StreamingPublisher.open`) runs first.  The caller is the single
+    writer (the stream's publisher).  Only the new nodes are encoded: the
+    earlier nodes' entries come from the archive's newest tree, so
+    resumed streams never load old payloads.
 
     Parameters
     ----------
@@ -451,36 +467,102 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
         this close.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    descriptor, scratch = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".appending"
-    )
-    os.close(descriptor)
-    try:
-        shutil.copyfile(path, scratch)
-        with zipfile.ZipFile(scratch, "a", compression=zipfile.ZIP_STORED) as archive:
-            existing = {name.removesuffix(".npy") for name in archive.namelist()}
-            version = _newest_version(existing)
-            with archive.open(f"{_TREE_PREFIX}{version}.npy") as member:
-                previous = _decode_json(np.lib.format.read_array(member))
-            arrays: dict = {}
-            entries = previous["nodes"] + [
-                _leaf_entry(node, arrays, "", key) for key, node in nodes.items()
-            ]
-            duplicates = sorted(existing.intersection(arrays))
-            if duplicates:
-                raise ReproError(
-                    f"stream archive {path} already holds {duplicates}; nodes "
-                    "are append-only"
-                )
-            _write(archive, arrays, _stream_entry(result, entries), version + 1)
-        os.replace(scratch, path)
-    except BaseException:
+    undo = path + _UNDO_SUFFIX
+    arrays: dict = {}
+    added = [_leaf_entry(node, arrays, "", key) for key, node in nodes.items()]
+    with open(path, "r+b") as file:
+        fcntl.flock(file, fcntl.LOCK_EX)  # released when the file closes
+        _repair(file, path)
+        archive = zipfile.ZipFile(file, "a", compression=zipfile.ZIP_STORED)
+        start = archive.start_dir
+        file.seek(start)
+        saved = file.read()
         try:
-            os.unlink(scratch)
-        except OSError:
-            pass
-        raise
+            with archive:  # closing writes the new directory and end record
+                existing = {name.removesuffix(".npy") for name in archive.namelist()}
+                version = _newest_version(existing)
+                duplicates = sorted(existing.intersection(arrays))
+                if duplicates:
+                    raise ReproError(
+                        f"stream archive {path} already holds {duplicates}; "
+                        "nodes are append-only"
+                    )
+                with archive.open(f"{_TREE_PREFIX}{version}.npy") as member:
+                    previous = _decode_json(np.lib.format.read_array(member))
+                with open(undo + ".tmp", "wb") as record:
+                    record.write(_UNDO_OFFSET.pack(start) + saved)
+                os.replace(undo + ".tmp", undo)
+                _write(
+                    archive, arrays, _stream_entry(result, previous["nodes"] + added),
+                    version + 1,
+                )
+        except BaseException:
+            # Closing on the way out wrote an end record of its own; the
+            # saved bytes replace it and everything after the old members.
+            _restore(file, start, saved)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(undo)
+            raise
+        os.unlink(undo)
+
+
+def _restore(file, start: int, saved: bytes) -> None:
+    """Write ``saved`` back at ``start`` and cut the file there."""
+    file.seek(start)
+    file.write(saved)
+    file.truncate()
+    file.flush()
+
+
+def _repair(file, path: str) -> None:
+    """Settle the append a killed writer left; the caller holds ``LOCK_EX``.
+
+    Nothing to do unless ``<path>.undo`` exists.  An archive that parses
+    then holds either the old or the new directory, both whole, and stays
+    as it is (a reader may already have served the new epoch); one that
+    does not gets the record's bytes back at the record's offset, which
+    makes it byte-identical to the file before the interrupted append.
+    Either way the record goes.  The parse runs through ``file`` itself:
+    a second descriptor's shared lock would wait forever for this one's.
+    """
+    undo = path + _UNDO_SUFFIX
+    try:
+        with open(undo, "rb") as handle:
+            record = handle.read()
+    except FileNotFoundError:
+        return
+    try:
+        zipfile.ZipFile(file).close()
+    except zipfile.BadZipFile:
+        (start,) = _UNDO_OFFSET.unpack_from(record)
+        _restore(file, start, record[_UNDO_OFFSET.size:])
+    os.unlink(undo)
+
+
+def repair_stream_archive(path) -> None:
+    """Repair a stream archive whose writer was killed mid-append.
+
+    A reader of such an archive raises :class:`~repro.errors.ReproError`
+    naming the interrupted append.  Under the archive's exclusive lock,
+    an archive that no longer parses is restored byte for byte from its
+    ``<path>.undo`` record, and one that parses (the writer died after
+    its new end record) keeps its new epoch; the record is then deleted.
+    Without a record nothing is locked or touched.
+    :meth:`~repro.streaming.publisher.StreamingPublisher.open` calls
+    this first, and every :func:`append_stream_nodes` runs the same
+    repair under its own lock.
+
+    Parameters
+    ----------
+    path:
+        A stream archive created by :func:`create_stream_archive`.
+    """
+    path = os.fspath(path)
+    if not os.path.exists(path + _UNDO_SUFFIX):
+        return
+    with open(path, "r+b") as file:
+        fcntl.flock(file, fcntl.LOCK_EX)  # released when the file closes
+        _repair(file, path)
 
 
 # ----------------------------------------------------------------------
@@ -545,14 +627,19 @@ class _ArchiveReader:
     """Reads the members of the archive at ``path`` at their recorded offsets.
 
     The zip directory is parsed once, on construction, and kept: an
-    append copies the archive and adds members after the existing ones,
-    so every member it already lists stays where it was.  A read checks
+    append writes its members over the old directory, after every
+    existing member, so each member the directory lists stays where it
+    was.  The parse holds a shared ``flock``, which waits out an append
+    in flight (it holds the exclusive one), so it never sees a
+    half-written directory; member reads take no lock.  A read checks
     the local header's name and the data's CRC-32 against the directory;
     when either check fails or the member is unknown (the path now holds
     another archive), the directory is parsed again and the read retried,
     and a member that still fails the fast path (a compressed one) is
     read through :mod:`zipfile`.  The file is opened per read and always
-    closed, so an append's ``os.replace`` never races an open handle.
+    closed.  An archive that does not parse while an ``<path>.undo``
+    record lies beside it was torn by a killed writer: the parse raises
+    :class:`~repro.errors.ReproError` at once, naming the repair.
     """
 
     def __init__(self, path):
@@ -560,8 +647,20 @@ class _ArchiveReader:
         self._directory = self._parse()
 
     def _parse(self) -> dict:
-        with open(self._path, "rb") as file, zipfile.ZipFile(file) as archive:
-            return {info.filename: info for info in archive.infolist()}
+        with open(self._path, "rb") as file:
+            fcntl.flock(file, fcntl.LOCK_SH)  # released when the file closes
+            try:
+                with zipfile.ZipFile(file) as archive:
+                    return {info.filename: info for info in archive.infolist()}
+            except zipfile.BadZipFile as exc:
+                if not os.path.exists(self._path + _UNDO_SUFFIX):
+                    raise
+                raise ReproError(
+                    f"stream archive {self._path} is torn: an append was "
+                    "interrupted; resume the stream's publisher "
+                    "(StreamingPublisher.open, or `repro advance-epoch`) to "
+                    "repair it"
+                ) from exc
 
     @property
     def members(self) -> list[str]:

@@ -150,7 +150,8 @@ class StreamingPublisher:
         self._seed = seed
         self._materialize = bool(materialize)
         self._epoch = 0
-        self._buffers: dict[int, list[np.ndarray]] = {}
+        # Each epoch's ingested batches, as tables over the stream's schema.
+        self._buffers: dict[int, list[Table]] = {}
         self._nodes: dict[tuple[int, int], StreamNode] = {}
         # Accounting of the closed epochs' leaves (see result()).
         self._leaves: list = []
@@ -184,7 +185,10 @@ class StreamingPublisher:
         its newest version (nodes stay lazy — resuming loads no
         payload), and the next :meth:`advance_epoch` continues the
         stream exactly where it stopped, with the same per-epoch noise
-        stream when a base seed was recorded.
+        stream when a base seed was recorded.  An archive whose previous
+        writer was killed mid-append is repaired first
+        (:func:`repro.io.repair_stream_archive`): it resumes at the last
+        epoch whose append completed.
 
         Parameters
         ----------
@@ -201,8 +205,9 @@ class StreamingPublisher:
         StreamingPublisher
             Positioned at the first unclosed epoch.
         """
-        from repro.io import open_result
+        from repro.io import open_result, repair_stream_archive
 
+        repair_stream_archive(path)
         handle = open_result(path)
         header = handle.header
         if header["representation"] != "stream":
@@ -263,7 +268,7 @@ class StreamingPublisher:
     def pending_rows(self) -> int:
         """Rows buffered across the open and future epochs."""
         return sum(
-            batch.shape[0] for batches in self._buffers.values() for batch in batches
+            batch.num_rows for batches in self._buffers.values() for batch in batches
         )
 
     @property
@@ -302,10 +307,14 @@ class StreamingPublisher:
                 f"table schema {table.schema!r} does not match the stream's "
                 f"{self._schema!r}"
             )
+        if table.schema != self._schema:
+            # Same names and shape, other hierarchies: publish the rows
+            # over the stream's own schema.
+            table = Table(self._schema, table.rows)
         rows = table.rows
         if timestamps is None:
             if rows.shape[0]:
-                self._buffers.setdefault(self._epoch, []).append(rows)
+                self._buffers.setdefault(self._epoch, []).append(table)
             return int(rows.shape[0])
         timestamps = np.asarray(timestamps, dtype=np.int64)
         if timestamps.shape != (rows.shape[0],):
@@ -324,8 +333,13 @@ class StreamingPublisher:
                 f"after that epoch was published (current epoch is "
                 f"{self._epoch})"
             )
-        for epoch in np.unique(epochs):
-            self._buffers.setdefault(int(epoch), []).append(rows[epochs == epoch])
+        targets = np.unique(epochs)
+        for epoch in targets:
+            batch = (
+                table if len(targets) == 1
+                else Table(self._schema, rows[epochs == epoch])
+            )
+            self._buffers.setdefault(int(epoch), []).append(batch)
         return int(rows.shape[0])
 
     def advance_epoch(self) -> PublishResult:
@@ -334,7 +348,9 @@ class StreamingPublisher:
         The epoch's buffered rows (possibly none — empty epochs publish
         noise-only releases, so the row count itself is protected)
         become one frequency matrix, published at the full ε with the
-        epoch's derived seed.  Every tree node completed by this close
+        epoch's derived seed; an epoch of one ingested batch publishes
+        that batch's table as it is, without copying or re-checking it.
+        Every tree node completed by this close
         (:func:`repro.streaming.tree.merge_path`) is then materialized
         by summing its children's payloads, and — when an archive is
         attached — the new nodes plus the next release tree are appended.
@@ -346,13 +362,13 @@ class StreamingPublisher:
         """
         epoch = self._epoch
         batches = self._buffers.pop(epoch, [])
-        rows = (
-            np.concatenate(batches, axis=0)
-            if batches
-            else np.empty((0, self._schema.dimensions), dtype=np.int64)
-        )
+        if len(batches) == 1:
+            table = batches[0]  # checked when it was ingested
+        else:
+            rows = [batch.rows for batch in batches]
+            table = Table(self._schema, np.concatenate(rows) if rows else [])
         leaf = self._mechanism.publish(
-            Table(self._schema, rows),
+            table,
             self._epsilon,
             seed=epoch_seed(self._seed, epoch),
             materialize=self._materialize,

@@ -37,6 +37,17 @@ class TestTableConstruction:
             Table(schema_2x3(), [[0, 3]])
         with pytest.raises(SchemaError):
             Table(schema_2x3(), [[-1, 0]])
+        # Per axis: size - 1 is in the domain, size and -1 are not.
+        schema = schema_2x3()
+        for axis, size in enumerate(schema.shape):
+            for value in (size - 1, size, -1):
+                rows = np.zeros((4, 2), dtype=np.int64)
+                rows[2, axis] = value
+                if value == size - 1:
+                    assert Table(schema, rows).rows[2, axis] == value
+                    continue
+                with pytest.raises(SchemaError, match="outside its attribute domain"):
+                    Table(schema, rows)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(SchemaError):

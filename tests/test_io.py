@@ -3,17 +3,24 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import time
 import zipfile
 
 import numpy as np
 import pytest
 
+import repro.io
 from repro.analysis.exact import query_boxes
 from repro.core.compose import Partition, TimeTree
 from repro.core.privelet_plus import PriveletPlusMechanism
 from repro.core.publish import publish
 from repro.core.release import convert_result
+from repro.data.attributes import OrdinalAttribute
 from repro.data.census import BRAZIL, census_schema, generate_census_table
+from repro.data.schema import Schema
+from repro.data.table import Table
 from repro.errors import QueryError, ReproError
 from repro.io import (
     ResultHandle,
@@ -475,3 +482,227 @@ class TestStreamArchives:
         assert loaded.noise_magnitude == 0.0
         with pytest.raises(ReproError, match="already exists"):
             create_stream_archive(path, census_schema(SPEC), epsilon=1.0)
+
+
+#: A second writer process: resume the stream archive ``argv[1]`` and
+#: close one epoch per row block of the ``.npy`` file ``argv[2]``.
+#: ``argv[3]`` says where it dies with ``os._exit(17)``: ``write<N>``
+#: right after its N-th member write (flushed), ``unlink`` where it would
+#: delete its undo record, or ``none``.
+_WRITER = """
+import os
+import sys
+
+import numpy as np
+
+import repro.io
+from repro.data.table import Table
+from repro.streaming import StreamingPublisher
+
+path, blocks, kill = sys.argv[1:]
+write_member, unlink, writes = repro.io._write_member, os.unlink, []
+
+
+def write_member_or_die(archive, name, array):
+    write_member(archive, name, array)
+    writes.append(name)
+    if kill == f"write{len(writes)}":
+        archive.fp.flush()
+        os._exit(17)
+
+
+def unlink_or_die(target):
+    if kill == "unlink" and target.endswith(".undo"):
+        os._exit(17)
+    unlink(target)
+
+
+repro.io._write_member = write_member_or_die
+os.unlink = unlink_or_die
+publisher = StreamingPublisher.open(path)
+for rows in np.load(blocks):
+    publisher.ingest(Table(publisher.schema, rows))
+    publisher.advance_epoch()
+"""
+
+SMALL = Schema([OrdinalAttribute("value", 256), OrdinalAttribute("kind", 8)])
+
+
+def _blocks(epochs, first, rows=500) -> np.ndarray:
+    """``(epochs, rows, 2)`` seeded row blocks, one per epoch."""
+    rng = np.random.default_rng(first)
+    return np.stack(
+        [rng.integers(0, 256, (epochs, rows)), rng.integers(0, 8, (epochs, rows))],
+        axis=2,
+    )
+
+
+def _writer(path, blocks, kill="none") -> list[str]:
+    """The :data:`_WRITER` command line over ``blocks`` (saved beside ``path``)."""
+    target = os.path.join(os.path.dirname(path), "blocks.npy")
+    np.save(target, blocks)
+    return [
+        sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+        "-c", _WRITER, str(path), target, kill,
+    ]
+
+
+def _env() -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.io.__file__)))
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
+def _close(publisher, blocks) -> None:
+    for rows in blocks:
+        publisher.ingest(Table(SMALL, rows))
+        publisher.advance_epoch()
+
+
+def _start_dir(path) -> int:
+    with zipfile.ZipFile(path) as archive:
+        return archive.start_dir
+
+
+class TestInPlaceAppends:
+    """An epoch close appends to the archive file itself, under a lock,
+    with a rollback and an undo record for a killed writer."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "stream.npz"
+        publisher = StreamingPublisher(
+            SMALL, MECHANISM, 1.0, seed=29, archive_path=path
+        )
+        _close(publisher, _blocks(3, 100))
+        return str(path)
+
+    @staticmethod
+    def _continuous(blocks):
+        """The fixture's stream closed in one process, then ``blocks``."""
+        publisher = StreamingPublisher(SMALL, MECHANISM, 1.0, seed=29)
+        _close(publisher, _blocks(3, 100))
+        _close(publisher, blocks)
+        return publisher.result()
+
+    @staticmethod
+    def _assert_same_stream(loaded, expected):
+        assert loaded.release.epochs == expected.release.epochs
+        queries = generate_workload(SMALL, 40, seed=6)
+        np.testing.assert_array_equal(
+            QueryEngine(loaded).answer_all(queries),
+            QueryEngine(expected).answer_all(queries),
+        )
+
+    def test_appends_in_place(self, path):
+        publisher = StreamingPublisher.open(path)
+        inode = os.stat(path).st_ino
+        handle = open_result(path)
+        for rows in _blocks(4, 200):
+            start = _start_dir(path)
+            with open(path, "rb") as file:
+                before = file.read(start)
+            publisher.ingest(Table(SMALL, rows))
+            publisher.advance_epoch()
+            assert os.stat(path).st_ino == inode
+            with open(path, "rb") as file:
+                assert file.read(start) == before
+            assert handle.stale is True
+            handle = open_result(path)
+            assert handle.stale is False
+            assert handle.load().release.epochs == publisher.closed_epochs
+            leftovers = [
+                name for name in os.listdir(os.path.dirname(path))
+                if name.endswith((".undo", ".appending", ".tmp"))
+            ]
+            assert leftovers == []
+
+    def test_failed_append_rolls_back(self, path, monkeypatch):
+        with open(path, "rb") as file:
+            before = file.read()
+        write_member = repro.io._write_member
+
+        def write_then_fail(archive, name, array):
+            write_member(archive, name, array)
+            raise OSError("injected write failure")
+
+        monkeypatch.setattr(repro.io, "_write_member", write_then_fail)
+        publisher = StreamingPublisher.open(path)
+        publisher.ingest(Table(SMALL, _blocks(1, 200)[0]))
+        with pytest.raises(OSError, match="injected write failure"):
+            publisher.advance_epoch()
+        monkeypatch.undo()
+        with open(path, "rb") as file:
+            assert file.read() == before
+        assert not os.path.exists(path + ".undo")
+        assert StreamingPublisher.open(path).current_epoch == 3
+
+    @pytest.mark.parametrize("kill", ["write1", "write4"])
+    def test_killed_writer_is_repaired(self, path, kill):
+        """Killed after its first member write (the old end record still
+        closes the file) or after its tree member (the file grew past it)."""
+        with open(path, "rb") as file:
+            before = file.read()
+        blocks = _blocks(2, 200)
+        child = subprocess.run(
+            _writer(path, blocks[:1], kill), env=_env(), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert child.returncode == 17, child.stderr
+        assert os.path.exists(path + ".undo")
+        for read in (open_result, load_result):
+            start = time.perf_counter()
+            with pytest.raises(ReproError, match="append was interrupted"):
+                read(path)
+            assert time.perf_counter() - start < 0.5  # no retry, no sleep
+
+        resumed = StreamingPublisher.open(path)
+        with open(path, "rb") as file:
+            assert file.read() == before
+        assert not os.path.exists(path + ".undo")
+        assert resumed.current_epoch == 3
+        _close(resumed, blocks)
+        self._assert_same_stream(load_result(path), self._continuous(blocks))
+
+    def test_record_after_completed_append_keeps_epoch(self, path):
+        """Killed between its new end record and deleting the record."""
+        blocks = _blocks(1, 200)
+        child = subprocess.run(
+            _writer(path, blocks, "unlink"), env=_env(), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert child.returncode == 17, child.stderr
+        assert os.path.exists(path + ".undo")
+        assert open_result(path).load().release.epochs == 4
+        resumed = StreamingPublisher.open(path)
+        assert not os.path.exists(path + ".undo")
+        assert resumed.current_epoch == 4
+        self._assert_same_stream(load_result(path), self._continuous(blocks))
+
+    def test_readers_racing_a_writer(self, path):
+        """A second process closes 40 epochs while this one re-opens the
+        archive and answers windows: no open fails, the epoch count never
+        decreases, and every answer is the final archive's."""
+        lows, highs = query_boxes(generate_workload(SMALL, 64, seed=8), SMALL.shape)
+        rng = np.random.default_rng(9)
+        answers, counts = [], [3]
+        with subprocess.Popen(
+            _writer(path, _blocks(40, 300)), env=_env(), stderr=subprocess.PIPE,
+            text=True,
+        ) as child:
+            while child.poll() is None:
+                tree = open_result(path).load().release
+                assert tree.epochs >= counts[-1]
+                counts.append(tree.epochs)
+                lo = int(rng.integers(0, tree.epochs))
+                hi = int(rng.integers(lo + 1, tree.epochs + 1))
+                answers.append((lo, hi, tree.window(lo, hi).answer_boxes(lows, highs)))
+            _, errors = child.communicate(timeout=120)
+        assert child.returncode == 0, errors
+        assert "ResourceWarning" not in errors
+        final = load_result(path).release
+        assert final.epochs == 43
+        assert len(set(counts)) > 2  # the opens overlapped the appends
+        for lo, hi, answer in answers:
+            np.testing.assert_array_equal(
+                final.window(lo, hi).answer_boxes(lows, highs), answer
+            )
