@@ -104,10 +104,13 @@ _TREE_PREFIX = "tree_"
 #: the name and extra-field lengths.
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
 #: Suffix of the record an append keeps beside the archive until it
-#: completes (written as ``<suffix>.tmp``, then renamed): the old
-#: directory's offset, then every byte from there to the end of the file.
+#: completes (written as ``<suffix>.tmp``, synced, then renamed): the old
+#: directory's offset and the tree version the append writes, then every
+#: byte from that offset to the end of the file.
 _UNDO_SUFFIX = ".undo"
-_UNDO_OFFSET = struct.Struct("<Q")
+_UNDO_HEAD = struct.Struct("<QQ")
+#: A zip end record without a comment: the shortest tail an undo record saves.
+_END_RECORD_SIZE = 22
 
 
 def _hierarchy_to_dict(hierarchy: Hierarchy) -> dict:
@@ -444,12 +447,15 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
     under a shared ``flock``, so a concurrent reader — e.g. a serving
     process whose ``watch_streams`` probe fires mid-append — sees either
     the old or the new directory, never a half-written one.  Before the
-    first byte is written, the old directory's offset and every byte from
-    there on go to ``<path>.undo``: a failure writes them back (the file
-    is then byte-identical to what it was) and deletes the record, and a
-    writer killed mid-append leaves it for :func:`repair_stream_archive`,
-    which every append (and :meth:`~repro.streaming.publisher.
-    StreamingPublisher.open`) runs first.  The caller is the single
+    first byte is written, the old directory's offset, the new tree
+    version and every byte from that offset on go to ``<path>.undo``,
+    synced to disk with its directory entry: a failure writes them back
+    (the file is then byte-identical to what it was) and deletes the
+    record, and a writer killed mid-append, or a machine that went down
+    during one, leaves it for :func:`repair_stream_archive`, which every
+    append (and :meth:`~repro.streaming.publisher.StreamingPublisher.
+    open`) runs first.  The archive is synced before the record goes.
+    The caller is the single
     writer (the stream's publisher).  Only the new nodes are encoded: the
     earlier nodes' entries come from the archive's newest tree, so
     resumed streams never load old payloads.
@@ -489,13 +495,12 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
                     )
                 with archive.open(f"{_TREE_PREFIX}{version}.npy") as member:
                     previous = _decode_json(np.lib.format.read_array(member))
-                with open(undo + ".tmp", "wb") as record:
-                    record.write(_UNDO_OFFSET.pack(start) + saved)
-                os.replace(undo + ".tmp", undo)
+                _write_durably(undo, _UNDO_HEAD.pack(start, version + 1) + saved)
                 _write(
                     archive, arrays, _stream_entry(result, previous["nodes"] + added),
                     version + 1,
                 )
+            os.fsync(file.fileno())
         except BaseException:
             # Closing on the way out wrote an end record of its own; the
             # saved bytes replace it and everything after the old members.
@@ -506,24 +511,44 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
         os.unlink(undo)
 
 
+def _write_durably(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a synced temporary file, then
+    sync the directory, so ``path`` never names partial data."""
+    with open(path + ".tmp", "wb") as file:
+        file.write(data)
+        file.flush()
+        os.fsync(file.fileno())
+    os.replace(path + ".tmp", path)
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 def _restore(file, start: int, saved: bytes) -> None:
-    """Write ``saved`` back at ``start`` and cut the file there."""
+    """Write ``saved`` back at ``start``, cut the file there and sync it."""
     file.seek(start)
     file.write(saved)
     file.truncate()
     file.flush()
+    os.fsync(file.fileno())
 
 
 def _repair(file, path: str) -> None:
     """Settle the append a killed writer left; the caller holds ``LOCK_EX``.
 
     Nothing to do unless ``<path>.undo`` exists.  An archive that parses
-    then holds either the old or the new directory, both whole, and stays
-    as it is (a reader may already have served the new epoch); one that
-    does not gets the record's bytes back at the record's offset, which
-    makes it byte-identical to the file before the interrupted append.
-    Either way the record goes.  The parse runs through ``file`` itself:
-    a second descriptor's shared lock would wait forever for this one's.
+    and lists the tree version the record names was completed, and stays
+    as it is (a reader may already have served the new epoch).  Any
+    other archive, torn or holding a failed append's partial members,
+    gets the record's bytes back at the record's offset, which makes it
+    byte-identical to the file before the interrupted append.  Either
+    way the record goes.  A record too short to hold an end record, or
+    whose offset lies past the end of the file, raises
+    :class:`~repro.errors.ReproError` and leaves both files alone.  The
+    parse runs through ``file`` itself: a second descriptor's shared
+    lock would wait forever for this one's.
     """
     undo = path + _UNDO_SUFFIX
     try:
@@ -531,11 +556,22 @@ def _repair(file, path: str) -> None:
             record = handle.read()
     except FileNotFoundError:
         return
+    size = os.fstat(file.fileno()).st_size
+    if len(record) < _UNDO_HEAD.size + _END_RECORD_SIZE or (
+        _UNDO_HEAD.unpack_from(record)[0] > size
+    ):
+        raise ReproError(
+            f"cannot repair stream archive {path}: its undo record {undo} is "
+            f"damaged ({len(record)} bytes for an archive of {size} bytes)"
+        )
+    start, version = _UNDO_HEAD.unpack_from(record)
     try:
-        zipfile.ZipFile(file).close()
+        with zipfile.ZipFile(file) as archive:
+            completed = f"{_TREE_PREFIX}{version}.npy" in archive.namelist()
     except zipfile.BadZipFile:
-        (start,) = _UNDO_OFFSET.unpack_from(record)
-        _restore(file, start, record[_UNDO_OFFSET.size:])
+        completed = False
+    if not completed:
+        _restore(file, start, record[_UNDO_HEAD.size:])
     os.unlink(undo)
 
 
@@ -544,9 +580,10 @@ def repair_stream_archive(path) -> None:
 
     A reader of such an archive raises :class:`~repro.errors.ReproError`
     naming the interrupted append.  Under the archive's exclusive lock,
-    an archive that no longer parses is restored byte for byte from its
-    ``<path>.undo`` record, and one that parses (the writer died after
-    its new end record) keeps its new epoch; the record is then deleted.
+    an archive that lists the new tree version (the writer died after
+    its new end record) keeps its new epoch, and any other is restored
+    byte for byte from its ``<path>.undo`` record; the record is then
+    deleted.  A damaged record raises :class:`~repro.errors.ReproError`.
     Without a record nothing is locked or touched.
     :meth:`~repro.streaming.publisher.StreamingPublisher.open` calls
     this first, and every :func:`append_stream_nodes` runs the same
@@ -623,15 +660,42 @@ def _read_header(read, members) -> dict:
     return header
 
 
+@contextlib.contextmanager
+def _locked_archive(path: str):
+    """``(ZipFile, fstat)`` of the archive at ``path``, under a shared ``flock``.
+
+    The lock is held from before the directory parse until the block
+    ends.  An archive that does not parse while an ``<path>.undo``
+    record lies beside it was torn by a killed writer, whose lock died
+    with it: that raises :class:`~repro.errors.ReproError` at once.
+    """
+    with open(path, "rb") as file:
+        fcntl.flock(file, fcntl.LOCK_SH)  # released when the file closes
+        try:
+            archive = zipfile.ZipFile(file)
+        except zipfile.BadZipFile as exc:
+            if not os.path.exists(path + _UNDO_SUFFIX):
+                raise
+            raise ReproError(
+                f"stream archive {path} is torn: an append was interrupted; "
+                "resume the stream's publisher (StreamingPublisher.open, or "
+                "`repro advance-epoch`) to repair it"
+            ) from exc
+        with archive:
+            yield archive, os.fstat(file.fileno())
+
+
 class _ArchiveReader:
     """Reads the members of the archive at ``path`` at their recorded offsets.
 
     The zip directory is parsed once, on construction, and kept: an
     append writes its members over the old directory, after every
     existing member, so each member the directory lists stays where it
-    was.  The parse holds a shared ``flock``, which waits out an append
-    in flight (it holds the exclusive one), so it never sees a
-    half-written directory; member reads take no lock.  A read checks
+    was.  Every parse holds a shared ``flock``, which waits out an
+    append in flight (it holds the exclusive one), so it never sees a
+    half-written directory; :attr:`stat` is the ``fstat`` taken under
+    the first parse's lock, so it describes exactly the bytes that parse
+    read.  Member reads take no lock.  A read checks
     the local header's name and the data's CRC-32 against the directory;
     when either check fails or the member is unknown (the path now holds
     another archive), the directory is parsed again and the read retried,
@@ -644,23 +708,11 @@ class _ArchiveReader:
 
     def __init__(self, path):
         self._path = os.fspath(path)
-        self._directory = self._parse()
+        self._directory, self.stat = self._parse()
 
-    def _parse(self) -> dict:
-        with open(self._path, "rb") as file:
-            fcntl.flock(file, fcntl.LOCK_SH)  # released when the file closes
-            try:
-                with zipfile.ZipFile(file) as archive:
-                    return {info.filename: info for info in archive.infolist()}
-            except zipfile.BadZipFile as exc:
-                if not os.path.exists(self._path + _UNDO_SUFFIX):
-                    raise
-                raise ReproError(
-                    f"stream archive {self._path} is torn: an append was "
-                    "interrupted; resume the stream's publisher "
-                    "(StreamingPublisher.open, or `repro advance-epoch`) to "
-                    "repair it"
-                ) from exc
+    def _parse(self) -> tuple[dict, os.stat_result]:
+        with _locked_archive(self._path) as (archive, stat):
+            return {info.filename: info for info in archive.infolist()}, stat
 
     @property
     def members(self) -> list[str]:
@@ -676,12 +728,12 @@ class _ArchiveReader:
         name = member + ".npy"
         data = self._stored_bytes(self._directory.get(name))
         if data is None:
-            self._directory = self._parse()
+            self._directory, _ = self._parse()
             if name not in self._directory:
                 raise KeyError(member)
             data = self._stored_bytes(self._directory[name])
         if data is None:
-            with open(self._path, "rb") as file, zipfile.ZipFile(file) as archive:
+            with _locked_archive(self._path) as (archive, _):
                 with archive.open(name) as stream:
                     return np.lib.format.read_array(stream, allow_pickle=False)
         return np.lib.format.read_array(BytesIO(data), allow_pickle=False)
@@ -897,11 +949,10 @@ class ResultHandle:
         if self._header is None:
             with self._lock:
                 if self._header is None:
-                    stat = os.stat(self._path)
                     reader = _ArchiveReader(self._path)
                     self._header = _read_header(reader, reader.members)
                     self._reader = reader
-                    self._stat = (stat.st_mtime_ns, stat.st_size)
+                    self._stat = (reader.stat.st_mtime_ns, reader.stat.st_size)
         return self._header
 
     @property

@@ -150,8 +150,7 @@ class StreamingPublisher:
         self._seed = seed
         self._materialize = bool(materialize)
         self._epoch = 0
-        # Each epoch's ingested batches, as tables over the stream's schema.
-        self._buffers: dict[int, list[Table]] = {}
+        self._buffers: dict[int, list[np.ndarray]] = {}
         self._nodes: dict[tuple[int, int], StreamNode] = {}
         # Accounting of the closed epochs' leaves (see result()).
         self._leaves: list = []
@@ -268,7 +267,7 @@ class StreamingPublisher:
     def pending_rows(self) -> int:
         """Rows buffered across the open and future epochs."""
         return sum(
-            batch.num_rows for batches in self._buffers.values() for batch in batches
+            batch.shape[0] for batches in self._buffers.values() for batch in batches
         )
 
     @property
@@ -307,14 +306,10 @@ class StreamingPublisher:
                 f"table schema {table.schema!r} does not match the stream's "
                 f"{self._schema!r}"
             )
-        if table.schema != self._schema:
-            # Same names and shape, other hierarchies: publish the rows
-            # over the stream's own schema.
-            table = Table(self._schema, table.rows)
         rows = table.rows
         if timestamps is None:
             if rows.shape[0]:
-                self._buffers.setdefault(self._epoch, []).append(table)
+                self._buffers.setdefault(self._epoch, []).append(rows)
             return int(rows.shape[0])
         timestamps = np.asarray(timestamps, dtype=np.int64)
         if timestamps.shape != (rows.shape[0],):
@@ -333,13 +328,8 @@ class StreamingPublisher:
                 f"after that epoch was published (current epoch is "
                 f"{self._epoch})"
             )
-        targets = np.unique(epochs)
-        for epoch in targets:
-            batch = (
-                table if len(targets) == 1
-                else Table(self._schema, rows[epochs == epoch])
-            )
-            self._buffers.setdefault(int(epoch), []).append(batch)
+        for epoch in np.unique(epochs):
+            self._buffers.setdefault(int(epoch), []).append(rows[epochs == epoch])
         return int(rows.shape[0])
 
     def advance_epoch(self) -> PublishResult:
@@ -348,9 +338,7 @@ class StreamingPublisher:
         The epoch's buffered rows (possibly none — empty epochs publish
         noise-only releases, so the row count itself is protected)
         become one frequency matrix, published at the full ε with the
-        epoch's derived seed; an epoch of one ingested batch publishes
-        that batch's table as it is, without copying or re-checking it.
-        Every tree node completed by this close
+        epoch's derived seed.  Every tree node completed by this close
         (:func:`repro.streaming.tree.merge_path`) is then materialized
         by summing its children's payloads, and — when an archive is
         attached — the new nodes plus the next release tree are appended.
@@ -362,13 +350,13 @@ class StreamingPublisher:
         """
         epoch = self._epoch
         batches = self._buffers.pop(epoch, [])
-        if len(batches) == 1:
-            table = batches[0]  # checked when it was ingested
-        else:
-            rows = [batch.rows for batch in batches]
-            table = Table(self._schema, np.concatenate(rows) if rows else [])
+        rows = (
+            np.concatenate(batches, axis=0)
+            if batches
+            else np.empty((0, self._schema.dimensions), dtype=np.int64)
+        )
         leaf = self._mechanism.publish(
-            table,
+            Table(self._schema, rows),
             self._epsilon,
             seed=epoch_seed(self._seed, epoch),
             materialize=self._materialize,

@@ -139,20 +139,6 @@ class TestAdvance:
             answers.append(QueryEngine(publisher.result()).answer_all(queries))
         np.testing.assert_array_equal(answers[0], answers[1])
 
-    def test_one_batch_and_two_batches_publish_equal_leaves(self, schema):
-        """An epoch of one batch publishes that batch's table as it is; the
-        same rows in two batches are concatenated and publish ``==``."""
-        rows = epoch_table(24).rows
-        leaves = []
-        for batches in ([rows], [rows[:120], rows[120:]]):
-            publisher = StreamingPublisher(
-                schema, PriveletPlusMechanism(sa_names="auto"), EPS, seed=7
-            )
-            for batch in batches:
-                publisher.ingest(Table(schema, batch))
-            leaves.append(publisher.advance_epoch().release.coefficients)
-        np.testing.assert_array_equal(leaves[0], leaves[1])
-
     def test_epoch_seed_is_pure_function(self):
         a = epoch_seed(5, 3)
         b = epoch_seed(5, 3)

@@ -3,8 +3,11 @@
 import dataclasses
 import json
 import os
+import stat
+import struct
 import subprocess
 import sys
+import threading
 import time
 import zipfile
 
@@ -487,8 +490,10 @@ class TestStreamArchives:
 #: A second writer process: resume the stream archive ``argv[1]`` and
 #: close one epoch per row block of the ``.npy`` file ``argv[2]``.
 #: ``argv[3]`` says where it dies with ``os._exit(17)``: ``write<N>``
-#: right after its N-th member write (flushed), ``unlink`` where it would
-#: delete its undo record, or ``none``.
+#: right after its N-th member write (flushed), ``fail<N>`` where a
+#: failure raised after its N-th member write would be rolled back (the
+#: zip's close on the way out has written a directory of its own),
+#: ``unlink`` where it would delete its undo record, or ``none``.
 _WRITER = """
 import os
 import sys
@@ -509,6 +514,12 @@ def write_member_or_die(archive, name, array):
     if kill == f"write{len(writes)}":
         archive.fp.flush()
         os._exit(17)
+    if kill == f"fail{len(writes)}":
+        raise OSError("injected write failure")
+
+
+def restore_or_die(file, start, saved):
+    os._exit(17)
 
 
 def unlink_or_die(target):
@@ -518,6 +529,8 @@ def unlink_or_die(target):
 
 
 repro.io._write_member = write_member_or_die
+if kill.startswith("fail"):
+    repro.io._restore = restore_or_die
 os.unlink = unlink_or_die
 publisher = StreamingPublisher.open(path)
 for rows in np.load(blocks):
@@ -677,6 +690,111 @@ class TestInPlaceAppends:
         assert not os.path.exists(path + ".undo")
         assert resumed.current_epoch == 4
         self._assert_same_stream(load_result(path), self._continuous(blocks))
+
+    def test_writer_killed_during_rollback_is_repaired(self, path):
+        """Killed after a failed append's zip close wrote a directory of
+        its own (two new node members under the old trees), before the
+        rollback: the archive parses but lacks the record's tree version,
+        so ``open`` restores the pre-append bytes."""
+        with open(path, "rb") as file:
+            before = file.read()
+        with zipfile.ZipFile(path) as archive:
+            members = len(archive.namelist())
+        blocks = _blocks(2, 200)
+        child = subprocess.run(
+            _writer(path, blocks[:1], "fail2"), env=_env(), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert child.returncode == 17, child.stderr
+        with zipfile.ZipFile(path) as archive:
+            names = archive.namelist()
+        assert len(names) == members + 2 and "tree_4.npy" not in names
+        resumed = StreamingPublisher.open(path)
+        with open(path, "rb") as file:
+            assert file.read() == before
+        assert not os.path.exists(path + ".undo")
+        assert resumed.current_epoch == 3
+        _close(resumed, blocks)
+        self._assert_same_stream(load_result(path), self._continuous(blocks))
+
+    def test_damaged_record_is_refused(self, path):
+        """A record too short for an end record, or pointing past the end
+        of the file, raises and leaves the archive and the record alone."""
+        with open(path, "rb") as file:
+            before = file.read()
+        past_end = struct.pack("<QQ", len(before) + 1, 4) + bytes(22)
+        for record in (bytes(5), past_end):
+            with open(path + ".undo", "wb") as file:
+                file.write(record)
+            with pytest.raises(ReproError, match="undo record .* is damaged"):
+                StreamingPublisher.open(path)
+            with open(path, "rb") as file:
+                assert file.read() == before
+            with open(path + ".undo", "rb") as file:
+                assert file.read() == record
+
+    def test_record_is_durable_before_the_archive_changes(self, path, monkeypatch):
+        """The record and its directory entry reach the disk before the
+        first member write, and the archive before the record goes."""
+        fsync, write_member, unlink = os.fsync, repro.io._write_member, os.unlink
+        events = []
+
+        def logged_fsync(descriptor):
+            status = os.fstat(descriptor)
+            events.append(
+                "sync directory" if stat.S_ISDIR(status.st_mode)
+                else "sync archive" if os.path.samestat(status, os.stat(path))
+                else "sync record"
+            )
+            fsync(descriptor)
+
+        def logged_write(archive, name, array):
+            events.append("write")
+            write_member(archive, name, array)
+
+        def logged_unlink(target):
+            events.append("unlink record" if target == path + ".undo" else "unlink")
+            unlink(target)
+
+        publisher = StreamingPublisher.open(path)
+        publisher.ingest(Table(SMALL, _blocks(1, 200)[0]))
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "unlink", logged_unlink)
+        monkeypatch.setattr(repro.io, "_write_member", logged_write)
+        publisher.advance_epoch()
+        writes = events.count("write")
+        assert writes >= 2
+        assert events == (
+            ["sync record", "sync directory"] + ["write"] * writes
+            + ["sync archive", "unlink record"]
+        )
+
+    def test_handle_opened_mid_append_is_fresh_after_it(self, path, monkeypatch):
+        """A handle whose open waited out an append in flight describes the
+        appended file: its stat is taken under the parse's shared lock, not
+        before it, so it is not stale once the append completes."""
+        write_member, readers, handles = repro.io._write_member, [], []
+
+        def write_then_open(archive, name, array):
+            write_member(archive, name, array)
+            if not readers:
+                archive.fp.flush()  # the file has changed mid-append
+                reader = threading.Thread(
+                    target=lambda: handles.append(open_result(path))
+                )
+                readers.append(reader)
+                reader.start()
+                reader.join(0.2)
+                assert reader.is_alive()  # waiting for the append's lock
+
+        publisher = StreamingPublisher.open(path)
+        publisher.ingest(Table(SMALL, _blocks(1, 200)[0]))
+        monkeypatch.setattr(repro.io, "_write_member", write_then_open)
+        publisher.advance_epoch()
+        readers[0].join(60)
+        (handle,) = handles
+        assert handle.stale is False
+        assert handle.load().release.epochs == 4
 
     def test_readers_racing_a_writer(self, path):
         """A second process closes 40 epochs while this one re-opens the
