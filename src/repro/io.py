@@ -455,10 +455,9 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
     during one, leaves it for :func:`repair_stream_archive`, which every
     append (and :meth:`~repro.streaming.publisher.StreamingPublisher.
     open`) runs first.  The archive is synced before the record goes.
-    The caller is the single
-    writer (the stream's publisher).  Only the new nodes are encoded: the
-    earlier nodes' entries come from the archive's newest tree, so
-    resumed streams never load old payloads.
+    The caller is the single writer (the stream's publisher).  Only the
+    new nodes are encoded: the earlier nodes' entries come from the
+    archive's newest tree, so resumed streams never load old payloads.
 
     Parameters
     ----------
