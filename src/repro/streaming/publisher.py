@@ -350,6 +350,16 @@ class StreamingPublisher:
         """
         epoch = self._epoch
         batches = self._buffers.pop(epoch, [])
+        try:
+            return self._close(epoch, batches)
+        except BaseException:
+            # Nothing was committed: the epoch stays open with its rows.
+            if batches:
+                self._buffers[epoch] = batches
+            raise
+
+    def _close(self, epoch: int, batches: list) -> PublishResult:
+        """Publish and append epoch ``epoch``, then commit it to memory."""
         rows = (
             np.concatenate(batches, axis=0)
             if batches
@@ -364,9 +374,7 @@ class StreamingPublisher:
         sa = tuple(
             name for name in self._schema.names if name in infer_sa_names(leaf)
         )
-        if self._sa is None:
-            self._sa = sa
-        elif sa != self._sa:
+        if self._sa is not None and sa != self._sa:
             raise StreamingError(
                 f"mechanism changed its SA set mid-stream ({self._sa} -> "
                 f"{sa}); tree merges need one shared coefficient space"
@@ -376,14 +384,17 @@ class StreamingPublisher:
             left = self._node_result(level - 1, 2 * index, fresh)
             right = self._node_result(level - 1, 2 * index + 1, fresh)
             fresh[(level, index)] = merge_results(left, right)
+        nodes = dict(self._nodes)
         for (level, index), result in fresh.items():
-            self._nodes[(level, index)] = StreamNode.from_result(level, index, result)
-        self._leaves.append(leaf)
-        self._epoch = epoch + 1
+            nodes[(level, index)] = StreamNode.from_result(level, index, result)
+        leaves = self._leaves + [leaf]
         if self._archive_path is not None:
             from repro.io import append_stream_nodes
 
-            append_stream_nodes(self._archive_path, self.result(), fresh)
+            append_stream_nodes(
+                self._archive_path, self._result(sa, epoch + 1, nodes, leaves), fresh
+            )
+        self._sa, self._nodes, self._leaves, self._epoch = sa, nodes, leaves, epoch + 1
         return leaf
 
     def advance_to(self, epoch: int) -> int:
@@ -433,13 +444,7 @@ class StreamingPublisher:
         """
         if hi is None:
             hi = self._epoch
-        sa = self._sa_hint()
-        if self._slices is None or set(self._slices.sa_names) != set(sa):
-            self._slices = PrefixSlices(self._schema, sa)
-        return TimeTree(
-            self._schema, sa, self._epoch, self._nodes, window=(lo, hi),
-            slices=self._slices,
-        )
+        return self._release(self._sa_hint(), self._epoch, self._nodes, (lo, hi))
 
     def result(self) -> PublishResult:
         """The stream wrapped as a :class:`PublishResult` over ``[0, T)``.
@@ -448,9 +453,19 @@ class StreamingPublisher:
         ε is shared, λ and ρ are per-leaf maxima, and the variance bound
         is the per-leaf sum.
         """
+        return self._result(self._sa_hint(), self._epoch, self._nodes, self._leaves)
+
+    def _release(self, sa, epochs, nodes, window) -> TimeTree:
+        if self._slices is None or set(self._slices.sa_names) != set(sa):
+            self._slices = PrefixSlices(self._schema, sa)
+        return TimeTree(
+            self._schema, sa, epochs, nodes, window=window, slices=self._slices
+        )
+
+    def _result(self, sa, epochs, nodes, leaves) -> PublishResult:
         return _wrap_stream_result(
-            self.release(),
-            self._leaves,
+            self._release(sa, epochs, nodes, (0, epochs)),
+            leaves,
             epsilon=self._epsilon,
             mechanism=self._mechanism.name,
             epoch_length=self._epoch_length,

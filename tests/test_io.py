@@ -649,6 +649,35 @@ class TestInPlaceAppends:
         assert not os.path.exists(path + ".undo")
         assert StreamingPublisher.open(path).current_epoch == 3
 
+    def test_failed_close_is_retried_by_the_next(self, path, monkeypatch):
+        """A close whose append fails commits nothing: the publisher stays
+        at its archive's epoch count with the epoch's rows still buffered,
+        so the next close on the same object publishes them."""
+        write_member = repro.io._write_member
+
+        def write_then_fail(archive, name, array):
+            write_member(archive, name, array)
+            raise OSError("injected write failure")
+
+        blocks = _blocks(2, 200)
+        publisher = StreamingPublisher.open(path)
+        publisher.ingest(Table(SMALL, blocks[0]))
+        monkeypatch.setattr(repro.io, "_write_member", write_then_fail)
+        with pytest.raises(OSError, match="injected write failure"):
+            publisher.advance_epoch()
+        monkeypatch.undo()
+        assert publisher.closed_epochs == 3
+        assert publisher.pending_rows == len(blocks[0])
+        publisher.advance_epoch()
+        _close(publisher, blocks[1:])
+        loaded = load_result(path)
+        assert loaded.release.epochs == publisher.closed_epochs == 5
+        lows, highs = query_boxes(generate_workload(SMALL, 8, seed=3), SMALL.shape)
+        for lo in range(6):
+            for hi in range(lo, 6):
+                loaded.release.window(lo, hi).answer_boxes(lows, highs)
+        self._assert_same_stream(loaded, self._continuous(blocks))
+
     @pytest.mark.parametrize("kill", ["write1", "write4"])
     def test_killed_writer_is_repaired(self, path, kill):
         """Killed after its first member write (the old end record still
