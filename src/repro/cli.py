@@ -25,15 +25,15 @@ Commands
 ``advance-epoch``
     Close one or more epochs of a stream archive: the staged rows
     publish at the full ε (DP parallel composition over disjoint
-    epochs), completed dyadic tree nodes merge, and the archive gains
-    the new node members plus the next release tree — a running ``serve``
-    over the same file picks the new epochs up automatically.
+    epochs), and the archive gains one leaf member per closed epoch — a
+    running ``serve`` over the same file picks the new epochs up
+    automatically.
 ``query``
     Answer random range-count queries on a published archive through the
     batch query engine, printing each estimate with its exact noise std
     and confidence interval.  ``--time-range LO HI`` restricts a stream
-    archive to an epoch window (answered from its ``O(log T)`` dyadic
-    cover).
+    archive to an epoch window (answered from two running-prefix
+    slices, whatever its length).
 ``serve``
     Stand up a :class:`~repro.serving.server.ReleaseServer` over one or
     more archives and drive it through a JSONL loop on stdio: one JSON
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar=("LO", "HI"),
         help="epoch window [LO, HI) for stream archives (answered from "
-        "the window's O(log T) dyadic node cover)",
+        "two running-prefix slices, whatever its length)",
     )
 
     serve = commands.add_parser(
@@ -446,11 +446,7 @@ def _cmd_advance_epoch(args) -> int:
             f"epsilon={leaf.epsilon} (lambda={leaf.noise_magnitude:.2f}, "
             f"{leaf.representation})"
         )
-    release = publisher.release()
-    print(
-        f"stream now has {publisher.closed_epochs} epochs, "
-        f"{release.num_nodes} tree nodes; wrote {args.archive}"
-    )
+    print(f"stream now has {publisher.closed_epochs} epochs; wrote {args.archive}")
     return 0
 
 

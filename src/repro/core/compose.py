@@ -1,23 +1,22 @@
-"""Composition algebra for releases: partitions and dyadic time trees.
+"""Composition algebra for releases: partitions and time windows.
 
 The paper's mechanisms publish *one* noisy coefficient tensor, and every
 query answer is pure post-processing of it.  That linearity is why two
 composition axes could be bolted on independently — disjoint horizontal
-shards (DP parallel composition) and dyadic time hierarchies (streaming)
-— but as hand-rolled special cases they did not compose with each
-other.  This module makes composition a first-class **algebra** over the
+shards (DP parallel composition) and disjoint epochs of a stream — but
+as hand-rolled special cases they did not compose with each other.
+This module makes composition a first-class **algebra** over the
 :class:`~repro.core.release.Release` protocol:
 
 * :class:`Partition` — parallel composition along one ordinal axis.
   A box query is clipped against each part's interval; only intersecting
   parts answer, and independent noise means exact variances **add**.
-* :class:`TimeTree` — coefficient-addition over a dyadic time
-  hierarchy.  A window ``[lo, hi)`` answers from the stream's running
-  prefix (:class:`PrefixSlices`): slice ``S_t`` sums epochs ``[0, t)``,
-  so a box is ``K(S_hi) - K(S_lo)``, two corner gathers whatever the
-  window.  Its exact variance reads the canonical dyadic cover's λs
-  (at most ``2 ceil(log2 T)`` nodes) times one profile product, since
-  all nodes share one transform.
+* :class:`TimeTree` — a stream's per-epoch leaves.  A window
+  ``[lo, hi)`` answers from the stream's running prefix
+  (:class:`PrefixSlices`): slice ``S_t`` sums epochs ``[0, t)``, so a
+  box is ``K(S_hi) - K(S_lo)``, two corner gathers whatever the window.
+  Its exact variance is ``2 (hi - lo) λ²`` times one profile product,
+  since all leaves share one transform and one λ.
 
 The algebra is **closed under nesting**: a part of a
 :class:`Partition` may itself be any composed release, so a sharded
@@ -215,8 +214,8 @@ class ComposedRelease(Release):
     clips boxes against part intervals); answer accumulation, per-part
     variance dispatch (leaf formula vs. recursive delegation for nested
     parts), and lazy-load accounting are shared here.  :class:`TimeTree`
-    keeps the accounting but answers from its running prefix instead of
-    routing.
+    keeps the accounting over its leaves but answers from its running
+    prefix instead of routing.
 
     Parameters
     ----------
@@ -230,7 +229,7 @@ class ComposedRelease(Release):
 
     def __init__(self, schema: Schema, parts):
         self._schema = schema
-        self._parts = list(parts)
+        self._parts = tuple(parts)
 
     # ------------------------------------------------------------------
     @property
@@ -239,8 +238,8 @@ class ComposedRelease(Release):
 
     @property
     def parts(self) -> tuple:
-        """The routable parts, in routing order (treat as read-only)."""
-        return tuple(self._parts)
+        """The routable parts, in routing order."""
+        return self._parts
 
     @property
     def num_parts(self) -> int:
@@ -250,7 +249,7 @@ class ComposedRelease(Release):
     @property
     def parts_loaded(self) -> int:
         """How many member payloads have been materialized so far."""
-        return sum(part.loaded for part in self._iter_members())
+        return sum(part.loaded for part in self._parts)
 
     def part_result(self, index: int) -> PublishResult:
         """Part ``index``'s full result (loads an archive-backed part).
@@ -266,14 +265,6 @@ class ComposedRelease(Release):
             The part's own published result.
         """
         return self._parts[index].result()
-
-    def _iter_members(self):
-        """All member parts (for load counts and bytes).
-
-        Defaults to the routable parts; :class:`TimeTree` overrides
-        to iterate its full node table (the cover is a subset).
-        """
-        return iter(self._parts)
 
     # ------------------------------------------------------------------
     def _route(self, lows: np.ndarray, highs: np.ndarray):
@@ -356,7 +347,7 @@ class ComposedRelease(Release):
         """Bytes held by the *loaded* members' serving state."""
         return sum(
             member.result().release.nbytes()
-            for member in self._iter_members()
+            for member in self._parts
             if member.loaded
         )
 
@@ -490,7 +481,7 @@ class Partition(ComposedRelease):
         Defined only when every part is time-aware (exposes its own
         ``window`` — e.g. a :class:`TimeTree` per shard); the view is
         a same-type union of the per-part windowed views, sharing every
-        lazily loaded node payload with this release.  This is what
+        lazily loaded leaf payload with this release.  This is what
         makes a nested shard×time release serve ``time_range`` requests
         exactly like a plain stream.
 
@@ -553,7 +544,7 @@ class PrefixSlices:
     ``[lo, hi)`` answers ``K(S_hi) - K(S_lo)`` through each slice's
     :class:`~repro.core.release._CornerKernel`.  Slices are built lazily,
     in epoch order, when an answer first needs them; each reads one
-    level-0 node once and keeps no payload, so a stream holds
+    leaf once and keeps no payload, so a stream holds
     ``(h + 1) * prod(n_i + 1) * 8`` bytes, ``h`` the largest ``hi``
     answered.  Every slice is a pure function of the leaves before it:
     a state extended across appends equals one built from scratch bit
@@ -569,7 +560,7 @@ class PrefixSlices:
     schema:
         The stream's released schema.
     sa_names:
-        The SA set every node was published under.
+        The SA set every leaf was published under.
     """
 
     def __init__(self, schema: Schema, sa_names):
@@ -600,52 +591,45 @@ class PrefixSlices:
         """Bytes of the slices built so far."""
         return sum(kernel.nbytes for kernel in self._kernels)
 
-    def kernel(self, epoch: int, nodes) -> _CornerKernel:
+    def kernel(self, epoch: int, leaves) -> _CornerKernel:
         """The kernel over slice ``S_epoch``, folding the leaves it needs.
 
         Parameters
         ----------
         epoch:
             The slice index: ``S_epoch`` sums epochs ``[0, epoch)``.
-        nodes:
-            The stream's ``(level, index) -> node`` table; only the
-            level-0 leaves below ``epoch`` are read, each once per state.
+        leaves:
+            The stream's leaves in epoch order; only those below
+            ``epoch`` are read, each once per state.
         """
         if epoch >= len(self._kernels):
             with self._lock:
                 while len(self._kernels) <= epoch:
-                    self._kernels.append(self._next_slice(nodes))
+                    self._kernels.append(self._next_slice(leaves))
         return self._kernels[epoch]
 
-    def _next_slice(self, nodes) -> _CornerKernel:
+    def _next_slice(self, leaves) -> _CornerKernel:
         shape = self.transform.schema.shape
         if not self._kernels:
             return _CornerKernel(np.zeros(tuple(size + 1 for size in shape)))
-        epoch = len(self._kernels) - 1
-        try:
-            node = nodes[(0, epoch)]
-        except KeyError:
-            raise StreamingError(f"stream is missing leaf (0, {epoch})") from None
-        tensor = prefix_tensor(shape, node.read().release._fill_prefix)
+        leaf = leaves[len(self._kernels) - 1]
+        tensor = prefix_tensor(shape, leaf.read().release._fill_prefix)
         flat = tensor.reshape(-1)
         flat += self._kernels[-1].flat
-        self._sources.append(node.source)
+        self._sources.append(leaf.source)
         return _CornerKernel(tensor)
 
 
 class TimeTree(ComposedRelease):
-    """Dyadic-time composition: a window over a tree of merged epochs.
+    """Time composition: a window over a stream's per-epoch leaves.
 
-    The streaming combinator: node ``(level, index)`` holds the
-    coefficient-sum of ``2**level`` independently noised epoch releases
-    (pure post-processing, no fresh noise), so its effective λ is
-    ``λ · 2**(level/2)`` and the usual ``2 λ_eff² · ∏ profile`` variance
-    formula stays exact.  A window ``[lo, hi)`` answers a box as
-    ``K(S_hi) - K(S_lo)`` over the stream's :class:`PrefixSlices`, which
-    read level-0 leaves only; its exact variance sums the λ² of the
-    window's canonical dyadic cover (at most ``2 ceil(log2 T)`` nodes)
-    times a single profile product, since all nodes share one schema
-    and SA set.
+    The streaming combinator.  Each epoch is one independently noised
+    release at the same λ, and the wavelet pipeline is linear, so a
+    window ``[lo, hi)`` answers a box as the sum of its leaves' answers:
+    ``K(S_hi) - K(S_lo)`` over the stream's :class:`PrefixSlices`.  Its
+    exact variance is ``2 (hi - lo) λ² · ∏ profile`` — independent noise
+    adds, and all leaves share one schema, SA set and λ (a stream's
+    publisher and archive refuse a leaf that does not).
 
     Parameters
     ----------
@@ -653,15 +637,12 @@ class TimeTree(ComposedRelease):
         The released schema (time is *not* an axis; it is addressed by
         epoch windows).
     sa_names:
-        The SA set every node was published under.
-    epochs:
-        How many epochs of the stream are closed (``T``); the node
-        table must contain every dyadic node inside ``[0, T)``.
-    nodes:
-        Mapping ``(level, index) -> node``, shared (not copied) between
-        a merge and its :meth:`window` views; nodes satisfy the part
-        protocol plus ``read()`` and ``source``
-        (:class:`~repro.streaming.release.StreamNode` does).
+        The SA set every leaf was published under.
+    leaves:
+        The closed epochs' leaves in epoch order, shared (not copied)
+        between a stream and its :meth:`window` views; ``T`` is their
+        count.  Leaves satisfy the part protocol plus ``read()`` and
+        ``source`` (:class:`~repro.streaming.release.StreamNode` does).
     window:
         Optional ``(lo, hi)`` epoch window; ``None`` means ``[0, T)``.
     slices:
@@ -673,11 +654,9 @@ class TimeTree(ComposedRelease):
     representation = "stream"
 
     def __init__(
-        self, schema: Schema, sa_names, epochs: int, nodes, *, window=None,
+        self, schema: Schema, sa_names, leaves, *, window=None,
         slices: PrefixSlices | None = None,
     ):
-        from repro.streaming.tree import dyadic_cover
-
         if slices is None:
             slices = PrefixSlices(schema, sa_names)
         elif slices.transform.schema.shape != schema.shape:
@@ -685,35 +664,25 @@ class TimeTree(ComposedRelease):
                 f"prefix slices of shape {slices.transform.schema.shape} cannot "
                 f"serve a stream of shape {schema.shape}"
             )
+        super().__init__(schema, leaves)
         self._slices = slices
-        self._epochs = int(epochs)
-        if self._epochs < 0:
-            raise StreamingError(f"invalid epoch count {self._epochs}")
-        self._nodes = nodes
-        if window is None:
-            window = (0, self._epochs)
-        lo, hi = int(window[0]), int(window[1])
-        if not 0 <= lo <= hi <= self._epochs:
+        epochs = len(self._parts)
+        lo, hi = (0, epochs) if window is None else (int(window[0]), int(window[1]))
+        if not 0 <= lo <= hi <= epochs:
             raise StreamingError(
-                f"window [{lo}, {hi}) outside the closed prefix "
-                f"[0, {self._epochs})"
+                f"window [{lo}, {hi}) outside the closed prefix [0, {epochs})"
             )
         self._window = (lo, hi)
-        self._cover = dyadic_cover(lo, hi)
-        missing = [key for key in self._cover if key not in self._nodes]
-        if missing:
-            raise StreamingError(f"stream is missing tree nodes {missing}")
-        super().__init__(schema, [self._nodes[key] for key in self._cover])
 
     # ------------------------------------------------------------------
     @property
     def sa_names(self) -> tuple[str, ...]:
-        """The SA set shared by every node, in schema order."""
+        """The SA set shared by every leaf, in schema order."""
         return self._slices.sa_names
 
     @property
     def transform(self) -> HNTransform:
-        """The HN transform every node's coefficients live in (one object
+        """The HN transform every leaf's coefficients live in (one object
         per stream, shared by every view)."""
         return self._slices.transform
 
@@ -723,9 +692,14 @@ class TimeTree(ComposedRelease):
         return self._slices
 
     @property
+    def leaves(self) -> tuple:
+        """Every closed epoch's leaf, in epoch order (this release's parts)."""
+        return self._parts
+
+    @property
     def epochs(self) -> int:
         """How many epochs of the stream are closed."""
-        return self._epochs
+        return len(self._parts)
 
     @property
     def window_bounds(self) -> tuple[int, int]:
@@ -733,54 +707,15 @@ class TimeTree(ComposedRelease):
         return self._window
 
     @property
-    def cover(self) -> tuple[tuple[int, int], ...]:
-        """The window's canonical dyadic cover, as ``(level, index)`` pairs."""
-        return tuple(self._cover)
-
-    @property
-    def nodes_touched(self) -> int:
-        """How many nodes' λ a variance on this window sums (its cover)."""
-        return len(self._cover)
-
-    @property
-    def num_nodes(self) -> int:
-        """Total tree nodes in the stream's node table."""
-        return len(self._nodes)
-
-    @property
-    def nodes(self) -> dict:
-        """The ``(level, index) -> node`` table (treat as read-only)."""
-        return self._nodes
-
-    @property
     def nodes_loaded(self) -> int:
-        """How many node payloads are held in memory (answering keeps none)."""
+        """How many leaf payloads are held in memory (answering keeps none)."""
         return self.parts_loaded
-
-    def _iter_members(self):
-        """All tree nodes (the cover's parts are a subset)."""
-        return iter(self._nodes.values())
-
-    def node_result(self, level: int, index: int) -> PublishResult:
-        """Tree node ``(level, index)``'s result (loads it if lazy).
-
-        Parameters
-        ----------
-        level, index:
-            The node's tree coordinates.
-        """
-        try:
-            node = self._nodes[(int(level), int(index))]
-        except KeyError:
-            raise StreamingError(f"no tree node ({level}, {index})") from None
-        return node.result()
 
     def window(self, lo: int, hi: int | None = None) -> "TimeTree":
         """A view answering only over epochs ``[lo, hi)``.
 
-        The view shares the node table, the transform and the running
-        prefix with this release; building it costs the ``O(log T)``
-        cover computation only.
+        The view shares the leaves, the transform and the running prefix
+        with this release.
 
         Parameters
         ----------
@@ -797,13 +732,9 @@ class TimeTree(ComposedRelease):
             answers exact zeros with zero variance).
         """
         if hi is None:
-            hi = self._epochs
+            hi = self.epochs
         return type(self)(
-            self._schema,
-            self.sa_names,
-            self._epochs,
-            self._nodes,
-            window=(lo, hi),
+            self._schema, self.sa_names, self._parts, window=(lo, hi),
             slices=self._slices,
         )
 
@@ -829,18 +760,18 @@ class TimeTree(ComposedRelease):
         lo, hi = self._window
         if lo == hi:
             return np.zeros(lows.shape[0], dtype=np.float64)
-        answers = self._slices.kernel(hi, self._nodes)(lows, highs)
+        answers = self._slices.kernel(hi, self._parts)(lows, highs)
         if lo:
-            answers -= self._slices.kernel(lo, self._nodes)(lows, highs)
+            answers -= self._slices.kernel(lo, self._parts)(lows, highs)
         return answers
 
     def noise_variances_boxes(self, lows, highs) -> np.ndarray:
         """Exact noise variance of each box's answer over the window.
 
-        One profile product per query (all nodes share the transform)
-        times ``2 · Σ_cover λ_eff²`` — needing no node payload, because
-        the profiles depend only on the shared transform configuration
-        and each node's effective λ is recorded in the release tree.
+        ``2 (hi - lo) λ²`` times one profile product per query — needing
+        no leaf payload, because the profiles depend only on the shared
+        transform configuration and the leaves' one λ is part of their
+        recorded accounting.
 
         Parameters
         ----------
@@ -853,36 +784,36 @@ class TimeTree(ComposedRelease):
             ``(n,)`` exact variances aligned with the rows.
         """
         lows, highs = self._check_boxes(lows, highs)
-        factor = 2.0 * sum(
-            self._nodes[key].noise_magnitude ** 2 for key in self._cover
-        )
-        if factor == 0.0:
+        lo, hi = self._window
+        if lo == hi or self._parts[0].noise_magnitude == 0.0:
             return np.zeros(lows.shape[0], dtype=np.float64)
+        factor = 2.0 * (hi - lo) * self._parts[0].noise_magnitude ** 2
         products = AxisProfileCache(self.transform.transforms)._read_products(
             lows, highs
         )
         return factor * products
 
     def nbytes(self) -> int:
-        """Bytes of the running prefix plus any node payload held."""
+        """Bytes of the running prefix plus any leaf payload held."""
         return self._slices.nbytes() + super().nbytes()
 
     def to_matrix(self) -> FrequencyMatrix:
-        """Materialize the window's ``M*`` by summing cover-node matrices.
+        """Materialize the window's ``M*`` by summing its leaves' matrices.
 
-        Reads (and densifies) every cover node — the thing the tree
-        exists to avoid on the serving path — and caches neither the
-        payloads nor the result.
+        Reads (and densifies) every leaf in the window — the thing the
+        running prefix exists to avoid on the serving path — and caches
+        neither the payloads nor the result.
         """
+        lo, hi = self._window
         values = np.zeros(self._schema.shape, dtype=np.float64)
-        for key in self._cover:
-            values += self._nodes[key].read().release.to_matrix().values
+        for leaf in self._parts[lo:hi]:
+            values += leaf.read().release.to_matrix().values
         return FrequencyMatrix(self._schema, values)
 
     def __repr__(self) -> str:
         lo, hi = self._window
         return (
             f"{type(self).__name__}(shape={self._schema.shape}, "
-            f"epochs={self._epochs}, window=[{lo}, {hi}), "
+            f"epochs={self.epochs}, window=[{lo}, {hi}), "
             f"slices={len(self._slices)})"
         )

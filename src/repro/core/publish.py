@@ -6,7 +6,7 @@ each with its own function and slightly different conventions.  Under
 the composition algebra they are all the *same* operation: publish some
 leaves, then combine them with :class:`~repro.core.compose.Partition`
 (disjoint domain shards) and/or :class:`~repro.core.compose.TimeTree`
-(dyadic epochs).  :func:`publish` exposes exactly that: the input's
+(disjoint epochs).  :func:`publish` exposes exactly that: the input's
 shape plus ``shard_by``/``stream`` picks the composition, and every
 path returns the standard
 :class:`~repro.core.framework.PublishResult`.
@@ -177,7 +177,7 @@ def publish(
     One entry point for every release shape the library produces.  The
     composition is chosen by the keywords: ``shard_by`` partitions the
     domain (disjoint shards, each at full ε — DP parallel composition),
-    ``stream`` buckets rows into dyadic-tree epochs, and giving both
+    ``stream`` buckets rows into epochs, one leaf each, and giving both
     publishes one stream per shard and joins them with
     :class:`~repro.core.compose.Partition` — a nested composition that
     archives and serves like any other release.

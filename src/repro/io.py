@@ -6,33 +6,38 @@ intact.  Every :class:`~repro.core.framework.PublishResult` — a leaf
 (dense or coefficient release), a :class:`~repro.core.compose.Partition`,
 a :class:`~repro.core.compose.TimeTree`, or any nesting of them — is a
 schema, its accounting and a tree of noisy tensors, so all of them share
-one ``.npz`` (zip) layout, **format 5**:
+one ``.npz`` (zip) layout, **format 6**:
 
 * ``header`` — the static header: format, root representation, schema
   and root ε, plus (when the root is a stream) the epoch length,
-  mechanism spec, base seed and per-node representation a resuming
+  mechanism spec, base seed and per-leaf representation a resuming
   :class:`~repro.streaming.publisher.StreamingPublisher` needs;
-* ``tree_<v>`` — versioned copies of the release tree.  Every entry
-  carries its subtree's full accounting; ``partition`` entries add
-  their attribute, cut points and children, ``stream`` entries their
-  SA set, epoch count, window and tree nodes, and ``leaf`` entries (a
-  stream node is a leaf entry with ``level``/``index``) name the array
-  member holding their payload.  Readers use the newest version;
+* ``tree`` — the release tree, written once.  Every entry carries its
+  subtree's accounting; ``partition`` entries add their attribute, cut
+  points and children, ``leaf`` entries name the array member holding
+  their payload, and ``stream`` entries record their SA set, window,
+  member prefix and the accounting every one of their leaves shares
+  (ε, λ, ρ, variance bound, details and representation) — a stream's
+  epoch count is the number of its epoch members, so no entry changes
+  when an epoch is added.  An archive that holds no payload yet (a
+  zero-epoch stream) carries its tree inline under ``header["tree"]``;
 * one stored (``ZIP_STORED``: noise does not deflate) array member per
-  leaf or node — ``leaf`` at the root, ``node_<level>_<index>`` for a
-  stream's nodes, and ``p<i>_`` prefixed inside partition part ``i``.
+  leaf — ``leaf`` at the root, ``epoch_<e>`` for a stream's epoch ``e``
+  (``0`` to ``T - 1``, without a gap), and ``p<i>_`` prefixed inside
+  partition part ``i``.
 
-:func:`save_result` writes version 0.  A live stream's archive is
-created empty by :func:`create_stream_archive`, and every epoch close
-(:func:`append_stream_nodes`) appends its new node members plus the
-next tree version to the archive file itself, over its old zip
-directory, under an exclusive ``flock``.  Existing members are never
-rewritten or moved; readers parse a directory under a shared ``flock``,
-so they always see a whole zip, and an ``<archive>.undo`` record lets
-:func:`repair_stream_archive` restore an archive whose writer was killed
-mid-append.  :func:`result_to_parts` is the same layout without the archive —
-the tree rides inline under ``header["tree"]`` — which is how the
-shared-memory serving fleet ships a release.
+A live stream's archive is created with only its header by
+:func:`create_stream_archive`, and every epoch close
+(:func:`append_stream_nodes`) appends that epoch's one leaf member — the
+first close also writes the tree — to the archive file itself, over its
+old zip directory, under an exclusive ``flock``.  Existing members are
+never rewritten or moved; readers parse a directory under a shared
+``flock``, so they always see a whole zip, and an ``<archive>.undo``
+record lets :func:`repair_stream_archive` restore an archive whose
+writer was killed mid-append.  :func:`result_to_parts` is the same
+layout without the archive — the tree rides inline under
+``header["tree"]`` — which is how the shared-memory serving fleet ships
+a release.
 
 Loading from a filesystem path is **lazy**: the header and tree alone
 rebuild routing and exact variances for the whole release, and each
@@ -45,7 +50,7 @@ offset (``_ArchiveReader``), so a read costs the same at any member
 count; the directory also gives every stream leaf its ``source`` token
 (member name, CRC-32, size), which :meth:`ResultHandle.load` compares
 before a re-opened stream continues an earlier load's running prefix.
-Archives of the earlier formats 1–4 are rejected with a
+Archives of the earlier formats 1–5 are rejected with a
 :class:`~repro.errors.ReproError` naming their format.
 
 Hierarchies are serialized by their parent arrays + labels, which is
@@ -91,24 +96,24 @@ __all__ = [
     "create_stream_archive",
     "append_stream_nodes",
     "repair_stream_archive",
-    "stream_node_key",
 ]
 
 #: The archive layout version every writer emits and every reader accepts.
-_FORMAT = 5
+_FORMAT = 6
 #: Version of the :func:`schema_to_dict` payload.
 _SCHEMA_VERSION = 1
-#: Member-name prefix of the versioned release trees.
-_TREE_PREFIX = "tree_"
+#: Member-name stem of a stream's leaves: ``epoch_<e>``.
+_EPOCH = "epoch_"
 #: A zip local file header: signature, 22 bytes this reader skips, then
 #: the name and extra-field lengths.
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
 #: Suffix of the record an append keeps beside the archive until it
 #: completes (written as ``<suffix>.tmp``, synced, then renamed): the old
-#: directory's offset and the tree version the append writes, then every
-#: byte from that offset to the end of the file.
+#: directory's offset, the epoch whose leaf the append writes and that
+#: member's size and CRC-32, then every byte from that offset to the end
+#: of the file.
 _UNDO_SUFFIX = ".undo"
-_UNDO_HEAD = struct.Struct("<QQ")
+_UNDO_HEAD = struct.Struct("<QQQI")
 #: A zip end record without a comment: the shortest tail an undo record saves.
 _END_RECORD_SIZE = 22
 
@@ -171,53 +176,42 @@ def schema_from_dict(payload: dict) -> Schema:
     return Schema(attributes)
 
 
-def stream_node_key(level: int, index: int) -> str:
-    """The archive member name holding a root stream's tree node.
-
-    Inside partition part ``i`` the member carries the part's ``p<i>_``
-    prefix.
-
-    Parameters
-    ----------
-    level, index:
-        The node's dyadic-tree coordinates.
-    """
-    return f"node_{int(level)}_{int(index)}"
-
-
 # ----------------------------------------------------------------------
 # Encoder: result -> (header, tree, arrays)
 # ----------------------------------------------------------------------
+def _details(details: dict) -> dict:
+    return {k: _jsonable(v) for k, v in details.items()}
+
+
 def _accounting(result: PublishResult) -> dict:
     return {
         "epsilon": result.epsilon,
         "noise_magnitude": result.noise_magnitude,
         "generalized_sensitivity": result.generalized_sensitivity,
         "variance_bound": result.variance_bound,
-        "details": {k: _jsonable(v) for k, v in result.details.items()},
+        "details": _details(result.details),
     }
 
 
-def _leaf_entry(result: PublishResult, arrays: dict, prefix: str, node=None) -> dict:
-    """A leaf's tree entry; its payload goes to ``arrays``.
-
-    ``node`` is the ``(level, index)`` of a stream node, which is a leaf
-    entry plus its tree coordinates.
-    """
+def _payload(result: PublishResult) -> np.ndarray:
+    """The array a leaf's member stores."""
     release = result.release
     if isinstance(release, CoefficientRelease):
-        payload = release.coefficients
-    elif isinstance(release, DenseRelease):
-        payload = release.to_matrix().values
-    else:
-        raise ReproError(f"cannot archive a leaf of type {type(release).__name__}")
-    member = prefix + ("leaf" if node is None else stream_node_key(*node))
-    arrays[member] = payload
+        return release.coefficients
+    if isinstance(release, DenseRelease):
+        return release.to_matrix().values
+    raise ReproError(f"cannot archive a leaf of type {type(release).__name__}")
+
+
+def _leaf_entry(result: PublishResult, arrays: dict, prefix: str) -> dict:
+    """A leaf's tree entry; its payload goes to ``arrays``."""
+    member = prefix + "leaf"
+    arrays[member] = _payload(result)
     entry = {
         **_accounting(result),
         "kind": "leaf",
         "member": member,
-        "representation": release.representation,
+        "representation": result.representation,
     }
     try:
         entry["sa"] = list(infer_sa_names(result))
@@ -225,21 +219,29 @@ def _leaf_entry(result: PublishResult, arrays: dict, prefix: str, node=None) -> 
         # A dense leaf whose details record no SA set still answers;
         # like the in-memory result, it just has no variance model.
         pass
-    if node is not None:
-        entry["level"], entry["index"] = node
     return entry
 
 
-def _stream_entry(result: PublishResult, nodes: list) -> dict:
-    """A stream's tree entry over already-encoded ``nodes``."""
+def _stream_entry(result: PublishResult, prefix: str) -> dict:
+    """A stream's tree entry, whose leaves are the ``<prefix>epoch_<e>``
+    members: it records their shared accounting and holds at any epoch
+    count (a window over the whole stream is recorded as ``None``)."""
     release = result.release
+    lo, hi = release.window_bounds
+    leaf = None
+    if release.leaves:
+        accounting = release.leaves[0].accounting
+        leaf = {**accounting, "details": _details(accounting["details"])}
     return {
-        **_accounting(result),
         "kind": "stream",
+        "epsilon": result.epsilon,
         "sa": list(release.sa_names),
-        "epochs": release.epochs,
-        "window": list(release.window_bounds),
-        "nodes": nodes,
+        "window": None if (lo, hi) == (0, release.epochs) else [lo, hi],
+        "members": prefix + _EPOCH,
+        "details": _details(
+            {key: value for key, value in result.details.items() if key != "epochs"}
+        ),
+        "leaf": leaf,
     }
 
 
@@ -247,13 +249,9 @@ def _entry(result: PublishResult, arrays: dict, prefix: str = "") -> dict:
     """The tree entry of ``result`` (recursive); payloads go to ``arrays``."""
     release = result.release
     if isinstance(release, TimeTree):
-        return _stream_entry(
-            result,
-            [
-                _leaf_entry(node.result(), arrays, prefix, key)
-                for key, node in sorted(release.nodes.items())
-            ],
-        )
+        for epoch, leaf in enumerate(release.leaves):
+            arrays[f"{prefix}{_EPOCH}{epoch}"] = _payload(leaf.read())
+        return _stream_entry(result, prefix)
     if isinstance(release, Partition):
         return {
             **_accounting(result),
@@ -282,7 +280,6 @@ def _header(result: PublishResult, **stream) -> dict:
         "epsilon": result.epsilon,
     }
     if isinstance(release, TimeTree):
-        nodes = list(release.nodes.values())
         header.update(
             epoch_length=int(result.details.get("epoch_length", 1)),
             # Privelet+ with an explicit SA set reproduces every standard
@@ -291,30 +288,28 @@ def _header(result: PublishResult, **stream) -> dict:
             mechanism_name=str(result.details.get("mechanism", "stream")),
             seed=None,
             node_representation=(
-                nodes[0].representation if nodes else "coefficients"
+                release.leaves[0].representation if release.leaves else "coefficients"
             ),
         )
         header.update(stream)
     return header
 
 
-def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
-    """Write one stored ``.npy`` member (what ``np.load`` reads back)."""
+def _npy(array):
+    """The ``.npy`` bytes of ``array`` (what ``np.load`` reads back)."""
+    buffer = BytesIO()
+    np.lib.format.write_array(buffer, np.ascontiguousarray(array), allow_pickle=False)
+    return buffer.getbuffer()
+
+
+def _json_npy(payload: dict):
+    return _npy(np.frombuffer(json.dumps(payload).encode("utf-8"), dtype=np.uint8))
+
+
+def _write_member(archive: zipfile.ZipFile, name: str, data) -> None:
+    """Write the ``.npy`` bytes ``data`` as the stored member ``name``."""
     with archive.open(name + ".npy", "w", force_zip64=True) as member:
-        np.lib.format.write_array(
-            member, np.ascontiguousarray(array), allow_pickle=False
-        )
-
-
-def _json_array(payload: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(payload).encode("utf-8"), dtype=np.uint8)
-
-
-def _write(archive: zipfile.ZipFile, arrays: dict, tree: dict, version: int) -> None:
-    """Write payload members, then tree version ``version``."""
-    for member, payload in arrays.items():
-        _write_member(archive, member, payload)
-    _write_member(archive, f"{_TREE_PREFIX}{version}", _json_array(tree))
+        member.write(data)
 
 
 def result_to_parts(result: PublishResult) -> tuple[dict, dict]:
@@ -322,7 +317,7 @@ def result_to_parts(result: PublishResult) -> tuple[dict, dict]:
 
     This is the archive layout without the archive: the same header an
     archive stores, with the release tree inline under
-    ``header["tree"]``, plus one array per leaf or stream node — usable
+    ``header["tree"]``, plus one array per leaf or stream epoch — usable
     anywhere the two halves travel separately, e.g. the shared-memory
     publisher, which ships the header as JSON and each array as a named
     segment.  :func:`result_from_parts` inverts it exactly.
@@ -345,11 +340,13 @@ def result_to_parts(result: PublishResult) -> tuple[dict, dict]:
 
 
 def save_result(path, result: PublishResult) -> None:
-    """Write a published result to ``path`` as a format-5 archive.
+    """Write a published result to ``path`` as a format-6 archive.
 
-    One stored member per leaf or stream node plus tree version 0;
-    every part is loaded to be written.  A saved stream records no base
-    seed, so resuming it with :meth:`~repro.streaming.publisher.
+    The header, the tree and one stored member per leaf or stream epoch;
+    every part is loaded to be written.  A result with no payload (a
+    zero-epoch stream) keeps its tree inline in the header, as a new
+    stream archive does.  A saved stream records no base seed, so
+    resuming it with :meth:`~repro.streaming.publisher.
     StreamingPublisher.open` draws fresh entropy — prefer the
     publisher's own ``archive_path`` for live streams.
 
@@ -362,10 +359,13 @@ def save_result(path, result: PublishResult) -> None:
         Any :class:`PublishResult`.
     """
     header, arrays = result_to_parts(result)
-    tree = header.pop("tree")
+    tree = header.pop("tree") if arrays else None
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
-        _write_member(archive, "header", _json_array(header))
-        _write(archive, arrays, tree, 0)
+        _write_member(archive, "header", _json_npy(header))
+        if tree is not None:
+            _write_member(archive, "tree", _json_npy(tree))
+        for member, payload in arrays.items():
+            _write_member(archive, member, _npy(payload))
 
 
 def create_stream_archive(
@@ -381,10 +381,12 @@ def create_stream_archive(
 ) -> None:
     """Create an empty (zero-epoch) stream archive at ``path``.
 
-    The header written here is static for the archive's whole life;
-    the tree (nodes, epoch count, accounting) evolves through the
-    versions :func:`append_stream_nodes` adds.  Refuses to overwrite an
-    existing file — a stream archive is append-only.
+    The archive holds only its header, which is static for the
+    archive's whole life and carries the zero-epoch tree inline; the
+    first :func:`append_stream_nodes` writes the ``tree`` member with
+    the accounting every leaf shares, and each append adds one leaf.
+    Refuses to overwrite an existing file — a stream archive is
+    append-only.
 
     Parameters
     ----------
@@ -406,13 +408,12 @@ def create_stream_archive(
         bit-reproducible at the cost of making the noise recomputable
         by anyone holding the archive.
     representation:
-        The per-node representation the stream publishes
+        The per-leaf representation the stream publishes
         (``"coefficients"`` or ``"dense"``).
     """
     mechanism = mechanism or {}
     result = _wrap_stream_result(
-        TimeTree(schema, tuple(mechanism.get("sa", ())), 0, {}),
-        [],
+        TimeTree(schema, tuple(mechanism.get("sa", ())), ()),
         epsilon=epsilon,
         mechanism=mechanism_name,
         epoch_length=int(epoch_length),
@@ -424,10 +425,10 @@ def create_stream_archive(
         seed=_jsonable(seed),
         node_representation=representation,
     )
+    header["tree"] = _entry(result, {})
     try:
         with zipfile.ZipFile(path, "x", compression=zipfile.ZIP_STORED) as archive:
-            _write_member(archive, "header", _json_array(header))
-            _write(archive, {}, _entry(result, {}), 0)
+            _write_member(archive, "header", _json_npy(header))
     except FileExistsError as exc:
         raise ReproError(
             f"stream archive {path} already exists; resume it with "
@@ -435,29 +436,30 @@ def create_stream_archive(
         ) from exc
 
 
-def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
-    """Append an epoch close: its new node members plus the next tree.
+def append_stream_nodes(path, result: PublishResult) -> None:
+    """Append an epoch close: the stream's newest leaf, as one member.
 
+    The first close also writes the ``tree`` member, which records the
+    accounting every leaf shares; no later close rewrites it.
     Append-only at the *member* level (existing members are never
-    rewritten or moved, every earlier tree version stays parseable) and
-    **in place** at the *file* level, so a close costs its own bytes,
-    not the archive's.  Under an exclusive ``flock`` on the archive, the
-    new members and tree version are written over its old zip directory,
-    then a new directory and end record.  Readers parse a directory only
-    under a shared ``flock``, so a concurrent reader — e.g. a serving
-    process whose ``watch_streams`` probe fires mid-append — sees either
-    the old or the new directory, never a half-written one.  Before the
-    first byte is written, the old directory's offset, the new tree
-    version and every byte from that offset on go to ``<path>.undo``,
-    synced to disk with its directory entry: a failure writes them back
-    (the file is then byte-identical to what it was) and deletes the
-    record, and a writer killed mid-append, or a machine that went down
-    during one, leaves it for :func:`repair_stream_archive`, which every
-    append (and :meth:`~repro.streaming.publisher.StreamingPublisher.
-    open`) runs first.  The archive is synced before the record goes.
-    The caller is the single writer (the stream's publisher).  Only the
-    new nodes are encoded: the earlier nodes' entries come from the
-    archive's newest tree, so resumed streams never load old payloads.
+    rewritten or moved) and **in place** at the *file* level, so a close
+    costs its own bytes, not the archive's.  Under an exclusive
+    ``flock`` on the archive, the new member is written over its old zip
+    directory, then a new directory and end record.  Readers parse a
+    directory only under a shared ``flock``, so a concurrent reader —
+    e.g. a serving process whose ``watch_streams`` probe fires
+    mid-append — sees either the old or the new directory, never a
+    half-written one.  Before the first byte is written, the old
+    directory's offset, the new leaf's epoch, size and CRC-32 and every
+    byte from that offset on go to ``<path>.undo``, synced to disk with
+    its directory entry: a failure writes them back (the file is then
+    byte-identical to what it was) and deletes the record, and a writer
+    killed mid-append, or a machine that went down during one, leaves it
+    for :func:`repair_stream_archive`, which every append (and
+    :meth:`~repro.streaming.publisher.StreamingPublisher.open`) runs
+    first.  The archive is synced before the record goes.  The caller is
+    the single writer (the stream's publisher), which has checked that
+    the leaf shares the stream's accounting.
 
     Parameters
     ----------
@@ -465,16 +467,17 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
         A stream archive created by :func:`create_stream_archive`.
     result:
         The stream's whole result after the close (a
-        :class:`~repro.core.compose.TimeTree` root), whose accounting,
-        SA set and epoch count the new tree version records.
-    nodes:
-        ``(level, index) -> PublishResult`` for each node completed by
-        this close.
+        :class:`~repro.core.compose.TimeTree` root): its newest leaf is
+        appended, and its first close's accounting becomes the tree.
     """
     path = os.fspath(path)
     undo = path + _UNDO_SUFFIX
-    arrays: dict = {}
-    added = [_leaf_entry(node, arrays, "", key) for key, node in nodes.items()]
+    release = result.release
+    epoch = release.epochs - 1
+    leaf = _npy(_payload(release.leaves[epoch].read()))
+    members = {f"{_EPOCH}{epoch}": leaf}
+    if epoch == 0:
+        members = {"tree": _json_npy(_stream_entry(result, "")), **members}
     with open(path, "r+b") as file:
         fcntl.flock(file, fcntl.LOCK_EX)  # released when the file closes
         _repair(file, path)
@@ -484,21 +487,20 @@ def append_stream_nodes(path, result: PublishResult, nodes: dict) -> None:
         saved = file.read()
         try:
             with archive:  # closing writes the new directory and end record
-                existing = {name.removesuffix(".npy") for name in archive.namelist()}
-                version = _newest_version(existing)
-                duplicates = sorted(existing.intersection(arrays))
-                if duplicates:
-                    raise ReproError(
-                        f"stream archive {path} already holds {duplicates}; "
-                        "nodes are append-only"
-                    )
-                with archive.open(f"{_TREE_PREFIX}{version}.npy") as member:
-                    previous = _decode_json(np.lib.format.read_array(member))
-                _write_durably(undo, _UNDO_HEAD.pack(start, version + 1) + saved)
-                _write(
-                    archive, arrays, _stream_entry(result, previous["nodes"] + added),
-                    version + 1,
+                held = _epoch_count(
+                    [name.removesuffix(".npy") for name in archive.namelist()], _EPOCH
                 )
+                if held != epoch:
+                    raise ReproError(
+                        f"stream archive {path} holds epochs [0, {held}), so it "
+                        f"cannot take epoch {epoch}: leaves are append-only"
+                    )
+                _write_durably(
+                    undo,
+                    _UNDO_HEAD.pack(start, epoch, len(leaf), zlib.crc32(leaf)) + saved,
+                )
+                for name, data in members.items():
+                    _write_member(archive, name, data)
             os.fsync(file.fileno())
         except BaseException:
             # Closing on the way out wrote an end record of its own; the
@@ -534,28 +536,21 @@ def _restore(file, start: int, saved: bytes) -> None:
     os.fsync(file.fileno())
 
 
-def _repair(file, path: str) -> None:
-    """Settle the append a killed writer left; the caller holds ``LOCK_EX``.
+def _undo_record(path: str, size: int):
+    """The undo record beside the archive ``path`` of ``size`` bytes.
 
-    Nothing to do unless ``<path>.undo`` exists.  An archive that parses
-    and lists the tree version the record names was completed, and stays
-    as it is (a reader may already have served the new epoch).  Any
-    other archive, torn or holding a failed append's partial members,
-    gets the record's bytes back at the record's offset, which makes it
-    byte-identical to the file before the interrupted append.  Either
-    way the record goes.  A record too short to hold an end record, or
-    whose offset lies past the end of the file, raises
-    :class:`~repro.errors.ReproError` and leaves both files alone.  The
-    parse runs through ``file`` itself: a second descriptor's shared
-    lock would wait forever for this one's.
+    ``None`` without a record; else ``(head, saved)``, ``head`` being
+    the old directory's offset and the appended leaf's epoch, size and
+    CRC-32, and ``saved`` the bytes from that offset on.  A record too
+    short to hold an end record, or whose offset lies past the end of
+    the archive, raises :class:`~repro.errors.ReproError`.
     """
     undo = path + _UNDO_SUFFIX
     try:
         with open(undo, "rb") as handle:
             record = handle.read()
     except FileNotFoundError:
-        return
-    size = os.fstat(file.fileno()).st_size
+        return None
     if len(record) < _UNDO_HEAD.size + _END_RECORD_SIZE or (
         _UNDO_HEAD.unpack_from(record)[0] > size
     ):
@@ -563,15 +558,48 @@ def _repair(file, path: str) -> None:
             f"cannot repair stream archive {path}: its undo record {undo} is "
             f"damaged ({len(record)} bytes for an archive of {size} bytes)"
         )
-    start, version = _UNDO_HEAD.unpack_from(record)
+    return _UNDO_HEAD.unpack_from(record), record[_UNDO_HEAD.size:]
+
+
+def _vouched(archive: zipfile.ZipFile, head) -> bool:
+    """Whether ``archive`` lists the leaf an undo record names with the
+    record's size and CRC-32, i.e. the append completed.  A write that
+    raised mid-way is listed too once the zip closes, with its partial
+    size, so being listed alone proves nothing."""
+    _, epoch, size, crc = head
+    try:
+        info = archive.getinfo(f"{_EPOCH}{epoch}.npy")
+    except KeyError:
+        return False
+    return (info.file_size, info.CRC) == (size, crc)
+
+
+def _repair(file, path: str) -> None:
+    """Settle the append a killed writer left; the caller holds ``LOCK_EX``.
+
+    Nothing to do unless ``<path>.undo`` exists.  An archive that parses
+    and lists the record's leaf with the record's size and CRC-32 was
+    completed, and stays as it is (a reader may already have served the
+    new epoch).  Any other archive, torn or holding a failed append's
+    partial members, gets the record's bytes back at the record's
+    offset, which makes it byte-identical to the file before the
+    interrupted append.  Either way the record goes.  A damaged record
+    raises :class:`~repro.errors.ReproError` and leaves both files
+    alone.  The parse runs through ``file`` itself: a second
+    descriptor's shared lock would wait forever for this one's.
+    """
+    record = _undo_record(path, os.fstat(file.fileno()).st_size)
+    if record is None:
+        return
+    head, saved = record
     try:
         with zipfile.ZipFile(file) as archive:
-            completed = f"{_TREE_PREFIX}{version}.npy" in archive.namelist()
+            completed = _vouched(archive, head)
     except zipfile.BadZipFile:
         completed = False
     if not completed:
-        _restore(file, start, record[_UNDO_HEAD.size:])
-    os.unlink(undo)
+        _restore(file, head[0], saved)
+    os.unlink(path + _UNDO_SUFFIX)
 
 
 def repair_stream_archive(path) -> None:
@@ -579,11 +607,12 @@ def repair_stream_archive(path) -> None:
 
     A reader of such an archive raises :class:`~repro.errors.ReproError`
     naming the interrupted append.  Under the archive's exclusive lock,
-    an archive that lists the new tree version (the writer died after
-    its new end record) keeps its new epoch, and any other is restored
-    byte for byte from its ``<path>.undo`` record; the record is then
-    deleted.  A damaged record raises :class:`~repro.errors.ReproError`.
-    Without a record nothing is locked or touched.
+    an archive that lists the new leaf with the size and CRC-32 its
+    record names (the writer died after its new end record) keeps its
+    new epoch, and any other is restored byte for byte from its
+    ``<path>.undo`` record; the record is then deleted.  A damaged
+    record raises :class:`~repro.errors.ReproError`.  Without a record
+    nothing is locked or touched.
     :meth:`~repro.streaming.publisher.StreamingPublisher.open` calls
     this first, and every :func:`append_stream_nodes` runs the same
     repair under its own lock.
@@ -613,29 +642,38 @@ def _check_format(header: dict) -> None:
         )
 
 
-def _tree_members(entry: dict):
-    """Every payload member a tree entry references (recursive)."""
-    if "member" in entry:
-        yield entry["member"]
-    for child in entry.get("children", []) + entry.get("nodes", []):
-        yield from _tree_members(child)
+def _epoch_count(members, stem: str) -> int:
+    """How many ``<stem><e>`` members ``members`` names (without ``.npy``);
+    they must run from 0 without a gap."""
+    epochs = sorted(
+        int(name[len(stem):])
+        for name in members
+        if name.startswith(stem) and name[len(stem):].isdigit()
+    )
+    for expected, epoch in enumerate(epochs):
+        if epoch != expected:
+            raise ReproError(
+                f"corrupt result archive: missing members {[f'{stem}{expected}']}"
+            )
+    return len(epochs)
 
 
-def _check_members(tree: dict, available) -> None:
-    missing = sorted(set(_tree_members(tree)) - set(available))
-    if missing:
-        raise ReproError(f"corrupt result archive: missing members {missing}")
-
-
-def _newest_version(names) -> int:
-    versions = [
-        int(name[len(_TREE_PREFIX):])
-        for name in names
-        if name.startswith(_TREE_PREFIX) and name[len(_TREE_PREFIX):].isdigit()
-    ]
-    if not versions:
-        raise ReproError("corrupt result archive: no tree member")
-    return max(versions)
+def _resolve(entry: dict, members) -> None:
+    """Check the members a tree entry names, and set each stream entry's
+    ``epochs`` to the count of its epoch members (recursive)."""
+    if "member" in entry and entry["member"] not in members:
+        raise ReproError(
+            f"corrupt result archive: missing members {[entry['member']]}"
+        )
+    if entry.get("kind") == "stream":
+        entry["epochs"] = _epoch_count(members, entry["members"])
+        if entry["epochs"] and entry["leaf"] is None:
+            raise ReproError(
+                f"corrupt result archive: {entry['epochs']} epoch members but "
+                "no tree member recording their accounting"
+            )
+    for child in entry.get("children", []):
+        _resolve(child, members)
 
 
 def _decode_json(array) -> dict:
@@ -643,19 +681,23 @@ def _decode_json(array) -> dict:
 
 
 def _read_header(read, members) -> dict:
-    """An archive's header with its newest tree under ``"tree"``.
+    """An archive's header with its tree under ``"tree"``.
 
     ``read`` maps a member name to its array and ``members`` lists the
-    names (without ``.npy``).
+    names (without ``.npy``).  The tree is the ``tree`` member, or the
+    header's inline one when the archive holds no payload yet.
     """
     try:
         header = _decode_json(read("header"))
     except KeyError as exc:
         raise ReproError(f"not a repro result archive: missing {exc}") from exc
     _check_format(header)
-    tree = _decode_json(read(f"{_TREE_PREFIX}{_newest_version(members)}"))
-    _check_members(tree, members)
-    header["tree"] = tree
+    members = set(members)
+    if "tree" in members:
+        header["tree"] = _decode_json(read("tree"))
+    elif "tree" not in header:
+        raise ReproError("corrupt result archive: no tree member")
+    _resolve(header["tree"], members)
     return header
 
 
@@ -664,24 +706,35 @@ def _locked_archive(path: str):
     """``(ZipFile, fstat)`` of the archive at ``path``, under a shared ``flock``.
 
     The lock is held from before the directory parse until the block
-    ends.  An archive that does not parse while an ``<path>.undo``
-    record lies beside it was torn by a killed writer, whose lock died
-    with it: that raises :class:`~repro.errors.ReproError` at once.
+    ends, so an ``<path>.undo`` record seen under it was left by a
+    killed writer, whose lock died with it.  Unless the archive parses
+    and lists the leaf the record names with the record's size and
+    CRC-32 (the append completed), that raises
+    :class:`~repro.errors.ReproError` at once: the archive is torn or
+    lists a partial leaf, and no reader counts it.
     """
     with open(path, "rb") as file:
         fcntl.flock(file, fcntl.LOCK_SH)  # released when the file closes
+        stat = os.fstat(file.fileno())
+        record = _undo_record(path, stat.st_size)
         try:
             archive = zipfile.ZipFile(file)
         except zipfile.BadZipFile as exc:
-            if not os.path.exists(path + _UNDO_SUFFIX):
+            if record is None:
                 raise
-            raise ReproError(
-                f"stream archive {path} is torn: an append was interrupted; "
-                "resume the stream's publisher (StreamingPublisher.open, or "
-                "`repro advance-epoch`) to repair it"
-            ) from exc
+            raise _interrupted(path) from exc
         with archive:
-            yield archive, os.fstat(file.fileno())
+            if record is not None and not _vouched(archive, record[0]):
+                raise _interrupted(path)
+            yield archive, stat
+
+
+def _interrupted(path: str) -> ReproError:
+    return ReproError(
+        f"stream archive {path} is torn: an append was interrupted; "
+        "resume the stream's publisher (StreamingPublisher.open, or "
+        "`repro advance-epoch`) to repair it"
+    )
 
 
 class _ArchiveReader:
@@ -758,7 +811,7 @@ class _ArchiveReader:
         return data
 
 
-def _continues(slices, schema: Schema, sa_names, nodes) -> bool:
+def _continues(slices, schema: Schema, sa_names, leaves) -> bool:
     """Whether a re-opened stream may continue an earlier running prefix.
 
     Only when its schema and SA set are the same and every leaf the
@@ -769,11 +822,47 @@ def _continues(slices, schema: Schema, sa_names, nodes) -> bool:
     """
     if slices.transform.schema != schema or set(slices.sa_names) != set(sa_names):
         return False
-    return all(
-        source is not None
-        and getattr(nodes.get((0, epoch)), "source", None) == source
-        for epoch, source in enumerate(slices.sources)
+    sources = slices.sources
+    return len(sources) <= len(leaves) and all(
+        source is not None and leaf.source == source
+        for leaf, source in zip(leaves, sources)
     )
+
+
+def _leaf_result(entry: dict, sa, member: str, schema: Schema, read) -> PublishResult:
+    """A leaf read from ``member``, with ``entry``'s accounting."""
+    payload = read(member)
+    if entry["representation"] == "coefficients":
+        release = CoefficientRelease(schema, tuple(sa), payload)
+    else:
+        release = DenseRelease(FrequencyMatrix(schema, payload))
+    return PublishResult(
+        release=release,
+        epsilon=float(entry["epsilon"]),
+        noise_magnitude=float(entry["noise_magnitude"]),
+        generalized_sensitivity=float(entry["generalized_sensitivity"]),
+        variance_bound=float(entry["variance_bound"]),
+        details=entry.get("details", {}),
+    )
+
+
+def _stream_result(entry: dict, schema: Schema, read, lazy: bool, slices) -> PublishResult:
+    """A stream over its ``entry["epochs"]`` epoch members."""
+    leaf, sa = entry["leaf"], entry["sa"]
+    source = getattr(read, "source", None)
+    leaves = []
+    for epoch in range(entry["epochs"]):
+        member = f"{entry['members']}{epoch}"
+        load = functools.partial(_leaf_result, leaf, sa, member, schema, read)
+        leaves.append(
+            StreamNode(leaf, load, source(member) if source else None)
+            if lazy
+            else StreamNode.from_result(load())
+        )
+    if slices is not None and not _continues(slices, schema, sa, leaves):
+        slices = None
+    release = TimeTree(schema, tuple(sa), leaves, window=entry["window"], slices=slices)
+    return _wrap_stream_result(release, epsilon=entry["epsilon"], **entry["details"])
 
 
 def _result(
@@ -782,66 +871,41 @@ def _result(
     """Rebuild the result one tree entry describes (recursive).
 
     Combinator structure is rebuilt at once; when ``lazy`` each
-    partition leaf and stream node gets a loader instead of its payload,
+    partition leaf and stream leaf gets a loader instead of its payload,
     so nothing is read until a query needs it.  A stream entry continues
     ``slices`` when :func:`_continues` allows it.
     """
     kind = entry.get("kind")
     if kind == "leaf":
-        payload = read(entry["member"])
-        if entry["representation"] == "coefficients":
-            release = CoefficientRelease(schema, tuple(entry["sa"]), payload)
-        else:
-            release = DenseRelease(FrequencyMatrix(schema, payload))
-    elif kind == "partition":
-        attribute = entry["attribute"]
-        bounds = [int(b) for b in entry["bounds"]]
-        children = entry["children"]
-        if len(bounds) != len(children) + 1:
-            raise ReproError(
-                f"corrupt result archive: {len(children)} parts but "
-                f"{len(bounds)} cut points"
-            )
-        parts = []
-        for lo, hi, child in zip(bounds, bounds[1:], children):
-            sub_schema = shard_schema(schema, attribute, lo, hi)
-            if lazy and child.get("kind") == "leaf":
-                parts.append(
-                    ComposedPart(
-                        sub_schema,
-                        child["sa"],
-                        child["noise_magnitude"],
-                        functools.partial(_result, child, sub_schema, read, lazy),
-                    )
-                )
-            else:
-                parts.append(_result(child, sub_schema, read, lazy))
-        release = Partition(schema, attribute, bounds, parts)
-    elif kind == "stream":
-        nodes = {}
-        source = getattr(read, "source", None)
-        for node in entry["nodes"]:
-            key = (int(node["level"]), int(node["index"]))
-            load = functools.partial(_result, node, schema, read, lazy)
-            nodes[key] = (
-                StreamNode(
-                    *key, node["noise_magnitude"], load, node["representation"],
-                    source(node["member"]) if source else None,
-                )
-                if lazy
-                else StreamNode.from_result(*key, load())
-            )
-        if slices is not None and not _continues(slices, schema, entry["sa"], nodes):
-            slices = None
-        lo, hi = entry["window"]
-        release = TimeTree(
-            schema, tuple(entry["sa"]), int(entry["epochs"]), nodes, window=(lo, hi),
-            slices=slices,
-        )
-    else:
+        return _leaf_result(entry, entry.get("sa"), entry["member"], schema, read)
+    if kind == "stream":
+        return _stream_result(entry, schema, read, lazy, slices)
+    if kind != "partition":
         raise ReproError(f"corrupt result archive: unknown tree entry kind {kind!r}")
+    attribute = entry["attribute"]
+    bounds = [int(b) for b in entry["bounds"]]
+    children = entry["children"]
+    if len(bounds) != len(children) + 1:
+        raise ReproError(
+            f"corrupt result archive: {len(children)} parts but "
+            f"{len(bounds)} cut points"
+        )
+    parts = []
+    for lo, hi, child in zip(bounds, bounds[1:], children):
+        sub_schema = shard_schema(schema, attribute, lo, hi)
+        if lazy and child.get("kind") == "leaf":
+            parts.append(
+                ComposedPart(
+                    sub_schema,
+                    child["sa"],
+                    child["noise_magnitude"],
+                    functools.partial(_result, child, sub_schema, read, lazy),
+                )
+            )
+        else:
+            parts.append(_result(child, sub_schema, read, lazy))
     return PublishResult(
-        release=release,
+        release=Partition(schema, attribute, bounds, parts),
         epsilon=float(entry["epsilon"]),
         noise_magnitude=float(entry["noise_magnitude"]),
         generalized_sensitivity=float(entry["generalized_sensitivity"]),
@@ -880,22 +944,22 @@ def result_from_parts(header: dict, arrays: dict) -> PublishResult:
     _check_format(header)
     if "tree" not in header:
         raise ReproError("incomplete result parts: missing 'tree'")
-    _check_members(header["tree"], arrays)
+    _resolve(header["tree"], arrays)
     return _decode(header, arrays.__getitem__, lazy=False)
 
 
 def load_result(path) -> PublishResult:
     """Reload a result written by :func:`save_result` or a stream publisher.
 
-    From a filesystem path every partition part and stream node stays
-    lazy: only the zip directory, the header and the newest tree are
-    parsed now, and each payload is read when a query first needs it.
-    File objects load eagerly.
+    From a filesystem path every partition part and stream leaf stays
+    lazy: only the zip directory, the header and the tree are parsed
+    now, and each payload is read when a query first needs it.  File
+    objects load eagerly.
 
     Parameters
     ----------
     path:
-        A format-5 archive path or readable binary file object.
+        A format-6 archive path or readable binary file object.
     """
     if not isinstance(path, (str, os.PathLike)):
         with np.load(path) as archive:
@@ -943,8 +1007,9 @@ class ResultHandle:
 
     @property
     def header(self) -> dict:
-        """The archive's header, with its newest release tree under
-        ``"tree"`` (read without any array payload)."""
+        """The archive's header, with its release tree under ``"tree"``
+        (read without any array payload; each stream entry's ``epochs``
+        counts its epoch members)."""
         if self._header is None:
             with self._lock:
                 if self._header is None:
@@ -1029,7 +1094,7 @@ def open_result(path) -> ResultHandle:
     -------
     ResultHandle
         Raises :class:`~repro.errors.ReproError` immediately if the file
-        is missing, is not a result archive, or is not format 5 (the
+        is missing, is not a result archive, or is not format 6 (the
         header is validated eagerly so registration fails fast).
     """
     handle = ResultHandle(path)

@@ -143,7 +143,7 @@ class ReleaseRegistry:
         The swap is atomic under the entry's lock: in-flight requests
         finish against the release they already resolved, and the next
         resolution sees the re-opened archive (for a stream archive,
-        its newest release tree).  A loaded stream root hands its
+        every epoch appended since).  A loaded stream root hands its
         running prefix to the re-opened root, which continues it when
         every leaf it folded is unchanged in the new file (see
         :meth:`repro.io.ResultHandle.load`), so an append costs one

@@ -9,25 +9,22 @@ mechanism at the **full** ε — sound because epochs are disjoint in rows
 composition, the same argument :mod:`repro.core.sharding` makes along an
 ordinal attribute.
 
-After each close, completed sibling nodes merge up the dyadic tree
-(:func:`repro.streaming.tree.merge_path`): a level-``k`` node covering
-epochs ``[i * 2**k, (i+1) * 2**k)`` is the element-wise *sum* of its
-children's payloads — post-processing of already-published releases, so
-the merge draws no noise and spends no budget.  A window's exact variance
-sums the λ² of only the ``O(log T)`` nodes of its canonical cover, and
-its answer reads two running-prefix slices folded from the leaves
-(:class:`~repro.core.compose.PrefixSlices`).  (Contrast
+A stream is exactly its per-epoch leaves.  The wavelet pipeline is
+linear and the leaves' noise independent, so a window ``[lo, hi)``
+answers the sum of its leaves — read as the difference of two
+running-prefix slices folded from them
+(:class:`~repro.core.compose.PrefixSlices`) — with exact variance
+``2 (hi - lo) λ² · ∏ profile``, every leaf sharing one λ.  (Contrast
 with the binary-tree mechanism for continual observation, which draws
-fresh noise per node at a split budget; here the per-epoch ε is fixed
-and the tree buys *compute*, not accuracy — a window answer's variance
-equals the sum of its epochs' variances either way.)
+fresh noise per tree node at a split budget; here the per-epoch ε is
+fixed, and a window answer's variance is the sum of its epochs'.)
 
 Reproducibility follows the sharding convention: epoch ``e``'s noise is
 a pure function of ``(seed, e)``, so re-running — or resuming a stream
 archive with :meth:`StreamingPublisher.open` — reproduces the exact
 releases.  When an ``archive_path`` is configured, every epoch close
-appends the new node payloads and the next release tree to the stream
-archive (:mod:`repro.io`), which is what a live
+appends its one leaf member to the stream archive (:mod:`repro.io`),
+which is what a live
 :class:`~repro.serving.server.ReleaseServer` re-resolves on.  The
 archive stores the base seed when one was given (the library's usual
 explicit-reproducibility trade-off; omit the seed for production use).
@@ -45,8 +42,7 @@ from repro.core.release import infer_sa_names
 from repro.data.schema import Schema
 from repro.data.table import Table
 from repro.errors import StreamingError
-from repro.streaming.release import StreamNode, _wrap_stream_result, merge_results
-from repro.streaming.tree import merge_path
+from repro.streaming.release import StreamNode, _wrap_stream_result
 from repro.utils.validation import ensure_epsilon, ensure_positive_int
 
 __all__ = ["StreamingPublisher", "epoch_seed"]
@@ -99,7 +95,7 @@ def _mechanism_from_spec(spec: dict):
 
 
 class StreamingPublisher:
-    """Ingest timestamped row batches; publish each epoch into a dyadic tree.
+    """Ingest timestamped row batches; publish each epoch as one leaf.
 
     Parameters
     ----------
@@ -108,9 +104,10 @@ class StreamingPublisher:
         are bucketed by their timestamps instead).
     mechanism:
         Any :class:`~repro.core.framework.PublishingMechanism`; applied
-        once per epoch close.  Its SA choice must be deterministic per
-        schema (all standard mechanisms are), because tree merges
-        require every epoch to share one coefficient space.
+        once per epoch close.  Every epoch must come out with the same
+        λ, ρ, SA set and representation (all standard mechanisms do:
+        λ depends only on the schema, the SA set and ε), because a
+        window's exact variance reads one λ for all its leaves.
     epsilon:
         The privacy budget — every epoch gets all of it (parallel
         composition over disjoint epochs).
@@ -122,8 +119,7 @@ class StreamingPublisher:
         e)`` (see :func:`epoch_seed`).
     materialize:
         Per-epoch representation: the default ``False`` keeps every
-        node in coefficient space, which is also what makes merges an
-        ``O(m)`` tensor add with no inverse transform.
+        leaf in coefficient space.
     archive_path:
         Optional path of a stream archive to create now and append
         each epoch close to.  Must not already exist — resume an
@@ -149,11 +145,10 @@ class StreamingPublisher:
         self._epoch_length = ensure_positive_int(epoch_length, "epoch_length")
         self._seed = seed
         self._materialize = bool(materialize)
-        self._epoch = 0
         self._buffers: dict[int, list[np.ndarray]] = {}
-        self._nodes: dict[tuple[int, int], StreamNode] = {}
-        # Accounting of the closed epochs' leaves (see result()).
-        self._leaves: list = []
+        # The closed epochs' leaves; a tuple, so a release() snapshot
+        # keeps the epochs closed when it was taken.
+        self._leaves: tuple[StreamNode, ...] = ()
         self._sa: tuple[str, ...] | None = None
         # The running prefix every release() snapshot shares.
         self._slices: PrefixSlices | None = None
@@ -180,9 +175,9 @@ class StreamingPublisher:
         """Resume publishing onto an existing stream archive.
 
         The publishing configuration (schema, ε, epoch length, mechanism,
-        base seed) is read back from the archive header, the tree from
-        its newest version (nodes stay lazy — resuming loads no
-        payload), and the next :meth:`advance_epoch` continues the
+        base seed) is read back from the archive header, the leaves from
+        its epoch members (they stay lazy — resuming loads no payload),
+        and the next :meth:`advance_epoch` continues the
         stream exactly where it stopped, with the same per-epoch noise
         stream when a base seed was recorded.  An archive whose previous
         writer was killed mid-append is repaired first
@@ -193,7 +188,9 @@ class StreamingPublisher:
         ----------
         path:
             A stream archive created by a publisher with ``archive_path``
-            (or by :func:`repro.io.save_result` on a stream result).
+            (or by :func:`repro.io.save_result` on a whole stream's
+            result; a saved window raises
+            :class:`~repro.errors.StreamingError`).
         mechanism:
             Override for the mechanism; required when the archive was
             produced by a non-standard mechanism the header cannot
@@ -216,6 +213,11 @@ class StreamingPublisher:
             )
         stream = handle.load()
         tree = stream.release
+        if tree.window_bounds != (0, tree.epochs):
+            raise StreamingError(
+                f"{path} holds the window {list(tree.window_bounds)} of a "
+                f"{tree.epochs}-epoch stream; only a whole stream resumes"
+            )
         if mechanism is None:
             mechanism = _mechanism_from_spec(header["mechanism"])
         publisher = cls(
@@ -227,14 +229,9 @@ class StreamingPublisher:
             materialize=header["node_representation"] == "dense",
         )
         publisher._archive_path = str(path)
-        publisher._epoch = tree.epochs
-        publisher._nodes = dict(tree.nodes)
-        if tree.epochs:
+        publisher._leaves = tree.leaves
+        if tree.leaves:
             publisher._sa = tree.sa_names
-            # The closed epochs enter the accounting as one aggregated
-            # leaf: result() takes maxima and a left-to-right sum, so
-            # this is exact and loads no node.
-            publisher._leaves = [stream]
         return publisher
 
     # ------------------------------------------------------------------
@@ -256,12 +253,12 @@ class StreamingPublisher:
     @property
     def current_epoch(self) -> int:
         """The open (not yet published) epoch's index."""
-        return self._epoch
+        return len(self._leaves)
 
     @property
     def closed_epochs(self) -> int:
         """How many epochs have been published (``T``)."""
-        return self._epoch
+        return len(self._leaves)
 
     @property
     def pending_rows(self) -> int:
@@ -309,7 +306,7 @@ class StreamingPublisher:
         rows = table.rows
         if timestamps is None:
             if rows.shape[0]:
-                self._buffers.setdefault(self._epoch, []).append(rows)
+                self._buffers.setdefault(self.current_epoch, []).append(rows)
             return int(rows.shape[0])
         timestamps = np.asarray(timestamps, dtype=np.int64)
         if timestamps.shape != (rows.shape[0],):
@@ -322,38 +319,40 @@ class StreamingPublisher:
         if timestamps.min() < 0:
             raise StreamingError("timestamps must be non-negative")
         epochs = timestamps // self._epoch_length
-        if epochs.min() < self._epoch:
+        if epochs.min() < self.current_epoch:
             raise StreamingError(
                 f"rows timestamped for epoch {int(epochs.min())} arrived "
                 f"after that epoch was published (current epoch is "
-                f"{self._epoch})"
+                f"{self.current_epoch})"
             )
         for epoch in np.unique(epochs):
             self._buffers.setdefault(int(epoch), []).append(rows[epochs == epoch])
         return int(rows.shape[0])
 
     def advance_epoch(self) -> PublishResult:
-        """Close the open epoch: publish it and merge completed nodes.
+        """Close the open epoch: publish it as the stream's next leaf.
 
         The epoch's buffered rows (possibly none — empty epochs publish
         noise-only releases, so the row count itself is protected)
         become one frequency matrix, published at the full ε with the
-        epoch's derived seed.  Every tree node completed by this close
-        (:func:`repro.streaming.tree.merge_path`) is then materialized
-        by summing its children's payloads, and — when an archive is
-        attached — the new nodes plus the next release tree are appended.
+        epoch's derived seed.  A leaf whose λ, ρ, SA set or
+        representation differs from the stream's raises
+        :class:`~repro.errors.StreamingError`.  When an archive is
+        attached, the leaf is appended to it
+        (:func:`repro.io.append_stream_nodes`) before the close commits:
+        if publishing or appending fails, the epoch stays open with its
+        rows buffered, and the archive is as it was.
 
         Returns
         -------
         PublishResult
             The closed epoch's own (leaf) release.
         """
-        epoch = self._epoch
+        epoch = self.current_epoch
         batches = self._buffers.pop(epoch, [])
         try:
             return self._close(epoch, batches)
         except BaseException:
-            # Nothing was committed: the epoch stays open with its rows.
             if batches:
                 self._buffers[epoch] = batches
             raise
@@ -374,28 +373,34 @@ class StreamingPublisher:
         sa = tuple(
             name for name in self._schema.names if name in infer_sa_names(leaf)
         )
-        if self._sa is not None and sa != self._sa:
-            raise StreamingError(
-                f"mechanism changed its SA set mid-stream ({self._sa} -> "
-                f"{sa}); tree merges need one shared coefficient space"
-            )
-        fresh = {(0, epoch): leaf}
-        for level, index in merge_path(epoch)[1:]:
-            left = self._node_result(level - 1, 2 * index, fresh)
-            right = self._node_result(level - 1, 2 * index + 1, fresh)
-            fresh[(level, index)] = merge_results(left, right)
-        nodes = dict(self._nodes)
-        for (level, index), result in fresh.items():
-            nodes[(level, index)] = StreamNode.from_result(level, index, result)
-        leaves = self._leaves + [leaf]
+        node = StreamNode.from_result(leaf)
+        if self._leaves:
+            self._check_leaf(node, sa)
+        leaves = self._leaves + (node,)
         if self._archive_path is not None:
             from repro.io import append_stream_nodes
 
-            append_stream_nodes(
-                self._archive_path, self._result(sa, epoch + 1, nodes, leaves), fresh
-            )
-        self._sa, self._nodes, self._leaves, self._epoch = sa, nodes, leaves, epoch + 1
+            append_stream_nodes(self._archive_path, self._result(sa, leaves))
+        self._sa, self._leaves = sa, leaves
         return leaf
+
+    def _check_leaf(self, node: StreamNode, sa: tuple[str, ...]) -> None:
+        """Refuse a leaf whose accounting differs from the stream's."""
+        first = self._leaves[0].accounting
+        fields = ("noise_magnitude", "generalized_sensitivity", "representation")
+        changed = [
+            f"{name} {first[name]!r} -> {node.accounting[name]!r}"
+            for name in fields
+            if node.accounting[name] != first[name]
+        ]
+        if sa != self._sa:
+            changed.append(f"SA set {self._sa} -> {sa}")
+        if changed:
+            raise StreamingError(
+                f"epoch {self.current_epoch} changed the stream's per-leaf "
+                f"accounting ({'; '.join(changed)}); every leaf of a stream "
+                "shares one λ, ρ, SA set and representation"
+            )
 
     def advance_to(self, epoch: int) -> int:
         """Close epochs until ``epoch`` is the open one.
@@ -412,13 +417,13 @@ class StreamingPublisher:
             How many epochs were closed.
         """
         epoch = int(epoch)
-        if epoch < self._epoch:
+        if epoch < self.current_epoch:
             raise StreamingError(
-                f"cannot rewind to epoch {epoch}; epoch {self._epoch - 1} "
-                "is already published"
+                f"cannot rewind to epoch {epoch}; epoch "
+                f"{self.current_epoch - 1} is already published"
             )
         closed = 0
-        while self._epoch < epoch:
+        while self.current_epoch < epoch:
             self.advance_epoch()
             closed += 1
         return closed
@@ -437,50 +442,38 @@ class StreamingPublisher:
         Returns
         -------
         TimeTree
-            A snapshot view: it shares node payloads and one running
+            A snapshot view: it shares leaf payloads and one running
             prefix with every other snapshot, but its epoch count is
             fixed at call time (live serving re-resolves through the
             archive instead).
         """
-        if hi is None:
-            hi = self._epoch
-        return self._release(self._sa_hint(), self._epoch, self._nodes, (lo, hi))
+        return self._release(self._sa_hint(), self._leaves, (lo, hi))
 
     def result(self) -> PublishResult:
         """The stream wrapped as a :class:`PublishResult` over ``[0, T)``.
 
-        Accounting aggregates the leaves without loading any payload:
-        ε is shared, λ and ρ are per-leaf maxima, and the variance bound
-        is the per-leaf sum.
+        Accounting reads the leaves' shared accounting without loading
+        any payload: ε, λ and ρ are the leaves', and the variance bound
+        is the per-leaf bound times ``T``.
         """
-        return self._result(self._sa_hint(), self._epoch, self._nodes, self._leaves)
+        return self._result(self._sa_hint(), self._leaves)
 
-    def _release(self, sa, epochs, nodes, window) -> TimeTree:
+    def _release(self, sa, leaves, window) -> TimeTree:
         if self._slices is None or set(self._slices.sa_names) != set(sa):
             self._slices = PrefixSlices(self._schema, sa)
-        return TimeTree(
-            self._schema, sa, epochs, nodes, window=window, slices=self._slices
-        )
+        if window[1] is None:
+            window = (window[0], len(leaves))
+        return TimeTree(self._schema, sa, leaves, window=window, slices=self._slices)
 
-    def _result(self, sa, epochs, nodes, leaves) -> PublishResult:
+    def _result(self, sa, leaves) -> PublishResult:
         return _wrap_stream_result(
-            self._release(sa, epochs, nodes, (0, epochs)),
-            leaves,
+            self._release(sa, leaves, (0, None)),
             epsilon=self._epsilon,
             mechanism=self._mechanism.name,
             epoch_length=self._epoch_length,
         )
 
     # ------------------------------------------------------------------
-    def _node_result(self, level, index, fresh) -> PublishResult:
-        key = (level, index)
-        if key in fresh:
-            return fresh[key]
-        try:
-            return self._nodes[key].result()
-        except KeyError:
-            raise StreamingError(f"stream is missing tree node {key}") from None
-
     def _sa_hint(self) -> tuple[str, ...]:
         if self._sa is not None:
             return self._sa
@@ -492,8 +485,7 @@ class StreamingPublisher:
 
     def __repr__(self) -> str:
         return (
-            f"StreamingPublisher(epochs={self._epoch}, "
+            f"StreamingPublisher(epochs={self.closed_epochs}, "
             f"pending_rows={self.pending_rows}, "
-            f"nodes={len(self._nodes)}, "
             f"archive={self._archive_path!r})"
         )

@@ -188,7 +188,7 @@ class TestNestedShardTime:
         loaded = load_result(path)
         release = loaded.release
         assert isinstance(release, Partition)
-        # Leaf-lazy: the manifest alone rebuilds the tree structure.
+        # Leaf-lazy: the header and tree alone rebuild the structure.
         for index in range(release.num_parts):
             inner = release.part_result(index).release
             assert isinstance(inner, TimeTree)
@@ -210,7 +210,7 @@ class TestNestedShardTime:
         nested, _, _ = sharded_streams
         wrapped = publish_result_stub(nested)
         header, arrays = result_to_parts(wrapped)
-        assert header["format"] == 5
+        assert header["format"] == 6
         rebuilt = result_from_parts(header, arrays)
         queries = generate_workload(schema, 40, seed=24)
         lows, highs = query_boxes(queries, schema.shape)

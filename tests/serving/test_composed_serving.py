@@ -1,27 +1,32 @@
 """Acceptance: a sharded stream serves over TCP ≡ its flat equivalent.
 
 The facade publishes a Partition × TimeTree composition (one stream per
-Age shard), which saves/loads through the v5 composition archive and is
-served by the TCP fleet.  With ``T = 4`` epochs the full window's dyadic
-cover is exactly the root node ``(2, 0)`` of every shard's tree, so a
-*flat* one-level Partition built from those very node releases answers
-every full-window query with the same noise draw.  The nested release
-answers from each shard's running-prefix slice ``S_4`` (the sum of the
-four leaves' prefix tensors) while the flat one inverts the merged root
-node, so estimates and bounds agree within :data:`ESTIMATE_RTOL` /
-:data:`ESTIMATE_ATOL`, and stds — the same cover λ times the same
-profiles — bit for bit.  JSON's float round-trip is exact, so the
-comparisons are of the served bits.
+Age shard), which saves/loads through the composition archive and is
+served by the TCP fleet.  A *flat* one-level Partition whose part ``i``
+holds the summed coefficients of shard ``i``'s ``T = 4`` leaves, at
+``λ_eff = 2λ``, answers every full-window query with the same noise
+draw.  The nested release answers from each shard's running-prefix
+slice ``S_4`` (the sum of the four leaves' prefix tensors) while the
+flat one inverts the summed coefficients, so estimates and bounds agree
+within :data:`ESTIMATE_RTOL` / :data:`ESTIMATE_ATOL`; stds agree bit for
+bit, because ``2·4·λ² = 2·(2λ)²`` exactly (scaling by a power of two
+rounds nothing) and the profiles are the same.  JSON's float round-trip
+is exact, so the comparisons are of the served bits.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.analysis.exact import query_boxes
 from repro.core.compose import Partition, TimeTree
 from repro.core.framework import PublishResult
 from repro.core.publish import publish
+from repro.core.release import CoefficientRelease
 from repro.data.census import BRAZIL, generate_census_table
 from repro.io import load_result, save_result
+from repro.queries.workload import generate_workload
 from repro.serving.network import NetworkServer
 from repro.serving.requests import QueryBatchRequest
 from repro.serving.server import ReleaseServer
@@ -30,12 +35,12 @@ from _network_helpers import JsonLineClient, hard_deadline
 
 SPEC = BRAZIL.scaled(0.05)
 NAMES = ("Age", "Income")
-EPOCHS = 4  # power of two: the full window's cover is the single root node
+EPOCHS = 4  # a perfect square: the summed leaves' λ_eff = 2λ is exact
 SHARDS = 2
 BATCH = 24
-#: Estimates and bounds of a nested window against the flat merged-node
+#: Estimates and bounds of a nested window against the flat summed-leaf
 #: release: the sum of four leaf prefix tensors rounds unlike the
-#: prefix tensor of their merged coefficients (about 1e-13 relative
+#: prefix tensor of their summed coefficients (about 1e-13 relative
 #: where observed; these bounds leave headroom).
 ESTIMATE_RTOL = 1e-12
 ESTIMATE_ATOL = 1e-9
@@ -62,7 +67,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def nested(table, tmp_path_factory):
-    """Publish via the facade, then round-trip through a v5 archive."""
+    """Publish via the facade, then round-trip through an archive."""
     timestamps = np.arange(table.rows.shape[0]) % EPOCHS
     result = publish(
         table, 1.0, shard_by="Age", shards=SHARDS, stream=timestamps, seed=33
@@ -74,15 +79,23 @@ def nested(table, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def flat(nested, table):
-    """The equivalent flat composition: per-shard root-node leaves."""
+    """The equivalent flat composition: per shard, one coefficient leaf
+    holding its four epochs' summed coefficients at ``λ_eff = 2λ``."""
     release = nested.release
     assert isinstance(release, Partition)
     parts = []
     for index in range(release.num_parts):
         tree = release.part_result(index).release
-        assert isinstance(tree, TimeTree)
-        assert tree.cover == ((2, 0),)
-        parts.append(tree.node_result(2, 0))
+        assert isinstance(tree, TimeTree) and tree.epochs == EPOCHS
+        leaves = [leaf.result() for leaf in tree.leaves]
+        summed = leaves[0].release.coefficients.copy()
+        for leaf in leaves[1:]:
+            summed += leaf.release.coefficients
+        parts.append(dataclasses.replace(
+            leaves[0],
+            release=CoefficientRelease(tree.schema, tree.sa_names, summed),
+            noise_magnitude=2 * leaves[0].noise_magnitude,
+        ))
     union = Partition(table.schema, release.attribute, release.bounds, parts)
     return PublishResult(
         release=union,
@@ -117,6 +130,25 @@ def fleet(nested, flat):
 
 
 class TestComposedServing:
+    def test_flat_equivalent_is_the_summed_leaves(self, nested, flat, table):
+        """Each flat part is its shard's summed leaves at exactly twice the
+        leaves' λ, so in process, too, its stds equal the nested ones."""
+        for index in range(flat.release.num_parts):
+            leaves = nested.release.part_result(index).release.leaves
+            lam = flat.release.part_result(index).noise_magnitude
+            assert lam == 2 * leaves[0].noise_magnitude
+        lows, highs = query_boxes(
+            generate_workload(table.schema, 60, seed=5), table.schema.shape
+        )
+        np.testing.assert_array_equal(
+            nested.release.noise_variances_boxes(lows, highs),
+            flat.release.noise_variances_boxes(lows, highs),
+        )
+        _close(
+            nested.release.answer_boxes(lows, highs),
+            flat.release.answer_boxes(lows, highs),
+        )
+
     def test_nested_equals_flat_over_tcp(self, fleet, reference):
         schema = reference.engine("nested").schema
         ranges = _random_ranges(schema, np.random.default_rng(7), BATCH)
@@ -134,7 +166,7 @@ class TestComposedServing:
         _close(answers["nested"]["uppers"], answers["flat"]["uppers"])
 
     def test_full_window_time_range_is_the_flat_answer(self, fleet):
-        """An explicit (0, EPOCHS) window serves the same root nodes."""
+        """An explicit (0, EPOCHS) window serves the same summed leaves."""
         with hard_deadline(90), JsonLineClient(fleet) as client:
             windowed = client.request(
                 {

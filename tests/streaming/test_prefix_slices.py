@@ -214,8 +214,8 @@ class TestSlices:
         assert len(carried.slices) == 8
         for epoch in range(8):
             np.testing.assert_array_equal(
-                carried.slices.kernel(epoch, carried.nodes).flat,
-                scratch.slices.kernel(epoch, scratch.nodes).flat,
+                carried.slices.kernel(epoch, carried.leaves).flat,
+                scratch.slices.kernel(epoch, scratch.leaves).flat,
             )
 
     def test_answering_reads_leaves_once_and_keeps_none(self, tmp_path, boxes):
@@ -224,14 +224,14 @@ class TestSlices:
         _advance(_publisher(path), 7, 100)
         release = load_result(path).release
         reads = []
-        for key, node in release.nodes.items():
-            loader = node._loader
-            node._loader = lambda key=key, loader=loader: reads.append(key) or loader()
+        for epoch, leaf in enumerate(release.leaves):
+            loader = leaf._loader
+            leaf._loader = lambda epoch=epoch, loader=loader: reads.append(epoch) or loader()
         for window in [(2, 5), (0, 7), (3, 3), (1, 6), (0, 1)]:
             release.window(*window).answer_boxes(lows, highs)
-        assert sorted(reads) == [(0, epoch) for epoch in range(7)]
+        assert sorted(reads) == list(range(7))
         assert release.nodes_loaded == 0
-        assert release.nbytes() == 8 * release.slices.kernel(0, release.nodes).nbytes
+        assert release.nbytes() == 8 * release.slices.kernel(0, release.leaves).nbytes
 
     def test_empty_window_builds_nothing(self, boxes):
         lows, highs = boxes
@@ -248,6 +248,7 @@ class TestSlices:
         first = publisher.release()
         first.answer_boxes(lows, highs)
         _advance(publisher, 2, 200)
+        assert first.epochs == 2  # a snapshot keeps its epoch count
         second = publisher.release(1, 4)
         assert second.slices is first.slices
         assert publisher.result().release.slices is first.slices
@@ -285,9 +286,9 @@ class TestArchiveReader:
 
     def _assert_reads_match(self, release, path) -> None:
         expected = self._members(path)
-        for key, node in release.nodes.items():
-            member = f"node_{key[0]}_{key[1]}"
-            got = node.read().release
+        for epoch, leaf in enumerate(release.leaves):
+            member = f"epoch_{epoch}"
+            got = leaf.read().release
             payload = (
                 got.coefficients if hasattr(got, "coefficients")
                 else got.to_matrix().values

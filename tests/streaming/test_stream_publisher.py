@@ -1,4 +1,4 @@
-"""Tests for the streaming publisher (ingest, epochs, merges, archives)."""
+"""Tests for the streaming publisher (ingest, epochs, leaves, archives)."""
 
 import numpy as np
 import pytest
@@ -86,40 +86,6 @@ class TestAdvance:
         query = generate_workload(publisher.schema, 1, seed=1)[0]
         assert engine.noise_variance(query) > 0.0
 
-    def test_merges_follow_the_dyadic_tree(self, publisher):
-        for _ in range(6):
-            publisher.advance_epoch()
-        release = publisher.release()
-        assert set(release.nodes) == {
-            (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-            (1, 0), (1, 1), (1, 2), (2, 0),
-        }
-
-    def test_merged_node_equals_leaf_sum(self, publisher):
-        for epoch in range(4):
-            publisher.ingest(epoch_table(10 + epoch))
-            publisher.advance_epoch()
-        release = publisher.release()
-        queries = generate_workload(publisher.schema, 30, seed=2)
-        merged = QueryEngine(release.node_result(2, 0)).answer_all(queries)
-        leaves = sum(
-            QueryEngine(release.node_result(0, epoch)).answer_all(queries)
-            for epoch in range(4)
-        )
-        np.testing.assert_allclose(merged, leaves, atol=1e-8)
-
-    def test_merged_lambda_is_root_sum_of_squares(self, publisher):
-        for _ in range(4):
-            publisher.advance_epoch()
-        release = publisher.release()
-        leaf_lambda = release.node_result(0, 0).noise_magnitude
-        assert release.node_result(1, 0).noise_magnitude == pytest.approx(
-            leaf_lambda * np.sqrt(2.0)
-        )
-        assert release.node_result(2, 0).noise_magnitude == pytest.approx(
-            leaf_lambda * 2.0
-        )
-
     def test_advance_to(self, publisher):
         assert publisher.advance_to(5) == 5
         assert publisher.current_epoch == 5
@@ -148,6 +114,8 @@ class TestAdvance:
             epoch_seed(5, -1)
 
     def test_dense_stream_merges_too(self, schema):
+        """A dense stream's window over both epochs answers the sum of
+        its two leaves."""
         publisher = StreamingPublisher(
             schema, BasicMechanism(), EPS, seed=1, materialize=True
         )
@@ -155,14 +123,14 @@ class TestAdvance:
             publisher.ingest(epoch_table(30 + epoch))
             publisher.advance_epoch()
         release = publisher.release()
-        assert release.node_result(1, 0).representation == "dense"
+        assert [leaf.representation for leaf in release.leaves] == ["dense"] * 2
         queries = generate_workload(schema, 10, seed=4)
-        merged = QueryEngine(release.node_result(1, 0)).answer_all(queries)
+        window = QueryEngine(publisher.result()).answer_all(queries)
         leaves = sum(
-            QueryEngine(release.node_result(0, epoch)).answer_all(queries)
+            QueryEngine(release.part_result(epoch)).answer_all(queries)
             for epoch in range(2)
         )
-        np.testing.assert_allclose(merged, leaves, atol=1e-8)
+        np.testing.assert_allclose(window, leaves, atol=1e-8)
 
 
 class TestResult:
@@ -171,7 +139,7 @@ class TestResult:
             publisher.ingest(epoch_table(40 + epoch))
             publisher.advance_epoch()
         result = publisher.result()
-        leaf = publisher.release().node_result(0, 0)
+        leaf = publisher.release().part_result(0)
         assert result.epsilon == EPS
         assert result.noise_magnitude == pytest.approx(leaf.noise_magnitude)
         assert result.variance_bound == pytest.approx(3 * leaf.variance_bound)
@@ -240,12 +208,31 @@ class TestArchiveLifecycle:
             StreamingPublisher.open(path)
 
 
+    def test_open_window_view_rejected(self, schema, tmp_path):
+        """A saved window records its bounds in a tree no append rewrites,
+        so it cannot resume as a live stream."""
+        import dataclasses
+
+        from repro.io import save_result
+
+        publisher = StreamingPublisher(
+            schema, PriveletPlusMechanism(sa_names="auto"), EPS, seed=3
+        )
+        publisher.advance_to(4)
+        stream = publisher.result()
+        path = tmp_path / "window.npz"
+        window = dataclasses.replace(stream, release=stream.release.window(1, 3))
+        save_result(path, window)
+        with pytest.raises(StreamingError, match="only a whole stream resumes"):
+            StreamingPublisher.open(path)
+
+
 class TestDenseArchiveResume:
     def test_dense_stream_resumes_dense(self, schema, tmp_path):
-        """Regression: open() must read the per-node representation, not
+        """Regression: open() must read the per-leaf representation, not
         the archive-level 'stream' representation, so a dense stream
-        keeps publishing dense nodes after a resume (a coefficient
-        epoch would make the next tree merge impossible)."""
+        keeps publishing dense leaves after a resume (a coefficient leaf
+        would not share the stream's representation)."""
         path = tmp_path / "dense.npz"
         publisher = StreamingPublisher(
             schema, BasicMechanism(), EPS, seed=2, materialize=True,
@@ -256,6 +243,6 @@ class TestDenseArchiveResume:
 
         resumed = StreamingPublisher.open(path)
         resumed.ingest(epoch_table(61))
-        leaf = resumed.advance_epoch()  # completes the (1, 0) merge
+        leaf = resumed.advance_epoch()
         assert leaf.representation == "dense"
-        assert resumed.release().node_result(1, 0).representation == "dense"
+        assert resumed.release().part_result(1).representation == "dense"

