@@ -68,6 +68,16 @@ def epoch_seed(seed, epoch: int):
     return np.random.SeedSequence(entropy=seed, spawn_key=(epoch,))
 
 
+def _shared(leaf: StreamNode, sa) -> tuple:
+    """What every leaf of one stream shares: λ, ρ, representation, SA set."""
+    return (
+        leaf.noise_magnitude,
+        leaf.accounting["generalized_sensitivity"],
+        leaf.representation,
+        tuple(sa),
+    )
+
+
 def _mechanism_spec(mechanism, schema: Schema) -> dict:
     """A JSON description from which :meth:`StreamingPublisher.open` can
     rebuild the mechanism (standard mechanisms only)."""
@@ -375,7 +385,12 @@ class StreamingPublisher:
         )
         node = StreamNode.from_result(leaf)
         if self._leaves:
-            self._check_leaf(node, sa)
+            ours, stream = _shared(node, sa), _shared(self._leaves[0], self._sa)
+            if ours != stream:
+                raise StreamingError(
+                    f"epoch {epoch} changed the stream's per-leaf accounting: "
+                    f"(λ, ρ, representation, SA set) {ours} != {stream}"
+                )
         leaves = self._leaves + (node,)
         if self._archive_path is not None:
             from repro.io import append_stream_nodes
@@ -383,24 +398,6 @@ class StreamingPublisher:
             append_stream_nodes(self._archive_path, self._result(sa, leaves))
         self._sa, self._leaves = sa, leaves
         return leaf
-
-    def _check_leaf(self, node: StreamNode, sa: tuple[str, ...]) -> None:
-        """Refuse a leaf whose accounting differs from the stream's."""
-        first = self._leaves[0].accounting
-        fields = ("noise_magnitude", "generalized_sensitivity", "representation")
-        changed = [
-            f"{name} {first[name]!r} -> {node.accounting[name]!r}"
-            for name in fields
-            if node.accounting[name] != first[name]
-        ]
-        if sa != self._sa:
-            changed.append(f"SA set {self._sa} -> {sa}")
-        if changed:
-            raise StreamingError(
-                f"epoch {self.current_epoch} changed the stream's per-leaf "
-                f"accounting ({'; '.join(changed)}); every leaf of a stream "
-                "shares one λ, ρ, SA set and representation"
-            )
 
     def advance_to(self, epoch: int) -> int:
         """Close epochs until ``epoch`` is the open one.
