@@ -629,7 +629,7 @@ class TimeTree(ComposedRelease):
     ``K(S_hi) - K(S_lo)`` over the stream's :class:`PrefixSlices`.  Its
     exact variance is ``2 (hi - lo) λ² · ∏ profile`` — independent noise
     adds, and all leaves share one schema, SA set and λ (a stream's
-    publisher and archive refuse a leaf that does not).
+    publisher refuses a leaf that does not).
 
     Parameters
     ----------

@@ -23,7 +23,9 @@ def dyadic_cover(lo: int, hi: int) -> list[tuple[int, int]]:
     running position, is aligned to its own size, and fits inside the
     window: the classic segment-tree decomposition.  The nodes are
     disjoint, sorted, cover the window exactly, and number at most
-    ``2 * ceil(log2(hi - lo))``.
+    ``2 * ceil(log2(hi - lo))``.  No serving path calls it: it stays for
+    the repository benchmark's ``streaming.cover_nodes_mean`` until
+    ROADMAP item 2 retires that metric.
 
     Parameters
     ----------
