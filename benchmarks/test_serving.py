@@ -29,6 +29,12 @@ archives*:
   paired_ratio` pairs on one warm server, and full mode asserts the
   median ratio: columnar >= 5x the dict path.  Full mode also asserts
   columnar serving within 5x of the raw engine.
+* **frame probes** (recorded, never gated) — a fleet worker's time per
+  256-row wire frame, from the line to the encoded reply through
+  ``ReleaseServer.answer_payloads``, against ``answer_columnar`` on the
+  same rows (paired, as microseconds and as a ratio); and the p50 of a
+  1-row columnar request and of a scalar request on that same path,
+  the baseline for folding scalars into 1-row batches.
 
 Set ``BENCH_SMOKE=1`` for a CI-sized run (tiny tables, no
 timing assertions — shared-runner clocks are too noisy to gate on).  In
@@ -57,7 +63,12 @@ from repro.data.census import BRAZIL, US, generate_census_table
 from repro.io import save_result
 from repro.queries.engine import QueryEngine
 from repro.queries.workload import generate_workload
-from repro.serving.requests import QueryBatchRequest, QueryRequest
+from repro.serving.requests import (
+    QueryBatchRequest,
+    QueryRequest,
+    decode_line,
+    encode_line,
+)
 from repro.serving.server import ReleaseServer
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -70,6 +81,11 @@ MIN_COLUMNAR_SPEEDUP = 5.0
 #: columnar serving at batch 256.
 MAX_ENGINE_GAP = 5.0
 ATTEMPTS = 3
+#: Rows per wire frame in the frame probe (a fleet client's batch).
+FRAME_ROWS = 256
+#: Frames per pass of the frame probe, and requests per 1-row probe.
+PROBE_FRAMES = 16
+PROBE_REQUESTS = 200
 
 
 def _smoke() -> bool:
@@ -294,6 +310,85 @@ def _measure_engine(archives, boxes) -> float:
     return total_rows / total_seconds
 
 
+def _batch_line(release: str, schema, lows, highs) -> bytes:
+    """One ``query_batch`` wire line naming every attribute, as a fleet
+    client sends it."""
+    return encode_line({
+        "op": "query_batch",
+        "release": release,
+        "ranges": {
+            attr: {"lo": lows[:, axis].tolist(), "hi": highs[:, axis].tolist()}
+            for axis, attr in enumerate(schema.names)
+        },
+    })
+
+
+def _measure_frames(archives) -> dict:
+    """ROADMAP item 5's probes on the first release, recorded only.
+
+    The worker's frame (decode, request build, plan, engine, encode)
+    and the engine's ``answer_columnar`` on the same rows alternate in
+    :func:`benchmarks.conftest.paired_ratio` pairs.  The 1-row columnar
+    and scalar requests alternate row by row, each from its decoded
+    wire payload to its encoded reply.
+    """
+    name, (_, result) = sorted(archives.items())[0]
+    schema = result.release.schema
+    queries = generate_workload(schema, FRAME_ROWS * PROBE_FRAMES, seed=SEED)
+    lows, highs = query_boxes(queries, schema.shape)
+    chunks = [
+        (lows[begin : begin + FRAME_ROWS], highs[begin : begin + FRAME_ROWS])
+        for begin in range(0, lows.shape[0], FRAME_ROWS)
+    ]
+    lines = [_batch_line(name, schema, lo, hi) for lo, hi in chunks]
+    scalar_payloads = [
+        QueryRequest(
+            name, {p.attribute_name: (p.lo, p.hi) for p in query.predicates}
+        ).to_dict()
+        for query in queries[:PROBE_REQUESTS]
+    ]
+    row_payloads = [
+        decode_line(_batch_line(name, schema, lows[row : row + 1], highs[row : row + 1]))
+        for row in range(PROBE_REQUESTS)
+    ]
+    with _fresh_server(archives) as server:
+        engine = server.engine(name)
+
+        def frames() -> None:
+            for line in lines:
+                server.answer_payloads([decode_line(line)])
+
+        def engine_frames() -> None:
+            for lo, hi in chunks:
+                engine.answer_columnar(lo, hi)
+
+        frames()
+        engine_frames()
+        with frozen_heap():
+            paired = paired_ratio(frames, engine_frames)
+            row_seconds, scalar_seconds = [], []
+            for _ in range(3):
+                for row_payload, scalar_payload in zip(row_payloads, scalar_payloads):
+                    for payload, seconds in (
+                        (row_payload, row_seconds), (scalar_payload, scalar_seconds)
+                    ):
+                        start = time.perf_counter()
+                        [reply] = server.answer_payloads([payload])
+                        seconds.append(time.perf_counter() - start)
+                        assert reply.startswith(b'{"ok":true')
+    return {
+        "frame_rows": FRAME_ROWS,
+        "frames": len(lines),
+        "worker_frame_us": paired["slow_seconds"] / len(lines) * 1e6,
+        "engine_frame_us": paired["fast_seconds"] / len(lines) * 1e6,
+        "worker_vs_engine_ratio": paired["ratio"],
+        "worker_vs_engine_pairs": paired["ratios"],
+        "one_row_columnar_p50_us": float(np.median(row_seconds)) * 1e6,
+        "scalar_p50_us": float(np.median(scalar_seconds)) * 1e6,
+        "requests_per_probe": len(row_seconds),
+    }
+
+
 def _qps_at(sweep, batch_size: int) -> float:
     return next(
         point["qps"] for point in sweep if point["batch_size"] == batch_size
@@ -341,6 +436,7 @@ def test_serving_throughput(record_result, tmp_path):
     columnar["columnar_vs_dict_pairs"] = paired["ratios"]
     columnar["serving_vs_engine_qps_ratio"] = columnar_qps / engine_qps
     payload["columnar"] = columnar
+    payload["frame_probes"] = _measure_frames(archives)
 
     scale, rows, distinct = _scale_rows_queries()
     payload = {
@@ -387,6 +483,14 @@ def test_serving_throughput(record_result, tmp_path):
         f"median); raw "
         f"engine {engine_qps:,.0f} rows/s (serving/engine ratio "
         f"{columnar['serving_vs_engine_qps_ratio']:.2f})"
+    )
+    probes = payload["frame_probes"]
+    lines.append(
+        f"worker {FRAME_ROWS}-row frame: {probes['worker_frame_us']:.0f} us vs "
+        f"answer_columnar {probes['engine_frame_us']:.0f} us (paired median "
+        f"{probes['worker_vs_engine_ratio']:.2f}x); 1-row columnar p50 "
+        f"{probes['one_row_columnar_p50_us']:.0f} us, scalar p50 "
+        f"{probes['scalar_p50_us']:.0f} us"
     )
     lines.append(
         f"{stats['requests']} requests in {stats['batches']} passes, "

@@ -506,8 +506,9 @@ def _op_reply(server: ReleaseServer, payload) -> dict:
 
 def _answer_run(server: ReleaseServer, run: list, stream) -> int:
     """Answer a run of query payloads in one pass, emit, and empty it."""
-    for response in server.answer_payloads(run):
-        _emit(stream, response)
+    for line in server.answer_payloads(run):
+        stream.write(line.decode())
+    stream.flush()
     count = len(run)
     run.clear()
     return count

@@ -743,8 +743,9 @@ class TimeTree(ComposedRelease):
         """Batch box answers over the window: ``K(S_hi) - K(S_lo)``.
 
         Validates once, then reads slice ``S_hi`` alone when ``lo == 0``
-        and subtracts ``S_lo``'s answers otherwise; an empty window
-        answers exact zeros and builds no slice.
+        and subtracts ``S_lo``'s answers otherwise; the slices share one
+        shape, so the corner indices are computed once for both.  An
+        empty window answers exact zeros and builds no slice.
 
         Parameters
         ----------
@@ -760,9 +761,11 @@ class TimeTree(ComposedRelease):
         lo, hi = self._window
         if lo == hi:
             return np.zeros(lows.shape[0], dtype=np.float64)
-        answers = self._slices.kernel(hi, self._parts)(lows, highs)
+        kernel = self._slices.kernel(hi, self._parts)
+        corners = kernel.corners(lows, highs)
+        answers = kernel.sums(*corners)
         if lo:
-            answers -= self._slices.kernel(lo, self._parts)(lows, highs)
+            answers -= self._slices.kernel(lo, self._parts).sums(*corners)
         return answers
 
     def noise_variances_boxes(self, lows, highs) -> np.ndarray:

@@ -94,17 +94,52 @@ def prefix_tensor(shape, fill) -> np.ndarray:
     return prefix
 
 
+def _corner_matrix(strides) -> np.ndarray:
+    """The ``(2d, 2^d)`` float64 map from ``[lows | widths]`` to corner indices.
+
+    Column ``c`` is corner ``c`` of ``itertools.product((0, 1),
+    repeat=d)``: its first ``d`` entries are the element strides (every
+    corner starts at the low corner) and its last ``d`` are the strides
+    times the corner's bits (a set bit moves that axis to the high end).
+    """
+    strides = np.asarray(strides, dtype=np.int64)
+    bits = np.asarray(
+        list(itertools.product((0, 1), repeat=strides.shape[0])), dtype=np.int64
+    ).T
+    lows_part = np.broadcast_to(strides[:, None], bits.shape)
+    return np.concatenate((lows_part, strides[:, None] * bits)).astype(np.float64)
+
+
+def _corner_index(matrix: np.ndarray, lows, highs) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's ``2^d`` flat corner indices, and its float64 widths.
+
+    One float64 matmul of ``[lows | highs - lows]`` by
+    :func:`_corner_matrix`'s map, cast to int64.  numpy has no BLAS path
+    for integers, and the float product is exact: every operand, product
+    and partial sum is a non-negative integer no larger than the largest
+    flat index, which is below the tensor's element count and so far
+    below 2^53, whatever order the BLAS sums in.
+    """
+    dimensions = lows.shape[1]
+    operands = np.concatenate((lows, highs - lows), axis=1, dtype=np.float64)
+    return (operands @ matrix).astype(np.int64), operands[:, dimensions:]
+
+
 class _CornerKernel:
     """Box sums over one zero-bordered prefix tensor, by inclusion-exclusion.
 
-    Holds a flat view of the tensor (never a copy), its element strides,
-    and the ``(d, 2^d)`` corner bits and signs in ``itertools.product``
-    order.  A call takes validated ``(n, d)`` int64 bounds and checks
-    nothing: one int64 matmul gives every corner's flat index, one gather
-    reads them, and ``add.accumulate`` (never a reordering reduction)
-    adds the signed corners one after another in ``product`` order, so a
-    row has the same bits in any batch.  A row with an empty range
-    answers an exact ``0.0``, which the sum is not guaranteed to give.
+    Holds a flat view of the tensor (never a copy), the ``(2d, 2^d)``
+    corner map of its element strides (:func:`_corner_matrix`) and the
+    corner signs, both in ``itertools.product`` order.  A call takes
+    validated ``(n, d)`` int64 bounds and checks nothing: one exact
+    float64 matmul gives every corner's flat index
+    (:func:`_corner_index`), one gather reads them, and
+    ``add.accumulate`` (never a reordering reduction) adds the signed
+    corners one after another in ``product`` order, so a row has the
+    same bits in any batch.  A row with an empty range answers an exact
+    ``0.0``, which the sum is not guaranteed to give.  Kernels over
+    tensors of one shape share their indices: :meth:`corners` computes
+    them once and :meth:`sums` gathers from any such kernel.
     """
 
     def __init__(self, prefix: np.ndarray):
@@ -112,8 +147,7 @@ class _CornerKernel:
             list(itertools.product((0, 1), repeat=prefix.ndim)), dtype=np.int64
         )
         self._flat = prefix.reshape(-1)
-        self._strides = np.asarray(prefix.strides, dtype=np.int64) // prefix.itemsize
-        self._bits = np.ascontiguousarray(corners.T)
+        self._matrix = _corner_matrix(np.asarray(prefix.strides) // prefix.itemsize)
         self._signs = np.where((prefix.ndim - corners.sum(axis=1)) % 2, -1.0, 1.0)
 
     @property
@@ -126,17 +160,26 @@ class _CornerKernel:
         """The prefix tensor this kernel reads, as a flat view."""
         return self._flat
 
-    def __call__(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        widths = highs - lows
-        index = (lows @ self._strides)[:, None] + (widths * self._strides) @ self._bits
+    def corners(self, lows: np.ndarray, highs: np.ndarray) -> tuple:
+        """``(index, empty)``: the rows' corner indices, and a mask of
+        the rows with an empty range (``None`` when there is none)."""
+        index, widths = _corner_index(self._matrix, lows, highs)
+        empty = None if widths.all() else (widths == 0).any(axis=1)
+        return index, empty
+
+    def sums(self, index: np.ndarray, empty) -> np.ndarray:
+        """The box sums of :meth:`corners`' output over this tensor."""
         values = self._flat[index]
         values *= self._signs
         np.add.accumulate(values, axis=1, out=values)
         # A copy, so the answers do not keep the (n, 2^d) corners alive.
         answers = values[:, -1].copy()
-        if not widths.all():
-            answers[(widths == 0).any(axis=1)] = 0.0
+        if empty is not None:
+            answers[empty] = 0.0
         return answers
+
+    def __call__(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        return self.sums(*self.corners(lows, highs))
 
 
 def marginal_boxes(schema, attribute_names):

@@ -32,6 +32,8 @@ class Schema:
             raise SchemaError(f"duplicate attribute names: {duplicates}")
         self._attributes = tuple(attrs)
         self._index = {attr.name: i for i, attr in enumerate(attrs)}
+        # Read three times per engine call; the schema never changes.
+        self._shape = tuple(attr.size for attr in attrs)
 
     # ------------------------------------------------------------------
     @property
@@ -45,7 +47,7 @@ class Schema:
     @property
     def shape(self) -> tuple[int, ...]:
         """Frequency-matrix shape: per-attribute domain sizes."""
-        return tuple(attr.size for attr in self._attributes)
+        return self._shape
 
     @property
     def num_cells(self) -> int:

@@ -60,10 +60,10 @@ def _distinct_boxes(lows, highs, shape) -> tuple[np.ndarray, np.ndarray]:
 class QueryPlanner:
     """Answer columnar batches for one engine, each distinct box once.
 
-    The serving layer attaches one planner to every compiled plan (see
-    :class:`~repro.serving.plans.PlanCache`), so a stream refresh drops
-    the planner with its plan and the counters fold into the cache's
-    retired totals.
+    Finding the duplicates costs more than the engine rows it saves
+    unless most of a batch repeats, so the serving layer's compiled
+    plans answer through the engine without one; wrap an engine in a
+    planner when a workload's batches are mostly duplicates.
 
     Parameters
     ----------

@@ -186,8 +186,8 @@ def _answer_frames(server: ReleaseServer, attachments: dict, frames: list) -> li
     for tag, run in itertools.groupby(frames, key=lambda frame: frame[0]):
         bodies = [body for _, body in run]
         if tag == _LINE:
-            responses = server.answer_payloads([decode_line(body) for body in bodies])
-            replies.extend(_frame(_LINE, encode_line(response)) for response in responses)
+            lines = server.answer_payloads([decode_line(body) for body in bodies])
+            replies.extend(_frame(_LINE, line) for line in lines)
             continue
         for body in bodies:
             reply = _control_reply(server, attachments, pickle.loads(body))

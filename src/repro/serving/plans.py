@@ -17,11 +17,11 @@ bound through one plan reaches the same engine (and, for a stream, the
 same window view) without a lookup — recompilation is skipped
 entirely, not merely made cheaper.
 
-Every plan also carries a :class:`~repro.planner.QueryPlanner` over
-its engine, and batches are answered through it, so duplicate boxes
-in a batch cost one engine pass.  The planner lives and dies with its
-plan; :class:`PlanCache` folds a retiring plan's counters into a
-retired tally so :meth:`PlanCache.planner_stats` never goes backwards.
+A plan answers straight through its engine, with no deduplication
+pass: on served traffic, where a few rows of a batch repeat, finding
+them costs more than the engine rows they save.  A caller whose
+batches repeat most of their boxes can front an engine with
+:class:`~repro.planner.QueryPlanner` itself.
 
 Plans are **invalidated, never refreshed in place**: when a stream
 archive grows and the server swaps the release, every plan touching
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.planner import QueryPlanner
 from repro.utils.validation import ensure_positive_int
 
 __all__ = ["CompiledPlan", "PlanCache"]
@@ -47,11 +46,11 @@ __all__ = ["CompiledPlan", "PlanCache"]
 
 @dataclass(frozen=True, eq=False)
 class CompiledPlan:
-    """One batch shape, compiled: engine + axis map + planner.
+    """One batch shape, compiled: engine + axis map.
 
     Built by :class:`PlanCache`; holds everything shape-dependent so a
     batch binds with two vectorized scatters and one bounds check, and
-    answers through the plan's own :class:`~repro.planner.QueryPlanner`.
+    answers through the pinned engine.
 
     Parameters
     ----------
@@ -68,11 +67,6 @@ class CompiledPlan:
     key: tuple
     engine: object
     axes: tuple = field(default_factory=tuple)
-    #: The plan's :class:`~repro.planner.QueryPlanner` over ``engine``.
-    planner: QueryPlanner = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "planner", QueryPlanner(self.engine))
 
     @property
     def schema(self):
@@ -88,7 +82,7 @@ class CompiledPlan:
         return request.bind(self.engine.schema, axes=self.axes)
 
     def answer_columnar(self, lows, highs, confidence: float):
-        """Answer bound arrays through the plan's planner.
+        """Answer bound arrays through the plan's engine.
 
         Parameters
         ----------
@@ -100,9 +94,10 @@ class CompiledPlan:
         Returns
         -------
         repro.queries.engine.BatchQueryAnswers
-            Arrays aligned with the rows, bit-for-bit the engine's.
+            Arrays aligned with the rows: the engine's
+            :meth:`~repro.queries.engine.QueryEngine.answer_columnar`.
         """
-        return self.planner.answer_columnar(lows, highs, confidence)
+        return self.engine.answer_columnar(lows, highs, confidence)
 
 
 class PlanCache:
@@ -122,15 +117,11 @@ class PlanCache:
     callers may share the cache.
     """
 
-    #: Monotone planner counters folded when a plan retires.
-    _PLANNER_COUNTERS = ("rows_planned", "rows_deduped")
-
     def __init__(self, resolve_engine, *, max_plans: int = 256):
         self._resolve = resolve_engine
         self._max_plans = ensure_positive_int(max_plans, "max_plans")
         self._plans: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
-        self._retired = dict.fromkeys(self._PLANNER_COUNTERS, 0)
         #: Batches that found their shape compiled.
         self.hits = 0
         #: Batches that had to compile their shape.
@@ -184,32 +175,9 @@ class PlanCache:
             self._plans[key] = plan
             self._plans.move_to_end(key)
             while len(self._plans) > self._max_plans:
-                _, evicted = self._plans.popitem(last=False)
-                self._fold_retired(evicted)
+                self._plans.popitem(last=False)
                 self.evictions += 1
         return plan
-
-    def _fold_retired(self, plan: CompiledPlan) -> None:
-        """Fold a retiring plan's planner counters (call under the lock)."""
-        for name in self._PLANNER_COUNTERS:
-            self._retired[name] += getattr(plan.planner, name)
-
-    def planner_stats(self) -> dict:
-        """Aggregate planner counters across live and retired plans.
-
-        Returns
-        -------
-        dict
-            ``rows_planned`` / ``rows_deduped`` summed over every
-            planner this cache ever compiled (monotone — retiring a
-            plan folds its tally in).
-        """
-        with self._lock:
-            totals = dict(self._retired)
-            for plan in self._plans.values():
-                for name in self._PLANNER_COUNTERS:
-                    totals[name] += getattr(plan.planner, name)
-        return totals
 
     def invalidate(self, release_name: str) -> int:
         """Drop every plan compiled against ``release_name``.
@@ -226,14 +194,12 @@ class PlanCache:
         with self._lock:
             stale = [key for key in self._plans if key[0] == release_name]
             for key in stale:
-                self._fold_retired(self._plans.pop(key))
+                del self._plans[key]
         return len(stale)
 
     def clear(self) -> None:
         """Drop every plan (counters are preserved)."""
         with self._lock:
-            for plan in self._plans.values():
-                self._fold_retired(plan)
             self._plans.clear()
 
     def __repr__(self) -> str:

@@ -81,6 +81,8 @@ __all__ = [
 #: The one encoder's options: numpy scalars and arrays encode natively
 #: (plain orjson rejects ``np.float64``), and every line ends in ``\n``.
 _WIRE_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+#: Element types a bound list may never hold.
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _exact_int(value, what: str) -> int:
@@ -303,8 +305,14 @@ def _bound_column(name, side: str, values) -> np.ndarray:
     The whole column is checked in one vectorized pass by the rule every
     box validator shares (:func:`repro.utils.validation.integral_array`):
     numeric dtype only (no strings/objects/bools), and float columns must
-    be whole-valued — the array analogue of :func:`_exact_int`.
+    be whole-valued — the array analogue of :func:`_exact_int`.  A list
+    holding a boolean among integers is refused too: ``np.asarray``
+    would read ``[0, True]`` as the integers ``[0, 1]``.
     """
+    if isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values)):
+        raise ServingError(
+            f"columnar {side} bounds for {name!r} must be integers, got bool values"
+        )
     column = np.asarray(values)
     if column.ndim != 1:
         raise ServingError(
@@ -320,6 +328,90 @@ def _bound_column(name, side: str, values) -> np.ndarray:
     return integral
 
 
+def _column_bounds(names, ranges) -> tuple[np.ndarray, np.ndarray]:
+    """``(lows, highs)`` as ``(n, k)`` int64, one column at a time.
+
+    Accepts every form :class:`QueryBatchRequest` takes and names the
+    attribute and side of the first malformed column.
+    """
+    columns_lo, columns_hi = [], []
+    count = None
+    for name in names:
+        lo_values, hi_values = _column_pair(name, ranges[name])
+        lo = _bound_column(name, "lo", lo_values)
+        hi = _bound_column(name, "hi", hi_values)
+        if lo.shape != hi.shape:
+            raise ServingError(
+                f"columnar lo/hi arrays for {name!r} differ in length: "
+                f"{lo.shape[0]} vs {hi.shape[0]}"
+            )
+        if count is None:
+            count = lo.shape[0]
+        elif lo.shape[0] != count:
+            raise ServingError(
+                f"columnar arrays must share one length; {name!r} has "
+                f"{lo.shape[0]} rows, earlier attributes {count}"
+            )
+        columns_lo.append(lo)
+        columns_hi.append(hi)
+    if count == 0:
+        raise ServingError("a columnar batch needs at least one query row")
+    return np.stack(columns_lo, axis=1), np.stack(columns_hi, axis=1)
+
+
+def _side_matrix(columns) -> np.ndarray | None:
+    """One side's ``k`` bound columns as a ``(k, n)`` int64 array, or None.
+
+    Integer arrays, and lists that a type scan finds hold only plain
+    ints (the wire form), convert in one ``np.asarray``.  The scan is
+    what lets a list convert straight to int64, which would truncate
+    ``2.5`` and parse ``"3"``, and it keeps out the booleans an inferred
+    dtype would read as 0 and 1.  Anything else (floats, booleans,
+    strings, nested or ragged columns, an empty batch) gives None, and
+    :func:`_column_bounds` accepts or refuses it with its own message.
+    """
+    if all(type(column) is list for column in columns):
+        types = set()
+        for column in columns:
+            types.update(map(type, column))
+        if types != {int}:
+            return None
+        dtype = np.int64
+    elif all(
+        isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+        for column in columns
+    ):
+        dtype = None
+    else:
+        return None
+    try:
+        matrix = np.asarray(columns, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+    if matrix.ndim != 2 or matrix.shape[1] == 0 or matrix.dtype.kind not in "iu":
+        return None
+    return matrix.astype(np.int64, copy=False)
+
+
+def _stacked_bounds(names, ranges) -> tuple | None:
+    """``(lows, highs)`` as ``(n, k)`` views with one conversion per side.
+
+    Taken when every spec is the wire's ``{"lo": [...], "hi": [...]}``
+    and both sides convert (:func:`_side_matrix`) to one shape; None
+    sends the batch to :func:`_column_bounds`.
+    """
+    specs = [ranges[name] for name in names]
+    if not all(isinstance(spec, dict) and spec.keys() == {"lo", "hi"} for spec in specs):
+        return None
+    lows = _side_matrix([spec["lo"] for spec in specs])
+    if lows is None:
+        return None
+    highs = _side_matrix([spec["hi"] for spec in specs])
+    if highs is None or highs.shape != lows.shape:
+        return None
+    return lows.T, highs.T
+
+
 class QueryBatchRequest:
     """Many range-count queries against one release, structure-of-arrays.
 
@@ -327,9 +419,9 @@ class QueryBatchRequest:
     per query, the batch carries parallel ``lo``/``hi`` integer arrays
     per named attribute — query ``i`` is the box formed by row ``i`` of
     every array, with unnamed attributes defaulting to their full
-    domain.  Decoding a wire batch therefore costs one ndarray
-    conversion and one vectorized validation pass per attribute, not
-    O(queries) Python.
+    domain.  Decoding a wire batch therefore costs one type scan per
+    list, one ndarray conversion per side and one vectorized validation
+    pass, not O(queries) Python objects.
 
     Parameters
     ----------
@@ -379,30 +471,9 @@ class QueryBatchRequest:
                 "what define the batch length"
             )
         names = tuple(sorted(str(name) for name in ranges))
-        columns_lo, columns_hi = [], []
-        count = None
-        for name in names:
-            lo_values, hi_values = _column_pair(name, ranges[name])
-            lo = _bound_column(name, "lo", lo_values)
-            hi = _bound_column(name, "hi", hi_values)
-            if lo.shape != hi.shape:
-                raise ServingError(
-                    f"columnar lo/hi arrays for {name!r} differ in length: "
-                    f"{lo.shape[0]} vs {hi.shape[0]}"
-                )
-            if count is None:
-                count = lo.shape[0]
-            elif lo.shape[0] != count:
-                raise ServingError(
-                    f"columnar arrays must share one length; {name!r} has "
-                    f"{lo.shape[0]} rows, earlier attributes {count}"
-                )
-            columns_lo.append(lo)
-            columns_hi.append(hi)
-        if count == 0:
-            raise ServingError("a columnar batch needs at least one query row")
-        lows = np.stack(columns_lo, axis=1)
-        highs = np.stack(columns_hi, axis=1)
+        lows, highs = (
+            _stacked_bounds(names, ranges) or _column_bounds(names, ranges)
+        )
         # One vectorized pass over the whole batch; the upper domain
         # bound is schema-dependent and checked at bind time.
         if lows.min() < 0 or np.any(lows > highs):
@@ -580,8 +651,9 @@ class BatchQueryResponse:
     The structure-of-arrays twin of :class:`QueryResponse` — one
     response object (and one wire line) per *batch*, with all the
     per-query numbers as parallel arrays.  Encoding is vectorized:
-    :meth:`to_json` is one :func:`encode_line` over four ``tolist()``
-    columns, never N dict round-trips.  Indexing
+    :meth:`to_line` hands the four float64 arrays straight to
+    :func:`encode_line`, with no ``tolist()`` and no per-query dicts,
+    and writes the bytes :meth:`to_dict`'s lists would.  Indexing
     yields per-query :class:`QueryResponse` views for callers that want
     the scalar shape (the parity tests compare exactly these).
 
@@ -613,10 +685,11 @@ class BatchQueryResponse:
         request_id=None,
     ):
         self.release = release
-        self.estimates = np.asarray(estimates, dtype=np.float64)
-        self.noise_stds = np.asarray(noise_stds, dtype=np.float64)
-        self.lowers = np.asarray(lowers, dtype=np.float64)
-        self.uppers = np.asarray(uppers, dtype=np.float64)
+        # Contiguous, so the wire encoder can write them as they are.
+        self.estimates = np.ascontiguousarray(estimates, dtype=np.float64)
+        self.noise_stds = np.ascontiguousarray(noise_stds, dtype=np.float64)
+        self.lowers = np.ascontiguousarray(lowers, dtype=np.float64)
+        self.uppers = np.ascontiguousarray(uppers, dtype=np.float64)
         self.confidence = float(confidence)
         self.request_id = request_id
 
@@ -657,23 +730,35 @@ class BatchQueryResponse:
     def __iter__(self):
         return (self[index] for index in range(len(self)))
 
-    def to_dict(self) -> dict:
-        """The JSONL wire form (``ok: true``, arrays by column)."""
+    def _fields(self, column) -> dict:
+        """The wire object, each array passed through ``column``."""
         return {
             "ok": True,
             "id": self.request_id,
             "release": self.release,
             "count": len(self),
             "confidence": self.confidence,
-            "estimates": self.estimates.tolist(),
-            "noise_stds": self.noise_stds.tolist(),
-            "lowers": self.lowers.tolist(),
-            "uppers": self.uppers.tolist(),
+            "estimates": column(self.estimates),
+            "noise_stds": column(self.noise_stds),
+            "lowers": column(self.lowers),
+            "uppers": column(self.uppers),
         }
 
+    def to_dict(self) -> dict:
+        """The JSONL wire form (``ok: true``, arrays by column as lists)."""
+        return self._fields(np.ndarray.tolist)
+
+    def to_line(self) -> bytes:
+        """One encoded wire line for the whole batch, newline included.
+
+        orjson writes each float64 array element as it writes the same
+        float in a list, so these are :meth:`to_dict`'s bytes.
+        """
+        return encode_line(self._fields(lambda array: array))
+
     def to_json(self) -> str:
-        """One wire line for the whole batch, newline included."""
-        return encode_line(self.to_dict()).decode()
+        """:meth:`to_line` as text."""
+        return self.to_line().decode()
 
     def __repr__(self) -> str:
         return (

@@ -27,9 +27,9 @@ one list (the fleet worker its pipe batch, the JSONL ``serve`` loop the
 lines already queued, :meth:`ReleaseServer.query_many` its argument).
 Concurrent callers answer in parallel.  What they share is guarded
 where it is built: a registry entry's lock covers its archive load and
-engine build, the plan cache and the planner lock their tables, a leaf
-release builds its prefix tensor under its own lock, and the server's
-counters update under one lock.
+engine build, the plan cache locks its table, a leaf release builds
+its prefix tensor under its own lock, and the server's counters update
+under one lock.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.serving.requests import (
     QueryBatchRequest,
     QueryRequest,
     QueryResponse,
+    encode_line,
     request_from_dict,
 )
 
@@ -101,8 +102,9 @@ class ServerStats:
     #: Rows answered through the columnar path (each scalar request
     #: counts 1 toward ``requests``; a columnar batch counts its rows).
     columnar_rows: int
-    #: Rows the planner answered by scatter from an identical row
-    #: (monotone, survives plan eviction/invalidation).
+    #: Always 0: columnar batches answer through the engine with no
+    #: deduplication pass.  Kept until ROADMAP item 2's benchmark change,
+    #: like ``profile_cache_hits``.
     planner_deduped_rows: int
     #: Median request latency (start to end of its pass) over the window.
     p50_latency_seconds: float
@@ -394,14 +396,16 @@ class ReleaseServer:
         return results
 
     def answer_payloads(self, payloads: list) -> list:
-        """Answer decoded wire requests in one pass; one wire dict each.
+        """Answer decoded wire requests in one pass; one encoded line each.
 
         Each payload decodes through
         :func:`~repro.serving.requests.request_from_dict`, every decoded
         request is answered in one :meth:`answer_requests` pass, and
         each request's failure, a decode error included, becomes its
-        :class:`ErrorResponse` dict.  The fleet worker and the JSONL
-        ``serve`` loop both answer through this.
+        :class:`ErrorResponse`.  A columnar answer encodes straight from
+        its arrays (:meth:`BatchQueryResponse.to_line`).  The fleet
+        worker and the JSONL ``serve`` loop both answer through this and
+        write the lines as they are.
 
         Parameters
         ----------
@@ -411,8 +415,9 @@ class ReleaseServer:
 
         Returns
         -------
-        list[dict]
-            One wire response dict per payload, in order.
+        list[bytes]
+            One encoded wire line (newline included) per payload, in
+            order.
         """
         decoded = []
         for payload in payloads:
@@ -425,15 +430,18 @@ class ReleaseServer:
                 [item for item in decoded if not isinstance(item, Exception)]
             )
         )
-        responses = []
+        lines = []
         for payload, item in zip(payloads, decoded):
             if not isinstance(item, Exception):
                 item = next(answers)
+            if isinstance(item, BatchQueryResponse):
+                lines.append(item.to_line())
+                continue
             if isinstance(item, Exception):
                 request_id = payload.get("id") if isinstance(payload, dict) else None
                 item = ErrorResponse.from_exception(item, request_id)
-            responses.append(item.to_dict())
-        return responses
+            lines.append(encode_line(item.to_dict()))
+        return lines
 
     def submit(self, request) -> Future:
         """Answer one request now; returns its already-resolved future.
@@ -542,7 +550,7 @@ class ReleaseServer:
             plan_cache_hit_rate=self._plan_cache.hit_rate,
             plan_cache_evictions=self._plan_cache.evictions,
             columnar_rows=columnar_rows,
-            planner_deduped_rows=self._plan_cache.planner_stats()["rows_deduped"],
+            planner_deduped_rows=0,
             p50_latency_seconds=p50,
             p99_latency_seconds=p99,
         )

@@ -1,5 +1,8 @@
 """Tests for the release representations (dense vs coefficient-space)."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from repro.core.release import (
     REPRESENTATIONS,
     CoefficientRelease,
     DenseRelease,
+    _corner_index,
+    _corner_matrix,
     convert_result,
     infer_sa_names,
     prefix_tensor,
@@ -422,3 +427,31 @@ def test_corner_kernel_matches_reference_loop(shape, batch, rows, rng, box_sums_
     matrix = release.to_matrix()
     assert DenseRelease(matrix).answer_boxes(lows, highs).tolist() == expected
     assert RangeSumOracle(matrix).answer_boxes(lows, highs).tolist() == expected
+
+
+def test_corner_index_is_exact_below_2_to_the_53(rng):
+    """The float64 corner index equals Python-int arithmetic on strides
+    whose products with the bounds approach 2^53: a C-order tensor of
+    ``shape`` has just under 2^53 elements."""
+    shape = (4093, 2097143, 1048573)
+    assert 2**52 < math.prod(shape) < 2**53
+    strides = (shape[1] * shape[2], shape[2], 1)
+    sizes = np.asarray(shape, dtype=np.int64) - 1
+    pairs = np.sort(rng.integers(0, sizes + 1, size=(2, 64, 3)), axis=0)
+    lows = np.vstack([pairs[0], np.zeros((1, 3), dtype=np.int64), sizes - 1, sizes])
+    highs = np.vstack([pairs[1], sizes, sizes, sizes])
+
+    index, widths = _corner_index(_corner_matrix(strides), lows, highs)
+
+    expected = [
+        [
+            sum((lo + bit * (hi - lo)) * stride
+                for lo, hi, bit, stride in zip(low, high, bits, strides))
+            for bits in itertools.product((0, 1), repeat=3)
+        ]
+        for low, high in zip(lows.tolist(), highs.tolist())
+    ]
+    assert index.dtype == np.int64
+    assert index.tolist() == expected
+    assert index.max() == math.prod(shape) - 1 > 2**52
+    assert widths.tolist() == (highs - lows).tolist()

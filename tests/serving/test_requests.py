@@ -136,6 +136,34 @@ class TestQueryBatchRequest:
             QueryBatchRequest("r", {"X": {"lo": [float("nan")], "hi": [2]}})
         with pytest.raises(ServingError, match="integer"):
             QueryBatchRequest("r", {"X": {"lo": ["a"], "hi": [2]}})
+        # An inferred dtype reads [0, True] as the integers [0, 1]: a
+        # bool anywhere in a list is refused, in one conversion per side
+        # or column by column (the pair form, or a float column beside).
+        for ranges in (
+            {"X": {"lo": [0, True], "hi": [1, 2]}},
+            {"X": ([0, True], [1, 2])},
+            {"X": {"lo": [0.0, 1.0], "hi": [1, 2]}, "Y": {"lo": [0, 1], "hi": [True, 2]}},
+        ):
+            with pytest.raises(ServingError, match="integers, got bool values"):
+                QueryBatchRequest("r", ranges)
+
+    def test_every_bound_form_decodes_alike(self):
+        lows, highs = [[0, 2, 5], [1, 0, 3]], [[4, 2, 8], [3, 4, 4]]
+        forms = [
+            {name: {"lo": lo, "hi": hi} for name, lo, hi in zip("XY", lows, highs)},
+            {
+                name: {"lo": np.asarray(lo), "hi": np.asarray(hi, dtype=np.int32)}
+                for name, lo, hi in zip("XY", lows, highs)
+            },
+            {name: (lo, hi) for name, lo, hi in zip("XY", lows, highs)},
+            {name: {"lo": lo, "hi": [float(v) for v in hi]}
+             for name, lo, hi in zip("XY", lows, highs)},
+        ]
+        for ranges in forms:
+            request = QueryBatchRequest("r", ranges)
+            assert request.lows.dtype == request.highs.dtype == np.int64
+            assert request.lows.T.tolist() == lows
+            assert request.highs.T.tolist() == highs
 
     def test_rejects_mismatched_and_empty_columns(self):
         with pytest.raises(ServingError, match="length"):

@@ -19,7 +19,12 @@ import pytest
 import repro.cli as cli
 from repro.core.publish import publish
 from repro.errors import ServingError
-from repro.serving.requests import decode_line, encode_line
+from repro.serving.requests import (
+    BatchQueryResponse,
+    decode_line,
+    encode_line,
+    request_from_dict,
+)
 from repro.serving.server import ReleaseServer
 
 #: Doubles whose text differs between ``json.dumps`` and orjson.
@@ -64,6 +69,35 @@ class TestEncodeLine:
             {"a": np.float64(0.1), "b": np.int64(3), "c": np.arange(2.0), "d": (1, 2)}
         )
         assert line == b'{"a":0.1,"b":3,"c":[0.0,1.0],"d":[1,2]}\n'
+
+
+class TestBatchReplyFromArrays:
+    """A batch reply is encoded from its float64 arrays, never their lists."""
+
+    def test_special_doubles_encode_as_their_list_form(self):
+        rng = np.random.default_rng(0)
+        special = [
+            0.0, -0.0, 1e16, 5e-324, np.finfo(float).max, np.finfo(float).tiny / 3,
+            *RESPELLED,
+        ]
+        values = np.concatenate([rng.standard_normal(256 - len(special)) * 1e3, special])
+        response = BatchQueryResponse(
+            "r", values, np.abs(values), values - 1.0, values[::-1], 0.9, request_id=2
+        )
+        assert response.to_line() == encode_line(response.to_dict())
+
+    def test_served_256_row_reply_is_byte_identical(self, server):
+        rng = np.random.default_rng(1)
+        lows = rng.integers(0, 32, 256)
+        highs = np.minimum(lows + rng.integers(0, 32, 256), 32)
+        payload = {
+            "op": "query_batch", "id": 9, "release": "r",
+            "ranges": {"value": {"lo": lows.tolist(), "hi": highs.tolist()}},
+        }
+        [line] = server.answer_payloads([payload])
+        response = server.query_columnar(request_from_dict(payload))
+        assert len(response) == 256
+        assert line == encode_line(response.to_dict())
 
 
 class TestDecodeLine:
